@@ -1,18 +1,25 @@
 // Shared argument handling for the bench_* drivers.
 //
-// Every bench accepts --jobs=N (worker threads for its sweep fan-out;
-// exec/sweep.h semantics: 0 = one per hardware thread, 1 = serial) or the
-// RFH_JOBS environment variable when the flag is absent. Parallelism is
-// purely a scheduling knob: every bench's figures and BENCH_*.json
-// metrics are bit-identical for every jobs value.
+// Every bench accepts --jobs=N|auto (worker threads for its sweep
+// fan-out; the rfh_cli grammar from harness/cli.h: auto = one per
+// hardware thread, 1 = serial) or the RFH_JOBS environment variable when
+// the flag is absent. Malformed values exit 2. Parallelism is purely a
+// scheduling knob: every bench's figures and BENCH_*.json metrics are
+// bit-identical for every jobs value.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
+
+#include "harness/cli.h"
 
 namespace rfh {
 
-/// First --jobs=N among argv[1..], else $RFH_JOBS, else 0 (hardware).
+/// Last --jobs=... among argv[1..], else $RFH_JOBS, else 0 (hardware).
+/// Prints the grammar and exits 2 on a malformed value.
 inline unsigned bench_jobs(int argc, char** argv) {
   const char* text = nullptr;
   for (int i = 1; i < argc; ++i) {
@@ -20,8 +27,13 @@ inline unsigned bench_jobs(int argc, char** argv) {
   }
   if (text == nullptr) text = std::getenv("RFH_JOBS");
   if (text == nullptr) return 0;
-  const long value = std::strtol(text, nullptr, 10);
-  return value > 0 ? static_cast<unsigned>(value) : 0;
+  const std::optional<unsigned> jobs = parse_jobs(text);
+  if (!jobs) {
+    std::fprintf(stderr, "%s: %s, got '%s'\n", argv[0],
+                 std::string(kJobsError).c_str(), text);
+    std::exit(2);
+  }
+  return *jobs;
 }
 
 }  // namespace rfh

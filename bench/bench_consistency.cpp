@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   scenario.write_fraction = 0.2;
 
   {
-    const rfh::ComparativeResult r = rfh::run_comparison_pooled(scenario, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(scenario, {}, jobs);
     rfh::print_figure(std::cout,
                       "Consistency: mean replica lag (versions), 20% writes",
                       r, &rfh::EpochMetrics::mean_replica_lag);
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     failure.epoch = 150;
     failure.kill_random = 30;
     const rfh::ComparativeResult r =
-        rfh::run_comparison_pooled(scenario, {failure}, jobs);
+        rfh::run_comparison(scenario, {failure}, jobs);
     rfh::print_figure(std::cout,
                       "Consistency: cumulative lost writes "
                       "(30 servers killed at epoch 150)",

@@ -8,7 +8,6 @@
 #include "harness/scenario.h"
 #include "net/graph.h"
 #include "net/shortest_paths.h"
-#include "ring/chord.h"
 #include "ring/ring.h"
 #include "routing/router.h"
 #include "sim/engine.h"
@@ -101,25 +100,6 @@ void BM_RouteExpansion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteExpansion);
-
-void BM_ChordLookup(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  std::vector<rfh::ServerId> members;
-  for (std::uint32_t s = 0; s < n; ++s) members.push_back(rfh::ServerId{s});
-  const rfh::ChordOverlay overlay(members);
-  rfh::Rng rng(17);
-  double total_hops = 0.0;
-  std::uint64_t lookups = 0;
-  for (auto _ : state) {
-    const rfh::ServerId origin{static_cast<std::uint32_t>(rng.uniform(n))};
-    const auto result = overlay.lookup(origin, rng.next());
-    benchmark::DoNotOptimize(result.owner);
-    total_hops += result.hops;
-    ++lookups;
-  }
-  state.counters["hops"] = total_hops / static_cast<double>(lookups);
-}
-BENCHMARK(BM_ChordLookup)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_SimulationEpoch(benchmark::State& state) {
   const auto kind = static_cast<rfh::PolicyKind>(state.range(0));

@@ -9,7 +9,7 @@
 //   $ ./flash_crowd
 #include <cstdio>
 
-#include "harness/runner.h"
+#include "exec/sweep.h"
 #include "harness/scenario.h"
 
 int main() {

@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
 
   std::vector<rfh::PolicyRun> runs;
   if (options.compare) {
-    runs = rfh::run_comparison_pooled(options.scenario, options.failures,
-                                      options.jobs)
+    runs = rfh::run_comparison(options.scenario, options.failures,
+                               options.jobs)
                .runs;
   } else {
     runs.push_back(rfh::run_policy(options.scenario, options.policy,

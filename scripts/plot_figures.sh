@@ -9,24 +9,16 @@ BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-figures}"
 mkdir -p "$OUT_DIR"
 
-benches=(
-  bench_fig3_utilization
-  bench_fig4_replica_number
-  bench_fig5_replication_cost
-  bench_fig6_migration_times
-  bench_fig7_migration_cost
-  bench_fig8_load_imbalance
-  bench_fig9_path_length
-  bench_fig10_failure_recovery
-)
-
-for bench in "${benches[@]}"; do
+# Figs. 3-9 come from one binary (both comparisons run once), Fig. 10
+# from its own. Each "# Fig N(x): ..." block becomes figNx.csv.
+for bench in bench_paper_figures bench_fig10_failure_recovery; do
   echo ">> $bench"
-  "$BUILD_DIR/bench/$bench" > "$OUT_DIR/$bench.txt"
-  # Split the multi-panel output into one CSV per "# Fig ..." block.
-  awk -v out="$OUT_DIR/$bench" '
+  RFH_BENCH_OUT_DIR="$OUT_DIR" "$BUILD_DIR/bench/$bench" > "$OUT_DIR/$bench.txt"
+  awk -v out="$OUT_DIR" '
     /^# tail-mean/ { next }
-    /^# /    { if (f) close(f); n += 1; f = out "_panel" n ".csv"; next }
+    /^# Fig / { if (f) close(f); panel = $3; gsub(/[^0-9a-z]/, "", panel)
+                f = out "/fig" panel ".csv"; next }
+    /^# /    { if (f) close(f); f = ""; next }
     /^epoch/ { if (f) print > f; next }
     /,/      { if (f) print > f }
   ' "$OUT_DIR/$bench.txt"
@@ -37,18 +29,16 @@ if ! command -v gnuplot >/dev/null 2>&1; then
   exit 0
 fi
 
-for csv in "$OUT_DIR"/*_panel*.csv; do
+for csv in "$OUT_DIR"/fig*.csv; do
   png="${csv%.csv}.png"
+  columns=$(head -1 "$csv" | awk -F, '{ print NF }')
   gnuplot <<EOF
 set datafile separator ','
 set terminal pngcairo size 800,500
 set output '$png'
 set key outside
 set xlabel 'epoch'
-plot '$csv' using 1:2 with lines title 'Request', \
-     ''     using 1:3 with lines title 'Owner', \
-     ''     using 1:4 with lines title 'Random', \
-     ''     using 1:5 with lines title 'RFH'
+plot for [i=2:$columns] '$csv' using 1:i with lines title columnheader(i)
 EOF
   echo "rendered $png"
 done

@@ -282,7 +282,7 @@ std::string sweep_results_json(std::span<const SweepCellResult> results) {
   return out;
 }
 
-ComparativeResult run_comparison_pooled(
+ComparativeResult run_comparison(
     const Scenario& scenario, const std::vector<FailureEvent>& failures,
     unsigned jobs) {
   std::vector<SweepCell> cells;

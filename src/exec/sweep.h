@@ -110,10 +110,12 @@ class SweepRunner {
 /// counters) — the series fingerprint the differential tests compare.
 [[nodiscard]] std::uint64_t series_digest(std::span<const EpochMetrics> series);
 
-/// The paper's standard four-policy comparison executed as a sweep on a
-/// ThreadPool. jobs as in SweepOptions (0 = hardware). Bit-identical to
-/// run_comparison_sequential for every jobs value.
-[[nodiscard]] ComparativeResult run_comparison_pooled(
+/// The paper's standard comparison — Request, Owner, Random, RFH — as a
+/// four-cell sweep. Every run faces the same scenario and failure
+/// schedule. jobs: 1 runs the policies inline in that order, 0 uses
+/// min(hardware threads, 4), N a pool of N. Results are bit-identical
+/// for every jobs value.
+[[nodiscard]] ComparativeResult run_comparison(
     const Scenario& scenario, const std::vector<FailureEvent>& failures = {},
     unsigned jobs = 0);
 

@@ -15,7 +15,7 @@ bool consume(const char* arg, const char* name, std::string& value) {
   return true;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
+bool parse_u64(std::string_view text, std::uint64_t& out) {
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
   return ec == std::errc{} && ptr == text.data() + text.size();
@@ -28,6 +28,13 @@ bool parse_double(const std::string& text, double& out) {
 }
 
 }  // namespace
+
+std::optional<unsigned> parse_jobs(std::string_view text) {
+  if (text == "auto") return 0u;  // exec/sweep.h: 0 = one per hardware thread
+  std::uint64_t jobs = 0;
+  if (!parse_u64(text, jobs) || jobs == 0 || jobs > 1024) return std::nullopt;
+  return static_cast<unsigned>(jobs);
+}
 
 std::vector<std::string> metric_names() {
   return {"utilization", "replicas", "path",   "imbalance", "latency",
@@ -156,16 +163,9 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       options.failures.push_back(event);
     } else if (consume(arg, "--jobs=", value)) {
       jobs_seen = true;
-      if (value == "auto") {
-        options.jobs = 0;  // exec/sweep.h: 0 = one worker per hardware thread
-      } else {
-        std::uint64_t jobs = 0;
-        if (!parse_u64(value, jobs) || jobs == 0 || jobs > 1024) {
-          return fail("--jobs expects an integer in [1, 1024] or 'auto' "
-                      "(one worker per hardware thread)");
-        }
-        options.jobs = static_cast<unsigned>(jobs);
-      }
+      const std::optional<unsigned> jobs = parse_jobs(value);
+      if (!jobs) return fail(std::string(kJobsError));
+      options.jobs = *jobs;
     } else if (consume(arg, "--alpha=", value)) {
       double v = 0.0;
       if (!parse_double(value, v) || !(v > 0.0 && v < 1.0)) {

@@ -66,8 +66,10 @@
 //                                  queries)
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/runner.h"
@@ -118,6 +120,16 @@ struct CliParseResult {
 /// Parse the argument list (argv[1..]); never aborts — malformed input
 /// yields ok=false with a human-readable error.
 CliParseResult parse_cli(std::span<const char* const> args);
+
+/// The --jobs grammar shared by rfh_cli and the bench drivers: "auto"
+/// (0, one worker per hardware thread) or an integer in [1, 1024].
+/// Anything else — 0, negatives, trailing junk — yields nullopt.
+std::optional<unsigned> parse_jobs(std::string_view text);
+
+/// The error message for a value parse_jobs() rejects.
+inline constexpr std::string_view kJobsError =
+    "--jobs expects an integer in [1, 1024] or 'auto' (one worker per "
+    "hardware thread)";
 
 /// Extract the named per-epoch metric; sets *ok=false (and returns 0) for
 /// an unknown name.

@@ -7,29 +7,28 @@ namespace rfh {
 
 namespace {
 
-void print_tail_ranking(std::ostream& out, const ComparativeResult& result,
+double tail_mean_of(const std::vector<double>& values,
+                    std::size_t tail_window) {
+  const std::size_t n = std::min(tail_window, values.size());
+  if (n == 0) return 0.0;
+  double sum = 0.0;
+  for (std::size_t j = values.size() - n; j < values.size(); ++j) {
+    sum += values[j];
+  }
+  return sum / static_cast<double>(n);
+}
+
+void print_tail_ranking(std::ostream& out,
                         const std::vector<NamedSeries>& series,
                         std::size_t tail_window) {
   out << "# tail-mean(last " << tail_window << " epochs):";
-  std::vector<std::pair<std::string, double>> tails;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const auto& values = series[i].values;
-    const std::size_t n = std::min(tail_window, values.size());
-    double sum = 0.0;
-    for (std::size_t j = values.size() - n; j < values.size(); ++j) {
-      sum += values[j];
-    }
-    tails.emplace_back(series[i].name,
-                       n > 0 ? sum / static_cast<double>(n) : 0.0);
-  }
   const auto flags = out.flags();
   out << std::fixed << std::setprecision(3);
-  for (const auto& [name, value] : tails) {
-    out << ' ' << name << '=' << value;
+  for (const NamedSeries& s : series) {
+    out << ' ' << s.name << '=' << tail_mean_of(s.values, tail_window);
   }
   out.flags(flags);
   out << '\n';
-  (void)result;
 }
 
 template <typename Extractor>
@@ -43,7 +42,7 @@ void print_figure_impl(std::ostream& out, const std::string& title,
                                  extractor(run.series)});
   }
   write_csv(out, series);
-  print_tail_ranking(out, result, series, tail_window);
+  print_tail_ranking(out, series, tail_window);
   out << '\n';
 }
 
@@ -71,13 +70,12 @@ void print_figure_u32(std::ostream& out, const std::string& title,
 
 double tail_mean(const PolicyRun& run, double EpochMetrics::* field,
                  std::size_t window) {
-  const std::size_t n = std::min(window, run.series.size());
-  if (n == 0) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = run.series.size() - n; i < run.series.size(); ++i) {
-    sum += run.series[i].*field;
-  }
-  return sum / static_cast<double>(n);
+  return tail_mean_of(extract(run.series, field), window);
+}
+
+double tail_mean(const PolicyRun& run, std::uint32_t EpochMetrics::* field,
+                 std::size_t window) {
+  return tail_mean_of(extract_u32(run.series, field), window);
 }
 
 }  // namespace rfh

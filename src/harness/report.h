@@ -25,8 +25,13 @@ void print_figure_u32(std::ostream& out, const std::string& title,
                       std::uint32_t EpochMetrics::* field,
                       std::size_t tail_window = 50);
 
-/// Tail mean of a field for one run.
+/// Tail mean of a field for one run — the value the "# tail-mean" line
+/// prints for that run.
 double tail_mean(const PolicyRun& run, double EpochMetrics::* field,
+                 std::size_t window);
+
+/// Same for a counter field.
+double tail_mean(const PolicyRun& run, std::uint32_t EpochMetrics::* field,
                  std::size_t window);
 
 }  // namespace rfh

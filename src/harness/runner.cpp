@@ -1,7 +1,5 @@
 #include "harness/runner.h"
 
-#include <future>
-#include <iterator>
 #include <optional>
 
 #include "common/assert.h"
@@ -160,43 +158,6 @@ PolicyRun run_policy(const Scenario& scenario, PolicyKind kind,
   // Finalize the trace while the caller's sink is guaranteed alive.
   sim->events().close();
   return run;
-}
-
-namespace {
-
-constexpr PolicyKind kComparedPolicies[] = {
-    PolicyKind::kRequest, PolicyKind::kOwner, PolicyKind::kRandom,
-    PolicyKind::kRfh};
-
-}  // namespace
-
-ComparativeResult run_comparison_sequential(
-    const Scenario& scenario, const std::vector<FailureEvent>& failures) {
-  ComparativeResult result;
-  for (const PolicyKind kind : kComparedPolicies) {
-    result.runs.push_back(run_policy(scenario, kind, failures));
-  }
-  return result;
-}
-
-ComparativeResult run_comparison(const Scenario& scenario,
-                                 const std::vector<FailureEvent>& failures) {
-  // One task per policy: simulations share nothing mutable (each builds
-  // its own World, workload stream and RNGs from the scenario seed), so
-  // this is embarrassingly parallel and stays deterministic.
-  std::vector<std::future<PolicyRun>> futures;
-  futures.reserve(std::size(kComparedPolicies));
-  for (const PolicyKind kind : kComparedPolicies) {
-    futures.push_back(std::async(std::launch::async, [&scenario, &failures,
-                                                      kind] {
-      return run_policy(scenario, kind, failures, RfhPolicy::Options{});
-    }));
-  }
-  ComparativeResult result;
-  for (auto& future : futures) {
-    result.runs.push_back(future.get());
-  }
-  return result;
 }
 
 }  // namespace rfh

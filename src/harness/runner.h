@@ -1,6 +1,7 @@
 // Comparative experiment runner: the same scenario (identical world seed,
 // workload stream and failure schedule) executed once per policy, so the
-// four curves in every figure face byte-identical demand.
+// four curves in every figure face byte-identical demand. The four-policy
+// comparison itself, run_comparison(), lives in exec/sweep.h.
 #pragma once
 
 #include <array>
@@ -77,19 +78,5 @@ PolicyRun run_policy(const Scenario& scenario, PolicyKind kind,
                      PhaseProfiler* profiler = nullptr,
                      InvariantChecker* checker = nullptr,
                      EventSink* recorder = nullptr);
-
-/// The paper's standard comparison: Request, Owner, Random, RFH. The four
-/// runs are fully independent (each has its own world, generators and
-/// seeds), so they execute on concurrent threads; results are
-/// bit-identical to running them sequentially.
-ComparativeResult run_comparison(const Scenario& scenario,
-                                 const std::vector<FailureEvent>& failures =
-                                     {});
-
-/// Sequential variant (used by tests to pin down determinism and by
-/// callers that must stay single-threaded).
-ComparativeResult run_comparison_sequential(
-    const Scenario& scenario,
-    const std::vector<FailureEvent>& failures = {});
 
 }  // namespace rfh

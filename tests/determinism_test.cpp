@@ -6,8 +6,8 @@
 //     (--jobs=1) sweep — sweep_results_json, every cell's telemetry dump
 //     and every cell's event trace — including under a rolling-churn
 //     FaultPlan;
-//   * run_comparison_pooled == run_comparison_sequential for every jobs
-//     value;
+//   * run_comparison with a pool (jobs 2, 4, 8) == the inline jobs=1
+//     comparison;
 //   * the route memo (sim/config.h route_memo) and the flat-ring
 //     successor cache are pure caches: toggling them never changes a
 //     single series value, with or without failures mutating placement
@@ -186,11 +186,9 @@ TEST(SweepDeterminismTest, PooledComparisonMatchesSequentialForAllJobs) {
   FailureEvent failure;
   failure.epoch = 8;
   failure.kill_random = 10;
-  const ComparativeResult reference =
-      run_comparison_sequential(scenario, {failure});
-  for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
-    const ComparativeResult pooled =
-        run_comparison_pooled(scenario, {failure}, jobs);
+  const ComparativeResult reference = run_comparison(scenario, {failure}, 1);
+  for (const unsigned jobs : {2u, 4u, 8u}) {
+    const ComparativeResult pooled = run_comparison(scenario, {failure}, jobs);
     ASSERT_EQ(pooled.runs.size(), reference.runs.size()) << "jobs " << jobs;
     for (std::size_t i = 0; i < reference.runs.size(); ++i) {
       EXPECT_EQ(pooled.runs[i].kind, reference.runs[i].kind);

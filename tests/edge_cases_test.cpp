@@ -5,7 +5,6 @@
 #include <set>
 
 #include "consistency/tracker.h"
-#include "ring/chord.h"
 #include "test_util.h"
 
 namespace rfh {
@@ -115,20 +114,6 @@ TEST(ConsistencyEdge, DelaysBeyondHistoryClampToOldestRetained) {
   // despite being 3+ hops away: clamped, monotone, never stuck at zero.
   EXPECT_GT(tracker.replica_version(p, far), 0.0);
   EXPECT_NEAR(tracker.lag(p, far), 2.0, 1e-9);
-}
-
-TEST(ChordEdge, SparseHighValuedMemberIds) {
-  std::vector<ServerId> members{ServerId{5}, ServerId{100000},
-                                ServerId{4000000000u}, ServerId{17}};
-  const ChordOverlay overlay(members);
-  Rng rng(71);
-  for (int i = 0; i < 200; ++i) {
-    const std::uint64_t key = rng.next();
-    const ServerId owner = overlay.successor(key);
-    for (const ServerId origin : members) {
-      EXPECT_EQ(overlay.lookup(origin, key).owner, owner);
-    }
-  }
 }
 
 TEST(SamplerEdge, SingleWeightAlwaysWins) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/availability.h"
+#include "exec/sweep.h"
 #include "harness/report.h"
 #include "harness/runner.h"
 
