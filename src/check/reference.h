@@ -2,14 +2,14 @@
 // re-implementation of one RFH epoch.
 //
 // Where the optimized engine (src/sim/engine.cpp + its collaborators)
-// keeps a sorted token vector with successor caches, a route memo and
+// keeps a sorted token vector with successor caches, a relay table and
 // incrementally maintained statistics, the reference engine recomputes
 // everything the slow way every epoch:
 //
 //   * the consistent-hashing ring is a plain std::map<token, server>
 //     walked clockwise with linear dedup — no successor lists, no caches;
 //   * every query flow's route is recomputed from the shortest-path table
-//     on the spot — no per-(partition, requester) memo;
+//     on the spot — no per-(partition, DC) relay table;
 //   * the EWMA statistics (Eqs. 9-11) live in plain vectors updated by a
 //     direct transcription of the update equations;
 //   * the decision tree (Eqs. 12-17) is evaluated inline against those

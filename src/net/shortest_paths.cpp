@@ -10,7 +10,8 @@ namespace rfh {
 ShortestPaths::ShortestPaths(const DcGraph& graph)
     : n_(graph.size()),
       dist_(n_ * n_, kUnreachable),
-      pred_(n_ * n_, DatacenterId::invalid()) {
+      pred_(n_ * n_, DatacenterId::invalid()),
+      path_offsets_(n_ * n_ + 1, 0) {
   using QueueItem = std::pair<double, std::uint32_t>;  // (dist, node)
   for (std::size_t s = 0; s < n_; ++s) {
     auto* dist = &dist_[s * n_];
@@ -38,6 +39,34 @@ ShortestPaths::ShortestPaths(const DcGraph& graph)
       }
     }
   }
+
+  // Lay every path out in the arena: size each one by walking its
+  // predecessor chain, then fill it back to front along the same chain.
+  for (std::size_t cell = 0; cell < n_ * n_; ++cell) {
+    std::size_t length = 0;
+    if (dist_[cell] != kUnreachable) {
+      const std::size_t s = cell / n_;
+      for (std::size_t at = cell % n_; at != s;
+           at = pred_[s * n_ + at].value()) {
+        ++length;
+      }
+      ++length;  // the source itself
+    }
+    const std::size_t end = path_offsets_[cell] + length;
+    RFH_ASSERT_MSG(end <= UINT32_MAX, "path arena exceeds 32-bit offsets");
+    path_offsets_[cell + 1] = static_cast<std::uint32_t>(end);
+  }
+  path_arena_.resize(path_offsets_.back());
+  for (std::size_t cell = 0; cell < n_ * n_; ++cell) {
+    std::size_t slot = path_offsets_[cell + 1];
+    if (slot == path_offsets_[cell]) continue;  // unreachable
+    const std::size_t s = cell / n_;
+    for (std::size_t at = cell % n_; at != s;
+         at = pred_[s * n_ + at].value()) {
+      path_arena_[--slot] = DatacenterId{static_cast<std::uint32_t>(at)};
+    }
+    path_arena_[--slot] = DatacenterId{static_cast<std::uint32_t>(s)};
+  }
 }
 
 std::vector<DatacenterId> ShortestPaths::path(DatacenterId from,
@@ -57,15 +86,9 @@ std::vector<DatacenterId> ShortestPaths::path(DatacenterId from,
   return reversed;
 }
 
-double ShortestPaths::distance_km(DatacenterId from, DatacenterId to) const {
-  RFH_ASSERT(from.value() < n_ && to.value() < n_);
-  return dist_[from.value() * n_ + to.value()];
-}
-
 std::uint32_t ShortestPaths::hop_count(DatacenterId from,
                                        DatacenterId to) const {
-  if (from == to) return 0;
-  return static_cast<std::uint32_t>(path(from, to).size() - 1);
+  return static_cast<std::uint32_t>(path_span(from, to).size() - 1);
 }
 
 std::vector<std::uint32_t> ShortestPaths::transit_counts(
@@ -73,7 +96,8 @@ std::vector<std::uint32_t> ShortestPaths::transit_counts(
   std::vector<std::uint32_t> counts(n_, 0);
   for (std::size_t s = 0; s < n_; ++s) {
     if (s == to.value()) continue;
-    const auto p = path(DatacenterId{static_cast<std::uint32_t>(s)}, to);
+    const auto p =
+        path_span(DatacenterId{static_cast<std::uint32_t>(s)}, to);
     for (std::size_t i = 1; i + 1 < p.size(); ++i) {
       ++counts[p[i].value()];
     }

@@ -106,19 +106,23 @@ void HashRing::remove_server(ServerId server) {
 
 void HashRing::remove_servers(std::span<const ServerId> servers) {
   if (servers.empty()) return;
-  std::vector<std::uint64_t> doomed;
-  doomed.reserve(servers.size() * tokens_per_server_);
+  // Positions are unique, so a victim's tokens are exactly the tokens it
+  // owns: flag the owners instead of searching the doomed positions.
+  std::uint32_t max_id = 0;
+  for (const ServerId server : servers) {
+    max_id = std::max(max_id, server.value());
+  }
+  std::vector<std::uint8_t> doomed(std::size_t{max_id} + 1, 0);
   for (const ServerId server : servers) {
     const auto it = server_tokens_.find(server);
     RFH_ASSERT_MSG(it != server_tokens_.end(), "server not on ring");
-    doomed.insert(doomed.end(), it->second.begin(), it->second.end());
     server_tokens_.erase(it);
+    doomed[server.value()] = 1;
   }
-  std::sort(doomed.begin(), doomed.end());
   ring_.erase(std::remove_if(ring_.begin(), ring_.end(),
                              [&](const Token& t) {
-                               return std::binary_search(
-                                   doomed.begin(), doomed.end(), t.position);
+                               return t.owner.value() <= max_id &&
+                                      doomed[t.owner.value()] != 0;
                              }),
               ring_.end());
   ++membership_epoch_;

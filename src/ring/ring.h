@@ -100,8 +100,8 @@ class HashRing {
   [[nodiscard]] bool empty() const noexcept { return ring_.empty(); }
 
   /// Bumped on every add_server/remove_server; consumers caching derived
-  /// placement (route memos, successor snapshots) compare epochs to know
-  /// when to rebuild.
+  /// placement (successor snapshots) compare epochs to know when to
+  /// rebuild.
   [[nodiscard]] std::uint64_t membership_epoch() const noexcept {
     return membership_epoch_;
   }

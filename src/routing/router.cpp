@@ -8,6 +8,15 @@
 
 namespace rfh {
 
+namespace {
+
+std::uint64_t relay_key(PartitionId partition, DatacenterId dc) {
+  return hash_combine(HashRing::partition_key(partition),
+                      hash64(std::uint64_t{dc.value()}));
+}
+
+}  // namespace
+
 Router::Router(const Topology& topology, const ShortestPaths& paths)
     : topology_(&topology), paths_(&paths) {
   RFH_ASSERT(topology.datacenter_count() == paths.size());
@@ -18,8 +27,6 @@ void Router::set_telemetry(MetricRegistry* registry) {
     routes_ = nullptr;
     stages_ = nullptr;
     dead_skips_ = nullptr;
-    memo_hit_counter_ = nullptr;
-    memo_miss_counter_ = nullptr;
     return;
   }
   routes_ = &registry->counter("rfh_router_routes_total", {},
@@ -29,133 +36,77 @@ void Router::set_telemetry(MetricRegistry* registry) {
   dead_skips_ = &registry->counter(
       "rfh_router_dead_dc_skips_total", {},
       "Transit datacenters skipped because no server was alive");
-  memo_hit_counter_ = &registry->counter(
-      "rfh_router_memo_hits_total", {}, "route() calls served from the memo");
-  memo_miss_counter_ = &registry->counter(
-      "rfh_router_memo_misses_total", {},
-      "route() calls that recomputed (cold, invalidated or holder moved)");
 }
 
-void Router::set_memo_enabled(bool enabled) {
-  memo_enabled_ = enabled;
-  ++stamp_;  // drops every entry in O(1)
+void Router::reserve_relays(std::size_t partitions) {
+  if (relay_rows_.size() < partitions) relay_rows_.resize(partitions);
 }
 
-void Router::invalidate_routes() { ++stamp_; }
-
-void Router::invalidate_routes_for(PartitionId partition) {
-  if (partition.value() < partition_stamps_.size()) {
-    ++partition_stamps_[partition.value()];
-  }
-  // No stamps row yet means no memo entries for this partition exist.
-}
-
-void Router::reserve_memo(std::size_t partitions) const {
-  if (memo_rows_.size() < partitions) {
-    memo_rows_.resize(partitions);
-    partition_stamps_.resize(partitions, 0);
+void Router::servers_down(std::span<const ServerId> servers) {
+  if (servers.empty()) return;
+  std::vector<std::uint8_t> down(topology_->server_count(), 0);
+  for (const ServerId s : servers) down[s.value()] = 1;
+  for (std::vector<ServerId>& row : relay_rows_) {
+    for (ServerId& cell : row) {
+      if (cell.valid() && down[cell.value()] != 0) cell = ServerId::invalid();
+    }
   }
 }
 
-Router::MemoEntry& Router::memo_slot(PartitionId partition,
-                                     DatacenterId requester) const {
-  if (partition.value() >= memo_rows_.size()) {
-    // Serial-only growth path (concurrent users pre-size via
-    // reserve_memo).
-    reserve_memo(std::size_t{partition.value()} + 1);
+void Router::servers_up(std::span<const ServerId> servers) {
+  if (servers.empty()) return;
+  for (std::size_t p = 0; p < relay_rows_.size(); ++p) {
+    std::vector<ServerId>& row = relay_rows_[p];
+    if (row.empty()) continue;
+    const PartitionId partition{static_cast<std::uint32_t>(p)};
+    for (const ServerId s : servers) {
+      const DatacenterId dc = topology_->server(s).datacenter;
+      ServerId& cell = row[dc.value()];
+      if (!cell.valid()) continue;  // picked fresh on the next lookup
+      // rendezvous_pick's order: higher weight wins, ties to the lower id.
+      const std::uint64_t key = relay_key(partition, dc);
+      const std::uint64_t mine =
+          hash_combine(key, hash64(std::uint64_t{s.value()}));
+      const std::uint64_t theirs =
+          hash_combine(key, hash64(std::uint64_t{cell.value()}));
+      if (mine > theirs || (mine == theirs && s < cell)) cell = s;
+    }
   }
-  std::vector<MemoEntry>& row = memo_rows_[partition.value()];
-  if (row.empty()) row.resize(topology_->datacenter_count());
-  RFH_ASSERT(requester.value() < row.size());
-  return row[requester.value()];
+}
+
+ServerId Router::cached_relay(PartitionId partition, DatacenterId dc) const {
+  if (partition.value() >= relay_rows_.size()) return ServerId::invalid();
+  const std::vector<ServerId>& row = relay_rows_[partition.value()];
+  return row.empty() ? ServerId::invalid() : row[dc.value()];
 }
 
 ServerId Router::relay_for(PartitionId partition, DatacenterId dc,
                            std::span<const ServerId> live_servers) {
-  const std::uint64_t key = hash_combine(HashRing::partition_key(partition),
-                                         hash64(std::uint64_t{dc.value()}));
-  return rendezvous_pick(key, live_servers);
+  return rendezvous_pick(relay_key(partition, dc), live_servers);
 }
 
-void Router::compute(PartitionId partition, DatacenterId requester,
-                     ServerId holder,
-                     std::span<const std::vector<ServerId>> live_by_dc,
-                     MemoEntry& entry) const {
-  const DatacenterId holder_dc = topology_->server(holder).datacenter;
-  const std::vector<DatacenterId> dc_path =
-      paths_->path(requester, holder_dc);
-
-  entry.holder = holder;
-  entry.dead_skips = 0;
-  Route& route = entry.route;
-  route.stages.clear();
-  route.holder = holder;
-  route.stages.reserve(dc_path.size());
-
-  std::uint32_t hops = 1;  // client -> requester-DC relay
-  double latency = kHopLatencyMs;
-  for (const DatacenterId dc : dc_path) {
-    RFH_ASSERT(dc.value() < live_by_dc.size());
-    // Prefixes of a shortest path are shortest paths, so the cumulative
-    // fibre distance to this stage is the all-pairs distance.
-    latency = kHopLatencyMs * hops +
-              paths_->distance_km(requester, dc) / kFibreKmPerMs;
-    const std::vector<ServerId>& live = live_by_dc[dc.value()];
-    if (live.empty()) {
-      // Dead datacenter: traffic passes through its backbone router but no
-      // server can absorb or be a hub there.
-      ++entry.dead_skips;
-      ++hops;
-      continue;
-    }
-    const ServerId relay = dc == holder_dc
-                               ? holder
-                               : relay_for(partition, dc, live);
-    route.stages.push_back(RouteStage{dc, relay, hops, latency});
-    ++hops;
+std::vector<ServerId>* Router::relay_row(PartitionId partition) const {
+  if (partition.value() >= relay_rows_.size()) return nullptr;
+  std::vector<ServerId>& row = relay_rows_[partition.value()];
+  if (row.empty()) {
+    row.assign(topology_->datacenter_count(), ServerId::invalid());
   }
-  // Final descent from the holder datacenter's relay to the owning server.
-  route.total_hops = hops;
-  route.total_latency_ms = latency + kHopLatencyMs;
+  return &row;
 }
 
 const Route& Router::route(
     PartitionId partition, DatacenterId requester, ServerId holder,
     std::span<const std::vector<ServerId>> live_by_dc, RouteCtx& ctx) const {
-  RFH_ASSERT(holder.valid());
-
-  MemoEntry* entry = nullptr;
-  bool hit = false;
-  if (memo_enabled_) {
-    MemoEntry& slot = memo_slot(partition, requester);
-    // A populated entry is only trusted when both stamps are current and
-    // the primary it was computed for still holds the partition; the
-    // owner bumps the stamps on every liveness/link/placement change
-    // (DESIGN.md §11), so the holder check is the last line of defence
-    // rather than the invalidation mechanism.
-    hit = slot.stamp == stamp_ &&
-          slot.partition_stamp == partition_stamps_[partition.value()] &&
-          slot.holder == holder && !slot.route.stages.empty();
-    entry = &slot;
-  } else {
-    entry = &ctx.scratch;
-  }
-  if (!hit) {
-    compute(partition, requester, holder, live_by_dc, *entry);
-    if (memo_enabled_) {
-      entry->stamp = stamp_;
-      entry->partition_stamp = partition_stamps_[partition.value()];
-    }
-    ++ctx.memo_misses;
-  } else {
-    ++ctx.memo_hits;
-  }
-  // Telemetry is replayed identically for hits and misses, so counter
-  // totals are bit-identical with the memo on or off.
-  ctx.dead_skips += entry->dead_skips;
-  ++ctx.routes;
-  ctx.stages += entry->route.stages.size();
-  return entry->route;
+  Route& route = ctx.result;
+  route.stages.clear();
+  route.holder = holder;
+  static_cast<RouteEnd&>(route) =
+      walk(partition, requester, holder, live_by_dc, ctx,
+           [&](const RouteStage& stage) {
+             route.stages.push_back(stage);
+             return true;
+           });
+  return route;
 }
 
 const Route& Router::route(
@@ -168,16 +119,8 @@ const Route& Router::route(
 }
 
 void Router::flush_counts(RouteCtx& ctx) const {
-  memo_hits_ += ctx.memo_hits;
-  memo_misses_ += ctx.memo_misses;
   // Counters hold integer-valued doubles; batching shard tallies into one
   // inc() is exact below 2^53, so totals match the per-route serial incs.
-  if (memo_hit_counter_ != nullptr && ctx.memo_hits > 0) {
-    memo_hit_counter_->inc(static_cast<double>(ctx.memo_hits));
-  }
-  if (memo_miss_counter_ != nullptr && ctx.memo_misses > 0) {
-    memo_miss_counter_->inc(static_cast<double>(ctx.memo_misses));
-  }
   if (dead_skips_ != nullptr && ctx.dead_skips > 0) {
     dead_skips_->inc(static_cast<double>(ctx.dead_skips));
   }
@@ -185,8 +128,6 @@ void Router::flush_counts(RouteCtx& ctx) const {
     routes_->inc(static_cast<double>(ctx.routes));
     stages_->inc(static_cast<double>(ctx.stages));
   }
-  ctx.memo_hits = 0;
-  ctx.memo_misses = 0;
   ctx.routes = 0;
   ctx.stages = 0;
   ctx.dead_skips = 0;

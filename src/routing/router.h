@@ -9,32 +9,47 @@
 // datacenter's relay, one hop per further datacenter, and one final hop
 // from the holder datacenter's relay down to the owning server.
 //
-// Route memo: a route is a pure function of (partition, requester,
-// holder, the per-DC live sets, the shortest paths). The engine's
-// placement mutates at epoch granularity, so the Router memoizes computed
-// routes in per-partition slot rows — memo_rows_[partition][requester] —
-// validated by stamps: a global stamp (bumped by invalidate_routes) and a
-// per-partition stamp (bumped by invalidate_routes_for), so both
-// invalidation flavours are O(1) and never touch other partitions' rows.
-// Because a slot is only ever read and written by code handling its own
-// partition, the sharded propagate pass (each shard owns a contiguous
-// partition range) uses the memo concurrently with no synchronisation —
-// see DESIGN.md §11/§15 for the contract. Each entry records the holder
-// it was computed for; a lookup with a different holder recomputes, so
-// stale-primary hazards cannot serve a wrong route even if an
-// invalidation hook is missed.
+// Relay table: a route is assembled from the requester -> holder-DC path
+// span (ShortestPaths' arena, read live, so link changes need no hook)
+// plus one relay per transit datacenter. walk() assembles it stage by
+// stage and stops when the caller does (propagate stops once the demand
+// is absorbed); route() collects every stage. relay_for is a pure argmax
+// over the DC's live servers, so the Router caches it per (partition, DC)
+// in relay_rows_[partition][dc], filled on first lookup. The table stays
+// exact — equal to a fresh relay_for over live_by_dc[dc], bit for bit —
+// as long as the owner reports every liveness change:
+//  * servers_down(victims) after a kill clears exactly the cells whose
+//    relay died;
+//  * servers_up(revived) after a revive lets each revived server take a
+//    filled cell of its DC when it outweighs the current relay (the
+//    argmax does not depend on candidate order, so this is the fresh
+//    pick). Empty cells stay empty and are filled on the next lookup.
+// In the engine, Simulation::fail_servers and recover_servers call the
+// hooks; placement changes need nothing, since the holder stage is the
+// holder itself and every other cell depends only on liveness.
 //
-// Counters: the serial route() maintains the memo hit/miss totals and
-// telemetry counters directly. The RouteCtx overload accumulates them
-// per shard instead; the engine flushes contexts in shard-index order
-// after the join, which reproduces the serial totals exactly (integer
-// counts in doubles are order-invariant below 2^53).
+// Only rows sized by reserve_relays are cached. A Router with no reserved
+// rows (the one InvariantChecker builds) computes every relay directly, so
+// it stays an independent oracle for the table.
+//
+// Concurrency: a row is only read and written by the code routing its own
+// partition. The sharded propagate pass gives each shard a contiguous
+// partition range, so shards fill the cells of the rows they own with no
+// synchronisation (DESIGN.md §11/§15); the hooks run serially between
+// epochs.
+//
+// Counters: the serial route() maintains the telemetry counters directly.
+// walk() and the RouteCtx overload accumulate them per shard instead; the
+// engine flushes contexts in shard-index order after the join, which
+// reproduces the serial totals exactly (integer counts in doubles are
+// order-invariant below 2^53).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/ids.h"
 #include "net/shortest_paths.h"
 #include "topology/topology.h"
@@ -57,13 +72,17 @@ struct RouteStage {
   double latency_ms = 0.0;
 };
 
-struct Route {
-  std::vector<RouteStage> stages;  // requester DC first, holder DC last
-  ServerId holder;
+/// Where a route ends: the descent into the holder server.
+struct RouteEnd {
   /// Hops if the query must go all the way to the holder server.
   std::uint32_t total_hops = 0;
   /// Latency if the query must go all the way to the holder server.
   double total_latency_ms = 0.0;
+};
+
+struct Route : RouteEnd {
+  std::vector<RouteStage> stages;  // requester DC first, holder DC last
+  ServerId holder;
 };
 
 /// Latency model constants (see DESIGN.md): 2 ms switching cost per hop,
@@ -75,119 +94,145 @@ class Router {
  public:
   Router(const Topology& topology, const ShortestPaths& paths);
 
-  /// Per-shard routing context: local hit/miss/telemetry tallies plus the
-  /// result slot used when the memo is off. References returned by the
-  /// ctx overload stay valid until the next route() call with the same
-  /// ctx (or an invalidation). Flush contexts in shard-index order via
+  /// Per-shard routing context: telemetry tallies plus the result slot
+  /// the route is assembled into. Flush contexts in shard-index order via
   /// flush_counts().
-  struct RouteCtx;
+  struct RouteCtx {
+    std::uint64_t routes = 0;
+    std::uint64_t stages = 0;
+    std::uint64_t dead_skips = 0;
+    Route result;
+  };
 
   /// Compute the route for queries from `requester` to the primary copy on
   /// `holder`. `live_by_dc[dc]` lists the currently-alive servers of each
   /// datacenter (relays are only chosen among live servers; a datacenter
   /// with no live servers is skipped as a stage).
   ///
-  /// The returned reference stays valid until the next route() /
-  /// invalidate call on this Router. Callers needing to keep a route
-  /// across epochs must copy it.
+  /// The returned reference stays valid until the next route() call on
+  /// this Router. Callers needing to keep a route must copy it.
   [[nodiscard]] const Route& route(
       PartitionId partition, DatacenterId requester, ServerId holder,
       std::span<const std::vector<ServerId>> live_by_dc) const;
 
-  /// Concurrent variant: identical routing, but all counter traffic lands
-  /// in `ctx`. Callers running shards concurrently must (a) pre-size the
-  /// memo with reserve_memo() and (b) never route the same partition from
-  /// two shards.
+  /// Concurrent variant: identical routing, but the result and all
+  /// counter traffic land in `ctx` (valid until the next call with the
+  /// same ctx). Callers running shards concurrently must never route the
+  /// same partition from two shards.
   [[nodiscard]] const Route& route(
       PartitionId partition, DatacenterId requester, ServerId holder,
       std::span<const std::vector<ServerId>> live_by_dc, RouteCtx& ctx) const;
 
-  /// Fold a context's tallies into the router totals and telemetry
-  /// counters, then zero them. Call once per shard, in shard-index order.
+  /// The same route, one stage at a time: `visit(const RouteStage&)`
+  /// returns false to stop. Stages after that are not assembled (no relay
+  /// lookup, no latency) but still counted, so the tallies in `ctx` match
+  /// a full route() — which is this walk, collecting every stage.
+  template <typename Visit>
+  RouteEnd walk(PartitionId partition, DatacenterId requester,
+                ServerId holder,
+                std::span<const std::vector<ServerId>> live_by_dc,
+                RouteCtx& ctx, Visit&& visit) const;
+
+  /// Fold a context's tallies into the telemetry counters, then zero
+  /// them. Call once per shard, in shard-index order.
   void flush_counts(RouteCtx& ctx) const;
 
-  /// Pre-size the memo for `partitions` rows so concurrent shards never
-  /// grow the outer table. Idempotent; rows themselves are allocated on
-  /// first touch by the owning shard.
-  void reserve_memo(std::size_t partitions) const;
+  /// Cache relays for partitions [0, partitions). Idempotent; rows are
+  /// allocated on first touch by the shard that owns them. Partitions
+  /// outside the reserved range are routed with direct relay_for picks.
+  void reserve_relays(std::size_t partitions);
+
+  /// Liveness hooks (see the relay-table contract above): call after the
+  /// servers left, or rejoined, their datacenters' live lists.
+  void servers_down(std::span<const ServerId> servers);
+  void servers_up(std::span<const ServerId> servers);
+
+  /// The table's cell for (partition, dc); invalid when not cached (cold,
+  /// cleared by servers_down, or outside the reserved rows).
+  [[nodiscard]] ServerId cached_relay(PartitionId partition,
+                                      DatacenterId dc) const;
 
   /// Relay server for (partition, dc) among the given live servers.
   [[nodiscard]] static ServerId relay_for(
       PartitionId partition, DatacenterId dc,
       std::span<const ServerId> live_servers);
 
-  // --- route memo -------------------------------------------------------
-  /// Memoization toggle (default on). Disabling also drops all entries;
-  /// with the memo off every route() recomputes, which tests use as the
-  /// differential baseline.
-  void set_memo_enabled(bool enabled);
-  [[nodiscard]] bool memo_enabled() const noexcept { return memo_enabled_; }
-  /// Drop every memoized route (liveness, link or path-table change).
-  void invalidate_routes();
-  /// Drop the memoized routes of one partition (placement mutation).
-  void invalidate_routes_for(PartitionId partition);
-  [[nodiscard]] std::uint64_t memo_hits() const noexcept { return memo_hits_; }
-  [[nodiscard]] std::uint64_t memo_misses() const noexcept {
-    return memo_misses_;
-  }
-
-  /// Export route/stage/dead-skip/memo counters into `registry`
+  /// Export route/stage/dead-skip counters into `registry`
   /// (rfh_router_*). nullptr detaches. Counting is observational only;
   /// route() stays deterministic either way.
   void set_telemetry(MetricRegistry* registry);
 
  private:
-  struct MemoEntry {
-    /// Validity stamps: an entry is live only while both match the
-    /// router's current stamps (global and per-partition).
-    std::uint64_t stamp = 0;
-    std::uint64_t partition_stamp = 0;
-    ServerId holder;  // the primary the route was computed for
-    /// Dead datacenters skipped while computing (replayed into telemetry
-    /// on hits so counter totals are memo-invariant).
-    std::uint32_t dead_skips = 0;
-    Route route;
-  };
-
- public:
-  struct RouteCtx {
-    std::uint64_t memo_hits = 0;
-    std::uint64_t memo_misses = 0;
-    std::uint64_t routes = 0;
-    std::uint64_t stages = 0;
-    std::uint64_t dead_skips = 0;
-    /// Result slot for memo-off routing (per-context so shards never
-    /// share it).
-    MemoEntry scratch;
-  };
-
- private:
-  /// Compute a route from scratch into `entry`.
-  void compute(PartitionId partition, DatacenterId requester, ServerId holder,
-               std::span<const std::vector<ServerId>> live_by_dc,
-               MemoEntry& entry) const;
-
-  [[nodiscard]] MemoEntry& memo_slot(PartitionId partition,
-                                     DatacenterId requester) const;
+  /// One-way latency to the stage at `hops` hops: the per-hop switching
+  /// cost plus fibre over the shortest path, whose prefixes are shortest
+  /// paths, so the fibre distance to `dc` is the all-pairs distance.
+  [[nodiscard]] double latency_to(DatacenterId requester, DatacenterId dc,
+                                  std::size_t hops) const {
+    return kHopLatencyMs * static_cast<double>(hops) +
+           paths_->distance_km(requester, dc) / kFibreKmPerMs;
+  }
+  /// The partition's table row (allocated on first touch), or nullptr
+  /// outside the reserved rows.
+  [[nodiscard]] std::vector<ServerId>* relay_row(PartitionId partition) const;
 
   const Topology* topology_;
   const ShortestPaths* paths_;
-  bool memo_enabled_ = true;
-  /// memo_rows_[partition][requester-DC]; rows sized lazily on first
-  /// touch. Entries validated by stamp pairs instead of being erased.
-  mutable std::vector<std::vector<MemoEntry>> memo_rows_;
-  mutable std::vector<std::uint64_t> partition_stamps_;
-  mutable std::uint64_t stamp_ = 1;
+  /// relay_rows_[partition][dc]; invalid = not yet picked.
+  mutable std::vector<std::vector<ServerId>> relay_rows_;
   /// Context backing the serial route() overload.
   mutable RouteCtx serial_ctx_;
-  mutable std::uint64_t memo_hits_ = 0;
-  mutable std::uint64_t memo_misses_ = 0;
   // Registry-owned counters (not ours); null when telemetry is detached.
   Counter* routes_ = nullptr;
   Counter* stages_ = nullptr;
   Counter* dead_skips_ = nullptr;
-  Counter* memo_hit_counter_ = nullptr;
-  Counter* memo_miss_counter_ = nullptr;
 };
+
+template <typename Visit>
+RouteEnd Router::walk(PartitionId partition, DatacenterId requester,
+                      ServerId holder,
+                      std::span<const std::vector<ServerId>> live_by_dc,
+                      RouteCtx& ctx, Visit&& visit) const {
+  RFH_ASSERT(holder.valid());
+  RFH_ASSERT(live_by_dc.size() == paths_->size());
+  const DatacenterId holder_dc = topology_->server(holder).datacenter;
+  const std::span<const DatacenterId> path =
+      paths_->path_span(requester, holder_dc);
+  std::vector<ServerId>* const row = relay_row(partition);
+  // Hops: one to enter the requester DC's relay, then one per datacenter,
+  // dead or alive; a dead datacenter's backbone router still forwards, but
+  // no server there can absorb or be a hub, so it is not a stage.
+  std::size_t i = 0;
+  while (i < path.size()) {
+    const DatacenterId dc = path[i++];
+    const std::vector<ServerId>& live = live_by_dc[dc.value()];
+    if (live.empty()) {
+      ++ctx.dead_skips;
+      continue;
+    }
+    ++ctx.stages;
+    ServerId relay = holder;
+    if (dc != holder_dc) {
+      ServerId fresh;
+      ServerId& cell = row != nullptr ? (*row)[dc.value()] : fresh;
+      if (!cell.valid()) cell = relay_for(partition, dc, live);
+      relay = cell;
+    }
+    const RouteStage stage{dc, relay, static_cast<std::uint32_t>(i),
+                           latency_to(requester, dc, i)};
+    if (!visit(stage)) break;
+  }
+  for (; i < path.size(); ++i) {
+    if (live_by_dc[path[i].value()].empty()) {
+      ++ctx.dead_skips;
+    } else {
+      ++ctx.stages;
+    }
+  }
+  ++ctx.routes;
+  // Final descent from the holder datacenter's relay to the owning server.
+  return RouteEnd{static_cast<std::uint32_t>(path.size() + 1),
+                  latency_to(requester, holder_dc, path.size()) +
+                      kHopLatencyMs};
+}
 
 }  // namespace rfh

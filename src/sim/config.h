@@ -101,11 +101,6 @@ struct SimConfig {
   /// Ring tokens per physical server (virtual-node granularity).
   std::uint32_t ring_tokens_per_server = 16;
 
-  /// Memoize computed routes per (partition, requester) between placement
-  /// mutations (see DESIGN.md §11). Purely a speed knob: outputs are
-  /// bit-identical either way, which tests/determinism_test.cpp enforces.
-  bool route_memo = true;
-
   /// SLA target: the paper's motivating requirement is a response within
   /// 300 ms for 99.9 % of requests.
   double sla_target_ms = 300.0;

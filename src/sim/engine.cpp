@@ -36,10 +36,10 @@ Simulation::Simulation(World world, const SimConfig& config,
   RFH_ASSERT(workload_ != nullptr);
   RFH_ASSERT(policy_ != nullptr);
   RFH_ASSERT_MSG(graph_.connected(), "datacenter graph must be connected");
-  router_.set_memo_enabled(config_.route_memo);
-  // Pre-size the memo's outer table so concurrent propagate shards never
-  // grow it (rows themselves are allocated by the owning shard).
-  router_.reserve_memo(config_.partitions);
+  // Pre-size the relay table's outer vector so concurrent propagate
+  // shards never grow it (rows themselves are allocated by the owning
+  // shard).
+  router_.reserve_relays(config_.partitions);
   seed_primaries();
 }
 
@@ -145,11 +145,9 @@ void Simulation::propagate_flow(
     return;
   }
 
-  const Route& route = router_.route(flow.partition, flow.requester, holder,
-                                     live_by_dc, shard.route_ctx);
   double residual = flow.queries * kf;
-  for (const RouteStage& stage : route.stages) {
-    if (residual <= 0.0) break;
+  const auto absorb = [&](const RouteStage& stage) {
+    if (residual <= 0.0) return false;
     // The relay sees (and forwards) the residual reaching this DC —
     // this is Eq. 2's tr_ijkt for the forwarding node.
     traffic_.node_traffic_mut(flow.partition, stage.relay) += residual;
@@ -181,7 +179,11 @@ void Simulation::propagate_flow(
       }
       residual -= take;
     }
-  }
+    return residual > 0.0;
+  };
+  // The walk assembles a stage only while residual demand reaches it.
+  const RouteEnd route = router_.walk(flow.partition, flow.requester, holder,
+                                      live_by_dc, shard.route_ctx, absorb);
   if (residual > 0.0) {
     // Demand beyond even the primary's capacity: blocked this epoch.
     traffic_.unserved_mut(flow.partition) += residual / kf;
@@ -236,8 +238,8 @@ void Simulation::propagate(const QueryBatch& batch) {
   // Fan the runs across shards only for partition-major batches (every
   // built-in generator emits them sorted), where each partition's flows
   // land in exactly one run — so a shard's writes to partition-indexed
-  // traffic state and memo rows are private to it. Arbitrary test batches
-  // take the same code path with a single shard.
+  // traffic state and relay-table rows are private to it. Arbitrary test
+  // batches take the same code path with a single shard.
   const unsigned shards =
       partition_major ? shard_count_for(pool_.get(), n_runs, /*min_grain=*/1)
                       : 1;
@@ -395,7 +397,6 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
     }
     replication_bytes_[src.value()] += config_.unit_size();
     cluster_.add_replica(a.partition, a.target);
-    router_.invalidate_routes_for(a.partition);
     const double cost = transfer_cost(
         world_.topology.server(src).datacenter,
         world_.topology.server(a.target).datacenter, config_.unit_size(),
@@ -443,7 +444,6 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
     migration_bytes_[a.from.value()] += config_.unit_size();
     cluster_.remove_replica(a.partition, a.from);
     cluster_.add_replica(a.partition, a.to);
-    router_.invalidate_routes_for(a.partition);
     const double cost = transfer_cost(
         world_.topology.server(a.from).datacenter,
         world_.topology.server(a.to).datacenter, config_.unit_size(),
@@ -470,7 +470,6 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
       continue;
     }
     cluster_.remove_replica(a.partition, a.server);
-    router_.invalidate_routes_for(a.partition);
     report.suicides += 1;
     remember(a.partition,
              events_.emit_caused(rule_id != 0 ? rule_id : cause_of(a.partition),
@@ -720,11 +719,6 @@ void Simulation::fail_servers(std::span<const ServerId> servers) {
   }
   cluster_.kill_servers(
       victims, [&](ServerId s, std::span<const ClusterState::LostCopy> lost) {
-        // Drop the victim's smoothed traffic so Eq. 17's mean (over
-        // *live* servers) no longer carries the ghost of its decaying
-        // tr_bar — before the promotion pass below, which reads
-        // survivors' stats only.
-        stats_.clear_server(s);
         const std::uint64_t failure_id = events_.emit(ServerFailed{epoch_, s});
         for (const ClusterState::LostCopy& copy : lost) {
           all_lost.push_back(copy);
@@ -740,9 +734,12 @@ void Simulation::fail_servers(std::span<const ServerId> servers) {
         // cause chain to the most recent disturbance.
         if (failure_id != 0) events_.set_ambient_cause(failure_id);
       });
-  // Liveness changed: relays and dead-DC skips may differ everywhere, and
-  // handle_lost_copies below can move primaries.
-  router_.invalidate_routes();
+  // Drop the victims' smoothed traffic so Eq. 17's mean (over *live*
+  // servers) no longer carries the ghost of their decaying tr_bar — before
+  // the promotion pass below, the first reader of survivors' stats.
+  stats_.clear_servers(victims);
+  // Relays that died leave the relay table; dead-DC skips are read live.
+  router_.servers_down(victims);
   handle_lost_copies(all_lost, lost_causes);
   if (config_.redundancy == RedundancyMode::kErasure) {
     // Stripe-loss scan: a partition whose live fragment count fell below
@@ -815,7 +812,7 @@ void Simulation::recover_servers(std::span<const ServerId> servers) {
     const std::uint64_t id = events_.emit(ServerRecovered{epoch_, s});
     if (id != 0) events_.set_ambient_cause(id);
   }
-  if (!revived.empty()) router_.invalidate_routes();
+  router_.servers_up(revived);
 }
 
 namespace {
@@ -842,11 +839,9 @@ void Simulation::rebuild_network() {
   graph_ = DcGraph(world_.topology.datacenter_count(), active_links());
   RFH_ASSERT_MSG(graph_.connected(),
                  "link failure would partition the network");
+  // router_ reads paths_ through a pointer that survives the
+  // reassignment; its relay table depends on liveness only.
   paths_ = ShortestPaths(graph_);
-  // router_ holds pointers to world_.topology and paths_, both of which
-  // keep their addresses across the reassignment above — but every
-  // memoized route was computed against the old path table.
-  router_.invalidate_routes();
 }
 
 bool Simulation::link_failure_would_partition(DatacenterId a,

@@ -115,16 +115,21 @@ bool TrafficStats::frozen(ServerId s) const {
   return frozen_[s.value()] != 0;
 }
 
-void TrafficStats::clear_server(ServerId s) {
-  RFH_ASSERT(s.value() < servers_);
-  server_arrival_[s.value()] = 0.0;
+void TrafficStats::clear_servers(std::span<const ServerId> servers) {
+  if (servers.empty()) return;
+  std::vector<std::uint8_t> gone(servers_, 0);
+  for (const ServerId s : servers) {
+    RFH_ASSERT(s.value() < servers_);
+    server_arrival_[s.value()] = 0.0;
+    gone[s.value()] = 1;
+  }
   for (std::uint32_t p = 0; p < partitions_; ++p) {
     std::vector<StatCell>& cells = node_cells_[p];
-    const auto it = std::lower_bound(
-        cells.begin(), cells.end(), s.value(),
-        [](const StatCell& c, std::uint32_t v) { return c.server < v; });
-    if (it == cells.end() || it->server != s.value()) continue;
-    cells.erase(it);
+    const auto kept = std::remove_if(
+        cells.begin(), cells.end(),
+        [&](const StatCell& c) { return gone[c.server] != 0; });
+    if (kept == cells.end()) continue;
+    cells.erase(kept, cells.end());
     // Recompute the Eq. 17 numerator from scratch rather than
     // subtracting: the next update() does the same ascending re-sum, so
     // this keeps the two code paths bit-identical for the oracle.

@@ -56,17 +56,18 @@ class TrafficStats {
   /// server keeps feeding its stale numbers into Eq. 17 — the Byzantine
   /// stale-stats fault (fault/plan.h `stalestats`). Partition-axis
   /// aggregates (q_bar, requester queries) stay live; only the
-  /// server-indexed series freeze. clear_server still wipes a frozen
+  /// server-indexed series freeze. clear_servers still wipes a frozen
   /// server, so a frozen victim that later dies is forgotten as usual.
   void set_frozen(ServerId s, bool frozen);
   [[nodiscard]] bool frozen(ServerId s) const;
 
-  /// Forget everything about a failed server. Without this, the
-  /// exponentially decaying tr_bar entries of dead servers keep inflating
-  /// Eq. 17's numerator while mean_node_traffic() divides by the *live*
-  /// server count, skewing the migration-benefit test (Eq. 16) for many
-  /// epochs after a failure. Called by the engine when a server dies.
-  void clear_server(ServerId s);
+  /// Forget everything about failed servers, in one pass over the
+  /// partitions. Without this, the exponentially decaying tr_bar entries
+  /// of dead servers keep inflating Eq. 17's numerator while
+  /// mean_node_traffic() divides by the *live* server count, skewing the
+  /// migration-benefit test (Eq. 16) for many epochs after a failure.
+  /// Called by the engine once per failure wave.
+  void clear_servers(std::span<const ServerId> servers);
 
   /// q_bar_i: smoothed system average query for partition p — the paper
   /// divides the partition's total demand by the number of requesters N.

@@ -47,7 +47,8 @@ TEST(Corpus, HoldsTheSeedScenarios) {
   const std::vector<std::string> files = corpus_files();
   EXPECT_GE(files.size(), 5u);
   // The two scenarios the harness was built to pin down must stay in the
-  // corpus: route-memo invalidation under datacenter death, and the
+  // corpus: cached routing under datacenter death (now the relay table's
+  // whole-DC outage), and the
   // Eq. 15-vs-Eq. 14 suicide/availability boundary.
   const auto holds = [&](const char* name) {
     return std::any_of(files.begin(), files.end(), [&](const std::string& f) {

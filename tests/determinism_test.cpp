@@ -1,5 +1,4 @@
-// Differential determinism suite for the parallel execution subsystem
-// and the ring/routing hot-path caches.
+// Differential determinism suite for the parallel execution subsystem.
 //
 // The guarantees locked down here, byte for byte:
 //   * a --jobs=8 sweep produces output byte-identical to the serial
@@ -8,13 +7,6 @@
 //     FaultPlan;
 //   * run_comparison with a pool (jobs 2, 4, 8) == the inline jobs=1
 //     comparison;
-//   * the route memo (sim/config.h route_memo) and the flat-ring
-//     successor cache are pure caches: toggling them never changes a
-//     single series value, with or without failures mutating placement
-//     mid-run;
-//   * the iterator-invalidation regression: a policy issuing suicide +
-//     migrate for the same partition in the same epoch runs identically
-//     with the memo on and off, under the invariant checker.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,13 +14,9 @@
 
 #include "check/case.h"
 #include "exec/sweep.h"
-#include "fault/invariants.h"
 #include "fault/plan.h"
 #include "harness/runner.h"
 #include "metrics/collector.h"
-#include "sim/actions.h"
-#include "sim/policy.h"
-#include "test_util.h"
 #include "workload/generator.h"
 
 namespace rfh {
@@ -109,8 +97,8 @@ TEST(SweepDeterminismTest, RepeatedParallelSweepsAgree) {
 
 TEST(SweepDeterminismTest, ChurnFaultPlanSweepIsByteIdenticalToSerial) {
   // Rolling churn: one kill + one recovery every 3 epochs for the whole
-  // run, exercising ring membership changes, promotions and the route
-  // memo invalidation path inside every cell.
+  // run, exercising ring membership changes, promotions and the relay
+  // table's liveness hooks inside every cell.
   std::vector<SweepCell> cells;
   for (const std::uint64_t seed : {5ull, 6ull, 7ull}) {
     SweepCell cell;
@@ -382,17 +370,6 @@ TEST(EngineJobsDeterminismTest, EveryJobsValueProducesTheSameSeries) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Route memo: a pure cache. Toggling it must not move a single bit, even
-// when failures and churn mutate placement and liveness mid-run.
-
-PolicyRun run_with_memo(const Scenario& base, bool memo,
-                        const std::vector<FailureEvent>& failures = {}) {
-  Scenario scenario = base;
-  scenario.sim.route_memo = memo;
-  return run_policy(scenario, PolicyKind::kRfh, failures);
-}
-
 TEST(RedundancyDeterminismTest, ReplicaModeIsByteIdenticalToDefault) {
   // Threading the redundancy axis through the engine must leave replica
   // runs untouched: reconstruction_threshold() == 1 makes every EC scale
@@ -435,122 +412,6 @@ TEST(RedundancyDeterminismTest, ErasureRunsAreReproducible) {
   wider.sim.ec_m = 1;
   const PolicyRun c = run_policy(wider, PolicyKind::kRfh);
   EXPECT_NE(series_digest(a.series), series_digest(c.series));
-}
-
-TEST(RouteMemoDeterminismTest, MemoOnEqualsMemoOff) {
-  Scenario scenario = Scenario::paper_random_query();
-  scenario.epochs = 25;
-  EXPECT_EQ(series_digest(run_with_memo(scenario, true).series),
-            series_digest(run_with_memo(scenario, false).series));
-}
-
-TEST(RouteMemoDeterminismTest, MemoOnEqualsMemoOffUnderMassFailure) {
-  Scenario scenario = Scenario::paper_random_query();
-  scenario.epochs = 25;
-  FailureEvent failure;
-  failure.epoch = 10;
-  failure.kill_random = 20;
-  const PolicyRun with = run_with_memo(scenario, true, {failure});
-  const PolicyRun without = run_with_memo(scenario, false, {failure});
-  EXPECT_EQ(series_digest(with.series), series_digest(without.series));
-  EXPECT_EQ(with.killed, without.killed);
-}
-
-TEST(RouteMemoDeterminismTest, MemoOnEqualsMemoOffUnderRollingChurn) {
-  Scenario scenario = Scenario::paper_random_query();
-  scenario.epochs = 30;
-  FaultEvent churn;
-  churn.kind = FaultKind::kChurn;
-  churn.at = 2;
-  churn.until = 30;
-  churn.period = 3;
-  churn.kill = 1;
-  churn.recover = 1;
-  scenario.fault_plan.add(churn);
-  const PolicyRun with = run_with_memo(scenario, true);
-  const PolicyRun without = run_with_memo(scenario, false);
-  EXPECT_EQ(series_digest(with.series), series_digest(without.series));
-  EXPECT_EQ(with.killed, without.killed);
-  EXPECT_GT(with.faults_injected, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Regression for the mid-epoch mutation hazard: a policy that issues a
-// suicide AND a migrate for the same partition in the same epoch makes
-// apply_actions mutate placement between route invalidations. The engine
-// must flush the memo after every applied action (engine.cpp
-// apply_actions), so memo on/off runs — and their invariant sweeps —
-// agree exactly.
-
-Actions suicide_plus_migrate(const PolicyContext& ctx) {
-  Actions actions;
-  if (ctx.epoch < 2) {
-    // Grow partition 0 two copies beyond the primary so there is both a
-    // copy to kill and a copy to move.
-    const PartitionId p{0};
-    const auto preference = ctx.cluster.ring().preference_list(
-        HashRing::partition_key(p), ctx.cluster.live_server_count());
-    for (const ServerId candidate : preference) {
-      if (ctx.cluster.can_accept(candidate, p)) {
-        actions.replications.push_back(ReplicateAction{p, candidate, {}});
-        break;
-      }
-    }
-    return actions;
-  }
-  if (ctx.epoch == 2) {
-    const PartitionId p{0};
-    const ServerId primary = ctx.cluster.primary_of(p);
-    std::vector<ServerId> copies;
-    for (const Replica& r : ctx.cluster.replicas_of(p)) {
-      if (r.server != primary) copies.push_back(r.server);
-    }
-    if (copies.size() >= 2) {
-      actions.suicides.push_back(SuicideAction{p, copies[0], {}});
-      // Migrate the other copy to any server not hosting p.
-      const auto preference = ctx.cluster.ring().preference_list(
-          HashRing::partition_key(p), ctx.cluster.live_server_count());
-      for (const ServerId candidate : preference) {
-        if (ctx.cluster.can_accept(candidate, p)) {
-          actions.migrations.push_back(
-              MigrateAction{p, copies[1], candidate, {}});
-          break;
-        }
-      }
-    }
-  }
-  return actions;
-}
-
-TEST(RouteMemoDeterminismTest, SuicidePlusMigrateSameEpochRegression) {
-  QueryBatch batch;
-  for (std::uint32_t p = 0; p < 8; ++p) {
-    batch.push_back(QueryFlow{PartitionId{p}, DatacenterId{(p * 3) % 10},
-                              12.0});
-  }
-  std::vector<EpochMetrics> series[2];
-  for (const bool memo : {true, false}) {
-    SimConfig config;
-    config.partitions = 8;
-    config.route_memo = memo;
-    auto sim = test::make_fixed_sim(
-        batch, test::make_lambda_policy(suicide_plus_migrate), config);
-    InvariantChecker checker(InvariantChecker::Mode::kRecord);
-    MetricsCollector collector;
-    for (Epoch e = 0; e < 6; ++e) {
-      const EpochReport report = sim->step();
-      if (e == 2) {
-        // The hazard epoch really performed both mutations.
-        EXPECT_EQ(report.suicides, 1u);
-        EXPECT_EQ(report.migrations, 1u);
-      }
-      collector.collect(*sim, report);
-      checker.check_epoch(*sim, report);
-    }
-    EXPECT_TRUE(checker.violations().empty()) << checker.summary();
-    series[memo ? 0 : 1] = collector.series();
-  }
-  EXPECT_EQ(series_digest(series[0]), series_digest(series[1]));
 }
 
 }  // namespace

@@ -233,7 +233,7 @@ TEST(Engine, TotalLossReseedsAndCounts) {
 
 TEST(Engine, FailureClearsDeadServerStatistics) {
   // Regression: the engine must forget a dead server's smoothed series.
-  // Without TrafficStats::clear_server on failure, the victim's
+  // Without TrafficStats::clear_servers on failure, the victim's
   // exponentially decaying tr-bar entries keep inflating Eq. 17's
   // numerator while mean_node_traffic() divides by the *live* server
   // count, skewing the Eq. 16 migration-benefit bar for many epochs.

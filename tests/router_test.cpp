@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <set>
 
+#include "common/rng.h"
+#include "exec/parallel_for.h"
+#include "exec/thread_pool.h"
 #include "net/graph.h"
 #include "topology/world.h"
 
@@ -18,6 +21,7 @@ class RouterTest : public ::testing::Test {
         graph_(world_.topology.datacenter_count(), world_.links),
         paths_(graph_),
         router_(world_.topology, paths_) {
+    router_.reserve_relays(64);
     live_by_dc_.resize(world_.topology.datacenter_count());
     for (const Server& s : world_.topology.servers()) {
       live_by_dc_[s.datacenter.value()].push_back(s.id);
@@ -97,16 +101,26 @@ TEST_F(RouterTest, DeadDatacenterIsSkippedButCostsAHop) {
   const Route before = router_.route(PartitionId{0}, world_.by_letter('J'),
                                      holder, live_by_dc_);
   auto live = live_by_dc_;
-  live[world_.by_letter('I').value()].clear();
-  // Liveness changed: the owner of a Router must flush its route memo
+  std::vector<ServerId>& dead = live[world_.by_letter('I').value()];
+  // Liveness changed: the owner of a Router reports it through the hooks
   // (the engine does this in fail_servers / recover_servers).
-  router_.invalidate_routes();
+  router_.servers_down(dead);
+  const std::vector<ServerId> victims = dead;
+  dead.clear();
   const Route after = router_.route(PartitionId{0}, world_.by_letter('J'),
                                     holder, live);
   EXPECT_EQ(after.stages.size(), before.stages.size() - 1);
   EXPECT_EQ(after.total_hops, before.total_hops);  // hop still paid
   for (const RouteStage& stage : after.stages) {
     EXPECT_NE(stage.dc, world_.by_letter('I'));
+  }
+  // Reviving the datacenter restores the original route exactly.
+  router_.servers_up(victims);
+  const Route revived = router_.route(PartitionId{0}, world_.by_letter('J'),
+                                      holder, live_by_dc_);
+  ASSERT_EQ(revived.stages.size(), before.stages.size());
+  for (std::size_t i = 0; i < before.stages.size(); ++i) {
+    EXPECT_EQ(revived.stages[i].relay, before.stages[i].relay);
   }
 }
 
@@ -143,6 +157,176 @@ TEST_F(RouterTest, RelayForPicksAmongGivenServers) {
       Router::relay_for(PartitionId{0}, DatacenterId{1}, live);
   EXPECT_TRUE(relay == ServerId{12} || relay == ServerId{13});
 }
+
+TEST_F(RouterTest, RoutesMatchARouterWithoutARelayTable) {
+  // A Router with no reserved rows picks every relay directly: the
+  // oracle the cached table must agree with, stage for stage.
+  const Router direct(world_.topology, paths_);
+  for (std::uint32_t p = 0; p < 80; ++p) {  // rows 64.. are never cached
+    const ServerId holder =
+        world_.topology.servers_in(world_.dc[p % 10])[p % 7];
+    for (const DatacenterId requester : world_.dc) {
+      const Route cached =
+          router_.route(PartitionId{p}, requester, holder, live_by_dc_);
+      const Route fresh =
+          direct.route(PartitionId{p}, requester, holder, live_by_dc_);
+      ASSERT_EQ(cached.stages.size(), fresh.stages.size());
+      for (std::size_t i = 0; i < fresh.stages.size(); ++i) {
+        EXPECT_EQ(cached.stages[i].dc, fresh.stages[i].dc);
+        EXPECT_EQ(cached.stages[i].relay, fresh.stages[i].relay);
+        EXPECT_EQ(cached.stages[i].hops_at_entry,
+                  fresh.stages[i].hops_at_entry);
+        EXPECT_EQ(cached.stages[i].latency_ms, fresh.stages[i].latency_ms);
+      }
+      EXPECT_EQ(cached.total_hops, fresh.total_hops);
+      EXPECT_EQ(cached.total_latency_ms, fresh.total_latency_ms);
+    }
+  }
+}
+
+TEST_F(RouterTest, ConcurrentShardsFillTheirOwnRows) {
+  // The sharded propagate pattern: each shard routes only its own
+  // partitions with its own context, filling those rows concurrently.
+  // The result must equal serial routing on a fresh table.
+  constexpr std::size_t kPartitions = 64;
+  Router serial(world_.topology, paths_);
+  serial.reserve_relays(kPartitions);
+  std::vector<ServerId> expected;
+  for (std::uint32_t p = 0; p < kPartitions; ++p) {
+    const ServerId holder = world_.topology.servers_in(world_.dc[p % 10])[0];
+    for (const DatacenterId requester : world_.dc) {
+      for (const RouteStage& stage :
+           serial.route(PartitionId{p}, requester, holder, live_by_dc_)
+               .stages) {
+        expected.push_back(stage.relay);
+      }
+    }
+  }
+
+  ThreadPool pool(4);
+  constexpr unsigned kShards = 4;
+  std::vector<Router::RouteCtx> ctx(kShards);
+  std::vector<std::vector<ServerId>> got(kShards);
+  parallel_for_shards(
+      &pool, kPartitions, kShards, [&](unsigned s, IndexRange range) {
+        for (std::size_t p = range.begin; p < range.end; ++p) {
+          const PartitionId pid{static_cast<std::uint32_t>(p)};
+          const ServerId holder =
+              world_.topology.servers_in(world_.dc[p % 10])[0];
+          for (const DatacenterId requester : world_.dc) {
+            for (const RouteStage& stage :
+                 router_.route(pid, requester, holder, live_by_dc_, ctx[s])
+                     .stages) {
+              got[s].push_back(stage.relay);
+            }
+          }
+        }
+      });
+  std::vector<ServerId> merged;
+  for (unsigned s = 0; s < kShards; ++s) {
+    merged.insert(merged.end(), got[s].begin(), got[s].end());
+    router_.flush_counts(ctx[s]);
+  }
+  EXPECT_EQ(merged, expected);
+}
+
+// ---------------------------------------------------------------------
+// Relay-table exactness: under randomized kill/revive waves — including
+// a whole-datacenter outage and a revive into the emptied datacenter —
+// every cached cell equals a fresh relay_for over the DC's live set.
+class RelayTableTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RelayTableTest, FilledCellsMatchFreshPicksAcrossKillReviveWaves) {
+  const World world = build_synthetic_world(12);
+  const DcGraph graph(world.topology.datacenter_count(), world.links);
+  const ShortestPaths paths(graph);
+  constexpr std::uint32_t kPartitions = 40;
+  Router router(world.topology, paths);
+  router.reserve_relays(kPartitions);
+  const std::size_t n_dc = world.topology.datacenter_count();
+
+  std::vector<std::uint8_t> alive(world.topology.server_count(), 1);
+  std::vector<std::vector<ServerId>> live_by_dc(n_dc);
+  const auto rebuild_live = [&] {
+    for (std::size_t dc = 0; dc < n_dc; ++dc) {
+      live_by_dc[dc].clear();
+      const DatacenterId did{static_cast<std::uint32_t>(dc)};
+      for (const ServerId s : world.topology.servers_in(did)) {
+        if (alive[s.value()] != 0) live_by_dc[dc].push_back(s);
+      }
+    }
+  };
+  rebuild_live();
+
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 1);
+  const DatacenterId outage_dc{static_cast<std::uint32_t>(rng.uniform(n_dc))};
+  std::size_t filled_checked = 0;
+  for (int wave = 0; wave < 12; ++wave) {
+    std::vector<ServerId> down;
+    std::vector<ServerId> up;
+    if (wave == 4) {
+      // Whole-DC outage.
+      for (const ServerId s : world.topology.servers_in(outage_dc)) {
+        if (alive[s.value()] != 0) down.push_back(s);
+      }
+    } else if (wave == 6) {
+      // Revive into the emptied datacenter: its cells stay empty until
+      // a lookup, and the revived servers must not be skipped.
+      const auto& servers = world.topology.servers_in(outage_dc);
+      up.assign(servers.begin(), servers.begin() + 3);
+    } else {
+      for (const Server& server : world.topology.servers()) {
+        // Keep the outage datacenter empty until the wave-6 revive.
+        if (server.datacenter == outage_dc && wave == 5) continue;
+        const double roll = rng.uniform_real();
+        if (alive[server.id.value()] != 0 && roll < 0.15) {
+          down.push_back(server.id);
+        } else if (alive[server.id.value()] == 0 && roll < 0.5) {
+          up.push_back(server.id);
+        }
+      }
+    }
+    for (const ServerId s : down) alive[s.value()] = 0;
+    for (const ServerId s : up) alive[s.value()] = 1;
+    rebuild_live();
+    router.servers_down(down);
+    router.servers_up(up);
+
+    // Every filled cell — including cells filled in earlier waves — is
+    // the fresh pick over today's live set.
+    for (std::uint32_t p = 0; p < kPartitions; ++p) {
+      for (std::size_t dc = 0; dc < n_dc; ++dc) {
+        const PartitionId pid{p};
+        const DatacenterId did{static_cast<std::uint32_t>(dc)};
+        const ServerId cell = router.cached_relay(pid, did);
+        if (!cell.valid()) continue;
+        ++filled_checked;
+        ASSERT_FALSE(live_by_dc[dc].empty())
+            << "wave " << wave << ": cell of an empty datacenter";
+        EXPECT_EQ(cell, Router::relay_for(pid, did, live_by_dc[dc]))
+            << "wave " << wave << " partition " << p << " dc " << dc;
+      }
+    }
+
+    // Route a random half of the partitions so some cells stay cold and
+    // others carry over into the next wave.
+    for (std::uint32_t p = 0; p < kPartitions; ++p) {
+      if (rng.uniform(2) == 0) continue;
+      const DatacenterId holder_dc{
+          static_cast<std::uint32_t>(rng.uniform(n_dc))};
+      if (live_by_dc[holder_dc.value()].empty()) continue;
+      const ServerId holder = live_by_dc[holder_dc.value()].front();
+      for (std::size_t r = 0; r < n_dc; ++r) {
+        (void)router.route(PartitionId{p},
+                           DatacenterId{static_cast<std::uint32_t>(r)},
+                           holder, live_by_dc);
+      }
+    }
+  }
+  EXPECT_GT(filled_checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RelayTableTest, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace rfh

@@ -104,6 +104,27 @@ TEST_P(DijkstraRandomGraphTest, PathsAreValidAndMatchDistances) {
   }
 }
 
+TEST_P(DijkstraRandomGraphTest, PathArenaMatchesPredecessorWalk) {
+  // The arena spans the router reads must be the predecessor-chain walk,
+  // element for element, for every pair.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 2000);
+  const std::size_t n = 4 + rng.uniform(12);
+  const auto links = random_connected_links(n, rng);
+  const DcGraph graph(n, links);
+  const ShortestPaths paths(graph);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = 0; j < n; ++j) {
+      const auto walked = paths.path(DatacenterId{i}, DatacenterId{j});
+      const auto span = paths.path_span(DatacenterId{i}, DatacenterId{j});
+      EXPECT_TRUE(std::equal(walked.begin(), walked.end(), span.begin(),
+                             span.end()))
+          << "i=" << i << " j=" << j;
+      EXPECT_EQ(paths.hop_count(DatacenterId{i}, DatacenterId{j}),
+                walked.size() - 1);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraRandomGraphTest,
                          ::testing::Range(0, 8));
 

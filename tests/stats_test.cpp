@@ -104,7 +104,8 @@ TEST(TrafficStats, ClearServerForgetsAllSeries) {
   traffic.server_work_mut(ServerId{2}) = 16.0;
   stats.update(traffic);
 
-  stats.clear_server(ServerId{2});
+  const ServerId victim[] = {ServerId{2}};
+  stats.clear_servers(victim);
   EXPECT_DOUBLE_EQ(stats.node_traffic(PartitionId{0}, ServerId{2}), 0.0);
   EXPECT_DOUBLE_EQ(stats.node_traffic(PartitionId{1}, ServerId{2}), 0.0);
   EXPECT_DOUBLE_EQ(stats.server_arrival(ServerId{2}), 0.0);
@@ -124,9 +125,40 @@ TEST(TrafficStats, ClearServerRebalancesEq17Mean) {
   EXPECT_DOUBLE_EQ(stats.mean_node_traffic(PartitionId{0}, kServers),
                    40.0 / kServers);
 
-  stats.clear_server(ServerId{1});
+  const ServerId victim[] = {ServerId{1}};
+  stats.clear_servers(victim);
   EXPECT_DOUBLE_EQ(stats.mean_node_traffic(PartitionId{0}, kServers - 1),
                    10.0 / (kServers - 1));
+}
+
+TEST(TrafficStats, ClearServersBatchEqualsOneAtATime) {
+  // One pass over the partitions for a whole failure wave leaves exactly
+  // the state that clearing the victims one call at a time leaves,
+  // including the re-summed Eq. 17 numerators.
+  EpochTraffic traffic = make_traffic();
+  for (std::uint32_t p = 0; p < kPartitions; ++p) {
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      traffic.node_traffic_mut(PartitionId{p}, ServerId{s}) =
+          0.1 * (p + 1) + 0.37 * s;
+    }
+  }
+  TrafficStats batch(kPartitions, kServers, kDatacenters, 0.2);
+  TrafficStats single(kPartitions, kServers, kDatacenters, 0.2);
+  batch.update(traffic);
+  single.update(traffic);
+  const ServerId victims[] = {ServerId{3}, ServerId{0}, ServerId{4}};
+  batch.clear_servers(victims);
+  for (const ServerId v : victims) {
+    single.clear_servers(std::span<const ServerId>(&v, 1));
+  }
+  for (std::uint32_t p = 0; p < kPartitions; ++p) {
+    EXPECT_EQ(batch.mean_node_traffic(PartitionId{p}, kServers - 3),
+              single.mean_node_traffic(PartitionId{p}, kServers - 3));
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      EXPECT_EQ(batch.node_traffic(PartitionId{p}, ServerId{s}),
+                single.node_traffic(PartitionId{p}, ServerId{s}));
+    }
+  }
 }
 
 TEST(EpochTraffic, ResetClearsEverything) {
