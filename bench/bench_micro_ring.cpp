@@ -15,7 +15,11 @@
 //     is what the engine actually asks for (seed_primaries and lost-copy
 //     reseeding pass live_server_count(), and RandomPolicy walks r+4):
 //     the seed pays a fresh O(tokens) dedup walk per call, the flat ring
-//     serves a slice of the per-token successor cache.
+//     serves a slice of the per-token successor cache;
+//   * churn wave — the write path: a batch leave plus rejoin of 0.5% of
+//     a 10k-server ring (one churn_stream epoch's ring writes). The flat
+//     ring keeps departed tokens behind a liveness mask, so a wave flips
+//     flags; the seed erases and re-inserts every token.
 //
 // Reported ns/op are medians of kReps timed repetitions. The acceptance
 // gate for the refactor is lookup_speedup >= 3 on the preference-list
@@ -25,6 +29,7 @@
 #include <cstdio>
 #include <map>
 #include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_args.h"
@@ -42,15 +47,26 @@ class MapRing {
       : tokens_per_server_(tokens_per_server) {}
 
   void add_server(rfh::ServerId server) {
+    std::vector<std::uint64_t>& positions = tokens_[server];
     for (std::uint32_t i = 0; i < tokens_per_server_; ++i) {
       std::uint64_t pos =
           rfh::hash_combine(rfh::hash64(std::uint64_t{server.value()}),
                             rfh::hash64(std::uint64_t{i}));
       while (ring_.contains(pos)) ++pos;  // same probe as HashRing
       ring_.emplace(pos, server);
+      positions.push_back(pos);
     }
     ++servers_;
   }
+
+  void remove_server(rfh::ServerId server) {
+    const auto it = tokens_.find(server);
+    for (const std::uint64_t pos : it->second) ring_.erase(pos);
+    tokens_.erase(it);
+    --servers_;
+  }
+
+  [[nodiscard]] std::size_t server_count() const noexcept { return servers_; }
 
   [[nodiscard]] rfh::ServerId primary(std::uint64_t key) const {
     auto it = ring_.lower_bound(key);
@@ -79,6 +95,7 @@ class MapRing {
  private:
   std::uint32_t tokens_per_server_;
   std::map<std::uint64_t, rfh::ServerId> ring_;
+  std::unordered_map<rfh::ServerId, std::vector<std::uint64_t>> tokens_;
   std::size_t servers_ = 0;
 };
 
@@ -216,6 +233,75 @@ int main(int argc, char** argv) {
     if (servers == 100u) {
       report.add_metric("lookup_speedup", walk_speedup);
     }
+  }
+
+  // Membership churn: a batch leave plus rejoin of 0.5% of a 10k-server,
+  // 16-token ring — the ring writes one churn_stream epoch makes. The
+  // flat ring flips liveness flags; the map reference erases and
+  // re-inserts every token.
+  {
+    constexpr std::uint32_t kServers = 10000;
+    constexpr std::uint32_t kTokens = 16;
+    constexpr std::size_t kWaveSize = kServers / 200;
+    constexpr std::size_t kWaves = 64;
+    rfh::HashRing flat(kTokens);
+    MapRing map(kTokens);
+    std::vector<rfh::ServerId> all;
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      all.push_back(rfh::ServerId{s});
+      map.add_server(rfh::ServerId{s});
+    }
+    flat.add_servers(all);
+
+    std::mt19937_64 rng(0x434855524Eu /* "CHURN" */);
+    std::vector<std::vector<rfh::ServerId>> waves(kWaves);
+    for (std::vector<rfh::ServerId>& wave : waves) {
+      std::shuffle(all.begin(), all.end(), rng);
+      wave.assign(all.begin(), all.begin() + kWaveSize);
+    }
+    std::vector<std::uint64_t> wave_ids(kWaves);
+    for (std::size_t w = 0; w < kWaves; ++w) wave_ids[w] = w;
+
+    std::uint64_t checksum = 0;
+    double map_wave = 0.0;
+    double flat_wave = 0.0;
+    {
+      const auto stage = report.stage("measure_churn_wave");
+      map_wave = measure_ns_per_op(
+          wave_ids,
+          [&](std::uint64_t w) {
+            for (const rfh::ServerId s : waves[w]) map.remove_server(s);
+            for (const rfh::ServerId s : waves[w]) map.add_server(s);
+            return map.server_count();
+          },
+          checksum);
+      flat_wave = measure_ns_per_op(
+          wave_ids,
+          [&](std::uint64_t w) {
+            flat.remove_servers(waves[w]);
+            flat.add_servers(waves[w]);
+            return flat.server_count();
+          },
+          checksum);
+    }
+    if (checksum == 0) std::printf("# impossible checksum\n");
+    // A rejoin restores every token, so lookups must still agree.
+    for (std::uint64_t key = 0; key < 4096; ++key) {
+      const std::uint64_t k = rfh::hash64(key);
+      if (flat.primary(k) != map.primary(k)) {
+        std::fprintf(stderr,
+                     "bench_micro_ring: owner mismatch after churn at key "
+                     "%llu\n",
+                     static_cast<unsigned long long>(k));
+        return 1;
+      }
+    }
+    const double churn_speedup = map_wave / flat_wave;
+    std::printf("%8u %22s %12.1f %12.1f %8.2fx\n", kServers,
+                "churn wave (0.5%)", map_wave, flat_wave, churn_speedup);
+    report.add_metric("map_churn_wave_ns_10000", map_wave);
+    report.add_metric("flat_churn_wave_ns_10000", flat_wave);
+    report.add_metric("churn_wave_speedup_10000", churn_speedup);
   }
   report.write_file();
   return 0;

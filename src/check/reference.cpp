@@ -80,8 +80,10 @@ void ReferenceEngine::ring_add(ServerId s) {
   for (std::uint32_t i = 0; i < config_.ring_tokens_per_server; ++i) {
     std::uint64_t pos = hash_combine(hash64(std::uint64_t{s.value()}),
                                      hash64(std::uint64_t{i}));
-    // Same collision probe as HashRing::add_server: advance past occupied
-    // positions so every server owns exactly tokens_per_server positions.
+    // The seed's collision probe: advance past occupied positions so every
+    // server owns exactly tokens_per_server positions. HashRing keeps
+    // departed servers' tokens and probes past those too (ring.h), which
+    // differs only on a 64-bit position collision.
     while (ring_.contains(pos)) ++pos;
     ring_.emplace(pos, s);
     tokens.push_back(pos);

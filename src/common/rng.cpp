@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <cmath>
-#include <numeric>
 
 #include "common/assert.h"
 
@@ -90,16 +89,42 @@ std::uint64_t Rng::poisson(double mean) noexcept {
 std::vector<std::size_t> Rng::sample_without_replacement(
     std::size_t n, std::size_t k) noexcept {
   RFH_ASSERT(k <= n);
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  // Partial Fisher-Yates: the first k slots end up as the sample.
+  std::vector<std::size_t> out(k);
+  if (k == 0) return out;
+  // Partial Fisher-Yates over a virtual iota(n): slot x holds x unless a
+  // swap displaced it, and only displaced slots are stored, in an
+  // open-addressing map of at least 2k entries (each draw stores at most
+  // one), so the cost is O(k) whatever n is. Same draws, same output as
+  // shuffling a dense iota(n).
+  constexpr std::size_t kEmpty = ~std::size_t{0};
+  int bits = 4;
+  while ((std::size_t{1} << bits) < 2 * k) ++bits;
+  struct Slot {
+    std::size_t index = kEmpty;
+    std::size_t value = 0;
+  };
+  std::vector<Slot> displaced(std::size_t{1} << bits);
+  const std::size_t mask = displaced.size() - 1;
+  const auto find = [&](std::size_t index) -> Slot& {
+    std::size_t h = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(index) * 0x9e3779b97f4a7c15ULL) >>
+        (64 - bits));
+    while (displaced[h].index != kEmpty && displaced[h].index != index) {
+      h = (h + 1) & mask;
+    }
+    return displaced[h];
+  };
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j =
         i + static_cast<std::size_t>(uniform(static_cast<std::uint64_t>(n - i)));
-    std::swap(all[i], all[j]);
+    const Slot& at_i = find(i);
+    const std::size_t value_i = at_i.index == kEmpty ? i : at_i.value;
+    Slot& at_j = find(j);
+    out[i] = at_j.index == kEmpty ? j : at_j.value;
+    // Slot i is never read again; slot j now holds slot i's value.
+    at_j = Slot{j, value_i};
   }
-  all.resize(k);
-  return all;
+  return out;
 }
 
 Rng Rng::fork(std::uint64_t tag) const noexcept {

@@ -75,7 +75,8 @@ class Rng {
     }
   }
 
-  /// Sample k distinct indices from [0, n) (k <= n), in random order.
+  /// Sample k distinct indices from [0, n) (k <= n), in random order: a
+  /// partial Fisher-Yates shuffle of [0, n), in O(k) time and memory.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k) noexcept;
 

@@ -40,19 +40,12 @@ std::uint64_t ChaosController::injected_total() const noexcept {
 
 std::vector<ServerId> ChaosController::pick_live(const Simulation& sim,
                                                  std::uint32_t n) {
-  std::vector<ServerId> live;
-  for (const Server& s : sim.topology().servers()) {
-    if (sim.cluster().alive(s.id)) live.push_back(s.id);
-  }
-  if (live.size() <= 1) return {};
+  const std::size_t live = sim.cluster().live_server_count();
+  if (live <= 1) return {};
   // The engine refuses to kill the last live server; leave one standing.
-  const std::size_t want =
-      std::min<std::size_t>(n, live.size() - 1);
-  const auto picks = rng_.sample_without_replacement(live.size(), want);
-  std::vector<ServerId> victims;
-  victims.reserve(want);
-  for (const std::size_t i : picks) victims.push_back(live[i]);
-  return victims;
+  const std::size_t want = std::min<std::size_t>(n, live - 1);
+  return sim.cluster().live_at_ranks(
+      rng_.sample_without_replacement(live, want));
 }
 
 std::vector<ServerId> ChaosController::pop_dead(const Simulation& sim,

@@ -7,12 +7,6 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-constexpr std::uint64_t finalize(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 std::uint64_t hash64(std::string_view bytes) noexcept {
@@ -21,15 +15,7 @@ std::uint64_t hash64(std::string_view bytes) noexcept {
     h ^= static_cast<unsigned char>(c);
     h *= kFnvPrime;
   }
-  return finalize(h);
-}
-
-std::uint64_t hash64(std::uint64_t value) noexcept {
-  return finalize(value + 0x9e3779b97f4a7c15ULL);
-}
-
-std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
-  return finalize(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
+  return hash_detail::finalize(h);
 }
 
 }  // namespace rfh

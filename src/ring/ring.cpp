@@ -7,6 +7,15 @@
 
 namespace rfh {
 
+namespace {
+
+std::uint64_t token_hash(ServerId server, std::uint32_t index) {
+  return hash_combine(hash64(std::uint64_t{server.value()}),
+                      hash64(std::uint64_t{index}));
+}
+
+}  // namespace
+
 HashRing::HashRing(std::uint32_t tokens_per_server)
     : tokens_per_server_(tokens_per_server) {
   RFH_ASSERT(tokens_per_server_ > 0);
@@ -27,140 +36,147 @@ bool HashRing::has_token_at(std::uint64_t position) const {
   return it != ring_.end() && it->position == position;
 }
 
+void HashRing::rejoin(ServerId server) {
+  members_[server.value()] = Member::kLive;
+  ++live_count_;
+}
+
 void HashRing::add_server(ServerId server) {
   RFH_ASSERT(server.valid());
-  RFH_ASSERT_MSG(!contains(server), "server already on ring");
-  std::vector<std::uint64_t>& tokens = server_tokens_[server];
-  tokens.reserve(tokens_per_server_);
+  const Member was = member(server);
+  RFH_ASSERT_MSG(was != Member::kLive, "server already on ring");
+  ++membership_epoch_;
+  if (was == Member::kDeparted) {
+    rejoin(server);
+    return;
+  }
+  if (members_.size() <= server.value()) {
+    members_.resize(std::size_t{server.value()} + 1, Member::kNever);
+  }
   ring_.reserve(ring_.size() + tokens_per_server_);
   for (std::uint32_t i = 0; i < tokens_per_server_; ++i) {
-    std::uint64_t pos = hash_combine(hash64(std::uint64_t{server.value()}),
-                                     hash64(std::uint64_t{i}));
-    // Token collisions across servers are astronomically unlikely but
-    // would silently drop a token; probe linearly to keep the invariant
-    // "every server owns exactly tokens_per_server_ positions".
+    std::uint64_t pos = token_hash(server, i);
+    // Token collisions are astronomically unlikely but would silently
+    // drop a token; probe linearly past every held position (see the
+    // probe rule in ring.h).
     while (has_token_at(pos)) ++pos;
     const auto it = std::lower_bound(
         ring_.begin(), ring_.end(), pos,
         [](const Token& t, std::uint64_t k) { return t.position < k; });
     ring_.insert(it, Token{pos, server});
-    tokens.push_back(pos);
   }
-  ++membership_epoch_;
-  successor_cache_.clear();
+  rejoin(server);
+  successor_cache_.clear();  // slots shifted
 }
 
 void HashRing::add_servers(std::span<const ServerId> servers) {
   if (servers.empty()) return;
-  // Hash every token up front, keeping per-server i-order for
-  // server_tokens_ (matching the incremental path's stored order).
-  std::vector<Token> fresh;
-  fresh.reserve(servers.size() * tokens_per_server_);
+  std::uint32_t max_id = 0;
   for (const ServerId server : servers) {
     RFH_ASSERT(server.valid());
-    RFH_ASSERT_MSG(!contains(server), "server already on ring");
-    for (std::uint32_t i = 0; i < tokens_per_server_; ++i) {
-      fresh.push_back(Token{hash_combine(hash64(std::uint64_t{server.value()}),
-                                         hash64(std::uint64_t{i})),
-                            server});
-    }
+    max_id = std::max(max_id, server.value());
   }
-  std::vector<Token> sorted = fresh;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Token& a, const Token& b) { return a.position < b.position; });
-  std::vector<Token> merged(ring_.size() + sorted.size());
-  std::merge(ring_.begin(), ring_.end(), sorted.begin(), sorted.end(),
-             merged.begin(), [](const Token& a, const Token& b) {
-               return a.position < b.position;
-             });
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    if (merged[i].position == merged[i - 1].position) {
-      // Token collision: nothing has been committed yet, so defer to the
-      // incremental path whose linear probe defines the semantics.
-      for (const ServerId server : servers) add_server(server);
-      return;
-    }
-  }
-  ring_ = std::move(merged);
-  for (const Token& token : fresh) {
-    server_tokens_[token.owner].push_back(token.position);
+  if (members_.size() <= max_id) {
+    members_.resize(std::size_t{max_id} + 1, Member::kNever);
   }
   ++membership_epoch_;
-  successor_cache_.clear();
+  std::vector<ServerId> fresh_servers;
+  for (const ServerId server : servers) {
+    const Member was = members_[server.value()];
+    RFH_ASSERT_MSG(was != Member::kLive, "server already on ring");
+    if (was == Member::kDeparted) {
+      rejoin(server);
+    } else {
+      fresh_servers.push_back(server);
+    }
+  }
+  if (fresh_servers.empty()) return;
+
+  std::vector<Token> fresh;
+  fresh.reserve(fresh_servers.size() * tokens_per_server_);
+  for (const ServerId server : fresh_servers) {
+    for (std::uint32_t i = 0; i < tokens_per_server_; ++i) {
+      fresh.push_back(Token{token_hash(server, i), server});
+    }
+  }
+  const auto by_position = [](const Token& a, const Token& b) {
+    return a.position < b.position;
+  };
+  std::sort(fresh.begin(), fresh.end(), by_position);
+  bool collision = false;
+  for (std::size_t i = 0; i < fresh.size() && !collision; ++i) {
+    collision = (i > 0 && fresh[i].position == fresh[i - 1].position) ||
+                has_token_at(fresh[i].position);
+  }
+  if (collision) {
+    // Nothing of the new servers is committed yet, so defer to the
+    // incremental path whose linear probe defines the semantics.
+    for (const ServerId server : fresh_servers) add_server(server);
+    return;
+  }
+  const auto middle = static_cast<std::ptrdiff_t>(ring_.size());
+  ring_.insert(ring_.end(), fresh.begin(), fresh.end());
+  std::inplace_merge(ring_.begin(), ring_.begin() + middle, ring_.end(),
+                     by_position);
+  for (const ServerId server : fresh_servers) rejoin(server);
+  successor_cache_.clear();  // slots shifted
 }
 
 void HashRing::remove_server(ServerId server) {
-  const auto it = server_tokens_.find(server);
-  RFH_ASSERT_MSG(it != server_tokens_.end(), "server not on ring");
-  for (const std::uint64_t pos : it->second) {
-    const auto slot = std::lower_bound(
-        ring_.begin(), ring_.end(), pos,
-        [](const Token& t, std::uint64_t k) { return t.position < k; });
-    RFH_ASSERT(slot != ring_.end() && slot->position == pos);
-    ring_.erase(slot);
-  }
-  server_tokens_.erase(it);
-  ++membership_epoch_;
-  successor_cache_.clear();
+  remove_servers(std::span<const ServerId>(&server, 1));
 }
 
 void HashRing::remove_servers(std::span<const ServerId> servers) {
   if (servers.empty()) return;
-  // Positions are unique, so a victim's tokens are exactly the tokens it
-  // owns: flag the owners instead of searching the doomed positions.
-  std::uint32_t max_id = 0;
   for (const ServerId server : servers) {
-    max_id = std::max(max_id, server.value());
+    RFH_ASSERT_MSG(member(server) == Member::kLive, "server not on ring");
+    members_[server.value()] = Member::kDeparted;
+    --live_count_;
   }
-  std::vector<std::uint8_t> doomed(std::size_t{max_id} + 1, 0);
-  for (const ServerId server : servers) {
-    const auto it = server_tokens_.find(server);
-    RFH_ASSERT_MSG(it != server_tokens_.end(), "server not on ring");
-    server_tokens_.erase(it);
-    doomed[server.value()] = 1;
-  }
-  ring_.erase(std::remove_if(ring_.begin(), ring_.end(),
-                             [&](const Token& t) {
-                               return t.owner.value() <= max_id &&
-                                      doomed[t.owner.value()] != 0;
-                             }),
-              ring_.end());
   ++membership_epoch_;
-  successor_cache_.clear();
 }
 
 bool HashRing::contains(ServerId server) const {
-  return server_tokens_.contains(server);
+  return member(server) == Member::kLive;
 }
 
 ServerId HashRing::primary(std::uint64_t key) const {
-  RFH_ASSERT_MSG(!ring_.empty(), "ring is empty");
-  return ring_[successor_slot(key)].owner;
+  RFH_ASSERT_MSG(live_count_ > 0, "ring is empty");
+  std::size_t slot = successor_slot(key);
+  while (!live(ring_[slot].owner)) {
+    if (++slot == ring_.size()) slot = 0;
+  }
+  return ring_[slot].owner;
 }
 
 const std::vector<ServerId>& HashRing::successors_of(std::size_t slot) const {
   if (successor_cache_.size() != ring_.size()) {
     successor_cache_.assign(ring_.size(), {});
   }
-  std::vector<ServerId>& walk = successor_cache_[slot];
-  if (walk.empty()) {
-    // Full clockwise walk collecting each server once, in first-token
-    // order — exactly the order the map-based dedup walk produced.
-    walk.reserve(server_tokens_.size());
+  Walk& walk = successor_cache_[slot];
+  if (walk.epoch != membership_epoch_) {
+    // Full clockwise walk collecting each live server once, in
+    // first-token order — exactly the order the map-based dedup walk
+    // over the live tokens produces.
+    walk.epoch = membership_epoch_;
+    walk.servers.clear();
+    walk.servers.reserve(live_count_);
     for (std::size_t step = 0; step < ring_.size(); ++step) {
       const ServerId candidate = ring_[(slot + step) % ring_.size()].owner;
-      if (std::find(walk.begin(), walk.end(), candidate) == walk.end()) {
-        walk.push_back(candidate);
+      if (live(candidate) &&
+          std::find(walk.servers.begin(), walk.servers.end(), candidate) ==
+              walk.servers.end()) {
+        walk.servers.push_back(candidate);
+        if (walk.servers.size() == live_count_) break;
       }
-      if (walk.size() == server_tokens_.size()) break;
     }
   }
-  return walk;
+  return walk.servers;
 }
 
 std::vector<ServerId> HashRing::preference_list(std::uint64_t key,
                                                 std::size_t n) const {
-  RFH_ASSERT_MSG(!ring_.empty(), "ring is empty");
+  RFH_ASSERT_MSG(live_count_ > 0, "ring is empty");
   const std::vector<ServerId>& walk = successors_of(successor_slot(key));
   const std::size_t take = std::min(n, walk.size());
   return std::vector<ServerId>(walk.begin(),

@@ -7,28 +7,41 @@
 //
 // Each physical server owns `tokens` positions (virtual-node tokens) on a
 // 64-bit ring. A partition's primary owner is the server owning the first
-// token clockwise from the partition's hash; Dynamo-style replica chains
-// are the next distinct servers clockwise. Join and departure move only
-// the keyspace adjacent to the affected tokens, which the tests verify
-// quantitatively.
+// live token clockwise from the partition's hash; Dynamo-style replica
+// chains are the next distinct live servers clockwise. Join and departure
+// move only the keyspace adjacent to the affected tokens, which the tests
+// verify quantitatively.
 //
 // Storage layout: the ring is a flat array of (position, owner) entries
-// kept sorted by position, so a lookup is one binary search over
-// contiguous memory instead of a std::map node walk (membership changes
-// are epoch-granular and rare; lookups are the hot path). Each token
-// additionally carries a lazily built successor list — the distinct
-// servers met walking clockwise from it — so preference_list is a slice
-// copy after the first query per token. Both caches are invalidated as a
-// whole whenever membership changes (the "membership epoch" bump); the
-// results are defined to be byte-identical to the map-walk seed
-// implementation, which tests/property_test.cpp checks against a
-// std::map reference under randomized add/remove interleavings.
+// kept sorted by position, holding every token the ring was ever given,
+// so a lookup is one binary search over contiguous memory. Liveness is a
+// per-server mask beside it: a departure clears the server's live flag
+// and a rejoin sets it again, while its tokens stay where they are.
+// Lookups skip tokens whose owner is down, so the answers are exactly
+// those of a ring built from the live servers alone, and a membership
+// change costs O(1) per known server instead of a rebuild of the array.
+// Each token additionally carries a lazily built successor list — the
+// distinct live servers met walking clockwise from it — so
+// preference_list is a slice copy after the first query per token; a
+// list is stamped with the membership epoch it was built at and rebuilt
+// when that epoch is stale. tests/property_test.cpp checks the ring
+// against a std::map reference under randomized add/remove
+// interleavings, and against a ring freshly built from the live set
+// after kill/revive waves.
+//
+// Probe rule: a server's tokens are placed once, on its first join.
+// Token i goes to the first position at or after
+// hash_combine(hash64(server), hash64(i)) that no token on the ring —
+// live or departed — already holds, so every server owns exactly
+// tokens_per_server positions and a rejoin restores exactly the old
+// ones. Without a 64-bit position collision this is the same ring a
+// rebuild from the live set produces; with one, the probe also steps
+// over departed servers' tokens, which a rebuild would not.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.h"
@@ -42,28 +55,28 @@ class HashRing {
   /// of virtual nodes" knob; more tokens -> smoother key distribution).
   explicit HashRing(std::uint32_t tokens_per_server = 16);
 
+  /// Join (or rejoin) one server. A server seen before only gets its live
+  /// flag back; a new one inserts its tokens by the probe rule.
   void add_server(ServerId server);
-  /// Bulk join: hash every token up front, sort once and merge — O(T log
-  /// T) for T new tokens instead of the O(T²) sorted-insert loop, which
-  /// is what makes 100k-server construction tractable. Produces the same
-  /// ring as calling add_server per server: positions are pure hashes,
-  /// and on the (astronomically unlikely) token collision the bulk path
-  /// falls back to the incremental one so the linear-probe semantics stay
-  /// authoritative.
+  /// Bulk join. Known servers rejoin in O(1) each; the tokens of new
+  /// servers are hashed, sorted and merged once, O(T log T + R) for T new
+  /// tokens on a ring of R, instead of the O(T·R) sorted-insert loop. On
+  /// a token collision among new servers it falls back to add_server per
+  /// new server, so the probe rule stays authoritative. The result is the
+  /// ring sequential add_server calls produce.
   void add_servers(std::span<const ServerId> servers);
+  /// Departure: clears the server's live flag; its tokens stay.
   void remove_server(ServerId server);
-  /// Bulk leave: collect every victim token, then compact the ring in a
-  /// single pass — O(R + T) for a ring of R tokens instead of the O(R)
-  /// vector erase *per token* that sequential remove_server costs, which
-  /// is what makes mass churn (2% of a 100k-server fleet per epoch)
-  /// tractable. Produces exactly the ring sequential removals would.
+  /// Bulk departure: O(1) per victim, the same ring sequential
+  /// remove_server calls produce.
   void remove_servers(std::span<const ServerId> servers);
+  /// True while the server is live on the ring.
   [[nodiscard]] bool contains(ServerId server) const;
 
-  /// The server owning the first token at or clockwise after `key`.
+  /// The server owning the first live token at or clockwise after `key`.
   [[nodiscard]] ServerId primary(std::uint64_t key) const;
 
-  /// Up to `n` *distinct* servers starting at the primary and walking
+  /// Up to `n` *distinct* live servers starting at the primary and walking
   /// clockwise (the Dynamo preference list for the key).
   [[nodiscard]] std::vector<ServerId> preference_list(std::uint64_t key,
                                                       std::size_t n) const;
@@ -76,30 +89,32 @@ class HashRing {
   /// dedup walk, which is what keeps those paths flat at 100k servers.
   template <typename Fn>
   void for_each_preference(std::uint64_t key, Fn&& fn) const {
-    RFH_ASSERT_MSG(!ring_.empty(), "ring is empty");
+    RFH_ASSERT_MSG(live_count_ > 0, "ring is empty");
     const std::size_t slot = successor_slot(key);
     std::vector<ServerId> seen;  // tiny in practice: callers stop early
     seen.reserve(8);
     for (std::size_t step = 0; step < ring_.size(); ++step) {
       const ServerId candidate = ring_[(slot + step) % ring_.size()].owner;
-      if (std::find(seen.begin(), seen.end(), candidate) != seen.end()) {
+      if (!live(candidate) ||
+          std::find(seen.begin(), seen.end(), candidate) != seen.end()) {
         continue;
       }
       seen.push_back(candidate);
       if (!fn(candidate)) return;
-      if (seen.size() == server_tokens_.size()) return;
+      if (seen.size() == live_count_) return;
     }
   }
 
   /// Primary owner for a partition id.
   [[nodiscard]] ServerId partition_owner(PartitionId partition) const;
 
+  /// Live servers on the ring.
   [[nodiscard]] std::size_t server_count() const noexcept {
-    return server_tokens_.size();
+    return live_count_;
   }
-  [[nodiscard]] bool empty() const noexcept { return ring_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }
 
-  /// Bumped on every add_server/remove_server; consumers caching derived
+  /// Bumped on every membership change; consumers caching derived
   /// placement (successor snapshots) compare epochs to know when to
   /// rebuild.
   [[nodiscard]] std::uint64_t membership_epoch() const noexcept {
@@ -114,23 +129,41 @@ class HashRing {
     std::uint64_t position = 0;
     ServerId owner;
   };
+  enum class Member : std::uint8_t { kNever, kDeparted, kLive };
+  /// One slot's distinct-live-server clockwise walk and the membership
+  /// epoch it was built at.
+  struct Walk {
+    std::uint64_t epoch = 0;
+    std::vector<ServerId> servers;
+  };
 
+  [[nodiscard]] Member member(ServerId server) const {
+    return server.value() < members_.size() ? members_[server.value()]
+                                            : Member::kNever;
+  }
+  [[nodiscard]] bool live(ServerId server) const {
+    return members_[server.value()] == Member::kLive;
+  }
+  /// Flip a known (departed) server back to live.
+  void rejoin(ServerId server);
   /// Index of the first token at or after `key`, wrapping to 0 past the
   /// end. Ring must be non-empty.
   [[nodiscard]] std::size_t successor_slot(std::uint64_t key) const;
   [[nodiscard]] bool has_token_at(std::uint64_t position) const;
-  /// The slot's distinct-server clockwise walk, built on first use after
-  /// a membership change.
+  /// The slot's distinct-live-server clockwise walk, rebuilt on first use
+  /// after a membership change.
   [[nodiscard]] const std::vector<ServerId>& successors_of(
       std::size_t slot) const;
 
   std::uint32_t tokens_per_server_;
-  std::vector<Token> ring_;  // sorted by position
-  std::unordered_map<ServerId, std::vector<std::uint64_t>> server_tokens_;
-  std::uint64_t membership_epoch_ = 0;
-  /// successor_cache_[slot] is empty until queried (a ring with servers
-  /// always has at least one distinct successor, so empty == not built).
-  mutable std::vector<std::vector<ServerId>> successor_cache_;
+  std::vector<Token> ring_;  // sorted by position; departed owners stay
+  std::vector<Member> members_;  // by server id
+  std::uint32_t live_count_ = 0;
+  /// Starts at 1 so a default Walk (epoch 0) is always stale.
+  std::uint64_t membership_epoch_ = 1;
+  /// successor_cache_[slot], sized to the ring on first use (and again
+  /// when new servers grow it).
+  mutable std::vector<Walk> successor_cache_;
 };
 
 }  // namespace rfh

@@ -1,5 +1,7 @@
 #include "routing/router.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 #include "ring/hash.h"
 #include "ring/rendezvous.h"
@@ -39,34 +41,46 @@ void Router::set_telemetry(MetricRegistry* registry) {
 }
 
 void Router::reserve_relays(std::size_t partitions) {
-  if (relay_rows_.size() < partitions) relay_rows_.resize(partitions);
+  const std::size_t had = partition_keys_.size();
+  if (partitions <= had) return;
+  const std::size_t dcs = topology_->datacenter_count();
+  std::vector<ServerId> grown(dcs * partitions, ServerId::invalid());
+  for (std::size_t dc = 0; dc < dcs; ++dc) {
+    std::copy_n(relays_.begin() + static_cast<std::ptrdiff_t>(dc * had), had,
+                grown.begin() + static_cast<std::ptrdiff_t>(dc * partitions));
+  }
+  relays_ = std::move(grown);
+  partition_keys_.reserve(partitions);
+  for (std::size_t p = had; p < partitions; ++p) {
+    partition_keys_.push_back(
+        HashRing::partition_key(PartitionId{static_cast<std::uint32_t>(p)}));
+  }
 }
 
 void Router::servers_down(std::span<const ServerId> servers) {
-  if (servers.empty()) return;
-  std::vector<std::uint8_t> down(topology_->server_count(), 0);
-  for (const ServerId s : servers) down[s.value()] = 1;
-  for (std::vector<ServerId>& row : relay_rows_) {
-    for (ServerId& cell : row) {
-      if (cell.valid() && down[cell.value()] != 0) cell = ServerId::invalid();
-    }
+  const std::size_t partitions = partition_keys_.size();
+  for (const ServerId s : servers) {
+    ServerId* const column =
+        relays_.data() +
+        std::size_t{topology_->server(s).datacenter.value()} * partitions;
+    std::replace(column, column + partitions, s, ServerId::invalid());
   }
 }
 
 void Router::servers_up(std::span<const ServerId> servers) {
-  if (servers.empty()) return;
-  for (std::size_t p = 0; p < relay_rows_.size(); ++p) {
-    std::vector<ServerId>& row = relay_rows_[p];
-    if (row.empty()) continue;
-    const PartitionId partition{static_cast<std::uint32_t>(p)};
-    for (const ServerId s : servers) {
-      const DatacenterId dc = topology_->server(s).datacenter;
-      ServerId& cell = row[dc.value()];
+  const std::size_t partitions = partition_keys_.size();
+  for (const ServerId s : servers) {
+    const DatacenterId dc = topology_->server(s).datacenter;
+    const std::uint64_t dc_hash = hash64(std::uint64_t{dc.value()});
+    const std::uint64_t server_hash = hash64(std::uint64_t{s.value()});
+    ServerId* const column =
+        relays_.data() + std::size_t{dc.value()} * partitions;
+    for (std::size_t p = 0; p < partitions; ++p) {
+      ServerId& cell = column[p];
       if (!cell.valid()) continue;  // picked fresh on the next lookup
       // rendezvous_pick's order: higher weight wins, ties to the lower id.
-      const std::uint64_t key = relay_key(partition, dc);
-      const std::uint64_t mine =
-          hash_combine(key, hash64(std::uint64_t{s.value()}));
+      const std::uint64_t key = hash_combine(partition_keys_[p], dc_hash);
+      const std::uint64_t mine = hash_combine(key, server_hash);
       const std::uint64_t theirs =
           hash_combine(key, hash64(std::uint64_t{cell.value()}));
       if (mine > theirs || (mine == theirs && s < cell)) cell = s;
@@ -75,23 +89,13 @@ void Router::servers_up(std::span<const ServerId> servers) {
 }
 
 ServerId Router::cached_relay(PartitionId partition, DatacenterId dc) const {
-  if (partition.value() >= relay_rows_.size()) return ServerId::invalid();
-  const std::vector<ServerId>& row = relay_rows_[partition.value()];
-  return row.empty() ? ServerId::invalid() : row[dc.value()];
+  const ServerId* const cell = relay_cell(partition, dc);
+  return cell == nullptr ? ServerId::invalid() : *cell;
 }
 
 ServerId Router::relay_for(PartitionId partition, DatacenterId dc,
                            std::span<const ServerId> live_servers) {
   return rendezvous_pick(relay_key(partition, dc), live_servers);
-}
-
-std::vector<ServerId>* Router::relay_row(PartitionId partition) const {
-  if (partition.value() >= relay_rows_.size()) return nullptr;
-  std::vector<ServerId>& row = relay_rows_[partition.value()];
-  if (row.empty()) {
-    row.assign(topology_->datacenter_count(), ServerId::invalid());
-  }
-  return &row;
 }
 
 const Route& Router::route(

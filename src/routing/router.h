@@ -15,7 +15,7 @@
 // stage and stops when the caller does (propagate stops once the demand
 // is absorbed); route() collects every stage. relay_for is a pure argmax
 // over the DC's live servers, so the Router caches it per (partition, DC)
-// in relay_rows_[partition][dc], filled on first lookup. The table stays
+// in one flat table, filled on first lookup. The table stays
 // exact — equal to a fresh relay_for over live_by_dc[dc], bit for bit —
 // as long as the owner reports every liveness change:
 //  * servers_down(victims) after a kill clears exactly the cells whose
@@ -24,17 +24,22 @@
 //    filled cell of its DC when it outweighs the current relay (the
 //    argmax does not depend on candidate order, so this is the fresh
 //    pick). Empty cells stay empty and are filled on the next lookup.
+// The table is column-major (one contiguous column of partitions per
+// datacenter), so both hooks read only the changed servers' datacenter
+// columns, front to back, and hash each changed server and its datacenter
+// once (partition keys are hashed once, in reserve_relays): a wave costs
+// O(partitions · changed DCs), not O(partitions · DCs).
 // In the engine, Simulation::fail_servers and recover_servers call the
 // hooks; placement changes need nothing, since the holder stage is the
 // holder itself and every other cell depends only on liveness.
 //
-// Only rows sized by reserve_relays are cached. A Router with no reserved
-// rows (the one InvariantChecker builds) computes every relay directly, so
-// it stays an independent oracle for the table.
+// Only partitions reserved by reserve_relays are cached. A Router with no
+// reserved partitions (the one InvariantChecker builds) computes every
+// relay directly, so it stays an independent oracle for the table.
 //
-// Concurrency: a row is only read and written by the code routing its own
-// partition. The sharded propagate pass gives each shard a contiguous
-// partition range, so shards fill the cells of the rows they own with no
+// Concurrency: a partition's cells are only read and written by the code
+// routing that partition. The sharded propagate pass gives each shard a
+// contiguous partition range, so shards fill the cells they own with no
 // synchronisation (DESIGN.md §11/§15); the hooks run serially between
 // epochs.
 //
@@ -137,8 +142,8 @@ class Router {
   /// them. Call once per shard, in shard-index order.
   void flush_counts(RouteCtx& ctx) const;
 
-  /// Cache relays for partitions [0, partitions). Idempotent; rows are
-  /// allocated on first touch by the shard that owns them. Partitions
+  /// Cache relays for partitions [0, partitions): the table's cells start
+  /// empty. Idempotent, and keeps the cells it already has. Partitions
   /// outside the reserved range are routed with direct relay_for picks.
   void reserve_relays(std::size_t partitions);
 
@@ -148,7 +153,7 @@ class Router {
   void servers_up(std::span<const ServerId> servers);
 
   /// The table's cell for (partition, dc); invalid when not cached (cold,
-  /// cleared by servers_down, or outside the reserved rows).
+  /// cleared by servers_down, or outside the reserved partitions).
   [[nodiscard]] ServerId cached_relay(PartitionId partition,
                                       DatacenterId dc) const;
 
@@ -171,14 +176,22 @@ class Router {
     return kHopLatencyMs * static_cast<double>(hops) +
            paths_->distance_km(requester, dc) / kFibreKmPerMs;
   }
-  /// The partition's table row (allocated on first touch), or nullptr
-  /// outside the reserved rows.
-  [[nodiscard]] std::vector<ServerId>* relay_row(PartitionId partition) const;
+  /// The table cell for (partition, dc), or nullptr outside the reserved
+  /// partitions.
+  [[nodiscard]] ServerId* relay_cell(PartitionId partition,
+                                     DatacenterId dc) const {
+    if (partition.value() >= partition_keys_.size()) return nullptr;
+    return &relays_[std::size_t{dc.value()} * partition_keys_.size() +
+                    partition.value()];
+  }
 
   const Topology* topology_;
   const ShortestPaths* paths_;
-  /// relay_rows_[partition][dc]; invalid = not yet picked.
-  mutable std::vector<std::vector<ServerId>> relay_rows_;
+  /// relays_[dc * reserved partitions + partition]; invalid = not yet
+  /// picked.
+  mutable std::vector<ServerId> relays_;
+  /// HashRing::partition_key of each reserved partition.
+  std::vector<std::uint64_t> partition_keys_;
   /// Context backing the serial route() overload.
   mutable RouteCtx serial_ctx_;
   // Registry-owned counters (not ours); null when telemetry is detached.
@@ -197,7 +210,6 @@ RouteEnd Router::walk(PartitionId partition, DatacenterId requester,
   const DatacenterId holder_dc = topology_->server(holder).datacenter;
   const std::span<const DatacenterId> path =
       paths_->path_span(requester, holder_dc);
-  std::vector<ServerId>* const row = relay_row(partition);
   // Hops: one to enter the requester DC's relay, then one per datacenter,
   // dead or alive; a dead datacenter's backbone router still forwards, but
   // no server there can absorb or be a hub, so it is not a stage.
@@ -212,10 +224,13 @@ RouteEnd Router::walk(PartitionId partition, DatacenterId requester,
     ++ctx.stages;
     ServerId relay = holder;
     if (dc != holder_dc) {
-      ServerId fresh;
-      ServerId& cell = row != nullptr ? (*row)[dc.value()] : fresh;
-      if (!cell.valid()) cell = relay_for(partition, dc, live);
-      relay = cell;
+      ServerId* const cell = relay_cell(partition, dc);
+      if (cell == nullptr) {
+        relay = relay_for(partition, dc, live);
+      } else {
+        if (!cell->valid()) *cell = relay_for(partition, dc, live);
+        relay = *cell;
+      }
     }
     const RouteStage stage{dc, relay, static_cast<std::uint32_t>(i),
                            latency_to(requester, dc, i)};

@@ -121,25 +121,36 @@ bool ClusterState::can_accept(ServerId s, PartitionId p) const {
 
 bool ClusterState::alive(ServerId s) const { return servers_.alive(s); }
 
-std::vector<ClusterState::LostCopy> ClusterState::take_down(ServerId s) {
-  RFH_ASSERT_MSG(alive(s), "server already dead");
-  std::vector<LostCopy> lost;
-  for (std::uint32_t p = 0; p < partitions_.partitions(); ++p) {
-    const PartitionId pid{p};
-    if (has_replica(pid, s)) {
-      const bool was_primary = primary_of(pid) == s;
-      remove_replica(pid, s);
-      lost.push_back(LostCopy{pid, was_primary});
+std::vector<ServerId> ClusterState::live_at_ranks(
+    std::span<const std::size_t> ranks) const {
+  std::vector<ServerId> out(ranks.size());
+  if (ranks.empty()) return out;
+  // Visit the ranks in ascending order while walking the column once.
+  std::vector<std::uint32_t> order(ranks.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return ranks[a] < ranks[b];
+  });
+  std::size_t next = 0;
+  std::size_t rank = 0;
+  for (std::uint32_t s = 0; s < servers_.servers() && next < order.size();
+       ++s) {
+    if (!servers_.alive(ServerId{s})) continue;
+    while (next < order.size() && ranks[order[next]] == rank) {
+      out[order[next++]] = ServerId{s};
     }
+    ++rank;
   }
-  servers_.set_alive(s, false);
-  live_list_erase(s);
-  return lost;
+  RFH_ASSERT_MSG(next == order.size(), "rank beyond the live servers");
+  return out;
 }
 
 std::vector<ClusterState::LostCopy> ClusterState::kill_server(ServerId s) {
-  std::vector<LostCopy> lost = take_down(s);
-  ring_.remove_server(s);
+  std::vector<LostCopy> lost;
+  kill_servers(std::span<const ServerId>(&s, 1),
+               [&](ServerId, std::span<const LostCopy> copies) {
+                 lost.assign(copies.begin(), copies.end());
+               });
   return lost;
 }
 
@@ -147,11 +158,56 @@ void ClusterState::kill_servers(
     std::span<const ServerId> servers,
     const std::function<void(ServerId, std::span<const LostCopy>)>&
         on_killed) {
+  if (servers.empty()) return;
+  // (victim server, its index in `servers`), sorted by server.
+  std::vector<std::pair<ServerId, std::uint32_t>> rank;
+  rank.reserve(servers.size());
   for (const ServerId s : servers) {
-    const std::vector<LostCopy> lost = take_down(s);
-    if (on_killed) on_killed(s, lost);
+    RFH_ASSERT_MSG(alive(s), "server already dead");
+    servers_.set_alive(s, false);
+    live_list_erase(s);
+    rank.emplace_back(s, static_cast<std::uint32_t>(rank.size()));
   }
   ring_.remove_servers(servers);
+  std::sort(rank.begin(), rank.end());
+
+  // One pass over the partitions. The victims are now the only dead
+  // servers hosting copies, so every dead host's copy goes; survivors
+  // keep their slot order.
+  struct Loss {
+    std::uint32_t victim = 0;
+    LostCopy copy;
+  };
+  std::vector<Loss> losses;
+  for (std::uint32_t p = 0; p < partitions_.partitions(); ++p) {
+    const PartitionId pid{p};
+    partitions_.remove_if(pid, [&](const Replica& r) {
+      if (alive(r.server)) return false;
+      const auto it = std::lower_bound(
+          rank.begin(), rank.end(), std::pair{r.server, std::uint32_t{0}});
+      losses.push_back(Loss{it->second, LostCopy{pid, r.primary}});
+      servers_.sub_storage(r.server, config_->unit_size());
+      servers_.dec_copies(r.server);
+      return true;
+    });
+  }
+  if (!on_killed) return;
+
+  // Hand each victim its losses, in victim order. The sort is stable, so
+  // each list stays in ascending partition order.
+  std::stable_sort(losses.begin(), losses.end(),
+                   [](const Loss& a, const Loss& b) {
+                     return a.victim < b.victim;
+                   });
+  std::vector<LostCopy> mine;
+  std::size_t next = 0;
+  for (std::uint32_t i = 0; i < servers.size(); ++i) {
+    mine.clear();
+    for (; next < losses.size() && losses[next].victim == i; ++next) {
+      mine.push_back(losses[next].copy);
+    }
+    on_killed(servers[i], mine);
+  }
 }
 
 void ClusterState::revive_server(ServerId s) {

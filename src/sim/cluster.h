@@ -8,7 +8,7 @@
 //  * every live partition has exactly one primary copy;
 //  * storage accounting balances: used[s] == copies_on(s) * unit_size()
 //    (a full replica, or one EC fragment of partition_size / k);
-//  * dead servers host nothing and are not on the ring.
+//  * dead servers host nothing and are masked out of the ring.
 //
 // Construction is bulk: liveness, the per-DC live lists and the ring are
 // built in one pass each (the ring via HashRing::add_servers), so a
@@ -75,11 +75,17 @@ class ClusterState {
   [[nodiscard]] std::uint32_t live_server_count() const noexcept {
     return servers_.live_count();
   }
+  /// The servers at the given ranks of the live servers in ascending id
+  /// order (rank r is the (r+1)-th live server), in the order the ranks
+  /// are given: one pass over the liveness column, no copy of the live
+  /// set. Ranks must be below live_server_count().
+  [[nodiscard]] std::vector<ServerId> live_at_ranks(
+      std::span<const std::size_t> ranks) const;
   /// Live servers per datacenter, indexable by DatacenterId::value().
   [[nodiscard]] std::span<const std::vector<ServerId>> live_by_dc() const {
     return live_by_dc_;
   }
-  /// Kill a server: drops its copies and ring tokens. Returns the
+  /// Kill a server: drops its copies and takes it off the ring. Returns the
   /// partitions that lost a copy (with a flag for lost primaries).
   struct LostCopy {
     PartitionId partition;
@@ -89,10 +95,10 @@ class ClusterState {
   /// Kill a batch of servers, invoking `on_killed(s, lost)` per victim in
   /// span order with that server's losses in ascending-partition order —
   /// the exact per-server sequence sequential kill_server calls produce.
-  /// Ring tokens are dropped in one compaction pass at the end, which is
-  /// what keeps mass churn at 100k+ servers from being quadratic; the
-  /// ring is not consulted in between, so no caller can observe the
-  /// deferred state.
+  /// The whole batch goes down in one pass over the partitions (not one
+  /// per victim), with surviving copies keeping their slot order, and
+  /// leaves the ring in O(1) per victim; the callbacks run once the batch
+  /// is down, and see the same final state sequential kills leave.
   void kill_servers(
       std::span<const ServerId> servers,
       const std::function<void(ServerId, std::span<const LostCopy>)>&
@@ -100,8 +106,8 @@ class ClusterState {
   /// Bring a (previously killed or never-started) server online.
   void revive_server(ServerId s);
   /// Batched revive: per-server liveness bookkeeping plus one bulk ring
-  /// join (HashRing::add_servers) — same final state as sequential
-  /// revive_server calls.
+  /// join (HashRing::add_servers, O(1) per known server) — same final
+  /// state as sequential revive_server calls.
   void revive_servers(std::span<const ServerId> servers);
 
   // --- misc ------------------------------------------------------------
@@ -115,9 +121,6 @@ class ClusterState {
  private:
   void live_list_insert(ServerId s);
   void live_list_erase(ServerId s);
-  /// Copy removal + liveness bookkeeping for one kill, everything except
-  /// the ring update (shared by kill_server and kill_servers).
-  std::vector<LostCopy> take_down(ServerId s);
 
   const Topology* topology_;
   const SimConfig* config_;

@@ -766,15 +766,10 @@ void Simulation::fail_servers(std::span<const ServerId> servers) {
 }
 
 std::vector<ServerId> Simulation::fail_random_servers(std::uint32_t n) {
-  std::vector<ServerId> live;
-  for (const Server& s : world_.topology.servers()) {
-    if (cluster_.alive(s.id)) live.push_back(s.id);
-  }
-  RFH_ASSERT(n < live.size());
-  const auto picks = rng_failures_.sample_without_replacement(live.size(), n);
-  std::vector<ServerId> victims;
-  victims.reserve(n);
-  for (const std::size_t i : picks) victims.push_back(live[i]);
+  const std::size_t live = cluster_.live_server_count();
+  RFH_ASSERT(n < live);
+  std::vector<ServerId> victims = cluster_.live_at_ranks(
+      rng_failures_.sample_without_replacement(live, n));
   fail_servers(victims);
   return victims;
 }

@@ -43,6 +43,11 @@ class PartitionTable {
   /// Remove the copy of `p` on `s`, shifting later slots left — the same
   /// order-preserving erase the nested-vector seed performed.
   void remove(PartitionId p, ServerId s);
+  /// Remove every copy of `p` for which `doomed(const Replica&)` is true,
+  /// keeping the survivors in order. `doomed` is called once per copy, in
+  /// slot order.
+  template <typename Pred>
+  void remove_if(PartitionId p, Pred&& doomed);
   /// Make the copy on `s` the sole primary of `p` (asserts it exists).
   void set_primary(PartitionId p, ServerId s);
 
@@ -68,6 +73,18 @@ class PartitionTable {
   std::uint32_t stride_;
   std::uint32_t total_ = 0;
 };
+
+template <typename Pred>
+void PartitionTable::remove_if(PartitionId p, Pred&& doomed) {
+  Replica* base = slots_.data() + std::size_t{p.value()} * stride_;
+  const std::uint32_t n = count(p);
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!doomed(static_cast<const Replica&>(base[i]))) base[kept++] = base[i];
+  }
+  count_[p.value()] = kept;
+  total_ -= n - kept;
+}
 
 class ServerTable {
  public:

@@ -32,7 +32,15 @@ double ArrivalGenerator::intensity(Epoch epoch, double frac) const noexcept {
 std::vector<double> ArrivalGenerator::timestamps(Epoch epoch, DatacenterId dc,
                                                  std::size_t n) const {
   std::vector<double> out;
-  if (n == 0) return out;
+  timestamps_into(epoch, dc, n, out);
+  return out;
+}
+
+void ArrivalGenerator::timestamps_into(Epoch epoch, DatacenterId dc,
+                                       std::size_t n,
+                                       std::vector<double>& out) const {
+  out.clear();
+  if (n == 0) return;
   RFH_ASSERT(dc.valid());
 
   // Cumulative intensity over the bin grid: cdf[i] = integral of the
@@ -64,7 +72,6 @@ std::vector<double> ArrivalGenerator::timestamps(Epoch epoch, DatacenterId dc,
     out.push_back(frac * config_.epoch_ms);
   }
   std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace rfh

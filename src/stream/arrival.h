@@ -37,6 +37,10 @@ class ArrivalGenerator {
   /// (seed, epoch, dc, n).
   [[nodiscard]] std::vector<double> timestamps(Epoch epoch, DatacenterId dc,
                                                std::size_t n) const;
+  /// The same timestamps written into `out` (replacing its contents and
+  /// keeping its capacity), for callers that reuse one buffer.
+  void timestamps_into(Epoch epoch, DatacenterId dc, std::size_t n,
+                       std::vector<double>& out) const;
 
   /// Relative arrival intensity at fraction `frac` in [0, 1) of `epoch`
   /// (floored at 0.05 so the inverse CDF stays strictly increasing).

@@ -1,19 +1,40 @@
 #include "stream/queue_model.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/assert.h"
 
 namespace rfh {
 
+void ServerQueue::reset(std::uint32_t channels) noexcept {
+  channels_ = channels;
+  busy_.clear();
+  pending_.clear();
+  pending_head_ = 0;
+  max_depth_ = 0;
+  dropped_ = 0;
+  accepted_ = 0;
+}
+
 ServerQueue::Outcome ServerQueue::offer(double t) {
   // Retire channels that finished by t, then waiters whose service has
   // started by t (their start times were fixed when they were admitted).
-  while (!busy_.empty() && busy_.top() <= t) busy_.pop();
-  while (!pending_.empty() && pending_.front() <= t) pending_.pop_front();
+  const std::greater<> later;
+  while (!busy_.empty() && busy_.front() <= t) {
+    std::pop_heap(busy_.begin(), busy_.end(), later);
+    busy_.pop_back();
+  }
+  while (pending_head_ < pending_.size() && pending_[pending_head_] <= t) {
+    ++pending_head_;
+  }
+  if (pending_head_ == pending_.size()) {
+    pending_.clear();
+    pending_head_ = 0;
+  }
 
   Outcome outcome;
-  outcome.depth = static_cast<std::uint32_t>(pending_.size());
+  outcome.depth = static_cast<std::uint32_t>(pending_.size() - pending_head_);
 
   if (channels_ == 0 || outcome.depth >= queue_cap_) {
     // Backpressure: the waiting room is full (or the server has no
@@ -27,16 +48,19 @@ ServerQueue::Outcome ServerQueue::offer(double t) {
     // All channels busy: this arrival starts when the earliest in-flight
     // query completes (FIFO — every earlier waiter already claimed an
     // earlier completion slot).
-    start = std::max(t, busy_.top());
-    busy_.pop();
+    start = std::max(t, busy_.front());
+    std::pop_heap(busy_.begin(), busy_.end(), later);
+    busy_.pop_back();
   }
   RFH_ASSERT(start >= t);
   if (start > t) {
     pending_.push_back(start);
-    max_depth_ = std::max(
-        max_depth_, static_cast<std::uint32_t>(pending_.size()));
+    const auto depth =
+        static_cast<std::uint32_t>(pending_.size() - pending_head_);
+    max_depth_ = std::max(max_depth_, depth);
   }
-  busy_.push(start + service_ms_);
+  busy_.push_back(start + service_ms_);
+  std::push_heap(busy_.begin(), busy_.end(), later);
   ++accepted_;
   outcome.accepted = true;
   outcome.wait_ms = start - t;

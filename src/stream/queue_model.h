@@ -16,10 +16,8 @@
 // instead of — the paper's loss model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <queue>
 #include <vector>
 
 namespace rfh {
@@ -41,6 +39,11 @@ class ServerQueue {
               std::uint32_t queue_cap) noexcept
       : channels_(channels), service_ms_(service_ms), queue_cap_(queue_cap) {}
 
+  /// Empty the queue and give it `channels` service channels, keeping the
+  /// buffers' capacity, so one ServerQueue can serve server after server
+  /// without allocating.
+  void reset(std::uint32_t channels) noexcept;
+
   /// Offer one arrival at time `t` (ms). Calls must be in non-decreasing
   /// t order — the stream layer sorts each server's arrivals first.
   Outcome offer(double t);
@@ -57,12 +60,16 @@ class ServerQueue {
   std::uint32_t channels_;
   double service_ms_;
   std::uint32_t queue_cap_;
-  /// Completion times of in-flight queries (min-heap).
-  std::priority_queue<double, std::vector<double>, std::greater<>> busy_;
+  /// Completion times of in-flight queries (a min-heap under
+  /// std::greater, kept with push_heap/pop_heap as std::priority_queue
+  /// does).
+  std::vector<double> busy_;
   /// Service *start* times of queries still waiting at the current
-  /// arrival time; start times are assigned in FIFO order so the deque
-  /// stays sorted and popping the front retires waiters as time advances.
-  std::deque<double> pending_;
+  /// arrival time, from pending_head_ on; start times are assigned in
+  /// FIFO order so the list stays sorted and advancing the head retires
+  /// waiters as time advances.
+  std::vector<double> pending_;
+  std::size_t pending_head_ = 0;
   std::uint32_t max_depth_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t accepted_ = 0;

@@ -5,7 +5,6 @@
 
 #include "common/assert.h"
 #include "obs/events.h"
-#include "stream/queue_model.h"
 
 namespace rfh {
 
@@ -15,11 +14,14 @@ StreamSimulator::StreamSimulator(const World& world, MetricRegistry* registry,
     : world_(&world),
       registry_(registry),
       config_(config),
-      arrivals_(config, seed) {
+      arrivals_(config, seed),
+      queue_(0, config.service_time_ms, config.queue_cap) {
   const std::size_t dcs = world.topology.datacenter_count();
   dc_latency_.resize(dcs);
   per_server_.resize(world.topology.server_count());
   dc_totals_.resize(dcs, 0.0);
+  by_dc_.resize(dcs);
+  dc_depth_.resize(dcs, 0);
 
   if (registry_ == nullptr) return;
   arrivals_total_ = &registry_->counter(
@@ -77,12 +79,12 @@ StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
 
   // --- group segments by requester DC ---------------------------------
   std::fill(dc_totals_.begin(), dc_totals_.end(), 0.0);
-  std::vector<std::vector<std::size_t>> by_dc(dcs);
+  for (std::vector<std::size_t>& idxs : by_dc_) idxs.clear();
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const FlowSegment& seg = segments[i];
     RFH_ASSERT(seg.requester.valid() && seg.requester.value() < dcs);
     dc_totals_[seg.requester.value()] += seg.queries;
-    by_dc[seg.requester.value()].push_back(i);
+    by_dc_[seg.requester.value()].push_back(i);
     stats.arrivals += seg.queries;
   }
 
@@ -111,13 +113,14 @@ StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
     long long n = std::llround(total);
     if (n <= 0) n = 1;
     const double weight = total / static_cast<double>(n);
-    const std::vector<double> ts = arrivals_.timestamps(
-        epoch, DatacenterId{static_cast<std::uint32_t>(d)},
-        static_cast<std::size_t>(n));
+    arrivals_.timestamps_into(epoch,
+                              DatacenterId{static_cast<std::uint32_t>(d)},
+                              static_cast<std::size_t>(n), timestamps_);
+    const std::vector<double>& ts = timestamps_;
 
     double acc = 0.0;
     std::size_t next = 0;
-    const std::vector<std::size_t>& idxs = by_dc[d];
+    const std::vector<std::size_t>& idxs = by_dc_[d];
     for (std::size_t k = 0; k < idxs.size(); ++k) {
       const FlowSegment& seg = segments[idxs[k]];
       const long long lo = std::llround(acc / weight);
@@ -150,7 +153,7 @@ StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
   // Queues start empty each epoch — a 10 s epoch is ~7 mean service
   // times, so carry-over is negligible and epochs stay independent.
   const double cv_factor = 1.0 + config_.service_cv * config_.service_cv;
-  std::vector<std::uint32_t> dc_depth(dcs, 0);
+  std::fill(dc_depth_.begin(), dc_depth_.end(), 0u);
   const std::size_t servers = per_server_.size();
   for (std::size_t sid = 0; sid < servers; ++sid) {
     std::vector<QueuedArrival>& list = per_server_[sid];
@@ -161,11 +164,10 @@ StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
               });
     const Server& server =
         world_->topology.server(ServerId{static_cast<std::uint32_t>(sid)});
-    ServerQueue queue(server.spec.service_channels, config_.service_time_ms,
-                      config_.queue_cap);
+    queue_.reset(server.spec.service_channels);
     double dropped_here = 0.0;
     for (const QueuedArrival& a : list) {
-      const ServerQueue::Outcome out = queue.offer(a.t);
+      const ServerQueue::Outcome out = queue_.offer(a.t);
       if (out.accepted) {
         // M/D/c simulated wait, corrected to M/G/c by the Allen-Cunneen
         // factor (see erlang_mgc_mean_wait): W(M/D/c) ~= W(M/M/c)/2 and
@@ -180,10 +182,10 @@ StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
         dropped_here += a.weight;
       }
     }
-    const std::uint32_t depth = queue.max_depth();
+    const std::uint32_t depth = queue_.max_depth();
     stats.max_queue_depth = std::max(stats.max_queue_depth, depth);
     const std::uint32_t dc = server.datacenter.value();
-    dc_depth[dc] = std::max(dc_depth[dc], depth);
+    dc_depth_[dc] = std::max(dc_depth_[dc], depth);
     if (dropped_here > 0.0) {
       if (dropped_total_ != nullptr) {
         dropped_total_->inc(dropped_here);
@@ -207,7 +209,7 @@ StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
     blocked_total_->inc(stats.blocked);
     queue_depth_->set(stats.max_queue_depth);
     for (std::size_t d = 0; d < dcs; ++d) {
-      queue_depth_by_dc_[d]->set(dc_depth[d]);
+      queue_depth_by_dc_[d]->set(dc_depth_[d]);
     }
   }
 

@@ -36,6 +36,7 @@
 #include "sim/flow_log.h"
 #include "stream/arrival.h"
 #include "stream/config.h"
+#include "stream/queue_model.h"
 #include "telemetry/registry.h"
 #include "topology/world.h"
 
@@ -123,9 +124,14 @@ class StreamSimulator {
   std::vector<Gauge*> queue_depth_by_dc_;  // by server DC index
   std::vector<HistogramMetric*> latency_by_dc_;  // by requester DC index
 
-  // Scratch reused across epochs.
+  // Scratch reused across epochs, so a steady epoch allocates nothing
+  // here.
   std::vector<std::vector<QueuedArrival>> per_server_;
   std::vector<double> dc_totals_;
+  std::vector<std::vector<std::size_t>> by_dc_;  // segment indices per DC
+  std::vector<double> timestamps_;
+  std::vector<std::uint32_t> dc_depth_;
+  ServerQueue queue_;
 };
 
 }  // namespace rfh

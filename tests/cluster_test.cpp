@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "topology/world.h"
 
 namespace rfh {
@@ -175,6 +177,101 @@ TEST_F(ClusterTest, BatchedKillMatchesSequentialKills) {
     EXPECT_FALSE(cluster_->ring().contains(s));
   }
   cluster_->check_invariants();
+}
+
+TEST(ClusterBatchKill, MatchesALoopOfSingleKills) {
+  // kill_servers takes the batch down in one pass over the partitions; it
+  // must leave exactly what a kill_server loop leaves: the same
+  // per-victim loss lists, the same surviving slot order in every
+  // partition, the same accounting and the same ring.
+  const World world = build_paper_world();
+  SimConfig config;
+  config.partitions = 64;
+  config.partition_size = kib(64);
+  ClusterState batched(world.topology, config);
+  ClusterState looped(world.topology, config);
+  const auto server_count =
+      static_cast<std::uint32_t>(world.topology.server_count());
+
+  Rng rng(23);
+  for (std::uint32_t p = 0; p < config.partitions; ++p) {
+    const PartitionId pid{p};
+    const auto copies = 1 + rng.uniform(6);
+    for (std::uint64_t c = 0; c < copies; ++c) {
+      const ServerId s{static_cast<std::uint32_t>(rng.uniform(server_count))};
+      if (batched.has_replica(pid, s)) continue;
+      // The primary lands in a random slot, not always the first.
+      const bool primary = !batched.primary_of(pid).valid() &&
+                           (c + 1 == copies || rng.uniform(3) == 0);
+      batched.add_replica(pid, s, primary);
+      looped.add_replica(pid, s, primary);
+    }
+    if (!batched.primary_of(pid).valid()) {
+      const ServerId first = batched.replicas_of(pid).front().server;
+      batched.set_primary(pid, first);
+      looped.set_primary(pid, first);
+    }
+  }
+  // Victims in a scrambled order, some hosting many copies.
+  const std::vector<std::size_t> picks =
+      rng.sample_without_replacement(server_count, 30);
+  std::vector<ServerId> victims;
+  for (const std::size_t i : picks) {
+    victims.push_back(ServerId{static_cast<std::uint32_t>(i)});
+  }
+
+  using Losses = std::vector<std::pair<std::uint32_t, bool>>;
+  const auto flatten = [](std::span<const ClusterState::LostCopy> lost) {
+    Losses out;
+    for (const ClusterState::LostCopy& c : lost) {
+      out.emplace_back(c.partition.value(), c.was_primary);
+    }
+    return out;
+  };
+  std::vector<ServerId> order;
+  std::vector<Losses> batch_lost;
+  batched.kill_servers(
+      victims, [&](ServerId s, std::span<const ClusterState::LostCopy> lost) {
+        order.push_back(s);
+        batch_lost.push_back(flatten(lost));
+      });
+  std::vector<Losses> loop_lost;
+  for (const ServerId s : victims) {
+    loop_lost.push_back(flatten(looped.kill_server(s)));
+  }
+  EXPECT_EQ(order, victims);
+  EXPECT_EQ(batch_lost, loop_lost);
+  std::size_t total_lost = 0;
+  for (const Losses& l : loop_lost) total_lost += l.size();
+  EXPECT_GT(total_lost, 30u);
+
+  for (std::uint32_t p = 0; p < config.partitions; ++p) {
+    const auto a = batched.replicas_of(PartitionId{p});
+    const auto b = looped.replicas_of(PartitionId{p});
+    ASSERT_EQ(a.size(), b.size()) << "partition " << p;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].server, b[i].server) << "partition " << p;
+      EXPECT_EQ(a[i].primary, b[i].primary) << "partition " << p;
+    }
+  }
+  EXPECT_EQ(batched.total_replicas(), looped.total_replicas());
+  EXPECT_EQ(batched.live_server_count(), looped.live_server_count());
+  for (std::uint32_t s = 0; s < server_count; ++s) {
+    const ServerId sid{s};
+    EXPECT_EQ(batched.alive(sid), looped.alive(sid));
+    EXPECT_EQ(batched.copies_on(sid), looped.copies_on(sid));
+    EXPECT_EQ(batched.storage_used(sid), looped.storage_used(sid));
+    EXPECT_EQ(batched.ring().contains(sid), looped.ring().contains(sid));
+  }
+  for (std::size_t dc = 0; dc < batched.live_by_dc().size(); ++dc) {
+    EXPECT_EQ(batched.live_by_dc()[dc], looped.live_by_dc()[dc]);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t key = rng.next();
+    EXPECT_EQ(batched.ring().primary(key), looped.ring().primary(key));
+    EXPECT_EQ(batched.ring().preference_list(key, 8),
+              looped.ring().preference_list(key, 8));
+  }
 }
 
 TEST_F(ClusterTest, BatchedReviveMatchesSequentialRevives) {

@@ -488,6 +488,92 @@ TEST_P(RingReferenceTest, SuccessorCacheNeverServesARemovedServer) {
   }
 }
 
+TEST_P(RingReferenceTest, MaskedRingMatchesAFreshRingAcrossKillReviveWaves) {
+  // Departed servers keep their tokens behind a liveness mask. After every
+  // wave — random kills and revives, a whole-datacenter leave, a revive
+  // into the emptied datacenter and a rejoin of every server — the masked
+  // ring must answer primary, preference_list and for_each_preference
+  // exactly as a ring freshly built from the live set.
+  constexpr std::uint32_t kServers = 64;
+  constexpr std::uint32_t kPerDc = 8;  // datacenter d holds [8d, 8d + 8)
+  constexpr std::uint32_t kTokens = 8;
+  HashRing ring(kTokens);
+  std::vector<ServerId> all;
+  for (std::uint32_t s = 0; s < kServers; ++s) all.push_back(ServerId{s});
+  ring.add_servers(all);
+  std::vector<std::uint8_t> alive(kServers, 1);
+  std::mt19937_64 rng(GetParam() ^ 0x5bd1e995ull);
+  std::vector<std::uint64_t> keys(48);
+  for (std::uint64_t& key : keys) key = rng();
+
+  const auto check = [&](int wave) {
+    std::vector<ServerId> live;
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      if (alive[s] != 0) live.push_back(ServerId{s});
+    }
+    ASSERT_EQ(ring.server_count(), live.size()) << "wave " << wave;
+    HashRing fresh(kTokens);
+    fresh.add_servers(live);
+    const auto first_five = [](const HashRing& r, std::uint64_t key) {
+      std::vector<ServerId> out;
+      r.for_each_preference(key, [&](ServerId s) {
+        out.push_back(s);
+        return out.size() < 5;
+      });
+      return out;
+    };
+    for (const std::uint64_t key : keys) {
+      ASSERT_EQ(ring.primary(key), fresh.primary(key)) << "wave " << wave;
+      for (const std::size_t n : {std::size_t{3}, live.size()}) {
+        ASSERT_EQ(ring.preference_list(key, n), fresh.preference_list(key, n))
+            << "wave " << wave << " n " << n;
+      }
+      ASSERT_EQ(first_five(ring, key), first_five(fresh, key))
+          << "wave " << wave;
+    }
+  };
+
+  const std::uint32_t outage_dc =
+      static_cast<std::uint32_t>(GetParam() % (kServers / kPerDc));
+  const auto in_outage_dc = [&](std::uint32_t s) {
+    return s / kPerDc == outage_dc;
+  };
+  for (int wave = 0; wave < 10; ++wave) {
+    std::vector<ServerId> down;
+    std::vector<ServerId> up;
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      const bool is_alive = alive[s] != 0;
+      if (wave == 3) {
+        if (in_outage_dc(s) && is_alive) down.push_back(ServerId{s});
+      } else if (wave == 5) {
+        // Revive into the emptied datacenter.
+        if (in_outage_dc(s) && s % kPerDc < 3) up.push_back(ServerId{s});
+      } else if (wave == 9) {
+        if (!is_alive) up.push_back(ServerId{s});  // rejoin every server
+      } else if (!(wave == 4 && in_outage_dc(s))) {
+        const std::uint64_t roll = rng() % 10;
+        if (is_alive && roll < 2) down.push_back(ServerId{s});
+        if (!is_alive && roll < 4) up.push_back(ServerId{s});
+      }
+    }
+    std::uint32_t live_now = 0;
+    for (const std::uint8_t a : alive) live_now += a;
+    if (down.size() >= live_now) down.pop_back();  // keep one standing
+    // Odd waves go one server at a time, even waves in one batch.
+    if (wave % 2 == 1) {
+      for (const ServerId s : down) ring.remove_server(s);
+      for (const ServerId s : up) ring.add_server(s);
+    } else {
+      ring.remove_servers(down);
+      ring.add_servers(up);
+    }
+    for (const ServerId s : down) alive[s.value()] = 0;
+    for (const ServerId s : up) alive[s.value()] = 1;
+    check(wave);
+  }
+  EXPECT_EQ(ring.server_count(), kServers);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RingReferenceTest,
                          ::testing::Values<std::uint64_t>(3, 17, 404, 90210));
 

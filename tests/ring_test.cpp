@@ -201,6 +201,51 @@ TEST(HashRing, BulkLeaveThenRejoinRestoresMapping) {
   }
 }
 
+TEST(HashRing, MixedJoinOfKnownAndNewServersMatchesAFreshRing) {
+  // add_servers flips known servers back to live and merges the tokens of
+  // never-seen ones; either way the ring must answer like one built from
+  // scratch over the live set.
+  HashRing ring = make_ring(40);
+  std::vector<ServerId> gone;
+  for (std::uint32_t s = 0; s < 40; s += 4) gone.push_back(ServerId{s});
+  ring.remove_servers(gone);
+  EXPECT_EQ(ring.server_count(), 30u);
+  const std::vector<ServerId> wave{ServerId{44}, ServerId{8}, ServerId{41},
+                                   ServerId{0}, ServerId{36}};
+  ring.add_servers(wave);
+  EXPECT_EQ(ring.server_count(), 35u);
+
+  std::set<ServerId> members;
+  for (std::uint32_t s = 0; s < 40; ++s) members.insert(ServerId{s});
+  for (const ServerId s : gone) members.erase(s);
+  members.insert(wave.begin(), wave.end());
+  const std::vector<ServerId> live(members.begin(), members.end());
+  ASSERT_EQ(live.size(), 35u);
+  HashRing fresh(16);
+  fresh.add_servers(live);
+  for (const ServerId s : live) EXPECT_TRUE(ring.contains(s));
+  EXPECT_FALSE(ring.contains(ServerId{4}));
+  Rng rng(10);
+  for (int i = 0; i < 500; ++i) {
+    const std::uint64_t key = rng.next();
+    ASSERT_EQ(ring.primary(key), fresh.primary(key));
+    ASSERT_EQ(ring.preference_list(key, 35), fresh.preference_list(key, 35));
+  }
+}
+
+TEST(HashRing, LeaveOfEveryServerEmptiesTheRing) {
+  HashRing ring = make_ring(6);
+  std::vector<ServerId> all;
+  for (std::uint32_t s = 0; s < 6; ++s) all.push_back(ServerId{s});
+  const std::vector<ServerId> before = ring.preference_list(99, 6);
+  ring.remove_servers(all);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.server_count(), 0u);
+  ring.add_servers(all);
+  EXPECT_EQ(ring.server_count(), 6u);
+  EXPECT_EQ(ring.preference_list(99, 6), before);
+}
+
 TEST(HashRingDeath, Misuse) {
   HashRing ring = make_ring(2);
   EXPECT_DEATH(ring.add_server(ServerId{0}), "");        // duplicate
@@ -208,6 +253,10 @@ TEST(HashRingDeath, Misuse) {
   EXPECT_DEATH(ring.add_server(ServerId::invalid()), "");
   HashRing empty(4);
   EXPECT_DEATH((void)empty.primary(1), "");
+  ring.remove_server(ServerId{1});
+  EXPECT_DEATH(ring.remove_server(ServerId{1}), "");     // already departed
+  EXPECT_DEATH(ring.remove_server(ServerId{0});
+               (void)ring.primary(1), "");               // no live server
   EXPECT_DEATH(HashRing(0), "");
 }
 

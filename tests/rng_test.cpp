@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace rfh {
@@ -202,6 +203,33 @@ TEST(Rng, SampleWithoutReplacementFullSet) {
 TEST(Rng, SampleWithoutReplacementEmpty) {
   Rng rng(16);
   EXPECT_TRUE(rng.sample_without_replacement(10, 0).empty());
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesDenseFisherYates) {
+  // The sparse shuffle must reproduce the dense partial Fisher-Yates over
+  // iota(n) draw for draw, and leave the generator at the same position.
+  const auto dense = [](Rng& rng, std::size_t n, std::size_t k) {
+    std::vector<std::size_t> all(n);
+    for (std::size_t i = 0; i < n; ++i) all[i] = i;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t j = i + static_cast<std::size_t>(rng.uniform(n - i));
+      std::swap(all[i], all[j]);
+    }
+    all.resize(k);
+    return all;
+  };
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {1, 0}, {10, 10}, {100, 30}, {10000, 50}};
+  for (const auto& [n, k] : cases) {
+    for (std::uint64_t seed = 0; seed < 100; ++seed) {
+      Rng sparse_rng(seed);
+      Rng dense_rng(seed);
+      ASSERT_EQ(sparse_rng.sample_without_replacement(n, k),
+                dense(dense_rng, n, k))
+          << "n " << n << " k " << k << " seed " << seed;
+      EXPECT_EQ(sparse_rng.next(), dense_rng.next());
+    }
+  }
 }
 
 TEST(DiscreteSampler, ProportionsMatchWeights) {

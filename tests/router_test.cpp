@@ -328,5 +328,93 @@ TEST_P(RelayTableTest, FilledCellsMatchFreshPicksAcrossKillReviveWaves) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RelayTableTest, ::testing::Range(0, 6));
 
+TEST(RelayTableWave, OneWaveOverManyDatacentersKeepsEveryCellExact) {
+  // The hooks visit only the changed servers' datacenter columns and
+  // settle each column against all of its changed servers at once. One
+  // wave that kills several servers in every datacenter (each column's
+  // current relay among them), then one that revives them all together,
+  // must leave every filled cell equal to a fresh relay_for.
+  const World world = build_synthetic_world(12);
+  const DcGraph graph(world.topology.datacenter_count(), world.links);
+  const ShortestPaths paths(graph);
+  constexpr std::uint32_t kPartitions = 24;
+  Router router(world.topology, paths);
+  router.reserve_relays(kPartitions);
+  const std::size_t n_dc = world.topology.datacenter_count();
+  std::vector<std::vector<ServerId>> live_by_dc(n_dc);
+  for (const Server& s : world.topology.servers()) {
+    live_by_dc[s.datacenter.value()].push_back(s.id);
+  }
+  const auto fill_every_cell = [&] {
+    for (std::uint32_t p = 0; p < kPartitions; ++p) {
+      for (std::size_t dc = 0; dc < n_dc; ++dc) {
+        const DatacenterId did{static_cast<std::uint32_t>(dc)};
+        const ServerId cell = router.cached_relay(PartitionId{p}, did);
+        if (cell.valid() || live_by_dc[dc].empty()) continue;
+        // Any holder outside `dc` routes through it when the path starts
+        // there; a local route's requester stage is the relay stage.
+        const ServerId holder =
+            live_by_dc[(dc + 1) % n_dc].empty()
+                ? live_by_dc[dc].front()
+                : live_by_dc[(dc + 1) % n_dc].front();
+        (void)router.route(PartitionId{p}, did, holder, live_by_dc);
+      }
+    }
+  };
+  const auto expect_exact = [&](const char* when) {
+    std::size_t filled = 0;
+    for (std::uint32_t p = 0; p < kPartitions; ++p) {
+      for (std::size_t dc = 0; dc < n_dc; ++dc) {
+        const PartitionId pid{p};
+        const DatacenterId did{static_cast<std::uint32_t>(dc)};
+        const ServerId cell = router.cached_relay(pid, did);
+        if (!cell.valid()) continue;
+        ++filled;
+        ASSERT_FALSE(live_by_dc[dc].empty()) << when;
+        EXPECT_EQ(cell, Router::relay_for(pid, did, live_by_dc[dc]))
+            << when << ": partition " << p << " dc " << dc;
+      }
+    }
+    EXPECT_GT(filled, kPartitions) << when;
+  };
+
+  fill_every_cell();
+  Rng rng(77);
+  std::vector<ServerId> wave;
+  for (std::size_t dc = 0; dc < n_dc; ++dc) {
+    const DatacenterId did{static_cast<std::uint32_t>(dc)};
+    std::vector<ServerId>& live = live_by_dc[dc];
+    // Partition (dc % kPartitions)'s relay here, plus three more.
+    const ServerId relay =
+        router.cached_relay(PartitionId{static_cast<std::uint32_t>(
+                                dc % kPartitions)},
+                            did);
+    ASSERT_TRUE(relay.valid());
+    std::vector<ServerId> doomed{relay};
+    while (doomed.size() < std::min<std::size_t>(4, live.size() - 1)) {
+      const ServerId s = live[rng.uniform(live.size())];
+      if (std::find(doomed.begin(), doomed.end(), s) == doomed.end()) {
+        doomed.push_back(s);
+      }
+    }
+    for (const ServerId s : doomed) {
+      live.erase(std::find(live.begin(), live.end(), s));
+    }
+    wave.insert(wave.end(), doomed.begin(), doomed.end());
+  }
+  rng.shuffle(std::span<ServerId>(wave));
+  router.servers_down(wave);
+  expect_exact("after the kill wave");
+
+  fill_every_cell();
+  for (const ServerId s : wave) {
+    std::vector<ServerId>& live =
+        live_by_dc[world.topology.server(s).datacenter.value()];
+    live.insert(std::lower_bound(live.begin(), live.end(), s), s);
+  }
+  router.servers_up(wave);
+  expect_exact("after the revive wave");
+}
+
 }  // namespace
 }  // namespace rfh
