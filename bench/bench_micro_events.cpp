@@ -1,20 +1,18 @@
 // Event-emission overhead (google-benchmark): guards the observability
 // subsystem's zero-cost-when-disabled claim.
 //
-//  * BM_SimStep/{off,counter,jsonl,recorder}: a full Simulation::step with
-//    no sink, an aggregating CounterSink, a JSONL sink writing to a
-//    discarded stream, and the causal flight recorder (TimelineStore).
-//    The "off" and "counter" variants must be within noise of each other;
-//    acceptance requires instrumentation overhead < 1% when no sink is
-//    installed and <= 5% with the recorder attached.
-//  * BM_EmitDisabled / BM_EmitRingBuffer / BM_EmitTimelineStore: the raw
-//    cost of one emit() through an empty bus (the disabled path is a
-//    single sinks-empty branch), a ring sink, and the flight recorder's
-//    condense-and-index path.
+//  * BM_SimStep/{off,jsonl,recorder}: a full Simulation::step with no
+//    sink, a JSONL sink writing to a discarded stream, and the causal
+//    flight recorder (TimelineStore). Acceptance requires
+//    instrumentation overhead < 1% when no sink is installed and <= 5%
+//    with the recorder attached.
+//  * BM_EmitDisabled / BM_EmitTimelineStore: the raw cost of one emit()
+//    through an empty bus (the disabled path is a single sinks-empty
+//    branch) and through the flight recorder's condense-and-index path.
 //
 // scripts/obs_overhead.py consumes this bench's --benchmark_format=json
-// output and fails CI when the recorder/disabled overhead *ratio*
-// regresses >25% against bench/results/obs_overhead_baseline.json.
+// output and fails CI when a recorder overhead *ratio* regresses >25%
+// against bench/results/obs_overhead_baseline.json.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -26,17 +24,15 @@
 
 namespace {
 
-enum class SinkMode { kOff, kCounter, kJsonl, kRecorder };
+enum class SinkMode { kOff, kJsonl, kRecorder };
 
 void run_sim_steps(benchmark::State& state, SinkMode mode) {
   rfh::Scenario scenario = rfh::Scenario::paper_random_query();
   auto sim = rfh::make_simulation(scenario, rfh::PolicyKind::kRfh);
 
-  rfh::CounterSink counters;
   std::ostringstream discard;
   rfh::JsonlSink jsonl(discard);
   rfh::TimelineStore recorder(scenario.sim.partitions);
-  if (mode == SinkMode::kCounter) sim->events().add_sink(&counters);
   if (mode == SinkMode::kJsonl) sim->events().add_sink(&jsonl);
   if (mode == SinkMode::kRecorder) sim->events().add_sink(&recorder);
 
@@ -54,11 +50,6 @@ void BM_SimStep_TracingOff(benchmark::State& state) {
 }
 BENCHMARK(BM_SimStep_TracingOff)->Unit(benchmark::kMicrosecond);
 
-void BM_SimStep_CounterSink(benchmark::State& state) {
-  run_sim_steps(state, SinkMode::kCounter);
-}
-BENCHMARK(BM_SimStep_CounterSink)->Unit(benchmark::kMicrosecond);
-
 void BM_SimStep_JsonlSink(benchmark::State& state) {
   run_sim_steps(state, SinkMode::kJsonl);
 }
@@ -71,7 +62,7 @@ BENCHMARK(BM_SimStep_Recorder)->Unit(benchmark::kMicrosecond);
 
 // The fully-disabled path: no sink installed, so emit() must reduce to
 // the single sinks-empty pointer test. scripts/obs_overhead.py ratios
-// every other emit variant against this one.
+// the recorder's emit against this one.
 void BM_EmitDisabled(benchmark::State& state) {
   rfh::EventBus bus;
   std::uint32_t epoch = 0;
@@ -81,18 +72,6 @@ void BM_EmitDisabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EmitDisabled);
-
-void BM_EmitRingBuffer(benchmark::State& state) {
-  rfh::EventBus bus;
-  rfh::RingBufferSink ring(1024);
-  bus.add_sink(&ring);
-  std::uint32_t epoch = 0;
-  for (auto _ : state) {
-    bus.emit(rfh::ServerFailed{epoch++, rfh::ServerId{3}});
-    benchmark::DoNotOptimize(bus);
-  }
-}
-BENCHMARK(BM_EmitRingBuffer);
 
 // One emit() into the flight recorder: condense to a 64-byte record,
 // append to the partition ring, maintain the indexes, maybe feed the

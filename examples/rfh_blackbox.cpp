@@ -17,12 +17,12 @@
 //   --seed=N --epochs=N --partitions=N   scenario overrides
 //   --slo=SPEC        arm the SLO watchdog (telemetry/slo.h grammar)
 //   --why partition=P [epoch=E]   print the cause chain behind partition
-//                     P's latest state change at or before E
+//                     P's latest state change at or before E, then every
+//                     retained record of P's lifecycle up to E
 //   --storm           find the heaviest migration epoch and print the
 //                     distinct cause chains feeding it
 //   --out=FILE        dump the whole record as JSONL
 // With no query flag the tool prints a summary of the record.
-#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -233,16 +233,18 @@ int main(int argc, char** argv) {
     if (at != rfh::TimelineQuery::kAnyEpoch) std::printf(" @ epoch %u", at);
     std::printf(" ===\n");
     print_chain(query, chain);
-    // Recent history gives the chain its surroundings: what else the
-    // partition went through on the way here.
-    const std::vector<rfh::TimelineRecord> recent =
-        query.partition_records(p, at);
-    const std::size_t n = std::min<std::size_t>(8, recent.size());
-    std::printf("\n--- last %zu records for partition %llu ---\n", n,
-                static_cast<unsigned long long>(why_partition));
-    for (std::size_t i = recent.size() - n; i < recent.size(); ++i) {
-      std::printf("epoch %4u  %s\n", recent[i].epoch,
-                  rfh::describe_record(recent[i]).c_str());
+    // The lifecycle gives the chain its surroundings: every copy the
+    // partition grew and why, every promotion, every refused action.
+    // The recorder bounds this list: the partition's ring (at most
+    // TimelineStore::kMaxRing records) plus its sampled evictions.
+    const std::vector<rfh::TimelineRecord> history =
+        query.partition_history(p, at);
+    std::printf("\n--- lifecycle of partition %llu: %zu records ---\n",
+                static_cast<unsigned long long>(why_partition),
+                history.size());
+    for (const rfh::TimelineRecord& rec : history) {
+      std::printf("epoch %4u  %s\n", rec.epoch,
+                  rfh::describe_record(rec).c_str());
     }
     return 0;
   }

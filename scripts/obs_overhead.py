@@ -24,7 +24,6 @@ import sys
 # ratio name -> (numerator benchmark, denominator benchmark)
 RATIOS = {
     "emit_timeline_over_disabled": ("BM_EmitTimelineStore", "BM_EmitDisabled"),
-    "emit_ring_over_disabled": ("BM_EmitRingBuffer", "BM_EmitDisabled"),
     "simstep_recorder_over_off": ("BM_SimStep_Recorder",
                                   "BM_SimStep_TracingOff"),
 }

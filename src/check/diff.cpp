@@ -10,7 +10,7 @@
 #include "fault/chaos.h"
 #include "fault/invariants.h"
 #include "harness/scenario.h"
-#include "obs/event_bus.h"
+#include "obs/sinks.h"
 #include "sim/engine.h"
 
 namespace rfh {
@@ -24,15 +24,6 @@ std::string fmt_double(double v) {
 }
 
 std::string fmt_u32(std::uint32_t v) { return std::to_string(v); }
-
-/// Buffers every event the engine emits; the harness clears it per epoch
-/// and slices it to separate the pre-step (chaos) stream from the
-/// in-step stream.
-class CaptureSink final : public EventSink {
- public:
-  void on_event(const Event& event) override { events.push_back(event); }
-  std::vector<Event> events;
-};
 
 /// Replay the engine's pre-step failure events into the reference.
 /// Consecutive ServerFailed events form one fail_servers batch (the
@@ -251,6 +242,8 @@ DiffOutcome run_check_case(const CheckCase& c) {
       make_simulation(scenario, PolicyKind::kRfh);
   ReferenceEngine ref(scenario);
 
+  // Cleared per epoch and sliced at `mark` to separate the pre-step
+  // (chaos) stream from the in-step stream.
   CaptureSink capture;
   sim->events().add_sink(&capture);
 

@@ -7,7 +7,11 @@
 //  * every worker owns a deque: its own submissions push/pop at the back
 //    (LIFO, depth-first for nested work), thieves take from the front;
 //  * submissions from outside the pool land in a shared FIFO injector
-//    queue, so externally submitted tasks start in submission order;
+//    queue, so externally submitted tasks are *dequeued* in submission
+//    order. Completion order is not promised: a thread helping in wait()
+//    dequeues from the same injector while the workers do, so two tasks
+//    taken back to back may finish in either order (with one worker and
+//    no helper, they also finish in submission order);
 //  * an idle worker drains its own deque, then the injector, then steals
 //    from siblings before sleeping on a condition variable.
 //

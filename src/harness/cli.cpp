@@ -3,6 +3,9 @@
 #include <charconv>
 #include <cstring>
 #include <map>
+#include <variant>
+
+#include "obs/sinks.h"
 
 namespace rfh {
 
@@ -25,6 +28,13 @@ bool parse_double(const std::string& text, double& out) {
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
   return ec == std::errc{} && ptr == text.data() + text.size();
+}
+
+bool is_event_name(std::string_view name) {
+  for (std::size_t i = 0; i < std::variant_size_v<Event>; ++i) {
+    if (name == event_index_name(i)) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -251,6 +261,11 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       else if (value == "chrome") options.trace_format = TraceFormat::kChrome;
       else return fail("--trace-format expects jsonl or chrome");
     } else if (consume(arg, "--trace-filter=", value)) {
+      for (const std::string& name : parse_event_filter(value)) {
+        if (!is_event_name(name)) {
+          return fail("--trace-filter: unknown event type '" + name + "'");
+        }
+      }
       options.trace_filter = value;
     } else if (consume(arg, "--metrics-out=", value)) {
       if (value.empty()) return fail("--metrics-out expects a file path");

@@ -40,7 +40,8 @@
 //                                  policy runs only)
 //   --trace-format=jsonl|chrome   (default jsonl; chrome loads in Perfetto)
 //   --trace-filter=A,B,...        (event type names to keep, e.g.
-//                                  ReplicaAdded,ActionDropped; default all)
+//                                  ReplicaAdded,ActionDropped; default all;
+//                                  an unknown name is an error)
 //   --metrics-out=FILE            (dump the telemetry registry after the
 //                                  run; single policy runs only)
 //   --metrics-format=prom|json    (default prom: Prometheus text format)

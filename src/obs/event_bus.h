@@ -14,8 +14,7 @@
 // carries the id of the event that caused it — explicitly via
 // emit_caused(), or implicitly from the ambient CauseScope the producer
 // established (the chaos controller wraps each injection's side effects
-// in one). Sinks that care receive the (id, parent) pair through
-// on_record(); sinks that don't override it keep working unchanged.
+// in one). Every sink receives the (id, parent) pair with the event.
 // Because a bus belongs to one single-threaded Simulation, ids depend
 // only on the emission sequence — byte-identical across --jobs values.
 //
@@ -45,14 +44,9 @@ struct TraceMeta {
 class EventSink {
  public:
   virtual ~EventSink() = default;
-  virtual void on_event(const Event& event) = 0;
-  /// Dispatch with the causal envelope. The default forwards to
-  /// on_event(), so existing sinks ignore cause ids transparently; sinks
-  /// that record causality (JsonlSink, TimelineStore) override this.
-  virtual void on_record(const Event& event, const TraceMeta& meta) {
-    (void)meta;
-    on_event(event);
-  }
+  /// One dispatched event with its causal envelope. Sinks that record
+  /// causality (JsonlSink, TimelineStore) keep `meta`; others ignore it.
+  virtual void on_event(const Event& event, const TraceMeta& meta) = 0;
   /// Called when the producer is done (end of run / bus teardown). Sinks
   /// writing framed formats (e.g. the Chrome JSON array) finalize here;
   /// flush() must be idempotent.
@@ -133,7 +127,7 @@ class EventBus {
 
   std::uint64_t dispatch(const Event& event, std::uint64_t parent) {
     const TraceMeta meta{++seq_, parent};
-    for (EventSink* sink : sinks_) sink->on_record(event, meta);
+    for (EventSink* sink : sinks_) sink->on_event(event, meta);
     return meta.id;
   }
 

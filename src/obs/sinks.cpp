@@ -203,11 +203,11 @@ void append_fields(JsonWriter& w, const StripeReconstructed& e) {
 }
 
 void append_event_json(std::string& out, const Event& event,
-                       const TraceMeta* meta = nullptr) {
+                       const TraceMeta& meta) {
   JsonWriter w(out);
-  if (meta != nullptr && meta->id != 0) {
-    w.num("id", meta->id);
-    if (meta->parent != 0) w.num("parent", meta->parent);
+  if (meta.id != 0) {
+    w.num("id", meta.id);
+    if (meta.parent != 0) w.num("parent", meta.parent);
   }
   w.str("type", event_name(event));
   w.num("epoch", std::uint64_t{event_epoch(event)});
@@ -219,81 +219,18 @@ void append_event_json(std::string& out, const Event& event,
 
 std::string event_to_json(const Event& event) {
   std::string out;
-  append_event_json(out, event);
-  return out;
-}
-
-// --- RingBufferSink -------------------------------------------------------
-
-RingBufferSink::RingBufferSink(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  buffer_.reserve(capacity_);
-}
-
-void RingBufferSink::on_event(const Event& event) {
-  ++total_;
-  if (buffer_.size() < capacity_) {
-    buffer_.push_back(event);
-    return;
-  }
-  buffer_[head_] = event;
-  head_ = (head_ + 1) % capacity_;
-}
-
-std::vector<Event> RingBufferSink::snapshot() const {
-  std::vector<Event> out;
-  out.reserve(buffer_.size());
-  for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    out.push_back(buffer_[(head_ + i) % buffer_.size()]);
-  }
-  return out;
-}
-
-// --- CounterSink ----------------------------------------------------------
-
-void CounterSink::on_event(const Event& event) {
-  ++total_;
-  ++by_type_[event.index()];
-  if (const auto* dropped = std::get_if<ActionDropped>(&event)) {
-    ++by_drop_reason_[static_cast<std::size_t>(dropped->reason)];
-  }
-}
-
-std::uint64_t CounterSink::count(std::string_view name) const noexcept {
-  for (std::size_t i = 0; i < by_type_.size(); ++i) {
-    if (name == event_index_name(i)) return by_type_[i];
-  }
-  return 0;
-}
-
-std::string CounterSink::summary() const {
-  std::string out;
-  for (std::size_t i = 0; i < by_type_.size(); ++i) {
-    if (by_type_[i] == 0) continue;
-    if (!out.empty()) out += ' ';
-    out += event_index_name(i);
-    out += '=';
-    out += std::to_string(by_type_[i]);
-  }
+  append_event_json(out, event, TraceMeta{});
   return out;
 }
 
 // --- JsonlSink ------------------------------------------------------------
 
-void JsonlSink::write_line(const Event& event, const TraceMeta& meta) {
+void JsonlSink::on_event(const Event& event, const TraceMeta& meta) {
   scratch_.clear();
-  append_event_json(scratch_, event, &meta);
+  append_event_json(scratch_, event, meta);
   scratch_ += '\n';
   out_->write(scratch_.data(),
               static_cast<std::streamsize>(scratch_.size()));
-}
-
-void JsonlSink::on_event(const Event& event) {
-  write_line(event, TraceMeta{});
-}
-
-void JsonlSink::on_record(const Event& event, const TraceMeta& meta) {
-  write_line(event, meta);
 }
 
 // --- ChromeTraceSink ------------------------------------------------------
@@ -352,7 +289,8 @@ void ChromeTraceSink::write_record(const std::string& json) {
   *out_ << json;
 }
 
-void ChromeTraceSink::on_event(const Event& event) {
+void ChromeTraceSink::on_event(const Event& event,
+                               const TraceMeta& /*meta*/) {
   if (closed_) return;
   const std::uint64_t ts = std::uint64_t{event_epoch(event)} * epoch_us_;
 
@@ -433,8 +371,8 @@ void ChromeTraceSink::flush() {
 
 // --- FilterSink -----------------------------------------------------------
 
-FilterSink::FilterSink(EventSink& inner, std::string_view spec)
-    : inner_(&inner) {
+std::vector<std::string> parse_event_filter(std::string_view spec) {
+  std::vector<std::string> names;
   std::size_t start = 0;
   while (start <= spec.size()) {
     std::size_t end = spec.find(',', start);
@@ -443,10 +381,14 @@ FilterSink::FilterSink(EventSink& inner, std::string_view spec)
     // Trim surrounding spaces.
     while (!token.empty() && token.front() == ' ') token.remove_prefix(1);
     while (!token.empty() && token.back() == ' ') token.remove_suffix(1);
-    if (!token.empty()) allowed_.emplace_back(token);
+    if (!token.empty()) names.emplace_back(token);
     start = end + 1;
   }
+  return names;
 }
+
+FilterSink::FilterSink(EventSink& inner, std::string_view spec)
+    : inner_(&inner), allowed_(parse_event_filter(spec)) {}
 
 bool FilterSink::passes(std::string_view name) const noexcept {
   if (allowed_.empty()) return true;
@@ -456,8 +398,8 @@ bool FilterSink::passes(std::string_view name) const noexcept {
   return false;
 }
 
-void FilterSink::on_event(const Event& event) {
-  if (passes(event_name(event))) inner_->on_event(event);
+void FilterSink::on_event(const Event& event, const TraceMeta& meta) {
+  if (passes(event_name(event))) inner_->on_event(event, meta);
 }
 
 }  // namespace rfh

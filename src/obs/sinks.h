@@ -1,9 +1,8 @@
-// Pluggable trace consumers for the EventBus.
+// Pluggable trace consumers for the EventBus. The causal flight recorder
+// (obs/timeline.h) is the bounded in-memory reader; these are the rest.
 //
-//  * RingBufferSink — last-N events in memory; tests and post-mortem
-//    "story" extraction (examples/trace_explain.cpp).
-//  * CounterSink    — per-type and per-drop-reason totals; cheap always-on
-//    aggregation.
+//  * CaptureSink    — every event in memory, unbounded; the differential
+//    oracle and tests.
 //  * JsonlSink      — one self-describing JSON object per line; the
 //    machine-readable archive format (jq / pandas friendly).
 //  * ChromeTraceSink— Chrome trace_event JSON array loadable in Perfetto /
@@ -13,7 +12,6 @@
 //    types through to an inner sink (the CLI's --trace-filter).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -24,70 +22,29 @@
 
 namespace rfh {
 
-/// Keeps the most recent `capacity` events, in arrival order.
-class RingBufferSink final : public EventSink {
+/// Keeps every dispatched event in memory, in arrival order. The
+/// differential oracle slices it per epoch; tests count and inspect it.
+class CaptureSink final : public EventSink {
  public:
-  explicit RingBufferSink(std::size_t capacity = 4096);
-
-  void on_event(const Event& event) override;
-
-  /// Retained events, oldest first.
-  [[nodiscard]] std::vector<Event> snapshot() const;
-  /// Total events observed (including ones already evicted).
-  [[nodiscard]] std::uint64_t total_events() const noexcept { return total_; }
-  [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
- private:
-  std::size_t capacity_;
-  std::size_t head_ = 0;  // index of the oldest event once full
-  std::uint64_t total_ = 0;
-  std::vector<Event> buffer_;
-};
-
-/// Aggregates counts per event type and per ActionDropped reason.
-class CounterSink final : public EventSink {
- public:
-  void on_event(const Event& event) override;
-
-  /// Count of events of the given variant alternative.
-  template <typename E>
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    constexpr std::size_t index = Event(E{}).index();
-    return by_type_[index];
+  void on_event(const Event& event, const TraceMeta& /*meta*/) override {
+    events.push_back(event);
   }
-  /// Count by stable type name ("ReplicaAdded", ...); 0 for unknown names.
-  [[nodiscard]] std::uint64_t count(std::string_view name) const noexcept;
-  [[nodiscard]] std::uint64_t dropped(DropReason reason) const noexcept {
-    return by_drop_reason_[static_cast<std::size_t>(reason)];
-  }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// "name=count" pairs for every nonzero type, in taxonomy order.
-  [[nodiscard]] std::string summary() const;
-
- private:
-  std::array<std::uint64_t, std::variant_size_v<Event>> by_type_{};
-  std::array<std::uint64_t, kDropReasonCount> by_drop_reason_{};
-  std::uint64_t total_ = 0;
+  std::vector<Event> events;
 };
 
 /// One JSON object per line: {"type":...,"epoch":...,<event fields>}.
 /// When dispatched through an EventBus the row leads with the causal
 /// envelope — {"id":N,"parent":M,...} — so a JSONL trace round-trips the
-/// cause chains (trace_explain / rfh_blackbox read them back).
+/// cause chains.
 class JsonlSink final : public EventSink {
  public:
   /// The stream must outlive the sink; the sink never closes it.
   explicit JsonlSink(std::ostream& out) : out_(&out) {}
 
-  void on_event(const Event& event) override;
-  void on_record(const Event& event, const TraceMeta& meta) override;
+  void on_event(const Event& event, const TraceMeta& meta) override;
   void flush() override { out_->flush(); }
 
  private:
-  void write_line(const Event& event, const TraceMeta& meta);
-
   std::ostream* out_;
   std::string scratch_;  // reused per event to avoid reallocating
 };
@@ -104,7 +61,7 @@ class ChromeTraceSink final : public EventSink {
   explicit ChromeTraceSink(std::ostream& out,
                            std::uint64_t epoch_duration_us = 10'000'000);
 
-  void on_event(const Event& event) override;
+  void on_event(const Event& event, const TraceMeta& meta) override;
   /// Emits the closing bracket (idempotent).
   void flush() override;
   ~ChromeTraceSink() override { flush(); }
@@ -119,15 +76,21 @@ class ChromeTraceSink final : public EventSink {
   std::string scratch_;
 };
 
-/// Forwards only events whose type name is in the allow-list.
+/// The event type names of a comma-separated filter spec
+/// ("ReplicaAdded, ActionDropped"), spaces trimmed and empty tokens
+/// skipped.
+[[nodiscard]] std::vector<std::string> parse_event_filter(
+    std::string_view spec);
+
+/// Forwards only events whose type name is in the allow-list, with their
+/// causal envelope.
 class FilterSink final : public EventSink {
  public:
-  /// `spec` is a comma-separated list of event type names (exact match,
-  /// e.g. "ReplicaAdded,ActionDropped"). Unknown names are kept verbatim
-  /// and simply never match. An empty spec passes everything through.
+  /// `spec` as parse_event_filter reads it (exact names). An empty spec
+  /// passes everything through.
   FilterSink(EventSink& inner, std::string_view spec);
 
-  void on_event(const Event& event) override;
+  void on_event(const Event& event, const TraceMeta& meta) override;
   void flush() override { inner_->flush(); }
 
   [[nodiscard]] bool passes(std::string_view name) const noexcept;

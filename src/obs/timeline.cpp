@@ -32,10 +32,10 @@ constexpr std::size_t kRecordBytes = sizeof(TimelineRecord);
 struct CondenseVisitor {
   TimelineRecord& rec;
 
-  void operator()(const QueryRoutedSummary& e) const {
-    rec.a = e.total_queries;
-    rec.b = e.unserved_queries;
-  }
+  // Per-epoch summaries are never recorded (see TimelineStore).
+  void operator()(const QueryRoutedSummary&) const {}
+  void operator()(const EpochCompleted&) const {}
+  void operator()(const PhaseSpan&) const {}
   void operator()(const ReplicaAdded& e) const {
     rec.partition = e.partition.value();
     rec.server = e.target.value();
@@ -92,14 +92,6 @@ struct CondenseVisitor {
     rec.aux = e.link_b.value();
     rec.a = static_cast<double>(e.servers);
     rec.b = e.magnitude;
-  }
-  void operator()(const EpochCompleted& e) const {
-    rec.a = static_cast<double>(e.total_replicas);
-    rec.b = static_cast<double>(e.dropped_actions);
-  }
-  void operator()(const PhaseSpan& e) const {
-    rec.label = e.phase;
-    rec.a = e.wall_ms;
   }
   void operator()(const StreamEpochSummary& e) const {
     rec.a = e.arrivals;
@@ -166,42 +158,31 @@ TimelineRecord make_timeline_record(const Event& event, const TraceMeta& meta) {
 // TimelineStore
 // ---------------------------------------------------------------------------
 
-TimelineStore::TimelineStore(std::uint32_t partitions, TimelineOptions options)
-    : options_(options) {
+TimelineStore::TimelineStore(std::uint32_t partitions,
+                             std::size_t byte_budget) {
   // Budget split: a quarter for the reservoir, an eighth for the global
   // ring, the rest spread over the per-partition rings (clamped so tiny
   // fleets still get history and huge ones stay bounded).
-  reservoir_cap_ =
-      std::max<std::size_t>(64, options_.byte_budget / 4 / kRecordBytes);
-  global_cap_ = std::clamp<std::size_t>(
-      options_.byte_budget / 8 / kRecordBytes, std::size_t{64},
-      std::size_t{65536});
+  reservoir_cap_ = std::max<std::size_t>(64, byte_budget / 4 / kRecordBytes);
+  global_cap_ = std::clamp<std::size_t>(byte_budget / 8 / kRecordBytes,
+                                        std::size_t{64}, std::size_t{65536});
   const std::size_t fixed = (reservoir_cap_ + global_cap_) * kRecordBytes;
-  const std::size_t ring_bytes =
-      options_.byte_budget > fixed ? options_.byte_budget - fixed : 0;
+  const std::size_t ring_bytes = byte_budget > fixed ? byte_budget - fixed : 0;
   const std::size_t per_partition =
       partitions > 0 ? ring_bytes / partitions / kRecordBytes : 0;
-  cap_ = std::clamp(per_partition, options_.min_ring, options_.max_ring);
+  cap_ = std::clamp(per_partition, kMinRing, kMaxRing);
   rings_.resize(partitions);
 }
 
-void TimelineStore::on_event(const Event& event) {
-  on_record(event, TraceMeta{});
-}
-
-void TimelineStore::on_record(const Event& event, const TraceMeta& meta) {
-  if (!options_.keep_summaries) {
-    const std::size_t type = event.index();
-    if (type == event_type_index<QueryRoutedSummary>() ||
-        type == event_type_index<EpochCompleted>() ||
-        type == event_type_index<PhaseSpan>()) {
-      return;
-    }
+void TimelineStore::on_event(const Event& event, const TraceMeta& meta) {
+  const std::size_t type = event.index();
+  if (type == event_type_index<QueryRoutedSummary>() ||
+      type == event_type_index<EpochCompleted>() ||
+      type == event_type_index<PhaseSpan>()) {
+    return;
   }
   const TimelineRecord rec = make_timeline_record(event, meta);
   ++total_;
-  ++arrival_;
-  if (rec.id != 0) any_id_ = true;
   if (rec.partition != TimelineRecord::kNoEntity &&
       rec.partition < rings_.size()) {
     insert(rings_[rec.partition], cap_, rec);
@@ -224,10 +205,7 @@ void TimelineStore::insert(Ring& ring, std::size_t cap,
 
 void TimelineStore::offer_reservoir(const TimelineRecord& rec) {
   ++evicted_;
-  // Id-less records (no bus) get a synthetic key from the eviction
-  // counter — still deterministic, since eviction order is.
-  const std::uint64_t key =
-      splitmix64(rec.id != 0 ? rec.id : (0x8000000000000000ULL | evicted_));
+  const std::uint64_t key = splitmix64(rec.id);
   const auto by_key = [](const auto& lhs, const auto& rhs) {
     return lhs.first < rhs.first;
   };
@@ -271,7 +249,7 @@ std::vector<TimelineRecord> TimelineStore::snapshot() const {
             });
   for (const auto& [key, rec] : sampled) out.push_back(rec);
   // Cause ids are assigned in emission order, so sorting by id restores
-  // chronology; id-less records keep their collection order up front.
+  // chronology.
   std::stable_sort(out.begin(), out.end(),
                    [](const TimelineRecord& lhs, const TimelineRecord& rhs) {
                      return lhs.id < rhs.id;
@@ -392,7 +370,7 @@ const TimelineRecord* TimelineQuery::find(std::uint64_t id) const {
   return &*it;
 }
 
-std::vector<TimelineRecord> TimelineQuery::partition_records(
+std::vector<TimelineRecord> TimelineQuery::partition_history(
     PartitionId p, Epoch until) const {
   std::vector<TimelineRecord> out;
   if (!p.valid() || p.value() >= partitions_) return out;
@@ -447,7 +425,7 @@ bool TimelineQuery::chain_truncated(std::uint64_t id) const {
 }
 
 std::vector<TimelineRecord> TimelineQuery::why(PartitionId p, Epoch at) const {
-  const std::vector<TimelineRecord> history = partition_records(p, at);
+  const std::vector<TimelineRecord> history = partition_history(p, at);
   if (history.empty()) return {};
   const auto is_outcome = [](const TimelineRecord& rec) {
     return rec.type == event_type_index<ReplicaAdded>() ||
@@ -462,7 +440,6 @@ std::vector<TimelineRecord> TimelineQuery::why(PartitionId p, Epoch at) const {
     if (is_outcome(rec)) pick = &rec;  // latest outcome wins
   }
   if (pick == nullptr) pick = &history.back();
-  if (pick->id == 0) return {*pick};  // flat timeline: no chain to walk
   return chain(pick->id);
 }
 
@@ -581,17 +558,6 @@ std::string describe_record(const TimelineRecord& rec) {
   }
   if (t == event_type_index<StreamEpochSummary>()) {
     return format("stream: %.0f arrivals, %.0f dropped", rec.a, rec.b);
-  }
-  if (t == event_type_index<QueryRoutedSummary>()) {
-    return format("routed %.0f queries (%.0f unserved)", rec.a, rec.b);
-  }
-  if (t == event_type_index<EpochCompleted>()) {
-    return format("epoch done: %.0f replicas, %.0f dropped actions", rec.a,
-                  rec.b);
-  }
-  if (t == event_type_index<PhaseSpan>()) {
-    return format("phase %s took %.3f ms",
-                  rec.label != nullptr ? rec.label : "?", rec.a);
   }
   return event_index_name(t);
 }

@@ -1,14 +1,15 @@
 // The causal flight recorder: a compact, always-bounded, in-memory
 // record of *why* the simulation did what it did.
 //
-// A TimelineStore is an EventSink that condenses every dispatched event
-// into a fixed-size binary TimelineRecord (64 bytes: the causal envelope,
-// the entities involved, and the observed-vs-threshold pair that
-// justified the decision) and keeps them in per-partition ring buffers
-// plus one global ring for partition-less events (faults, link changes,
-// SLO breaches). Records evicted from a ring are offered to a
-// deterministic reservoir — bottom-k by splitmix64(cause id) — so a
-// bounded uniform sample of deep history survives arbitrarily long runs.
+// A TimelineStore is an EventSink that condenses every dispatched causal
+// event (per-epoch summaries are skipped) into a fixed-size binary
+// TimelineRecord (64 bytes: the causal envelope, the entities involved,
+// and the observed-vs-threshold pair that justified the decision) and
+// keeps them in per-partition ring buffers plus one global ring for
+// partition-less events (faults, link changes, SLO breaches). Records
+// evicted from a ring are offered to a deterministic reservoir —
+// bottom-k by splitmix64(cause id) — so a bounded uniform sample of deep
+// history survives arbitrarily long runs.
 // Everything lives under a byte budget fixed at construction; at the
 // 100k–1M-server scale where JSONL sinks explode, the recorder's cost
 // stays O(budget) memory and O(1) per event.
@@ -49,7 +50,7 @@ struct TimelineRecord {
   static constexpr std::uint32_t kNoEntity = 0xffffffffu;
   static constexpr std::uint16_t kNoDc = 0xffffu;
 
-  std::uint64_t id = 0;      // bus cause id (0: recorded without a bus)
+  std::uint64_t id = 0;      // bus cause id (1-based)
   std::uint64_t parent = 0;  // causing record's id (0: root)
   const char* label = nullptr;
   /// The event's two headline numbers — for decision events the two
@@ -69,31 +70,27 @@ struct TimelineRecord {
 [[nodiscard]] TimelineRecord make_timeline_record(const Event& event,
                                                   const TraceMeta& meta);
 
-struct TimelineOptions {
-  /// Total memory target across rings and reservoir. The store never
-  /// allocates record storage beyond ~this many bytes. The default is
-  /// deliberately cache-friendly: the recorder rides along on the
-  /// simulation hot path, and measurements show the overhead is
-  /// dominated by the store's cache footprint, not per-record work
-  /// (~4 MB costs ~11% of step wall, 256 KB under 5%). Forensic deep
-  /// dives that want more history should raise the budget explicitly.
-  std::size_t byte_budget = std::size_t{256} << 10;
-  /// Per-partition ring capacity clamp (records).
-  std::size_t min_ring = 8;
-  std::size_t max_ring = 256;
-  /// Keep per-epoch summary events (QueryRoutedSummary, EpochCompleted,
-  /// PhaseSpan)? Off by default: they are observational snapshots with
-  /// no causal value, and at one per epoch they would crowd the rings.
-  bool keep_summaries = false;
-};
-
+/// Per-epoch summary events (QueryRoutedSummary, EpochCompleted,
+/// PhaseSpan) are never recorded: they are observational snapshots with
+/// no causal value, and at one per epoch they would crowd the rings.
 class TimelineStore final : public EventSink {
  public:
-  explicit TimelineStore(std::uint32_t partitions,
-                         TimelineOptions options = {});
+  /// The default budget is deliberately cache-friendly: the recorder
+  /// rides along on the simulation hot path, and measurements show the
+  /// overhead is dominated by the store's cache footprint, not
+  /// per-record work (~4 MB costs ~11% of step wall, 256 KB under 5%).
+  static constexpr std::size_t kDefaultByteBudget = std::size_t{256} << 10;
+  /// Per-partition ring capacity clamp (records).
+  static constexpr std::size_t kMinRing = 8;
+  static constexpr std::size_t kMaxRing = 256;
 
-  void on_event(const Event& event) override;
-  void on_record(const Event& event, const TraceMeta& meta) override;
+  /// `byte_budget` is the total memory target across rings and
+  /// reservoir; the store never allocates record storage beyond ~this
+  /// many bytes. Forensic deep dives that want more history raise it.
+  explicit TimelineStore(std::uint32_t partitions,
+                         std::size_t byte_budget = kDefaultByteBudget);
+
+  void on_event(const Event& event, const TraceMeta& meta) override;
 
   // --- observers --------------------------------------------------------
   [[nodiscard]] std::size_t ring_capacity() const noexcept { return cap_; }
@@ -112,14 +109,10 @@ class TimelineStore final : public EventSink {
   [[nodiscard]] std::size_t sampled() const noexcept {
     return reservoir_.size();
   }
-  /// True when any retained record carries a bus cause id — false for
-  /// traces recorded without an EventBus (the flat-timeline fallback).
-  [[nodiscard]] bool has_cause_ids() const noexcept { return any_id_; }
   /// Upper bound on record storage currently allocated.
   [[nodiscard]] std::size_t approx_bytes() const noexcept;
 
-  /// Every retained record (rings + reservoir), cause-id ascending;
-  /// id-less records (on_event path) come first in arrival order.
+  /// Every retained record (rings + reservoir), cause-id ascending.
   [[nodiscard]] std::vector<TimelineRecord> snapshot() const;
 
   /// FNV-1a fingerprint over the canonical text of every retained record
@@ -141,7 +134,6 @@ class TimelineStore final : public EventSink {
   void offer_reservoir(const TimelineRecord& rec);
   void append_ring(std::vector<TimelineRecord>& out, const Ring& ring) const;
 
-  TimelineOptions options_;
   std::size_t cap_ = 0;         // per-partition ring capacity
   std::size_t global_cap_ = 0;  // partition-less ring capacity
   std::size_t reservoir_cap_ = 0;
@@ -152,8 +144,6 @@ class TimelineStore final : public EventSink {
   std::vector<std::pair<std::uint64_t, TimelineRecord>> reservoir_;
   std::uint64_t total_ = 0;
   std::uint64_t evicted_ = 0;
-  std::uint64_t arrival_ = 0;  // tiebreak for id-less records
-  bool any_id_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -177,7 +167,7 @@ class TimelineQuery {
 
   /// All records touching partition p (chronological), optionally capped
   /// at epoch `until`.
-  [[nodiscard]] std::vector<TimelineRecord> partition_records(
+  [[nodiscard]] std::vector<TimelineRecord> partition_history(
       PartitionId p, Epoch until = kAnyEpoch) const;
   /// All records stamped with epoch e (chronological).
   [[nodiscard]] std::vector<TimelineRecord> at_epoch(Epoch e) const;

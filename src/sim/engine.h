@@ -207,7 +207,7 @@ class Simulation {
   /// the end of every step; the router and policy receive the registry
   /// too. nullptr detaches. Counters are updated from the same
   /// EpochReport fields the trace events carry, so registry totals,
-  /// CounterSink totals and report sums always reconcile.
+  /// event counts and report sums always reconcile.
   void set_telemetry(MetricRegistry* registry);
   [[nodiscard]] MetricRegistry* telemetry() const noexcept {
     return telemetry_;

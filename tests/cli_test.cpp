@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
 #include <vector>
+
+#include "obs/events.h"
 
 namespace rfh {
 namespace {
@@ -238,6 +242,22 @@ TEST(Cli, TraceRejectsBadFormatEmptyPathAndCompare) {
   EXPECT_FALSE(parse({"--trace-out=t.jsonl", "--compare"}).ok);
   // --compare alone stays legal.
   EXPECT_TRUE(parse({"--compare"}).ok);
+}
+
+TEST(Cli, TraceFilterRejectsUnknownEventNames) {
+  const CliParseResult r = parse(
+      {"--trace-out=t.jsonl", "--trace-filter=ReplicaAdded, ReplicaAded"});
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("--trace-filter"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("'ReplicaAded'"), std::string::npos) << r.error;
+  // Every name of the event taxonomy is accepted, spaces trimmed.
+  std::string every = "--trace-filter=";
+  for (std::size_t i = 0; i < std::variant_size_v<Event>; ++i) {
+    every += event_index_name(i);
+    every += ", ";
+  }
+  const CliParseResult all = parse({every.c_str()});
+  ASSERT_TRUE(all.ok) << all.error;
 }
 
 TEST(Cli, MetricsFlags) {

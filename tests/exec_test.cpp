@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,8 +21,9 @@ namespace rfh {
 namespace {
 
 TEST(ThreadPoolTest, SingleWorkerRunsExternalTasksInSubmissionOrder) {
-  // External submissions land in the FIFO injector; one worker must
-  // consume them in order.
+  // External submissions land in the FIFO injector; with no helping
+  // thread (future::wait, not pool.wait), the one worker is the only
+  // consumer, so completion order is submission order.
   ThreadPool pool(1);
   std::vector<int> order;
   std::mutex mutex;
@@ -31,9 +34,37 @@ TEST(ThreadPoolTest, SingleWorkerRunsExternalTasksInSubmissionOrder) {
       order.push_back(i);
     }));
   }
-  for (auto& f : futures) pool.wait(f);
+  for (auto& f : futures) f.wait();
   ASSERT_EQ(order.size(), 64u);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(ThreadPoolTest, HelpingThreadDequeuesExternalTasksInSubmissionOrder) {
+  // The contract is FIFO *dequeue*: a foreign thread helping the pool
+  // takes injector tasks in submission order. Park the only worker on a
+  // gate so the helper is the sole consumer, then drain by hand.
+  ThreadPool pool(1);
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  auto blocker = pool.submit([&parked, gate] {
+    parked.set_value();
+    gate.wait();
+  });
+  parked.get_future().wait();
+
+  std::vector<int> order;
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 16; ++i) {
+    futures.push_back(pool.submit([&order, i] { order.push_back(i); }));
+  }
+  int helped = 0;
+  while (helped < 32 && pool.run_one()) ++helped;
+  release.set_value();  // before any assertion, so the pool can join
+  pool.wait(blocker);
+  EXPECT_EQ(helped, 16);
+  ASSERT_EQ(order.size(), 16u);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(ThreadPoolTest, AllTasksExecuteAcrossManyWorkers) {

@@ -39,8 +39,8 @@ TEST(ChaosController, CrashFiresExactlyAtItsEpoch) {
   FaultPlan plan;
   plan.add(crash_at(5, 3));
   auto sim = paper_sim();
-  CounterSink counts;
-  sim->events().add_sink(&counts);
+  CaptureSink capture;
+  sim->events().add_sink(&capture);
   MetricRegistry registry;
   sim->set_telemetry(&registry);
   ChaosController chaos(plan, 42);
@@ -57,7 +57,7 @@ TEST(ChaosController, CrashFiresExactlyAtItsEpoch) {
     sim->step();
   }
   EXPECT_EQ(sim->cluster().live_server_count(), live0 - 3);
-  EXPECT_EQ(counts.count<FaultInjected>(), 1u);
+  EXPECT_EQ(test::count_events<FaultInjected>(capture), 1u);
   EXPECT_EQ(chaos.injected_total(), 1u);
   EXPECT_EQ(chaos.injected_by_kind()[static_cast<std::size_t>(
                 FaultKind::kCrash)],

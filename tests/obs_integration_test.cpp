@@ -9,6 +9,7 @@
 #include "harness/runner.h"
 #include "harness/scenario.h"
 #include "obs/sinks.h"
+#include "test_util.h"
 
 namespace rfh {
 namespace {
@@ -22,12 +23,12 @@ Scenario small_scenario() {
 TEST(ObsIntegration, RfhActionsCarryDecisionExplanations) {
   const Scenario scenario = small_scenario();
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
-  RingBufferSink ring(1 << 16);
-  sim->events().add_sink(&ring);
+  CaptureSink capture;
+  sim->events().add_sink(&capture);
   for (Epoch e = 0; e < scenario.epochs; ++e) sim->step();
 
   std::size_t replica_added = 0;
-  for (const Event& event : ring.snapshot()) {
+  for (const Event& event : capture.events) {
     if (const auto* added = std::get_if<ReplicaAdded>(&event)) {
       ++replica_added;
       // Every RFH replication must name the inequality that fired and the
@@ -60,16 +61,14 @@ TEST(ObsIntegration, RfhActionsCarryDecisionExplanations) {
 TEST(ObsIntegration, EpochStreamIsCompleteAndOrdered) {
   const Scenario scenario = small_scenario();
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
-  CounterSink counters;
-  RingBufferSink ring(1 << 16);
-  sim->events().add_sink(&counters);
-  sim->events().add_sink(&ring);
+  CaptureSink capture;
+  sim->events().add_sink(&capture);
   for (Epoch e = 0; e < scenario.epochs; ++e) sim->step();
 
-  EXPECT_EQ(counters.count<EpochCompleted>(), scenario.epochs);
-  EXPECT_EQ(counters.count<QueryRoutedSummary>(), scenario.epochs);
+  EXPECT_EQ(test::count_events<EpochCompleted>(capture), scenario.epochs);
+  EXPECT_EQ(test::count_events<QueryRoutedSummary>(capture), scenario.epochs);
   Epoch last = 0;
-  for (const Event& event : ring.snapshot()) {
+  for (const Event& event : capture.events) {
     EXPECT_GE(event_epoch(event), last);
     last = event_epoch(event);
   }
@@ -78,35 +77,36 @@ TEST(ObsIntegration, EpochStreamIsCompleteAndOrdered) {
 TEST(ObsIntegration, FailureInjectionEmitsFailureEvents) {
   const Scenario scenario = small_scenario();
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
-  CounterSink counters;
-  sim->events().add_sink(&counters);
+  CaptureSink capture;
+  sim->events().add_sink(&capture);
   for (Epoch e = 0; e < 30; ++e) sim->step();
 
   const auto victims = sim->fail_random_servers(25);
-  EXPECT_EQ(counters.count<ServerFailed>(), victims.size());
+  EXPECT_EQ(test::count_events<ServerFailed>(capture), victims.size());
   // With 25 of 100 servers gone some partition must have lost its primary
   // and been promoted (or reseeded).
-  EXPECT_EQ(counters.count<PrimaryPromoted>() + counters.count<Reseeded>(),
+  EXPECT_EQ(test::count_events<PrimaryPromoted>(capture) +
+                test::count_events<Reseeded>(capture),
             sim->last_promotions().size());
 
   sim->recover_servers(victims);
-  EXPECT_EQ(counters.count<ServerRecovered>(), victims.size());
+  EXPECT_EQ(test::count_events<ServerRecovered>(capture), victims.size());
   sim->recover_servers(victims);  // already alive: no duplicate events
-  EXPECT_EQ(counters.count<ServerRecovered>(), victims.size());
+  EXPECT_EQ(test::count_events<ServerRecovered>(capture), victims.size());
 }
 
 TEST(ObsIntegration, LinkEventsFireOnActualTransitionsOnly) {
   const Scenario scenario = small_scenario();
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
-  CounterSink counters;
-  sim->events().add_sink(&counters);
+  CaptureSink capture;
+  sim->events().add_sink(&capture);
 
   sim->fail_link(DatacenterId{0}, DatacenterId{1});
   sim->fail_link(DatacenterId{0}, DatacenterId{1});  // idempotent
-  EXPECT_EQ(counters.count<LinkFailed>(), 1u);
+  EXPECT_EQ(test::count_events<LinkFailed>(capture), 1u);
   sim->restore_link(DatacenterId{0}, DatacenterId{1});
   sim->restore_link(DatacenterId{0}, DatacenterId{1});
-  EXPECT_EQ(counters.count<LinkRestored>(), 1u);
+  EXPECT_EQ(test::count_events<LinkRestored>(capture), 1u);
 }
 
 TEST(ObsIntegration, DropReasonCountersReconcileWithTheTrace) {
@@ -115,8 +115,8 @@ TEST(ObsIntegration, DropReasonCountersReconcileWithTheTrace) {
   Scenario scenario = small_scenario();
   scenario.world.replication_bandwidth = 1;
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
-  CounterSink counters;
-  sim->events().add_sink(&counters);
+  CaptureSink capture;
+  sim->events().add_sink(&capture);
 
   std::uint64_t reported_drops = 0;
   std::uint64_t reported_by_reason = 0;
@@ -128,10 +128,10 @@ TEST(ObsIntegration, DropReasonCountersReconcileWithTheTrace) {
     }
   }
   EXPECT_EQ(reported_drops, reported_by_reason);
-  EXPECT_EQ(counters.count<ActionDropped>(), reported_drops);
+  EXPECT_EQ(test::count_events<ActionDropped>(capture), reported_drops);
   std::uint64_t trace_by_reason = 0;
   for (std::size_t r = 0; r < kDropReasonCount; ++r) {
-    trace_by_reason += counters.dropped(static_cast<DropReason>(r));
+    trace_by_reason += test::count_dropped(capture, static_cast<DropReason>(r));
   }
   EXPECT_EQ(trace_by_reason, reported_drops);
 }
@@ -177,10 +177,11 @@ TEST(ObsIntegration, TracingDoesNotPerturbTheSimulation) {
   // identical epoch series (observability is read-only).
   const Scenario scenario = small_scenario();
   auto traced = make_simulation(scenario, PolicyKind::kRfh);
-  RingBufferSink ring(1024);
-  CounterSink counters;
-  traced->events().add_sink(&ring);
-  traced->events().add_sink(&counters);
+  CaptureSink capture;
+  std::ostringstream jsonl_out;
+  JsonlSink jsonl(jsonl_out);
+  traced->events().add_sink(&capture);
+  traced->events().add_sink(&jsonl);
   auto plain = make_simulation(scenario, PolicyKind::kRfh);
   for (Epoch e = 0; e < 40; ++e) {
     const EpochReport a = traced->step();

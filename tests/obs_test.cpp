@@ -2,10 +2,11 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/event_bus.h"
 #include "obs/sinks.h"
-#include "obs/story.h"
+#include "test_util.h"
 
 namespace rfh {
 namespace {
@@ -36,17 +37,17 @@ TEST(EventBus, DisabledWithoutSinksAndEmitIsANoOp) {
 
 TEST(EventBus, DispatchesToEverySinkInOrder) {
   EventBus bus;
-  CounterSink a;
-  CounterSink b;
+  CaptureSink a;
+  CaptureSink b;
   bus.add_sink(&a);
   bus.add_sink(&b);
   EXPECT_TRUE(bus.enabled());
   bus.emit(ServerFailed{0, ServerId{1}});
   bus.emit(ServerRecovered{1, ServerId{1}});
-  EXPECT_EQ(a.total(), 2u);
-  EXPECT_EQ(b.total(), 2u);
-  EXPECT_EQ(a.count<ServerFailed>(), 1u);
-  EXPECT_EQ(a.count("ServerRecovered"), 1u);
+  EXPECT_EQ(a.events.size(), 2u);
+  EXPECT_EQ(b.events.size(), 2u);
+  EXPECT_EQ(test::count_events<ServerFailed>(a), 1u);
+  EXPECT_EQ(test::count_events<ServerRecovered>(a), 1u);
 }
 
 TEST(EventBus, OwnedSinksAreFlushedOnClose) {
@@ -81,40 +82,24 @@ TEST(EventEpoch, ReadsTheStampedEpoch) {
   EXPECT_EQ(event_epoch(sample_replica_added()), 7u);
 }
 
-TEST(RingBufferSink, KeepsTheLastNInArrivalOrder) {
-  RingBufferSink ring(3);
+TEST(CaptureSink, KeepsEveryEventInArrivalOrder) {
+  EventBus bus;
+  CaptureSink capture;
+  bus.add_sink(&capture);
   for (std::uint32_t e = 0; e < 5; ++e) {
-    ring.on_event(Event(ServerFailed{e, ServerId{e}}));
+    bus.emit(ServerFailed{e, ServerId{e}});
   }
-  EXPECT_EQ(ring.total_events(), 5u);
-  EXPECT_EQ(ring.size(), 3u);
-  const auto events = ring.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(event_epoch(events[0]), 2u);
-  EXPECT_EQ(event_epoch(events[1]), 3u);
-  EXPECT_EQ(event_epoch(events[2]), 4u);
-}
-
-TEST(CounterSink, CountsDropReasons) {
-  CounterSink counters;
-  ActionDropped dropped;
-  dropped.reason = DropReason::kBandwidth;
-  counters.on_event(Event(dropped));
-  counters.on_event(Event(dropped));
-  dropped.reason = DropReason::kStorageCap;
-  counters.on_event(Event(dropped));
-  EXPECT_EQ(counters.dropped(DropReason::kBandwidth), 2u);
-  EXPECT_EQ(counters.dropped(DropReason::kStorageCap), 1u);
-  EXPECT_EQ(counters.dropped(DropReason::kDeadTarget), 0u);
-  EXPECT_EQ(counters.count<ActionDropped>(), 3u);
-  EXPECT_EQ(counters.summary(), "ActionDropped=3");
+  ASSERT_EQ(capture.events.size(), 5u);
+  for (std::uint32_t e = 0; e < 5; ++e) {
+    EXPECT_EQ(event_epoch(capture.events[e]), e);
+  }
 }
 
 TEST(JsonlSink, OneSelfDescribingObjectPerLine) {
   std::ostringstream out;
   JsonlSink sink(out);
-  sink.on_event(sample_replica_added());
-  sink.on_event(Event(ServerFailed{8, ServerId{2}}));
+  sink.on_event(sample_replica_added(), TraceMeta{});
+  sink.on_event(Event(ServerFailed{8, ServerId{2}}), TraceMeta{});
   std::istringstream lines(out.str());
   std::string first;
   std::string second;
@@ -169,12 +154,12 @@ TEST(ChromeTraceSink, EmitsAWellFormedJsonArrayWithMetadata) {
   std::ostringstream out;
   {
     ChromeTraceSink sink(out);
-    sink.on_event(sample_replica_added());
+    sink.on_event(sample_replica_added(), TraceMeta{});
     EpochCompleted done;
     done.epoch = 7;
     done.total_replicas = 130;
     done.dropped_actions = 2;
-    sink.on_event(Event(done));
+    sink.on_event(Event(done), TraceMeta{});
     sink.flush();
     sink.flush();  // idempotent
   }
@@ -192,41 +177,56 @@ TEST(ChromeTraceSink, EmitsAWellFormedJsonArrayWithMetadata) {
 }
 
 TEST(FilterSink, PassesOnlyListedTypes) {
-  CounterSink counters;
-  FilterSink filter(counters, "ReplicaAdded, ActionDropped");
-  filter.on_event(sample_replica_added());
-  filter.on_event(Event(ServerFailed{1, ServerId{0}}));
-  filter.on_event(Event(ActionDropped{}));
-  EXPECT_EQ(counters.total(), 2u);
-  EXPECT_EQ(counters.count<ServerFailed>(), 0u);
+  CaptureSink capture;
+  FilterSink filter(capture, "ReplicaAdded, ActionDropped");
+  filter.on_event(sample_replica_added(), TraceMeta{});
+  filter.on_event(Event(ServerFailed{1, ServerId{0}}), TraceMeta{});
+  filter.on_event(Event(ActionDropped{}), TraceMeta{});
+  EXPECT_EQ(capture.events.size(), 2u);
+  EXPECT_EQ(test::count_events<ServerFailed>(capture), 0u);
   EXPECT_TRUE(filter.passes("ReplicaAdded"));
   EXPECT_FALSE(filter.passes("ServerFailed"));
 }
 
 TEST(FilterSink, EmptySpecPassesEverything) {
-  CounterSink counters;
-  FilterSink filter(counters, "");
-  filter.on_event(Event(ServerFailed{1, ServerId{0}}));
-  EXPECT_EQ(counters.total(), 1u);
+  CaptureSink capture;
+  FilterSink filter(capture, "");
+  filter.on_event(Event(ServerFailed{1, ServerId{0}}), TraceMeta{});
+  EXPECT_EQ(capture.events.size(), 1u);
 }
 
-TEST(Story, DescribesExplainedActions) {
-  const std::string line = describe_event(sample_replica_added());
-  EXPECT_NE(line.find("ReplicaAdded"), std::string::npos);
-  EXPECT_NE(line.find("partition 3"), std::string::npos);
-  EXPECT_NE(line.find("tr >= beta*q_bar (Eq. 12)"), std::string::npos);
-}
+TEST(FilterSink, ForwardsTheCausalEnvelopeToTheInnerSink) {
+  // A filtered JSONL trace keeps each passed row's "id" and "parent",
+  // byte-identical to the same row of an unfiltered trace.
+  std::ostringstream filtered_out;
+  std::ostringstream full_out;
+  JsonlSink filtered_jsonl(filtered_out);
+  JsonlSink full_jsonl(full_out);
+  FilterSink filter(filtered_jsonl, "ReplicaAdded,ActionDropped");
+  EventBus bus;
+  bus.add_sink(&filter);
+  bus.add_sink(&full_jsonl);
+  const std::uint64_t root = bus.emit(ServerFailed{7, ServerId{1}});
+  bus.emit_caused(root, sample_replica_added());
+  bus.emit_caused(root, ServerRecovered{7, ServerId{1}});
+  bus.emit_caused(root, ActionDropped{7, PartitionId{3}, ActionKind::kMigrate,
+                                      DropReason::kBandwidth, ServerId{4}});
 
-TEST(Story, PartitionStoryFiltersByPartition) {
-  std::vector<Event> events;
-  events.push_back(sample_replica_added());               // partition 3
-  events.push_back(Event(ServerFailed{1, ServerId{0}}));  // cluster-wide
-  PrimaryPromoted promoted;
-  promoted.partition = PartitionId{4};
-  events.push_back(Event(promoted));
-  EXPECT_EQ(partition_story(events, PartitionId{3}).size(), 1u);
-  EXPECT_EQ(partition_story(events, PartitionId{4}).size(), 1u);
-  EXPECT_TRUE(partition_story(events, PartitionId{9}).empty());
+  std::vector<std::string> full;
+  std::istringstream full_lines(full_out.str());
+  for (std::string line; std::getline(full_lines, line);) full.push_back(line);
+  ASSERT_EQ(full.size(), 4u);
+
+  std::vector<std::string> rows;
+  std::istringstream lines(filtered_out.str());
+  for (std::string line; std::getline(lines, line);) rows.push_back(line);
+  ASSERT_EQ(rows.size(), 2u);
+  for (const std::string& row : rows) {
+    EXPECT_EQ(row.rfind("{\"id\":", 0), 0u) << row;
+    EXPECT_NE(row.find("\"parent\":1,"), std::string::npos) << row;
+  }
+  EXPECT_EQ(rows[0], full[1]);
+  EXPECT_EQ(rows[1], full[3]);
 }
 
 TEST(Taxonomy, NamesAreStable) {

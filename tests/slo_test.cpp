@@ -10,6 +10,7 @@
 #include "obs/sinks.h"
 #include "telemetry/registry.h"
 #include "telemetry/slo.h"
+#include "test_util.h"
 
 namespace rfh {
 namespace {
@@ -133,8 +134,8 @@ TEST(SloWatchdogTest, BreachEmitsEventAndCounterWithAmbientCause) {
   spec.short_window = 1;
   spec.long_window = 1;
   EventBus bus;
-  CounterSink counters;
-  bus.add_sink(&counters);
+  CaptureSink capture;
+  bus.add_sink(&capture);
   MetricRegistry registry;
   // Simulate a prior disturbance the breach should chain to.
   const std::uint64_t fault =
@@ -148,7 +149,7 @@ TEST(SloWatchdogTest, BreachEmitsEventAndCounterWithAmbientCause) {
   const SloBreachRecord& record = watchdog.breaches().front();
   EXPECT_NE(record.cause_id, 0u);
   EXPECT_GT(record.cause_id, fault);
-  EXPECT_EQ(counters.count("SloBreach"), 1u);
+  EXPECT_EQ(test::count_events<SloBreach>(capture), 1u);
   std::ostringstream prom;
   registry.write_prometheus(prom);
   EXPECT_NE(prom.str().find("rfh_slo_breaches_total"), std::string::npos);

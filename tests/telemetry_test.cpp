@@ -11,6 +11,7 @@
 #include "obs/sinks.h"
 #include "telemetry/profiler.h"
 #include "telemetry/registry.h"
+#include "test_util.h"
 
 namespace rfh {
 namespace {
@@ -197,8 +198,8 @@ TEST(PhaseProfiler, ProfiledSimulationCoversTheEpochWall) {
 TEST(PhaseProfiler, EmitsPhaseSpansIntoTheTrace) {
   const Scenario scenario = small_scenario();
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
-  CounterSink counters;
-  sim->events().add_sink(&counters);
+  CaptureSink capture;
+  sim->events().add_sink(&capture);
   PhaseProfiler profiler;
   profiler.set_trace(&sim->events());
   sim->set_profiler(&profiler);
@@ -206,7 +207,7 @@ TEST(PhaseProfiler, EmitsPhaseSpansIntoTheTrace) {
   profiler.finalize();
 
   // Five engine phases ran in every one of the 10 closed windows.
-  EXPECT_EQ(counters.count<PhaseSpan>(), 50u);
+  EXPECT_EQ(test::count_events<PhaseSpan>(capture), 50u);
 }
 
 TEST(PhaseProfiler, RecordsHistogramsIntoAnAttachedRegistry) {
@@ -232,14 +233,15 @@ TEST(PhaseProfiler, RecordsHistogramsIntoAnAttachedRegistry) {
 // --- reconciliation ----------------------------------------------------
 
 TEST(TelemetryIntegration, RegistryReconcilesWithTraceAndReports) {
-  // One run, three observers: the trace CounterSink, the EpochReport
-  // stream, and the metric registry must tell the same story. A starved
-  // replication budget plus a failure exercises drops and losses.
+  // One run, three observers: the captured event stream, the
+  // EpochReport stream, and the metric registry must tell the same
+  // story. A starved replication budget plus a failure exercises drops
+  // and losses.
   Scenario scenario = small_scenario();
   scenario.world.replication_bandwidth = 1;
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
-  CounterSink counters;
-  sim->events().add_sink(&counters);
+  CaptureSink capture;
+  sim->events().add_sink(&capture);
   MetricRegistry registry;
   sim->set_telemetry(&registry);
 
@@ -272,19 +274,19 @@ TEST(TelemetryIntegration, RegistryReconcilesWithTraceAndReports) {
   EXPECT_DOUBLE_EQ(counter_value("rfh_queries_total", {}), queries);
   EXPECT_DOUBLE_EQ(counter_value("rfh_epochs_total", {}),
                    static_cast<double>(scenario.epochs));
-  // Registry vs. the PR-1 CounterSink over the same event stream.
+  // Registry vs. event counts over the captured stream.
   EXPECT_DOUBLE_EQ(
       counter_value("rfh_actions_applied_total", {{"kind", "replicate"}}),
-      static_cast<double>(counters.count<ReplicaAdded>()));
+      static_cast<double>(test::count_events<ReplicaAdded>(capture)));
   EXPECT_DOUBLE_EQ(
       counter_value("rfh_actions_applied_total", {{"kind", "migrate"}}),
-      static_cast<double>(counters.count<MigrationExecuted>()));
+      static_cast<double>(test::count_events<MigrationExecuted>(capture)));
   EXPECT_DOUBLE_EQ(
       counter_value("rfh_actions_applied_total", {{"kind", "suicide"}}),
-      static_cast<double>(counters.count<Suicide>()));
-  EXPECT_EQ(counters.count<ReplicaAdded>(), replications);
-  EXPECT_EQ(counters.count<MigrationExecuted>(), migrations);
-  EXPECT_EQ(counters.count<Suicide>(), suicides);
+      static_cast<double>(test::count_events<Suicide>(capture)));
+  EXPECT_EQ(test::count_events<ReplicaAdded>(capture), replications);
+  EXPECT_EQ(test::count_events<MigrationExecuted>(capture), migrations);
+  EXPECT_EQ(test::count_events<Suicide>(capture), suicides);
   // Per-reason drops agree three ways.
   double dropped_total = 0.0;
   for (std::size_t r = 0; r < kDropReasonCount; ++r) {
@@ -293,7 +295,7 @@ TEST(TelemetryIntegration, RegistryReconcilesWithTraceAndReports) {
                                    {{"reason", drop_reason_name(reason)}});
     EXPECT_DOUBLE_EQ(v, static_cast<double>(dropped[r]))
         << drop_reason_name(reason);
-    EXPECT_EQ(counters.dropped(reason), dropped[r])
+    EXPECT_EQ(test::count_dropped(capture, reason), dropped[r])
         << drop_reason_name(reason);
     dropped_total += v;
   }

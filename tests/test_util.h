@@ -1,13 +1,16 @@
 // Shared test helpers: controlled worlds (degenerate capacity ranges so
-// every server is identical), scripted workloads and policies, and small
-// scenario builders.
+// every server is identical), scripted workloads and policies, small
+// scenario builders, and event counts over a captured trace.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/sinks.h"
 #include "sim/engine.h"
 #include "topology/world.h"
 #include "workload/generator.h"
@@ -111,6 +114,24 @@ inline std::unique_ptr<Simulation> make_fixed_sim(
   return std::make_unique<Simulation>(
       build_paper_world(world_options), config,
       std::make_unique<FixedWorkload>(std::move(batch)), std::move(policy));
+}
+
+/// Captured events of type E.
+template <typename E>
+std::uint64_t count_events(const CaptureSink& capture) {
+  return static_cast<std::uint64_t>(std::count_if(
+      capture.events.begin(), capture.events.end(),
+      [](const Event& e) { return std::holds_alternative<E>(e); }));
+}
+
+/// Captured ActionDropped events with the given reason.
+inline std::uint64_t count_dropped(const CaptureSink& capture,
+                                   DropReason reason) {
+  return static_cast<std::uint64_t>(std::count_if(
+      capture.events.begin(), capture.events.end(), [reason](const Event& e) {
+        const auto* dropped = std::get_if<ActionDropped>(&e);
+        return dropped != nullptr && dropped->reason == reason;
+      }));
 }
 
 }  // namespace rfh::test

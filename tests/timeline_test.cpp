@@ -1,7 +1,7 @@
 // TimelineStore / TimelineQuery unit suite (obs/timeline.h): budget
 // clamps, ring eviction order, deterministic reservoir sampling, the
-// summary filter, cause-chain walking, the why() query and the
-// flat-timeline fallback for records without cause ids.
+// summary filter, cause-chain walking, per-partition history, the why()
+// query and the one-line record rendering.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -53,17 +53,13 @@ TEST(TimelineRecordTest, CondensesDecisionEventWithEnvelope) {
 }
 
 TEST(TimelineStoreTest, BudgetClampsRingCapacities) {
-  TimelineOptions tiny;
-  tiny.byte_budget = 0;
-  const TimelineStore small(4, tiny);
-  EXPECT_EQ(small.ring_capacity(), tiny.min_ring);
+  const TimelineStore small(4, /*byte_budget=*/0);
+  EXPECT_EQ(small.ring_capacity(), TimelineStore::kMinRing);
   EXPECT_EQ(small.global_capacity(), 64u);
   EXPECT_EQ(small.reservoir_capacity(), 64u);
 
-  TimelineOptions huge;
-  huge.byte_budget = std::size_t{1} << 30;
-  const TimelineStore big(4, huge);
-  EXPECT_EQ(big.ring_capacity(), huge.max_ring);
+  const TimelineStore big(4, std::size_t{1} << 30);
+  EXPECT_EQ(big.ring_capacity(), TimelineStore::kMaxRing);
   EXPECT_EQ(big.global_capacity(), 65536u);
   EXPECT_GT(big.reservoir_capacity(), 64u);
   // The default store stays within (a small multiple of) its budget even
@@ -71,13 +67,11 @@ TEST(TimelineStoreTest, BudgetClampsRingCapacities) {
   const TimelineStore stock(64);
   EXPECT_LE(stock.reservoir_capacity() +
                 stock.global_capacity() + 64 * stock.ring_capacity(),
-            2 * TimelineOptions{}.byte_budget / sizeof(TimelineRecord));
+            2 * TimelineStore::kDefaultByteBudget / sizeof(TimelineRecord));
 }
 
 TEST(TimelineStoreTest, RingEvictsOldestFirstAndKeepsNewestInOrder) {
-  TimelineOptions options;
-  options.byte_budget = 0;  // min_ring-sized partition rings
-  TimelineStore store(1, options);
+  TimelineStore store(1, /*byte_budget=*/0);  // kMinRing-sized rings
   EventBus bus;
   bus.add_sink(&store);
   const std::size_t cap = store.ring_capacity();
@@ -99,20 +93,22 @@ TEST(TimelineStoreTest, RingEvictsOldestFirstAndKeepsNewestInOrder) {
   }
   TimelineQuery query(store);
   const std::vector<TimelineRecord> ring_only =
-      query.partition_records(PartitionId{0});
+      query.partition_history(PartitionId{0});
   ASSERT_EQ(ring_only.size(), emitted);  // rings + sampled evictions
 }
 
-TEST(TimelineStoreTest, SummaryEventsFilteredUnlessOptedIn) {
-  TimelineStore drop(1);
-  TimelineOptions keep_opts;
-  keep_opts.keep_summaries = true;
-  TimelineStore keep(1, keep_opts);
-  const Event summary{EpochCompleted{3, 100.0, 0.0, 1, 0, 0, 0, 12, 0.0, 0.0}};
-  drop.on_record(summary, TraceMeta{1, 0});
-  keep.on_record(summary, TraceMeta{1, 0});
-  EXPECT_EQ(drop.total_recorded(), 0u);
-  EXPECT_EQ(keep.total_recorded(), 1u);
+TEST(TimelineStoreTest, SummaryEventsAreNeverRecorded) {
+  TimelineStore store(1);
+  store.on_event(
+      Event{EpochCompleted{3, 100.0, 0.0, 1, 0, 0, 0, 12, 0.0, 0.0}},
+      TraceMeta{1, 0});
+  store.on_event(Event{QueryRoutedSummary{3, 100.0, 0.0, 2.0}},
+                 TraceMeta{2, 0});
+  store.on_event(Event{PhaseSpan{3, "routing", 0.0, 0.5, 1.0}},
+                 TraceMeta{3, 0});
+  EXPECT_EQ(store.total_recorded(), 0u);
+  store.on_event(Event{failed(3, 1)}, TraceMeta{4, 0});
+  EXPECT_EQ(store.total_recorded(), 1u);
 }
 
 TEST(TimelineStoreTest, ReservoirKeepSetIgnoresEvictionOrder) {
@@ -122,23 +118,21 @@ TEST(TimelineStoreTest, ReservoirKeepSetIgnoresEvictionOrder) {
   // evicted — in a different global order. The reservoir keeps bottom-k
   // by splitmix64(id), so the keep-set (and the whole digest) must not
   // depend on that order.
-  TimelineOptions options;
-  options.byte_budget = 0;
-  const std::size_t n = 200;  // >> min_ring + reservoir floor
-  TimelineStore blocked(2, options);
+  const std::size_t n = 200;  // >> kMinRing + reservoir floor
+  TimelineStore blocked(2, /*byte_budget=*/0);
   for (std::uint32_t p = 0; p < 2; ++p) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t id = 1 + p * n + i;
-      blocked.on_record(Event{shift(static_cast<Epoch>(i), p, 1.0, 2.0)},
-                        TraceMeta{id, 0});
+      blocked.on_event(Event{shift(static_cast<Epoch>(i), p, 1.0, 2.0)},
+                       TraceMeta{id, 0});
     }
   }
-  TimelineStore interleaved(2, options);
+  TimelineStore interleaved(2, /*byte_budget=*/0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::uint32_t p = 0; p < 2; ++p) {
       const std::uint64_t id = 1 + p * n + i;
-      interleaved.on_record(Event{shift(static_cast<Epoch>(i), p, 1.0, 2.0)},
-                            TraceMeta{id, 0});
+      interleaved.on_event(Event{shift(static_cast<Epoch>(i), p, 1.0, 2.0)},
+                           TraceMeta{id, 0});
     }
   }
   EXPECT_EQ(blocked.evicted(), interleaved.evicted());
@@ -157,10 +151,9 @@ TEST(TimelineStoreTest, IdenticalFeedsProduceIdenticalDigestsAndDumps) {
     }
     bus.close();
   };
-  TimelineOptions options;
-  options.byte_budget = 1 << 14;  // force heavy eviction + sampling
-  TimelineStore a(4, options);
-  TimelineStore b(4, options);
+  const std::size_t budget = 1 << 14;  // force heavy eviction + sampling
+  TimelineStore a(4, budget);
+  TimelineStore b(4, budget);
   feed(a);
   feed(b);
   EXPECT_GT(a.evicted(), 0u);
@@ -232,19 +225,24 @@ TEST(TimelineQueryTest, ChainTruncationDetectedWhenAncestorEvicted) {
   EXPECT_NE(rendered.find("`- "), std::string::npos);
 }
 
-TEST(TimelineQueryTest, FlatTimelineWithoutCauseIdsDegradesGracefully) {
-  TimelineStore store(1);
-  // on_event path: no bus, no envelope — the pre-causal world.
-  store.on_event(Event{failed(1, 2)});
-  store.on_event(Event{replica(2, 0)});
-  EXPECT_FALSE(store.has_cause_ids());
+TEST(TimelineQueryTest, PartitionHistoryFiltersByPartition) {
+  TimelineStore store(8);
+  EventBus bus;
+  bus.add_sink(&store);
+  bus.emit(replica(1, 3));
+  bus.emit(failed(2, 0));  // cluster-wide
+  bus.emit(PrimaryPromoted{3, PartitionId{4}, ServerId{8}});
+  bus.emit(TrafficShift{4, PartitionId{3}, 1.0, 2.0});
   const TimelineQuery query(store);
-  EXPECT_EQ(query.records().size(), 2u);
-  // why() still answers — a single flat record, no chain walk.
-  const std::vector<TimelineRecord> why = query.why(PartitionId{0});
-  ASSERT_EQ(why.size(), 1u);
-  EXPECT_EQ(why.front().type, event_type_index<ReplicaAdded>());
-  EXPECT_FALSE(render_chain(why).empty());
+  const std::vector<TimelineRecord> three =
+      query.partition_history(PartitionId{3});
+  ASSERT_EQ(three.size(), 2u);
+  EXPECT_EQ(three[0].type, event_type_index<ReplicaAdded>());
+  EXPECT_EQ(three[1].type, event_type_index<TrafficShift>());
+  EXPECT_EQ(query.partition_history(PartitionId{3}, 3).size(), 1u);
+  EXPECT_EQ(query.partition_history(PartitionId{4}).size(), 1u);
+  EXPECT_TRUE(query.partition_history(PartitionId{6}).empty());
+  EXPECT_TRUE(query.partition_history(PartitionId{9}).empty());
 }
 
 TEST(TimelineQueryTest, DcRecordsFindLinkEndpointsBothWays) {
@@ -258,6 +256,17 @@ TEST(TimelineQueryTest, DcRecordsFindLinkEndpointsBothWays) {
   EXPECT_EQ(query.dc_records(DatacenterId{5}).size(), 2u);
   EXPECT_TRUE(query.dc_records(DatacenterId{7}).empty());
   EXPECT_EQ(query.at_epoch(4).size(), 1u);
+}
+
+TEST(DescribeRecordTest, ExplainsActionsWithTheFiredInequality) {
+  const std::string line = describe_record(
+      make_timeline_record(Event{replica(9, 3)}, TraceMeta{1, 0}));
+  EXPECT_NE(line.find("partition 3 replicated: server 5 -> server 7"),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find("overload_hub (tr >= beta*q_bar (Eq. 12)): 12 vs 4"),
+            std::string::npos)
+      << line;
 }
 
 TEST(DescribeRecordTest, NamesEveryCausalEventType) {
