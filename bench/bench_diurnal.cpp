@@ -16,9 +16,11 @@
 #include <cstdio>
 #include <iostream>
 #include <iterator>
+#include <optional>
+#include <vector>
 
 #include "bench_args.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "workload/generator.h"
@@ -74,8 +76,8 @@ int main(int argc, char** argv) {
             << period << ")), " << scenario.epochs << " epochs\n";
 
   // The four policy runs are independent (each builds its own world,
-  // workload and simulation), so fan them out on the pool and merge in
-  // policy order — output is bit-identical for every --jobs value.
+  // workload and simulation), so fan them out one shard per policy, each
+  // writing its own slot — output is bit-identical for every --jobs value.
   const rfh::PolicyKind kinds[] = {
       rfh::PolicyKind::kRequest, rfh::PolicyKind::kOwner,
       rfh::PolicyKind::kRandom, rfh::PolicyKind::kRfh};
@@ -93,20 +95,21 @@ int main(int argc, char** argv) {
     }
     return run;
   };
-  rfh::ThreadPool pool(jobs == 1 ? 0
-                                 : std::min<unsigned>(
-                                       jobs == 0 ? rfh::ThreadPool::default_jobs()
-                                                 : jobs,
-                                       static_cast<unsigned>(std::size(kinds))));
-  std::vector<std::future<rfh::PolicyRun>> futures;
-  for (const rfh::PolicyKind kind : kinds) {
-    futures.push_back(pool.submit([&run_kind, kind] { return run_kind(kind); }));
-  }
+  const unsigned workers = std::min<unsigned>(
+      jobs == 0 ? rfh::ThreadPool::default_jobs() : jobs,
+      static_cast<unsigned>(std::size(kinds)));
+  std::optional<rfh::ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  std::vector<rfh::PolicyRun> runs(std::size(kinds));
+  rfh::parallel_for_shards(pool ? &*pool : nullptr, runs.size(),
+                           static_cast<unsigned>(runs.size()),
+                           [&](unsigned /*shard*/, rfh::IndexRange range) {
+                             runs[range.begin] = run_kind(kinds[range.begin]);
+                           });
 
   std::vector<rfh::NamedSeries> series;
   std::printf("# census-load correlation (epochs 100+):");
-  for (std::future<rfh::PolicyRun>& future : futures) {
-    const rfh::PolicyRun run = pool.wait(future);
+  for (const rfh::PolicyRun& run : runs) {
     std::printf(" %s=%.3f", std::string(rfh::policy_name(run.kind)).c_str(),
                 census_load_correlation(run, reference, 100));
     series.push_back(rfh::NamedSeries{

@@ -23,8 +23,9 @@
 //                        report is named "meanfield_smoke" so
 //                        bench_diff.py gates it against its own
 //                        committed baseline
-//   --jobs=N             meanfield only: engine worker threads
-//                        (0 = one per hardware thread, the default)
+//   --jobs=N|auto        meanfield only: engine worker threads, an
+//                        integer in [1, 1024] or auto (one per hardware
+//                        thread, the default)
 //   --quiet              only print the final summary / failure report
 //
 // Exit codes: 0 = all runs matched; 1 = divergence or invariant
@@ -37,6 +38,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +52,7 @@
 #include "exec/thread_pool.h"
 #include "fault/chaos.h"
 #include "fault/plan.h"
+#include "harness/cli.h"
 #include "harness/scenario.h"
 #include "sim/engine.h"
 #include "topology/world.h"
@@ -66,7 +69,8 @@ struct Options {
   std::string out_dir = ".";
   bool meanfield = false;
   bool smoke = false;
-  std::uint64_t jobs = 0;
+  unsigned jobs = 0;  ///< 0 = auto
+  bool jobs_seen = false;
   bool quiet = false;
 };
 
@@ -115,10 +119,13 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& error) {
     } else if (arg == "--smoke") {
       opt.smoke = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!parse_u64(value("--jobs="), opt.jobs)) {
-        error = "--jobs wants a non-negative integer: " + arg;
+      const std::optional<unsigned> jobs = rfh::parse_jobs(value("--jobs="));
+      if (!jobs) {
+        error = std::string(rfh::kJobsError) + ": " + arg;
         return false;
       }
+      opt.jobs = *jobs;
+      opt.jobs_seen = true;
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else {
@@ -137,7 +144,7 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& error) {
         "--replay=FILE, --replay-dir=DIR or --mode=meanfield";
     return false;
   }
-  if ((opt.smoke || opt.jobs > 0) && !opt.meanfield) {
+  if ((opt.smoke || opt.jobs_seen) && !opt.meanfield) {
     error = "--smoke and --jobs only apply to --mode=meanfield";
     return false;
   }
@@ -303,9 +310,8 @@ rfh::Scenario meanfield_scenario(std::uint32_t n_dcs, rfh::Epoch horizon) {
 }
 
 int run_meanfield(const Options& opt) {
-  const unsigned jobs = opt.jobs == 0
-                            ? rfh::ThreadPool::default_jobs()
-                            : static_cast<unsigned>(opt.jobs);
+  const unsigned jobs =
+      opt.jobs == 0 ? rfh::ThreadPool::default_jobs() : opt.jobs;
   // Fixed per-replicate horizon at every size: the census is averaged
   // over partitions *and* epochs, and partitions scale with N, so the
   // per-replicate sample count grows tenfold per size decade. The TV
@@ -459,7 +465,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: rfh_check (--seeds=N | --budget-seconds=S | "
                  "--replay=FILE | --replay-dir=DIR | --mode=meanfield) "
-                 "[--seed-start=N] [--out-dir=DIR] [--smoke] [--jobs=N] "
+                 "[--seed-start=N] [--out-dir=DIR] [--smoke] [--jobs=N|auto] "
                  "[--quiet]\n");
     return 2;
   }

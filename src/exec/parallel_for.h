@@ -2,11 +2,12 @@
 //
 // parallel_for_shards splits [0, n) into `shards` contiguous ranges —
 // boundaries are a pure function of (n, shards), never of the pool or of
-// timing — and runs the body once per shard. With a multi-worker pool the
-// shards execute concurrently; with a null or inline pool they run
-// serially in shard-index order. Either way the call returns only after
-// every shard has finished, and the first exception (in shard order)
-// rethrows on the caller.
+// timing — and runs the body once per shard. With a pool the shards
+// execute concurrently; with a null pool (serial) they run in shard-index
+// order on the caller. Either way the call returns only after every shard
+// has finished, and the first exception (in shard order) rethrows on the
+// caller. It is the one fan-out: the engine's epoch phases and the
+// sweep's cells both go through it.
 //
 // Byte-identity discipline (DESIGN.md §11, §15): bodies write only to
 // shard-private state (slots indexed by shard id, or ranges disjoint by
@@ -17,9 +18,9 @@
 // every shard count and every interleaving.
 //
 // Cooperative waiting: the join uses ThreadPool::wait, which executes
-// pending pool tasks on the waiting thread. A parallel_for issued from
-// inside a sweep cell (itself a pool task) therefore helps drain the pool
-// instead of deadlocking it, and never spawns threads of its own.
+// queued pool tasks on the waiting thread. A fan-out issued from inside a
+// task of the same pool therefore helps drain the pool instead of
+// deadlocking it, and never spawns threads of its own.
 #pragma once
 
 #include <algorithm>
@@ -50,7 +51,7 @@ struct IndexRange {
 }
 
 /// Shard count for fanning `n` items across `pool`: one shard per worker
-/// (null or inline pool -> 1), capped so every shard keeps at least
+/// (null pool -> 1), capped so every shard keeps at least
 /// `min_grain` items. Callers that need shard-count *stability* across
 /// machines should pass an explicit count to parallel_for_shards instead;
 /// the engine does not need to — its merges are shard-count invariant.
@@ -67,7 +68,7 @@ void parallel_for_shards(ThreadPool* pool, std::size_t n, unsigned shards,
   if (shards == 0) shards = 1;
   shards = static_cast<unsigned>(
       std::min<std::size_t>(shards, n));  // no empty shards
-  if (pool == nullptr || pool->size() == 0 || shards == 1) {
+  if (pool == nullptr || shards == 1) {
     for (unsigned s = 0; s < shards; ++s) {
       body(s, shard_range(n, shards, s));
     }
@@ -88,18 +89,6 @@ void parallel_for_shards(ThreadPool* pool, std::size_t n, unsigned shards,
     }
   }
   if (first) std::rethrow_exception(first);
-}
-
-/// Convenience wrapper: body(i) per index, shard count picked from the
-/// pool. Only for bodies whose writes are disjoint per index.
-template <typename Body>
-void parallel_for(ThreadPool* pool, std::size_t n, Body&& body) {
-  parallel_for_shards(pool, n, shard_count_for(pool, n),
-                      [&body](unsigned /*shard*/, IndexRange range) {
-                        for (std::size_t i = range.begin; i < range.end; ++i) {
-                          body(i);
-                        }
-                      });
 }
 
 }  // namespace rfh

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "harness/report.h"
 #include "obs/sinks.h"
@@ -106,6 +107,9 @@ std::uint64_t series_digest(std::span<const EpochMetrics> series) {
     digest_u64(hash, m.dropped_node_cap);
     digest_u64(hash, m.dropped_dead_target);
     digest_u64(hash, m.dropped_invalid);
+    digest_u64(hash, m.dropped_zone_diversity);
+    digest_u64(hash, m.dropped_unknown);
+    digest_u64(hash, m.repairs_starved);
     digest_double(hash, m.stream_arrivals);
     digest_double(hash, m.stream_served);
     digest_double(hash, m.stream_blocked);
@@ -165,38 +169,27 @@ SweepCellResult SweepRunner::run_cell(const SweepCell& cell,
 std::vector<SweepCellResult> SweepRunner::run(
     std::span<const SweepCell> cells) const {
   const unsigned jobs = effective_jobs();
-  std::vector<SweepCellResult> results;
-  results.reserve(cells.size());
+  std::vector<SweepCellResult> results(cells.size());
 
   const auto start = std::chrono::steady_clock::now();
+  // One shard per cell, each writing only its own slot. Without a pool
+  // the cells run inline in index order — the serial baseline; with one,
+  // the calling thread helps drain it, and a throwing cell rethrows from
+  // the lowest failing index.
+  const auto n = static_cast<unsigned>(cells.size());
+  std::optional<ThreadPool> pool;
+  if (jobs > 1 && n > 1) pool.emplace(std::min(jobs, n));
+  parallel_for_shards(pool ? &*pool : nullptr, n, n,
+                      [&](unsigned /*shard*/, IndexRange range) {
+                        results[range.begin] =
+                            run_cell(cells[range.begin], range.begin);
+                      });
   ThreadPool::Stats pool_stats;
-  if (jobs <= 1 || cells.size() <= 1) {
-    // Serial baseline: cells execute inline, in index order.
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      results.push_back(run_cell(cells[i], i));
-    }
-  } else {
-    ThreadPool pool(std::min<unsigned>(
-        jobs, static_cast<unsigned>(cells.size())));
-    std::vector<std::future<SweepCellResult>> futures;
-    futures.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const SweepCell& cell = cells[i];
-      futures.push_back(pool.submit([this, &cell, i] {
-        return run_cell(cell, i);
-      }));
-    }
-    // Merge strictly in cell-index order; the calling thread helps drain
-    // the pool while waiting. A throwing cell rethrows from the lowest
-    // failing index.
-    for (auto& future : futures) {
-      results.push_back(pool.wait(future));
-    }
-    // A future turns ready inside the packaged_task, before the worker
-    // bumps its executed/busy counters; drain to quiescence so the stats
-    // snapshot below counts every cell.
-    pool.wait_idle();
-    pool_stats = pool.stats();
+  if (pool) {
+    // A worker adds a task's busy time after its future turns ready;
+    // drain to quiescence so the occupancy gauge counts every cell.
+    pool->wait_idle();
+    pool_stats = pool->stats();
   }
 
   if (options_.registry != nullptr) {
@@ -212,9 +205,6 @@ std::vector<SweepCellResult> SweepRunner::run(
     reg.counter("rfh_pool_tasks_executed_total", {},
                 "Tasks completed by the sweep pool")
         .inc(static_cast<double>(pool_stats.executed));
-    reg.counter("rfh_pool_tasks_stolen_total", {},
-                "Tasks taken from a sibling worker's deque")
-        .inc(static_cast<double>(pool_stats.stolen));
     reg.gauge("rfh_pool_occupancy_ratio", {},
               "Summed task wall time / (jobs * sweep wall time)")
         .set(wall_ns > 0.0 ? static_cast<double>(pool_stats.busy_ns) /

@@ -6,9 +6,10 @@
 // mutable: every cell builds its own World, workload stream and RNG
 // streams forked from its scenario seed, gets its own MetricRegistry and
 // trace sink when collection is enabled, and writes only its own result
-// slot. The SweepRunner fans cells out across a work-stealing ThreadPool
-// and merges results in cell-index order, so a parallel sweep is
-// bit-identical to the serial one — enforced by
+// slot. The SweepRunner fans cells out with parallel_for_shards, one
+// shard per cell on a FIFO ThreadPool (no pool for one job), and each cell
+// writes its own result slot, so a parallel sweep is bit-identical to the
+// serial one — enforced by
 // tests/determinism_test.cpp, which byte-compares sweep_results_json()
 // (and per-cell traces and metric dumps) across --jobs values.
 //

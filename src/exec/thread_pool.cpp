@@ -2,162 +2,96 @@
 
 #include <algorithm>
 
+#include "common/assert.h"
+
 namespace rfh {
-
-namespace {
-
-/// Which pool (if any) the current thread is a worker of, and its index.
-/// Lets submit() route nested submissions to the worker's own deque and
-/// run_one() honour the own-deque-first steal order.
-thread_local const ThreadPool* tl_pool = nullptr;
-thread_local unsigned tl_worker = ~0u;
-
-}  // namespace
 
 unsigned ThreadPool::default_jobs() noexcept {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
 ThreadPool::ThreadPool(unsigned threads) {
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
+  RFH_ASSERT_MSG(threads >= 1, "a pool needs a worker; serial is no pool");
   threads_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    for (unsigned i = 0; i < threads; ++i) {
+      threads_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop();  // join the workers already started before rethrowing
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop(); }
+
+void ThreadPool::stop() {
   {
-    // Lock orders the store against workers between their last failed
-    // dequeue and their wait, so the notify cannot be missed.
-    const std::lock_guard<std::mutex> lock(sleep_mutex_);
-    stop_.store(true, std::memory_order_release);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
   wakeup_.notify_all();
   for (std::thread& thread : threads_) thread.join();
-  // Workers drain every queue before exiting, so nothing is left queued.
+  // Workers drain the queue before exiting, so nothing is left queued.
 }
 
 void ThreadPool::enqueue(Task task) {
-  if (tl_pool == this) {
-    Worker& own = *workers_[tl_worker];
-    const std::lock_guard<std::mutex> lock(own.mutex);
-    own.deque.push_back(std::move(task));
-  } else {
-    const std::lock_guard<std::mutex> lock(injector_mutex_);
-    injector_.push_back(std::move(task));
-  }
-  queued_.fetch_add(1, std::memory_order_release);
   {
-    // Empty critical section: a worker that just saw queued_ == 0 is
-    // either before its wait (will re-check under the lock) or inside it
-    // (will get the notify).
-    const std::lock_guard<std::mutex> lock(sleep_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(std::move(task));
   }
   wakeup_.notify_one();
 }
 
-bool ThreadPool::try_dequeue(unsigned self, Task& out) {
-  // 1. The caller's own deque, newest first (depth-first nested work).
-  if (self != ~0u) {
-    Worker& own = *workers_[self];
-    const std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.deque.empty()) {
-      out = std::move(own.deque.back());
-      own.deque.pop_back();
-      return true;
-    }
-  }
-  // 2. The shared injector, submission order.
-  {
-    const std::lock_guard<std::mutex> lock(injector_mutex_);
-    if (!injector_.empty()) {
-      out = std::move(injector_.front());
-      injector_.pop_front();
-      return true;
-    }
-  }
-  // 3. Steal from a sibling, oldest first (the opposite end the owner
-  // uses, keeping contention at opposite ends of the deque).
-  for (std::size_t offset = 0; offset < workers_.size(); ++offset) {
-    const std::size_t victim =
-        (self == ~0u ? offset : (self + 1 + offset) % workers_.size());
-    if (victim == self) continue;
-    Worker& other = *workers_[victim];
-    const std::lock_guard<std::mutex> lock(other.mutex);
-    if (!other.deque.empty()) {
-      out = std::move(other.deque.front());
-      other.deque.pop_front();
-      stolen_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::run_task(Task& task) {
-  running_.fetch_add(1, std::memory_order_acq_rel);
-  queued_.fetch_sub(1, std::memory_order_acq_rel);
+void ThreadPool::run_front(std::unique_lock<std::mutex>& lock) {
+  Task task = std::move(queue_.front());
+  queue_.pop_front();
+  ++running_;
+  ++executed_;
+  lock.unlock();
   const auto start = std::chrono::steady_clock::now();
   task();  // packaged_task: exceptions land in the future, never here
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  busy_ns_.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()),
-      std::memory_order_relaxed);
-  executed_.fetch_add(1, std::memory_order_relaxed);
-  running_.fetch_sub(1, std::memory_order_acq_rel);
+  task = nullptr;  // destroy the callable's captures outside the lock
+  lock.lock();
+  busy_ns_ += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+  --running_;
 }
 
 bool ThreadPool::run_one() {
-  const unsigned self = (tl_pool == this) ? tl_worker : ~0u;
-  Task task;
-  if (!try_dequeue(self, task)) return false;
-  run_task(task);
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (queue_.empty()) return false;
+  run_front(lock);
   return true;
 }
 
 void ThreadPool::wait_idle() {
   using namespace std::chrono_literals;
-  while (queued_.load(std::memory_order_acquire) > 0 ||
-         running_.load(std::memory_order_acquire) > 0) {
-    if (!run_one()) std::this_thread::sleep_for(50us);
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!queue_.empty() || running_ > 0) {
+    if (!queue_.empty()) {
+      run_front(lock);
+    } else {
+      lock.unlock();
+      std::this_thread::sleep_for(50us);
+      lock.lock();
+    }
   }
 }
 
-void ThreadPool::worker_loop(unsigned index) {
-  tl_pool = this;
-  tl_worker = index;
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    Task task;
-    if (try_dequeue(index, task)) {
-      run_task(task);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    if (stop_.load(std::memory_order_acquire) &&
-        queued_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
-    wakeup_.wait(lock, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire) &&
-        queued_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
+    wakeup_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and drained
+    run_front(lock);
   }
 }
 
-ThreadPool::Stats ThreadPool::stats() const noexcept {
-  return Stats{executed_.load(std::memory_order_relaxed),
-               stolen_.load(std::memory_order_relaxed),
-               busy_ns_.load(std::memory_order_relaxed)};
+ThreadPool::Stats ThreadPool::stats() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return Stats{executed_, 0, busy_ns_};
 }
 
 }  // namespace rfh

@@ -1,35 +1,22 @@
-// Fixed-size work-stealing thread pool.
-//
-// Built for the sweep workload (src/exec/sweep.h): a few dozen coarse,
-// independent cells — whole simulation runs — fanned out across a fixed
-// set of workers. Structure:
-//
-//  * every worker owns a deque: its own submissions push/pop at the back
-//    (LIFO, depth-first for nested work), thieves take from the front;
-//  * submissions from outside the pool land in a shared FIFO injector
-//    queue, so externally submitted tasks are *dequeued* in submission
-//    order. Completion order is not promised: a thread helping in wait()
-//    dequeues from the same injector while the workers do, so two tasks
-//    taken back to back may finish in either order (with one worker and
-//    no helper, they also finish in submission order);
-//  * an idle worker drains its own deque, then the injector, then steals
-//    from siblings before sleeping on a condition variable.
+// Fixed-size FIFO thread pool: one mutex guards one task queue, workers
+// sleep on one condition variable and pop from the front, so tasks are
+// *dequeued* in submission order. Completion order is not promised: a
+// thread helping in wait() pops from the same queue while the workers do.
+// Every fan-out goes through parallel_for_shards (exec/parallel_for.h):
+// the shards of an engine epoch phase and the cells of a sweep. Serial
+// means no pool at all — callers pass a null pool for one job.
 //
 // Tasks are std::packaged_task wrappers: an exception thrown by a task is
 // captured into its future and rethrows at future.get() — nothing
 // terminates the worker. wait() lets any thread (including a worker, so
-// nested submit-and-wait cannot deadlock) run pending tasks while a
-// future is not ready. A pool constructed with zero threads executes
-// every submission inline on the calling thread, which is the serial
-// baseline the determinism tests compare against.
+// nested submit-and-wait cannot deadlock) run queued tasks, front first,
+// while a future is not ready.
 //
 // Determinism contract: the pool schedules, it never sequences — callers
-// must make tasks independent (the sweep gives each cell its own RNG
-// streams, registry and sinks) and merge results by task identity, never
+// must make tasks independent and merge results by task identity, never
 // by completion order.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -47,8 +34,7 @@ namespace rfh {
 
 class ThreadPool {
  public:
-  /// `threads` workers; 0 runs every task inline in submit() (no workers,
-  /// no queues — the degenerate serial pool).
+  /// `threads` workers; at least one.
   explicit ThreadPool(unsigned threads);
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -56,9 +42,9 @@ class ThreadPool {
   /// joins the workers.
   ~ThreadPool();
 
-  /// Worker count (0 for an inline pool).
+  /// Worker count.
   [[nodiscard]] unsigned size() const noexcept {
-    return static_cast<unsigned>(workers_.size());
+    return static_cast<unsigned>(threads_.size());
   }
 
   /// Hardware concurrency clamped to at least 1.
@@ -70,16 +56,11 @@ class ThreadPool {
     using R = std::invoke_result_t<std::decay_t<F>>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> future = task->get_future();
-    if (workers_.empty()) {
-      (*task)();  // inline pool: run on the caller, result already set
-      executed_.fetch_add(1, std::memory_order_relaxed);
-      return future;
-    }
     enqueue([task] { (*task)(); });
     return future;
   }
 
-  /// Block until `future` is ready, executing pending pool tasks on the
+  /// Block until `future` is ready, executing queued pool tasks on the
   /// calling thread in the meantime. Safe to call from inside a task:
   /// a worker waiting on nested work keeps the pool moving instead of
   /// deadlocking it.
@@ -92,47 +73,45 @@ class ThreadPool {
     return future.get();
   }
 
-  /// Execute one pending task on the calling thread if any is queued.
-  /// Returns false when every queue was empty.
+  /// Execute the front task on the calling thread if any is queued.
+  /// Returns false when the queue was empty.
   bool run_one();
 
   /// Busy-wait (helping) until no task is queued or running.
   void wait_idle();
 
   struct Stats {
-    std::uint64_t executed = 0;  ///< tasks completed (all queues)
-    std::uint64_t stolen = 0;    ///< tasks taken from a sibling's deque
-    std::uint64_t busy_ns = 0;   ///< summed wall time inside tasks
+    /// Tasks started. A task counts when it leaves the queue, so the
+    /// count is complete once every future is ready.
+    std::uint64_t executed = 0;
+    /// Always 0: nothing steals. Kept because perfbench reads it.
+    std::uint64_t stolen = 0;
+    /// Summed wall time inside tasks. Added after a task's future turns
+    /// ready: complete only after wait_idle().
+    std::uint64_t busy_ns = 0;
   };
-  [[nodiscard]] Stats stats() const noexcept;
+  [[nodiscard]] Stats stats() const;
 
  private:
   using Task = std::function<void()>;
 
-  struct Worker {
-    std::mutex mutex;
-    std::deque<Task> deque;
-  };
-
   void enqueue(Task task);
-  void worker_loop(unsigned index);
-  /// Dequeue honouring the steal order for `self` (own deque first when
-  /// the caller is a worker of this pool; ~0u for foreign threads).
-  bool try_dequeue(unsigned self, Task& out);
-  void run_task(Task& task);
+  void worker_loop();
+  /// Let the workers drain the queue, then join them.
+  void stop();
+  /// Pop the front task and run it unlocked. `lock` holds mutex_ on
+  /// entry and on return; the queue must be non-empty.
+  void run_front(std::unique_lock<std::mutex>& lock);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::deque<Task> injector_;
-  std::mutex injector_mutex_;
-  std::mutex sleep_mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable wakeup_;
+  // Everything below up to threads_ is guarded by mutex_.
+  std::deque<Task> queue_;
+  std::uint64_t running_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t busy_ns_ = 0;
+  bool stop_ = false;
   std::vector<std::thread> threads_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> queued_{0};
-  std::atomic<std::uint64_t> running_{0};
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> stolen_{0};
-  std::atomic<std::uint64_t> busy_ns_{0};
 };
 
 }  // namespace rfh

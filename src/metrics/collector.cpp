@@ -7,7 +7,7 @@
 namespace rfh {
 
 EpochMetrics MetricsCollector::collect(const Simulation& sim,
-                                       const EpochReport& report) {
+                                       const EpochReport& report) const {
   EpochMetrics m;
   m.epoch = report.epoch;
 
@@ -76,20 +76,7 @@ EpochMetrics MetricsCollector::collect(const Simulation& sim,
   m.dropped_zone_diversity = reason(DropReason::kZoneDiversity);
   m.dropped_unknown = reason(DropReason::kUnknown);
   m.repairs_starved = report.repairs_starved;
-
-  series_.push_back(m);
   return m;
-}
-
-double MetricsCollector::tail_mean(double EpochMetrics::* field,
-                                   std::size_t window) const {
-  if (series_.empty()) return 0.0;
-  const std::size_t n = std::min(window, series_.size());
-  double sum = 0.0;
-  for (std::size_t i = series_.size() - n; i < series_.size(); ++i) {
-    sum += series_[i].*field;
-  }
-  return sum / static_cast<double>(n);
 }
 
 }  // namespace rfh

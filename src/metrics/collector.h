@@ -1,8 +1,6 @@
 // Per-epoch metric snapshots covering every series the paper plots.
 #pragma once
 
-#include <vector>
-
 #include "common/units.h"
 #include "sim/engine.h"
 
@@ -87,21 +85,9 @@ struct EpochMetrics {
 
 class MetricsCollector {
  public:
-  /// Snapshot the metrics for the epoch `report` describes; appends to
-  /// the stored series and returns the snapshot.
-  EpochMetrics collect(const Simulation& sim, const EpochReport& report);
-
-  [[nodiscard]] const std::vector<EpochMetrics>& series() const noexcept {
-    return series_;
-  }
-  void clear() noexcept { series_.clear(); }
-
-  /// Mean of a field over the last `window` collected epochs.
-  [[nodiscard]] double tail_mean(double EpochMetrics::* field,
-                                 std::size_t window) const;
-
- private:
-  std::vector<EpochMetrics> series_;
+  /// Snapshot the metrics for the epoch `report` describes. Keeps no
+  /// series: the caller owns it (PolicyRun::series).
+  EpochMetrics collect(const Simulation& sim, const EpochReport& report) const;
 };
 
 }  // namespace rfh

@@ -207,7 +207,6 @@ void Simulation::propagate(const QueryBatch& batch) {
   // total_queries — is a single scalar whose FP association order must
   // match the serial engine exactly), the count of consecutive
   // same-partition runs, and the partition-major check.
-  epoch_arena_.reset();
   std::size_t n_runs = 0;
   bool partition_major = true;
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -223,15 +222,15 @@ void Simulation::propagate(const QueryBatch& batch) {
   }
   if (batch.empty()) return;
 
-  const std::span<FlowRun> runs = epoch_arena_.alloc<FlowRun>(n_runs);
+  runs_.resize(n_runs);
   std::size_t r = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (i == 0 || batch[i].partition != batch[i - 1].partition) {
-      runs[r++] = FlowRun{batch[i].partition.value(),
-                          static_cast<std::uint32_t>(i),
-                          static_cast<std::uint32_t>(i + 1)};
+      runs_[r++] = FlowRun{batch[i].partition.value(),
+                           static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(i + 1)};
     } else {
-      runs[r - 1].end = static_cast<std::uint32_t>(i + 1);
+      runs_[r - 1].end = static_cast<std::uint32_t>(i + 1);
     }
   }
 
@@ -250,7 +249,7 @@ void Simulation::propagate(const QueryBatch& batch) {
       pool_.get(), n_runs, shards, [&](unsigned s, IndexRange range) {
         PropagateShard& shard = shards_[s];
         for (std::size_t ri = range.begin; ri < range.end; ++ri) {
-          const FlowRun& run = runs[ri];
+          const FlowRun& run = runs_[ri];
           for (std::uint32_t f = run.begin; f < run.end; ++f) {
             propagate_flow(batch[f], live_by_dc, shard);
           }

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "exec/arena.h"
 #include "exec/thread_pool.h"
 #include "obs/event_bus.h"
 #include "telemetry/profiler.h"
@@ -402,9 +401,9 @@ class Simulation {
   unsigned jobs_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<PropagateShard> shards_;
-  /// Epoch-scoped flat scratch (the run table); reset at the top of every
-  /// propagate, zero steady-state allocations.
-  ScratchArena epoch_arena_;
+  /// The epoch's run table, rebuilt by every propagate; resize keeps the
+  /// capacity, so steady-state epochs allocate nothing.
+  std::vector<FlowRun> runs_;
 };
 
 }  // namespace rfh

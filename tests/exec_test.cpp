@@ -1,6 +1,6 @@
 // ThreadPool and SweepRunner unit tests (src/exec/): task ordering,
-// exception propagation, nested submit-and-wait, inline-pool equivalence
-// and sweep plumbing. The byte-level parallel-vs-serial differential
+// exception propagation, nested submit-and-wait, sharded fan-out and
+// sweep plumbing. The byte-level parallel-vs-serial differential
 // suite lives in tests/determinism_test.cpp.
 #include "exec/thread_pool.h"
 
@@ -21,9 +21,9 @@ namespace rfh {
 namespace {
 
 TEST(ThreadPoolTest, SingleWorkerRunsExternalTasksInSubmissionOrder) {
-  // External submissions land in the FIFO injector; with no helping
-  // thread (future::wait, not pool.wait), the one worker is the only
-  // consumer, so completion order is submission order.
+  // Submissions land in the one FIFO queue; with no helping thread
+  // (future::wait, not pool.wait), the one worker is the only consumer,
+  // so completion order is submission order.
   ThreadPool pool(1);
   std::vector<int> order;
   std::mutex mutex;
@@ -41,7 +41,7 @@ TEST(ThreadPoolTest, SingleWorkerRunsExternalTasksInSubmissionOrder) {
 
 TEST(ThreadPoolTest, HelpingThreadDequeuesExternalTasksInSubmissionOrder) {
   // The contract is FIFO *dequeue*: a foreign thread helping the pool
-  // takes injector tasks in submission order. Park the only worker on a
+  // takes queued tasks in submission order. Park the only worker on a
   // gate so the helper is the sole consumer, then drain by hand.
   ThreadPool pool(1);
   std::promise<void> parked;
@@ -112,23 +112,6 @@ TEST(ThreadPoolTest, DeeplyNestedSubmitsComplete) {
   };
   auto root = pool.submit([&spawn] { return spawn(16); });
   EXPECT_EQ(pool.wait(root), 17);
-}
-
-TEST(ThreadPoolTest, InlinePoolRunsOnTheCallingThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 0u);
-  const std::thread::id caller = std::this_thread::get_id();
-  auto future = pool.submit([caller] {
-    return std::this_thread::get_id() == caller;
-  });
-  EXPECT_TRUE(pool.wait(future));
-  EXPECT_EQ(pool.stats().executed, 1u);
-}
-
-TEST(ThreadPoolTest, InlinePoolPropagatesExceptions) {
-  ThreadPool pool(0);
-  auto future = pool.submit([]() -> int { throw std::logic_error("boom"); });
-  EXPECT_THROW((void)future.get(), std::logic_error);
 }
 
 TEST(ThreadPoolTest, WaitIdleDrainsEverything) {
@@ -316,6 +299,20 @@ TEST(SweepRunnerTest, EffectiveJobsResolvesZeroToHardware) {
   SweepOptions eight;
   eight.jobs = 8;
   EXPECT_EQ(SweepRunner(eight).effective_jobs(), 8u);
+}
+
+TEST(SweepDigestTest, EveryDropReasonAndStarvedRepairsMoveTheDigest) {
+  // series_digest promises every field of every EpochMetrics; a field it
+  // skips is a divergence the serial-vs-jobs checks cannot see.
+  const std::vector<EpochMetrics> base(3);
+  const std::uint64_t reference = series_digest(base);
+  for (std::uint32_t EpochMetrics::* field :
+       {&EpochMetrics::dropped_zone_diversity, &EpochMetrics::dropped_unknown,
+        &EpochMetrics::repairs_starved}) {
+    std::vector<EpochMetrics> perturbed = base;
+    perturbed[1].*field = 1;
+    EXPECT_NE(series_digest(perturbed), reference);
+  }
 }
 
 TEST(SweepRunnerTest, ThreadedEnginesInsideThreadedSweepCellsComplete) {

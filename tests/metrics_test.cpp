@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/rfh_policy.h"
+#include "harness/report.h"
 #include "metrics/collector.h"
 #include "metrics/csv.h"
 #include "metrics/imbalance.h"
@@ -120,11 +121,13 @@ TEST(Collector, FieldsAreConsistentWithTheSimulation) {
       build_paper_world(), config, std::make_unique<UniformWorkload>(params),
       std::make_unique<RfhPolicy>());
   MetricsCollector collector;
+  PolicyRun run;
   std::uint32_t last_migrations = 0;
   double last_cost = 0.0;
   for (int e = 0; e < 40; ++e) {
     const EpochReport report = sim->step();
     const EpochMetrics m = collector.collect(*sim, report);
+    run.series.push_back(m);
     EXPECT_EQ(m.epoch, report.epoch);
     EXPECT_EQ(m.total_replicas, sim->cluster().total_replicas());
     EXPECT_NEAR(m.avg_replicas_per_partition, m.total_replicas / 8.0, 1e-12);
@@ -138,13 +141,18 @@ TEST(Collector, FieldsAreConsistentWithTheSimulation) {
                   m.migration_cost_total / m.migrations_total, 1e-9);
     }
   }
-  EXPECT_EQ(collector.series().size(), 40u);
-  EXPECT_GT(collector.tail_mean(&EpochMetrics::utilization, 10), 0.0);
+  EXPECT_EQ(run.series.size(), 40u);
+  EXPECT_GT(tail_mean(run, &EpochMetrics::utilization, 10), 0.0);
 }
 
 TEST(Collector, TailMeanHandlesShortSeries) {
-  MetricsCollector collector;
-  EXPECT_DOUBLE_EQ(collector.tail_mean(&EpochMetrics::utilization, 10), 0.0);
+  PolicyRun run;
+  EXPECT_DOUBLE_EQ(tail_mean(run, &EpochMetrics::utilization, 10), 0.0);
+  run.series.resize(3);
+  run.series[1].utilization = 0.25;
+  run.series[2].utilization = 0.75;
+  EXPECT_DOUBLE_EQ(tail_mean(run, &EpochMetrics::utilization, 10), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(tail_mean(run, &EpochMetrics::utilization, 2), 0.5);
 }
 
 TEST(Csv, ExtractPullsTheRightField) {
