@@ -44,6 +44,16 @@ void Router::reserve_relays(std::size_t partitions) {
   const std::size_t had = partition_keys_.size();
   if (partitions <= had) return;
   const std::size_t dcs = topology_->datacenter_count();
+  if (server_hashes_.empty()) {
+    server_hashes_.resize(topology_->server_count());
+    for (std::size_t s = 0; s < server_hashes_.size(); ++s) {
+      server_hashes_[s] = hash64(std::uint64_t{s});
+    }
+    dc_hashes_.resize(dcs);
+    for (std::size_t dc = 0; dc < dcs; ++dc) {
+      dc_hashes_[dc] = hash64(std::uint64_t{dc});
+    }
+  }
   std::vector<ServerId> grown(dcs * partitions, ServerId::invalid());
   for (std::size_t dc = 0; dc < dcs; ++dc) {
     std::copy_n(relays_.begin() + static_cast<std::ptrdiff_t>(dc * had), had,
@@ -69,10 +79,11 @@ void Router::servers_down(std::span<const ServerId> servers) {
 
 void Router::servers_up(std::span<const ServerId> servers) {
   const std::size_t partitions = partition_keys_.size();
+  if (partitions == 0) return;  // no table, and no hash columns either
   for (const ServerId s : servers) {
     const DatacenterId dc = topology_->server(s).datacenter;
-    const std::uint64_t dc_hash = hash64(std::uint64_t{dc.value()});
-    const std::uint64_t server_hash = hash64(std::uint64_t{s.value()});
+    const std::uint64_t dc_hash = dc_hashes_[dc.value()];
+    const std::uint64_t server_hash = server_hashes_[s.value()];
     ServerId* const column =
         relays_.data() + std::size_t{dc.value()} * partitions;
     for (std::size_t p = 0; p < partitions; ++p) {
@@ -82,7 +93,7 @@ void Router::servers_up(std::span<const ServerId> servers) {
       const std::uint64_t key = hash_combine(partition_keys_[p], dc_hash);
       const std::uint64_t mine = hash_combine(key, server_hash);
       const std::uint64_t theirs =
-          hash_combine(key, hash64(std::uint64_t{cell.value()}));
+          hash_combine(key, server_hashes_[cell.value()]);
       if (mine > theirs || (mine == theirs && s < cell)) cell = s;
     }
   }
@@ -96,6 +107,13 @@ ServerId Router::cached_relay(PartitionId partition, DatacenterId dc) const {
 ServerId Router::relay_for(PartitionId partition, DatacenterId dc,
                            std::span<const ServerId> live_servers) {
   return rendezvous_pick(relay_key(partition, dc), live_servers);
+}
+
+ServerId Router::fill_relay(PartitionId partition, DatacenterId dc,
+                            std::span<const ServerId> live_servers) const {
+  return rendezvous_pick(hash_combine(partition_keys_[partition.value()],
+                                      dc_hashes_[dc.value()]),
+                         live_servers, server_hashes_);
 }
 
 const Route& Router::route(

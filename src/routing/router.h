@@ -26,16 +26,19 @@
 //    pick). Empty cells stay empty and are filled on the next lookup.
 // The table is column-major (one contiguous column of partitions per
 // datacenter), so both hooks read only the changed servers' datacenter
-// columns, front to back, and hash each changed server and its datacenter
-// once (partition keys are hashed once, in reserve_relays): a wave costs
-// O(partitions · changed DCs), not O(partitions · DCs).
+// columns, front to back: a wave costs O(partitions · changed DCs), not
+// O(partitions · DCs). reserve_relays hashes every partition key, server
+// id and datacenter id once; table fills and servers_up read those
+// columns, so a candidate's weight is one hash_combine over its stored
+// hash64 — the same weight relay_for computes from scratch.
 // In the engine, Simulation::fail_servers and recover_servers call the
 // hooks; placement changes need nothing, since the holder stage is the
 // holder itself and every other cell depends only on liveness.
 //
 // Only partitions reserved by reserve_relays are cached. A Router with no
 // reserved partitions (the one InvariantChecker builds) computes every
-// relay directly, so it stays an independent oracle for the table.
+// relay directly with relay_for, hashing on the fly, so it stays an
+// independent oracle for the table and its hash columns.
 //
 // Concurrency: a partition's cells are only read and written by the code
 // routing that partition. The sharded propagate pass gives each shard a
@@ -176,6 +179,10 @@ class Router {
     return kHopLatencyMs * static_cast<double>(hops) +
            paths_->distance_km(requester, dc) / kFibreKmPerMs;
   }
+  /// relay_for for a reserved partition, from the stored hash columns.
+  [[nodiscard]] ServerId fill_relay(PartitionId partition, DatacenterId dc,
+                                    std::span<const ServerId> live_servers)
+      const;
   /// The table cell for (partition, dc), or nullptr outside the reserved
   /// partitions.
   [[nodiscard]] ServerId* relay_cell(PartitionId partition,
@@ -192,6 +199,10 @@ class Router {
   mutable std::vector<ServerId> relays_;
   /// HashRing::partition_key of each reserved partition.
   std::vector<std::uint64_t> partition_keys_;
+  /// hash64 of every server id and every datacenter id; filled by the
+  /// first reserve_relays.
+  std::vector<std::uint64_t> server_hashes_;
+  std::vector<std::uint64_t> dc_hashes_;
   /// Context backing the serial route() overload.
   mutable RouteCtx serial_ctx_;
   // Registry-owned counters (not ours); null when telemetry is detached.
@@ -228,7 +239,7 @@ RouteEnd Router::walk(PartitionId partition, DatacenterId requester,
       if (cell == nullptr) {
         relay = relay_for(partition, dc, live);
       } else {
-        if (!cell->valid()) *cell = relay_for(partition, dc, live);
+        if (!cell->valid()) *cell = fill_relay(partition, dc, live);
         relay = *cell;
       }
     }

@@ -62,13 +62,6 @@ std::uint32_t ClusterState::replica_count(PartitionId p) const {
 std::vector<ServerId> ClusterState::hosts_in_dc(PartitionId p,
                                                 DatacenterId dc) const {
   std::vector<ServerId> out;
-  hosts_in_dc_into(p, dc, out);
-  return out;
-}
-
-void ClusterState::hosts_in_dc_into(PartitionId p, DatacenterId dc,
-                                    std::vector<ServerId>& out) const {
-  out.clear();
   ServerId primary = ServerId::invalid();
   for (const Replica& r : replicas_of(p)) {
     if (topology_->server(r.server).datacenter == dc) {
@@ -81,6 +74,7 @@ void ClusterState::hosts_in_dc_into(PartitionId p, DatacenterId dc,
   }
   std::sort(out.begin(), out.end());
   if (primary.valid()) out.push_back(primary);
+  return out;
 }
 
 Bytes ClusterState::storage_used(ServerId s) const {

@@ -55,10 +55,6 @@ class ClusterState {
   /// in ascending server id (the deterministic absorption order).
   [[nodiscard]] std::vector<ServerId> hosts_in_dc(PartitionId p,
                                                   DatacenterId dc) const;
-  /// Append the same sequence hosts_in_dc returns into `out` (cleared
-  /// first) — the allocation-free variant the sharded propagate uses.
-  void hosts_in_dc_into(PartitionId p, DatacenterId dc,
-                        std::vector<ServerId>& out) const;
 
   // --- capacity ------------------------------------------------------------
   [[nodiscard]] Bytes storage_used(ServerId s) const;

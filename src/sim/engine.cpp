@@ -89,29 +89,77 @@ double Simulation::transfer_cost(DatacenterId from, DatacenterId to,
   return d * config_.failure_rate * s_over_b;
 }
 
-void Simulation::PropagateShard::begin_epoch() {
+void Simulation::PropagateShard::begin_epoch(std::size_t servers) {
   samples.clear();
   work.clear();
   segments.clear();
-  cache_valid = false;
-  host_cache_used = 0;
+  if (columns.size() != servers) columns.assign(servers, DenseCell{});
 }
 
-std::span<const ServerId> Simulation::PropagateShard::hosts(
-    const ClusterState& cluster, PartitionId p, DatacenterId dc) {
-  if (!cache_valid || cached_partition != p.value()) {
-    cached_partition = p.value();
-    cache_valid = true;
-    host_cache_used = 0;
+void Simulation::PropagateShard::begin_run(const ClusterState& cluster,
+                                           const Topology& topology,
+                                           const EpochTraffic& traffic,
+                                           PartitionId p) {
+  // Replica plan: hosts_in_dc order within each datacenter — non-primary
+  // copies by ascending id, then the primary — with the datacenters in
+  // ascending id.
+  plan.clear();
+  for (const Replica& r : cluster.replicas_of(p)) {
+    plan.push_back(PlanCopy{topology.server(r.server).datacenter.value(),
+                            r.primary, r.server});
   }
-  for (std::size_t i = 0; i < host_cache_used; ++i) {
-    if (host_cache[i].dc == dc.value()) return host_cache[i].hosts;
+  std::sort(plan.begin(), plan.end(), [](const PlanCopy& a, const PlanCopy& b) {
+    if (a.dc != b.dc) return a.dc < b.dc;
+    if (a.primary != b.primary) return b.primary;
+    return a.server < b.server;
+  });
+  plan_dcs.clear();
+  for (std::uint32_t i = 0; i < plan.size(); ++i) {
+    if (i == 0 || plan[i].dc != plan[i - 1].dc) {
+      plan_dcs.push_back(PlanDc{plan[i].dc, i, i + 1});
+    } else {
+      plan_dcs.back().end = i + 1;
+    }
   }
-  if (host_cache_used == host_cache.size()) host_cache.emplace_back();
-  HostsEntry& entry = host_cache[host_cache_used++];
-  entry.dc = dc.value();
-  cluster.hosts_in_dc_into(p, dc, entry.hosts);
-  return entry.hosts;
+  // An earlier run of the same partition (only in batches that are not
+  // partition-major) left cells behind: continue from their totals.
+  for (const TrafficCell& c : traffic.cells(p)) {
+    columns[c.server] = DenseCell{c.node, c.served, true};
+    touched.push_back(c.server);
+  }
+}
+
+std::span<const Simulation::PropagateShard::PlanCopy>
+Simulation::PropagateShard::hosts(DatacenterId dc) const {
+  for (const PlanDc& group : plan_dcs) {
+    if (group.dc == dc.value()) {
+      return std::span<const PlanCopy>(plan).subspan(group.begin,
+                                                     group.end - group.begin);
+    }
+  }
+  return {};
+}
+
+Simulation::PropagateShard::DenseCell& Simulation::PropagateShard::cell(
+    ServerId s) {
+  DenseCell& c = columns[s.value()];
+  if (!c.touched) {
+    c.touched = true;
+    touched.push_back(s.value());
+  }
+  return c;
+}
+
+void Simulation::PropagateShard::end_run(EpochTraffic& traffic, PartitionId p) {
+  std::sort(touched.begin(), touched.end());
+  std::vector<TrafficCell>& cells = traffic.cells_mut(p);
+  cells.clear();
+  for (const std::uint32_t s : touched) {
+    DenseCell& c = columns[s];
+    cells.push_back(TrafficCell{s, c.node, c.served});
+    c = DenseCell{};
+  }
+  touched.clear();
 }
 
 void Simulation::propagate_flow(
@@ -150,23 +198,24 @@ void Simulation::propagate_flow(
     if (residual <= 0.0) return false;
     // The relay sees (and forwards) the residual reaching this DC —
     // this is Eq. 2's tr_ijkt for the forwarding node.
-    traffic_.node_traffic_mut(flow.partition, stage.relay) += residual;
+    shard.cell(stage.relay).node += residual;
     shard.work.push_back(WorkDelta{stage.relay.value(), residual});
 
     // Local absorption: every copy hosted in this datacenter takes up
     // to its remaining per-replica capacity, non-primaries first, in
     // deterministic order (Eqs. 2-8's sequential capacity subtraction).
-    for (const ServerId host : shard.hosts(cluster_, flow.partition,
-                                           stage.dc)) {
+    for (const PropagateShard::PlanCopy& copy : shard.hosts(stage.dc)) {
       if (residual <= 0.0) break;
+      const ServerId host = copy.server;
       const double cap =
           world_.topology.server(host).spec.per_replica_capacity;
-      const double already = traffic_.served(flow.partition, host);
+      const double already = shard.columns[host.value()].served;
       const double take = std::min(residual, std::max(0.0, cap - already));
       if (take <= 0.0) continue;
-      traffic_.served_mut(flow.partition, host) += take;
+      PropagateShard::DenseCell& cell = shard.cell(host);
+      cell.served += take;
       if (host != stage.relay) {
-        traffic_.node_traffic_mut(flow.partition, host) += take;
+        cell.node += take;
         shard.work.push_back(WorkDelta{host.value(), take});
       }
       shard.samples.push_back(PathDelta{
@@ -243,16 +292,21 @@ void Simulation::propagate(const QueryBatch& batch) {
       partition_major ? shard_count_for(pool_.get(), n_runs, /*min_grain=*/1)
                       : 1;
   if (shards_.size() < shards) shards_.resize(shards);
-  for (unsigned s = 0; s < shards; ++s) shards_[s].begin_epoch();
+  for (unsigned s = 0; s < shards; ++s) {
+    shards_[s].begin_epoch(traffic_.servers());
+  }
 
   parallel_for_shards(
       pool_.get(), n_runs, shards, [&](unsigned s, IndexRange range) {
         PropagateShard& shard = shards_[s];
         for (std::size_t ri = range.begin; ri < range.end; ++ri) {
           const FlowRun& run = runs_[ri];
+          const PartitionId p{run.partition};
+          shard.begin_run(cluster_, world_.topology, traffic_, p);
           for (std::uint32_t f = run.begin; f < run.end; ++f) {
             propagate_flow(batch[f], live_by_dc, shard);
           }
+          shard.end_run(traffic_, p);
         }
       });
 
@@ -476,10 +530,14 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
                                          a.why}));
   }
 
-  if (report.repairs_starved > kStarvedRepairWarnThreshold) {
+  if (report.repairs_starved > kStarvedRepairWarnThreshold &&
+      !warned_starved_repairs_) {
+    warned_starved_repairs_ = true;
     log(LogLevel::kWarn,
         "epoch %u: %u availability-floor repairs starved on node caps "
-        "(raise max_vnodes / partitions_hint)",
+        "(raise max_vnodes / partitions_hint); later epochs are tallied in "
+        "EpochReport::repairs_starved and rfh_repairs_starved_total "
+        "without a warning",
         epoch_, report.repairs_starved);
   }
 }

@@ -62,9 +62,10 @@ inline constexpr std::uint64_t kStreamStreamTag = 0x7374726D;  // "strm"
 inline constexpr double kTrafficShiftThreshold = 0.25;
 
 /// kNodeCap drops of availability-floor repairs above this count per
-/// epoch emit a once-per-epoch warning and are tallied into
+/// epoch are tallied into EpochReport::repairs_starved and
 /// rfh_repairs_starved_total — the silent repair-starvation signal the
-/// default vnode cap used to hide at 10k+ servers.
+/// default vnode cap used to hide at 10k+ servers. The first such epoch
+/// of a Simulation also logs one warning.
 inline constexpr std::uint32_t kStarvedRepairWarnThreshold = 0;
 
 /// Everything observable about one epoch, for metrics collection.
@@ -293,30 +294,53 @@ class Simulation {
     std::vector<WorkDelta> work;
     std::vector<FlowSegment> segments;  ///< only filled when a log is attached
     Router::RouteCtx route_ctx;
-    /// hosts_in_dc results for the partition currently being processed,
-    /// one entry per datacenter touched (placement is frozen during
-    /// propagate, so caching is exact).
-    struct HostsEntry {
+    /// The run's replica plan: the partition's copies sorted by datacenter
+    /// and, within one, in hosts_in_dc order; plan_dcs holds each
+    /// datacenter's [begin, end) slice. Placement is frozen during
+    /// propagate, so the plan read on entering a run stays exact.
+    struct PlanCopy {
       std::uint32_t dc = 0;
-      std::vector<ServerId> hosts;
+      bool primary = false;
+      ServerId server;
     };
-    std::vector<HostsEntry> host_cache;
-    std::size_t host_cache_used = 0;
-    std::uint32_t cached_partition = 0;
-    bool cache_valid = false;
+    struct PlanDc {
+      std::uint32_t dc = 0;
+      std::uint32_t begin = 0;
+      std::uint32_t end = 0;
+    };
+    std::vector<PlanCopy> plan;
+    std::vector<PlanDc> plan_dcs;
+    /// Dense traffic columns of the run's partition, indexed by server id
+    /// and all-zero between runs; `touched` lists the servers written.
+    struct DenseCell {
+      double node = 0.0;
+      double served = 0.0;
+      bool touched = false;
+    };
+    std::vector<DenseCell> columns;
+    std::vector<std::uint32_t> touched;
 
-    void begin_epoch();
-    /// Cached hosts_in_dc(p, dc); the span is valid until the next call.
-    std::span<const ServerId> hosts(const ClusterState& cluster, PartitionId p,
-                                    DatacenterId dc);
+    /// Clear the epoch's deferred writes; size the columns to `servers`.
+    void begin_epoch(std::size_t servers);
+    /// Build p's replica plan and load its existing traffic cells.
+    void begin_run(const ClusterState& cluster, const Topology& topology,
+                   const EpochTraffic& traffic, PartitionId p);
+    /// The plan's copies in `dc` (hosts_in_dc(p, dc) order); empty if none.
+    [[nodiscard]] std::span<const PlanCopy> hosts(DatacenterId dc) const;
+    /// s's column slot, listed as touched on first use.
+    DenseCell& cell(ServerId s);
+    /// Write the touched slots back as p's cells, sorted by server id, and
+    /// zero them.
+    void end_run(EpochTraffic& traffic, PartitionId p);
   };
 
   void seed_primaries();
   void propagate(const QueryBatch& batch);
-  /// Route and absorb one flow. Partition-indexed traffic state is
-  /// written directly (the caller guarantees this shard owns the flow's
-  /// partition); writes to global accumulators are deferred into `shard`
-  /// for the shard-order replay.
+  /// Route and absorb one flow of the shard's current run. Node and
+  /// served traffic go to the shard's columns, other partition-indexed
+  /// state is written directly (the caller guarantees this shard owns the
+  /// flow's partition); writes to global accumulators are deferred into
+  /// `shard` for the shard-order replay.
   void propagate_flow(const QueryFlow& flow,
                       std::span<const std::vector<ServerId>> live_by_dc,
                       PropagateShard& shard);
@@ -382,6 +406,8 @@ class Simulation {
   /// against (negative = not yet initialized).
   std::vector<double> shift_baseline_;
   std::uint32_t data_losses_ = 0;
+  /// Set once the starved-repair warning has been logged.
+  bool warned_starved_repairs_ = false;
   /// EC mode: 1 when the stripe currently has fewer than k live fragments
   /// (reconstruction-infeasible; counted as a data loss until repairs
   /// bring it back above k, which emits StripeReconstructed). Unused in

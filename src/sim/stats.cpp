@@ -82,7 +82,17 @@ void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
             if (take_old) ++i;
             if (take_fresh) ++j;
           }
-          node_cells_[p].assign(merged.begin(), merged.end());
+          // Hand the merged cells over instead of copying them; `merged`
+          // takes the old buffer and reuses it for the shard's next
+          // partition. A scratch buffer more than twice the cells' size
+          // is copied from instead, so it stays scratch: swapping alone
+          // lets every partition's capacity creep up to the hottest
+          // partition's over the epochs.
+          if (merged.capacity() <= 2 * merged.size()) {
+            node_cells_[p].swap(merged);
+          } else {
+            node_cells_[p].assign(merged.begin(), merged.end());
+          }
           node_traffic_sum_[p] = sum;
 
           for (std::uint32_t dc = 0; dc < datacenters_; ++dc) {

@@ -6,10 +6,12 @@
 // per server that actually saw traffic for it this epoch — a handful of
 // replicas and relay hops, never the full server axis. At the Table I
 // scale the difference is noise; at 100k servers the dense planes would
-// be gigabytes memset every epoch, and the sharded propagate pass
-// (DESIGN.md §15) wants exactly this layout: each shard owns a contiguous
-// partition range and writes its partitions' cell vectors with no shared
-// state.
+// be gigabytes memset every epoch. The sharded propagate pass (DESIGN.md
+// §15) wants exactly this layout: each shard owns a contiguous partition
+// range, absorbs one partition at a time into its own dense per-server
+// columns, and at the end of the partition's run writes the touched
+// servers back through cells_mut, sorted — no shared state, and no
+// sorted insert per write.
 //
 // Absent cells read as exactly 0.0 through the accessors, and every
 // consumer that used to scan the dense plane (stats EWMA, oracle diff,
@@ -20,7 +22,8 @@
 // The *_mut accessors insert-or-find a cell and hand back a reference;
 // a later insert into the same partition invalidates it (callers do
 // single assignments or immediate +=, never hold references across
-// writes).
+// writes). They serve tests and hand-built traffic; the engine writes
+// whole cell vectors through cells_mut.
 #pragma once
 
 #include <algorithm>
@@ -96,8 +99,9 @@ class EpochTraffic {
     RFH_ASSERT(p.value() < partitions_);
     return cells_[p.value()];
   }
-  /// Writable cell vector for shard-owned partitions (sharded propagate
-  /// compacts its scratch columns straight into this).
+  /// Writable cell vector for shard-owned partitions. Propagate replaces
+  /// it at the end of each partition run with the run's touched column
+  /// slots; the vector must stay sorted by server id.
   [[nodiscard]] std::vector<TrafficCell>& cells_mut(PartitionId p) {
     RFH_ASSERT(p.value() < partitions_);
     return cells_[p.value()];

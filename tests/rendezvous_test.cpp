@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <vector>
+
+#include "common/rng.h"
+#include "ring/hash.h"
 
 namespace rfh {
 namespace {
@@ -73,6 +77,28 @@ TEST(Rendezvous, SpreadsKeysRoughlyUniformly) {
   for (const auto& [server, count] : counts) {
     EXPECT_GT(count, n / 10) << server.value();
     EXPECT_LT(count, n / 2) << server.value();
+  }
+}
+
+TEST(Rendezvous, PrecomputedHashesPickTheSameServer) {
+  // The hash-column form must be the hashing form with hash64(id) read
+  // from the column: same winner over random, unsorted candidate sets.
+  constexpr std::uint32_t kServers = 300;
+  std::vector<std::uint64_t> hashes(kServers);
+  for (std::uint32_t s = 0; s < kServers; ++s) hashes[s] = hash64(std::uint64_t{s});
+  Rng rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<ServerId> candidates;
+    const std::uint64_t size = 1 + rng.uniform(64);
+    for (const std::size_t id :
+         rng.sample_without_replacement(kServers, size)) {
+      candidates.push_back(ServerId{static_cast<std::uint32_t>(id)});
+    }
+    rng.shuffle(std::span<ServerId>(candidates));
+    const std::uint64_t key = rng.next();
+    EXPECT_EQ(rendezvous_pick(key, candidates, hashes),
+              rendezvous_pick(key, candidates))
+        << "trial " << trial;
   }
 }
 

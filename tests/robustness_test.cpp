@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/log.h"
 #include "core/rfh_policy.h"
@@ -209,7 +210,12 @@ TEST(Robustness, DefaultVnodeCapStarvesFloorRepairsAtScale) {
   // than its 16-vnode default cap has room for, and the overflow is
   // dropped — previously indistinguishable from any other kNodeCap drop.
   // With WorldOptions::partitions_hint the cap is exactly never-binding
-  // and every starved repair disappears.
+  // and every starved repair disappears. The warning is logged once per
+  // simulation, at its first starved epoch; the report keeps the tally.
+  struct Starvation {
+    std::uint64_t repairs = 0;
+    std::uint32_t epochs = 0;  // epochs with at least one starved repair
+  };
   const auto starved_repairs = [](bool with_hint) {
     SimConfig config;
     config.partitions = 800;
@@ -229,23 +235,42 @@ TEST(Robustness, DefaultVnodeCapStarvesFloorRepairsAtScale) {
         build_synthetic_world(100, options), config,
         std::make_unique<UniformWorkload>(params),
         std::make_unique<RfhPolicy>());
-    std::uint64_t starved = 0;
-    for (int e = 0; e < 10; ++e) starved += sim->step().repairs_starved;
+    Starvation starved;
+    const auto step = [&] {
+      const std::uint32_t n = sim->step().repairs_starved;
+      starved.repairs += n;
+      if (n > 0) ++starved.epochs;
+    };
+    for (int e = 0; e < 10; ++e) step();
     // Rolling churn keeps a repair backlog alive past the bootstrap.
     for (int wave = 0; wave < 10; ++wave) {
       sim->fail_random_servers(200);
-      starved += sim->step().repairs_starved;
+      step();
       std::vector<ServerId> dead;
       for (const Server& s : sim->topology().servers()) {
         if (!sim->cluster().alive(s.id)) dead.push_back(s.id);
       }
       sim->recover_servers(dead);
-      starved += sim->step().repairs_starved;
+      step();
     }
     return starved;
   };
-  EXPECT_GT(starved_repairs(/*with_hint=*/false), 0u);
-  EXPECT_EQ(starved_repairs(/*with_hint=*/true), 0u);
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  const Starvation capped = starved_repairs(/*with_hint=*/false);
+  const std::string log_text = testing::internal::GetCapturedStderr();
+  set_log_level(level);
+  EXPECT_GT(capped.repairs, 0u);
+  EXPECT_GT(capped.epochs, 1u);
+  std::size_t warnings = 0;
+  for (std::size_t at = log_text.find("repairs starved on node caps");
+       at != std::string::npos;
+       at = log_text.find("repairs starved on node caps", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_EQ(warnings, 1u);
+  EXPECT_EQ(starved_repairs(/*with_hint=*/true).repairs, 0u);
 }
 
 TEST(Logging, LevelFilterWorks) {

@@ -212,5 +212,47 @@ TEST(TrafficPropagation, RequesterQueriesAreRecordedPerFlow) {
   EXPECT_DOUBLE_EQ(sim->traffic().total_queries(), 10.0);
 }
 
+TEST(TrafficPropagation, RevisitedPartitionContinuesFromItsEarlierRun) {
+  // {P, Q, P} is not partition-major, so P's second flow is routed in a
+  // later run than its first — and must see the capacity the first one
+  // consumed at the holder.
+  const PartitionId p{0};
+  const PartitionId q{1};
+  SimConfig config;
+  config.partitions = 2;
+
+  auto probe = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>(),
+                                    config, test::uniform_world_options(kCap));
+  const ServerId holder = probe->cluster().primary_of(p);
+  const DatacenterId holder_dc = probe->topology().server(holder).datacenter;
+  const DatacenterId first = remote_requester(*probe, p);
+  ASSERT_TRUE(first.valid());
+  DatacenterId second;
+  for (const Datacenter& dc : probe->topology().datacenters()) {
+    if (dc.id != holder_dc && dc.id != first) {
+      second = dc.id;
+      break;
+    }
+  }
+  ASSERT_TRUE(second.valid());
+
+  constexpr double kFirst = 1.5;   // under capacity: all served
+  constexpr double kSecond = 3.0;  // only kCap - kFirst left to serve
+  auto sim = test::make_fixed_sim(
+      {QueryFlow{p, first, kFirst}, QueryFlow{q, first, 1.0},
+       QueryFlow{p, second, kSecond}},
+      std::make_unique<test::NullPolicy>(), config,
+      test::uniform_world_options(kCap));
+  ASSERT_EQ(sim->cluster().primary_of(p), holder);
+  sim->step();
+
+  const EpochTraffic& traffic = sim->traffic();
+  // No copy upstream: both flows reach the holder whole.
+  EXPECT_DOUBLE_EQ(traffic.served(p, holder), kCap);
+  EXPECT_DOUBLE_EQ(traffic.node_traffic(p, holder), kFirst + kSecond);
+  EXPECT_DOUBLE_EQ(traffic.unserved(p), kFirst + kSecond - kCap);
+  EXPECT_DOUBLE_EQ(total_served(traffic, p), kCap);
+}
+
 }  // namespace
 }  // namespace rfh
