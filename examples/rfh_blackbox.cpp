@@ -23,7 +23,6 @@
 //                     distinct cause chains feeding it
 //   --out=FILE        dump the whole record as JSONL
 // With no query flag the tool prints a summary of the record.
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "check/case.h"
+#include "common/parse.h"
 #include "harness/runner.h"
 #include "obs/timeline.h"
 
@@ -48,12 +48,6 @@ bool consume(const char* arg, const char* name, std::string& value) {
   if (std::strncmp(arg, name, len) != 0) return false;
   value = arg + len;
   return true;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
 int usage(const char* error) {
@@ -103,22 +97,25 @@ int main(int argc, char** argv) {
     } else if (consume(arg, "--out=", value)) {
       out_path = value;
     } else if (consume(arg, "--seed=", value)) {
-      if (!parse_u64(value, seed)) return usage("--seed expects an integer");
+      if (!rfh::parse_uint(value, seed)) {
+        return usage("--seed expects an integer");
+      }
       seed_set = true;
     } else if (consume(arg, "--epochs=", value)) {
-      if (!parse_u64(value, epochs) || epochs == 0) {
+      if (!rfh::parse_uint(value, epochs) || epochs == 0) {
         return usage("--epochs expects a positive integer");
       }
     } else if (consume(arg, "--partitions=", value)) {
-      if (!parse_u64(value, partitions) || partitions == 0) {
+      if (!rfh::parse_uint(value, partitions) || partitions == 0) {
         return usage("--partitions expects a positive integer");
       }
     } else if (consume(arg, "--kill=", value)) {
       const std::size_t at = value.find('@');
       std::uint64_t n = 0;
       std::uint64_t epoch = 0;
-      if (at == std::string::npos || !parse_u64(value.substr(0, at), n) ||
-          !parse_u64(value.substr(at + 1), epoch) || n == 0) {
+      if (at == std::string::npos ||
+          !rfh::parse_uint(value.substr(0, at), n) ||
+          !rfh::parse_uint(value.substr(at + 1), epoch) || n == 0) {
         return usage("--kill expects N@E with positive N");
       }
       rfh::FailureEvent event;
@@ -130,12 +127,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--storm") == 0) {
       storm_mode = true;
     } else if (consume(arg, "partition=", value)) {
-      if (!why_mode || !parse_u64(value, why_partition)) {
+      if (!why_mode || !rfh::parse_uint(value, why_partition)) {
         return usage("partition=P belongs after --why");
       }
       why_partition_set = true;
     } else if (consume(arg, "epoch=", value)) {
-      if (!why_mode || !parse_u64(value, why_epoch)) {
+      if (!why_mode || !rfh::parse_uint(value, why_epoch)) {
         return usage("epoch=E belongs after --why");
       }
     } else {

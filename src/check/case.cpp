@@ -1,10 +1,11 @@
 #include "check/case.h"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
+
+#include "common/parse.h"
 
 namespace rfh {
 
@@ -147,18 +148,6 @@ class FlatJsonParser {
   std::size_t pos_ = 0;
 };
 
-bool parse_u64_field(const std::string& text, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_double_field(const std::string& text, double& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
 }  // namespace
 
 const char* workload_kind_name(WorkloadKind kind) noexcept {
@@ -284,7 +273,7 @@ CheckCase::ParseResult CheckCase::from_json(std::string_view text) {
                key == "partitions" || key == "epochs") {
       err = want_plain("non-negative integer");
       std::uint64_t v = 0;
-      if (err.empty() && !parse_u64_field(raw, v)) {
+      if (err.empty() && !parse_uint(raw, v)) {
         err = "field '" + key + "' expects an integer, got '" + raw + "'";
       }
       if (err.empty()) {
@@ -304,7 +293,7 @@ CheckCase::ParseResult CheckCase::from_json(std::string_view text) {
                key == "min_availability") {
       err = want_plain("number");
       double v = 0.0;
-      if (err.empty() && !parse_double_field(raw, v)) {
+      if (err.empty() && !parse_finite(raw, v)) {
         err = "field '" + key + "' expects a number, got '" + raw + "'";
       }
       if (err.empty()) {

@@ -7,7 +7,8 @@
 //
 // The JSON codec here is deliberately minimal: one flat object of
 // string / number / bool fields, doubles printed with %.17g and parsed
-// with from_chars so serialize(parse(x)) is bit-exact. The fault plan is
+// with from_chars (common/parse.h: finite values only) so
+// serialize(parse(x)) is bit-exact. The fault plan is
 // embedded as its canonical text spec (fault/plan.h) in a JSON string.
 #pragma once
 

@@ -1,12 +1,12 @@
 #include "fault/plan.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/parse.h"
 
 namespace rfh {
 
@@ -36,18 +36,6 @@ bool kind_from_name(std::string_view name, FaultKind& out) {
     }
   }
   return false;
-}
-
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_double_value(std::string_view text, double& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
 }  // namespace
@@ -287,7 +275,7 @@ FaultPlan::ParseResult FaultPlan::parse(std::string_view text) {
       std::uint64_t u = 0;
       const auto want_u32 = [&](std::uint32_t& out,
                                 bool positive) -> std::string {
-        if (!parse_u64(value, u) || u > 0xFFFFFFFFull ||
+        if (!parse_uint(value, u) || u > 0xFFFFFFFFull ||
             (positive && u == 0)) {
           return bad_field(positive ? "expects a positive integer"
                                     : "expects an integer");
@@ -319,7 +307,7 @@ FaultPlan::ParseResult FaultPlan::parse(std::string_view text) {
           if (comma == std::string::npos) comma = list.size();
           const std::string_view item =
               std::string_view(list).substr(start, comma - start);
-          if (!parse_u64(item, u) || u >= ServerId::kInvalidValue) {
+          if (!parse_uint(item, u) || u >= ServerId::kInvalidValue) {
             err = "field 'servers' expects a comma-separated id list "
                   "(got '" +
                   std::string(value) + "')";
@@ -355,7 +343,7 @@ FaultPlan::ParseResult FaultPlan::parse(std::string_view text) {
       } else if (key == "duration") {
         err = want_epoch(event.duration, true);
       } else if (key == "factor") {
-        if (!parse_double_value(value, event.factor)) {
+        if (!parse_finite(value, event.factor)) {
           err = bad_field("expects a number");
         }
       } else {

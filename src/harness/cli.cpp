@@ -1,10 +1,10 @@
 #include "harness/cli.h"
 
-#include <charconv>
 #include <cstring>
 #include <map>
 #include <variant>
 
+#include "common/parse.h"
 #include "obs/sinks.h"
 
 namespace rfh {
@@ -16,18 +16,6 @@ bool consume(const char* arg, const char* name, std::string& value) {
   if (std::strncmp(arg, name, len) != 0) return false;
   value = arg + len;
   return true;
-}
-
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_double(const std::string& text, double& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
 bool is_event_name(std::string_view name) {
@@ -42,7 +30,7 @@ bool is_event_name(std::string_view name) {
 std::optional<unsigned> parse_jobs(std::string_view text) {
   if (text == "auto") return 0u;  // exec/sweep.h: 0 = one per hardware thread
   std::uint64_t jobs = 0;
-  if (!parse_u64(text, jobs) || jobs == 0 || jobs > 1024) return std::nullopt;
+  if (!parse_uint(text, jobs) || jobs == 0 || jobs > 1024) return std::nullopt;
   return static_cast<unsigned>(jobs);
 }
 
@@ -135,25 +123,25 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       }
     } else if (consume(arg, "--epochs=", value)) {
       std::uint64_t epochs = 0;
-      if (!parse_u64(value, epochs) || epochs == 0) {
+      if (!parse_uint(value, epochs) || epochs == 0) {
         return fail("--epochs expects a positive integer");
       }
       options.scenario.epochs = static_cast<Epoch>(epochs);
     } else if (consume(arg, "--seed=", value)) {
       std::uint64_t seed = 0;
-      if (!parse_u64(value, seed)) return fail("--seed expects an integer");
+      if (!parse_uint(value, seed)) return fail("--seed expects an integer");
       options.scenario.sim.seed = seed;
       options.scenario.world.seed = seed;
     } else if (consume(arg, "--partitions=", value)) {
       std::uint64_t partitions = 0;
-      if (!parse_u64(value, partitions) || partitions == 0) {
+      if (!parse_uint(value, partitions) || partitions == 0) {
         return fail("--partitions expects a positive integer");
       }
       options.scenario.sim.partitions =
           static_cast<std::uint32_t>(partitions);
     } else if (consume(arg, "--write-fraction=", value)) {
       double fraction = 0.0;
-      if (!parse_double(value, fraction) || fraction < 0.0 ||
+      if (!parse_finite(value, fraction) || fraction < 0.0 ||
           fraction > 1.0) {
         return fail("--write-fraction expects a number in [0, 1]");
       }
@@ -163,8 +151,8 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       std::uint64_t n = 0;
       std::uint64_t epoch = 0;
       if (at == std::string::npos ||
-          !parse_u64(value.substr(0, at), n) ||
-          !parse_u64(value.substr(at + 1), epoch) || n == 0) {
+          !parse_uint(value.substr(0, at), n) ||
+          !parse_uint(value.substr(at + 1), epoch) || n == 0) {
         return fail("--kill expects N@E with positive N");
       }
       FailureEvent event;
@@ -178,42 +166,42 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       options.jobs = *jobs;
     } else if (consume(arg, "--alpha=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0 && v < 1.0)) {
+      if (!parse_finite(value, v) || !(v > 0.0 && v < 1.0)) {
         return fail("--alpha expects a smoothing factor in (0, 1), got '" +
                     value + "'");
       }
       options.scenario.sim.alpha = v;
     } else if (consume(arg, "--beta=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0)) {
+      if (!parse_finite(value, v) || !(v > 0.0)) {
         return fail("--beta expects a positive overload threshold, got '" +
                     value + "'");
       }
       options.scenario.sim.beta = v;
     } else if (consume(arg, "--gamma=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0)) {
+      if (!parse_finite(value, v) || !(v > 0.0)) {
         return fail("--gamma expects a positive hub threshold, got '" +
                     value + "'");
       }
       options.scenario.sim.gamma = v;
     } else if (consume(arg, "--delta=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v >= 0.0)) {
+      if (!parse_finite(value, v) || !(v >= 0.0)) {
         return fail("--delta expects a non-negative suicide threshold, "
                     "got '" + value + "'");
       }
       options.scenario.sim.delta = v;
     } else if (consume(arg, "--mu=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v >= 0.0)) {
+      if (!parse_finite(value, v) || !(v >= 0.0)) {
         return fail("--mu expects a non-negative migration-benefit "
                     "threshold, got '" + value + "'");
       }
       options.scenario.sim.mu = v;
     } else if (consume(arg, "--phi=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0 && v <= 1.0)) {
+      if (!parse_finite(value, v) || !(v > 0.0 && v <= 1.0)) {
         return fail("--phi expects a storage-limit fraction in (0, 1], "
                     "got '" + value + "'");
       }
@@ -226,7 +214,7 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       }
     } else if (consume(arg, "--arrival-rate=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0)) {
+      if (!parse_finite(value, v) || !(v > 0.0)) {
         return fail("--arrival-rate expects a positive mean arrivals per "
                     "epoch, got '" + value + "'");
       }
@@ -234,7 +222,7 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       stream_flag = "--arrival-rate";
     } else if (consume(arg, "--queue-cap=", value)) {
       std::uint64_t v = 0;
-      if (!parse_u64(value, v) || v == 0 || v > 1000000) {
+      if (!parse_uint(value, v) || v == 0 || v > 1000000) {
         return fail("--queue-cap expects an integer in [1, 1000000], "
                     "got '" + value + "'");
       }
@@ -242,7 +230,7 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       stream_flag = "--queue-cap";
     } else if (consume(arg, "--service-cv=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v >= 0.0)) {
+      if (!parse_finite(value, v) || !(v >= 0.0)) {
         return fail("--service-cv expects a non-negative coefficient of "
                     "variation, got '" + value + "'");
       }

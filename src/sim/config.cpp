@@ -1,18 +1,8 @@
 #include "sim/config.h"
 
-#include <charconv>
+#include "common/parse.h"
 
 namespace rfh {
-
-namespace {
-
-bool parse_u32(std::string_view text, std::uint32_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-}  // namespace
 
 std::string redundancy_spec(const SimConfig& config) {
   if (config.redundancy == RedundancyMode::kReplica) return "replica";
@@ -37,8 +27,8 @@ bool parse_redundancy(std::string_view text, SimConfig& config,
   if (comma == std::string_view::npos) return reject();
   std::uint32_t k = 0;
   std::uint32_t m = 0;
-  if (!parse_u32(args.substr(0, comma), k) ||
-      !parse_u32(args.substr(comma + 1), m)) {
+  if (!parse_uint(args.substr(0, comma), k) ||
+      !parse_uint(args.substr(comma + 1), m)) {
     return reject();
   }
   if (k < 2 || m < 1 || k + m > 16) return reject();

@@ -98,7 +98,6 @@ void Simulation::PropagateShard::begin_epoch(std::size_t servers) {
 
 void Simulation::PropagateShard::begin_run(const ClusterState& cluster,
                                            const Topology& topology,
-                                           const EpochTraffic& traffic,
                                            PartitionId p) {
   // Replica plan: hosts_in_dc order within each datacenter — non-primary
   // copies by ascending id, then the primary — with the datacenters in
@@ -120,12 +119,6 @@ void Simulation::PropagateShard::begin_run(const ClusterState& cluster,
     } else {
       plan_dcs.back().end = i + 1;
     }
-  }
-  // An earlier run of the same partition (only in batches that are not
-  // partition-major) left cells behind: continue from their totals.
-  for (const TrafficCell& c : traffic.cells(p)) {
-    columns[c.server] = DenseCell{c.node, c.served, true};
-    touched.push_back(c.server);
   }
 }
 
@@ -247,64 +240,38 @@ void Simulation::propagate_flow(
   }
 }
 
-void Simulation::propagate(const QueryBatch& batch) {
+void Simulation::propagate(QueryBatch batch) {
   traffic_.reset();
   if (flow_log_ != nullptr) flow_log_->clear();
+  traffic_.set_demand(std::move(batch));
+
+  // One run per partition with demand: the canonical batch holds each
+  // partition's flows contiguously, so a shard's writes to
+  // partition-indexed traffic state and relay-table rows are private to
+  // it.
+  runs_.clear();
+  for (const QueryFlow& flow : traffic_.demand()) {
+    if (runs_.empty() || runs_.back() != flow.partition) {
+      runs_.push_back(flow.partition);
+    }
+  }
+  if (runs_.empty()) return;
   const auto live_by_dc = cluster_.live_by_dc();
-
-  // Serial pre-pass, in flow order: the query tallies (one of which —
-  // total_queries — is a single scalar whose FP association order must
-  // match the serial engine exactly), the count of consecutive
-  // same-partition runs, and the partition-major check.
-  std::size_t n_runs = 0;
-  bool partition_major = true;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const QueryFlow& flow = batch[i];
-    traffic_.add_total_queries(flow.queries);
-    traffic_.partition_queries_mut(flow.partition) += flow.queries;
-    traffic_.requester_queries_mut(flow.partition, flow.requester) +=
-        flow.queries;
-    if (i == 0 || flow.partition != batch[i - 1].partition) ++n_runs;
-    if (i > 0 && flow.partition.value() < batch[i - 1].partition.value()) {
-      partition_major = false;
-    }
-  }
-  if (batch.empty()) return;
-
-  runs_.resize(n_runs);
-  std::size_t r = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (i == 0 || batch[i].partition != batch[i - 1].partition) {
-      runs_[r++] = FlowRun{batch[i].partition.value(),
-                           static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(i + 1)};
-    } else {
-      runs_[r - 1].end = static_cast<std::uint32_t>(i + 1);
-    }
-  }
-
-  // Fan the runs across shards only for partition-major batches (every
-  // built-in generator emits them sorted), where each partition's flows
-  // land in exactly one run — so a shard's writes to partition-indexed
-  // traffic state and relay-table rows are private to it. Arbitrary test
-  // batches take the same code path with a single shard.
   const unsigned shards =
-      partition_major ? shard_count_for(pool_.get(), n_runs, /*min_grain=*/1)
-                      : 1;
+      shard_count_for(pool_.get(), runs_.size(), /*min_grain=*/1);
   if (shards_.size() < shards) shards_.resize(shards);
   for (unsigned s = 0; s < shards; ++s) {
     shards_[s].begin_epoch(traffic_.servers());
   }
 
   parallel_for_shards(
-      pool_.get(), n_runs, shards, [&](unsigned s, IndexRange range) {
+      pool_.get(), runs_.size(), shards, [&](unsigned s, IndexRange range) {
         PropagateShard& shard = shards_[s];
         for (std::size_t ri = range.begin; ri < range.end; ++ri) {
-          const FlowRun& run = runs_[ri];
-          const PartitionId p{run.partition};
-          shard.begin_run(cluster_, world_.topology, traffic_, p);
-          for (std::uint32_t f = run.begin; f < run.end; ++f) {
-            propagate_flow(batch[f], live_by_dc, shard);
+          const PartitionId p = runs_[ri];
+          shard.begin_run(cluster_, world_.topology, p);
+          for (const QueryFlow& flow : traffic_.demand(p)) {
+            propagate_flow(flow, live_by_dc, shard);
           }
           shard.end_run(traffic_, p);
         }
@@ -561,7 +528,7 @@ EpochReport Simulation::step() {
   }
   {
     const ScopedTimer timer(profiler_, Phase::kRouting);
-    propagate(batch);
+    propagate(std::move(batch));
   }
   {
     const ScopedTimer timer(profiler_, Phase::kStatsUpdate);
@@ -584,9 +551,8 @@ EpochReport Simulation::step() {
   Actions actions;
   {
     const ScopedTimer timer(profiler_, Phase::kPolicyDecide);
-    PolicyContext ctx{world_.topology, paths_,      cluster_,
-                      stats_,          traffic_,    config_,
-                      epoch_,          rng_policy_, pool_.get()};
+    PolicyContext ctx{world_.topology, paths_,  cluster_,    stats_,
+                      config_,         epoch_,  rng_policy_, pool_.get()};
     actions = policy_->decide(ctx);
   }
   {

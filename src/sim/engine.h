@@ -263,14 +263,6 @@ class Simulation {
                                      BytesPerEpoch bandwidth) const;
 
  private:
-  /// One contiguous run of same-partition flows in the epoch's batch —
-  /// the unit the sharded propagate distributes, so a partition's flows
-  /// are always processed by exactly one shard, in batch order.
-  struct FlowRun {
-    std::uint32_t partition = 0;
-    std::uint32_t begin = 0;  ///< flow index into the batch
-    std::uint32_t end = 0;    ///< exclusive
-  };
   /// Deferred add_path_sample + add_latency pair. These feed global
   /// accumulators (routed_queries_, the latency histogram) whose FP
   /// association order must match the serial engine, so shards log the
@@ -322,9 +314,9 @@ class Simulation {
 
     /// Clear the epoch's deferred writes; size the columns to `servers`.
     void begin_epoch(std::size_t servers);
-    /// Build p's replica plan and load its existing traffic cells.
+    /// Build p's replica plan.
     void begin_run(const ClusterState& cluster, const Topology& topology,
-                   const EpochTraffic& traffic, PartitionId p);
+                   PartitionId p);
     /// The plan's copies in `dc` (hosts_in_dc(p, dc) order); empty if none.
     [[nodiscard]] std::span<const PlanCopy> hosts(DatacenterId dc) const;
     /// s's column slot, listed as touched on first use.
@@ -335,7 +327,9 @@ class Simulation {
   };
 
   void seed_primaries();
-  void propagate(const QueryBatch& batch);
+  /// Hand `batch` to EpochTraffic::set_demand, then route and absorb
+  /// its canonical flows, one partition run per shard task.
+  void propagate(QueryBatch batch);
   /// Route and absorb one flow of the shard's current run. Node and
   /// served traffic go to the shard's columns, other partition-indexed
   /// state is written directly (the caller guarantees this shard owns the
@@ -427,9 +421,11 @@ class Simulation {
   unsigned jobs_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<PropagateShard> shards_;
-  /// The epoch's run table, rebuilt by every propagate; resize keeps the
+  /// The partitions with demand this epoch, ascending: the unit the
+  /// sharded propagate distributes, so a partition's flows are processed
+  /// by exactly one shard. Rebuilt by every propagate; clear keeps the
   /// capacity, so steady-state epochs allocate nothing.
-  std::vector<FlowRun> runs_;
+  std::vector<PartitionId> runs_;
 };
 
 }  // namespace rfh

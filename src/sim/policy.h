@@ -19,7 +19,6 @@
 #include "sim/cluster.h"
 #include "sim/config.h"
 #include "sim/stats.h"
-#include "sim/traffic.h"
 #include "topology/topology.h"
 
 namespace rfh {
@@ -31,7 +30,6 @@ struct PolicyContext {
   const ShortestPaths& paths;
   const ClusterState& cluster;
   const TrafficStats& stats;
-  const EpochTraffic& traffic;
   const SimConfig& config;
   Epoch epoch = 0;
   Rng& rng;

@@ -95,9 +95,15 @@ void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
           }
           node_traffic_sum_[p] = sum;
 
+          // Merge the partition's demand (ascending requester) into its
+          // requester row; a DC with no flow still takes a*v + b*0.0.
+          const std::span<const QueryFlow> flows = traffic.demand(pid);
+          std::size_t f = 0;
           for (std::uint32_t dc = 0; dc < datacenters_; ++dc) {
+            const bool seen =
+                f < flows.size() && flows[f].requester.value() == dc;
             double& v = requester_queries_[p * datacenters_ + dc];
-            v = a * v + b * traffic.requester_queries(pid, DatacenterId{dc});
+            v = a * v + b * (seen ? flows[f++].queries : 0.0);
           }
         }
       });

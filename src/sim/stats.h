@@ -16,6 +16,10 @@
 // skipping them is bit-identical to the dense scan the seed performed
 // (the differential oracle checks this). Cells whose EWMA decays to
 // exactly 0.0 are pruned for the same reason.
+//
+// The requester rows are the one dense [p][dc] array left: update()
+// merges each with EpochTraffic::demand(p) (ascending requester); a DC
+// with no flow still takes a*v + b*0.0, as a dense plane of zeros did.
 #pragma once
 
 #include <cstddef>

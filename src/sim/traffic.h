@@ -1,6 +1,10 @@
 // Per-epoch traffic observation matrices (the raw inputs to Eqs. 2-8,
 // 20-26).
 //
+// The epoch's demand q_ijt is the workload's QueryBatch itself, put in
+// canonical order by set_demand; nothing here is sized partitions x
+// datacenters.
+//
 // The [partition x server] planes (node_traffic, served) are *sparse*:
 // each partition keeps a short vector of cells sorted by server id, one
 // per server that actually saw traffic for it this epoch — a handful of
@@ -29,12 +33,16 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
 #include "common/histogram.h"
 #include "common/ids.h"
+#include "workload/generator.h"
 
 namespace rfh {
 
@@ -54,18 +62,16 @@ class EpochTraffic {
         servers_(servers),
         datacenters_(datacenters),
         cells_(partitions),
-        requester_queries_(partitions * datacenters, 0.0),
+        demand_begin_(partitions + 1, 0),
         partition_queries_(partitions, 0.0),
         unserved_(partitions, 0.0),
         server_work_(servers, 0.0) {}
 
   void reset() {
     for (std::vector<TrafficCell>& cells : cells_) cells.clear();
-    std::fill(requester_queries_.begin(), requester_queries_.end(), 0.0);
-    std::fill(partition_queries_.begin(), partition_queries_.end(), 0.0);
+    set_demand({});
     std::fill(unserved_.begin(), unserved_.end(), 0.0);
     std::fill(server_work_.begin(), server_work_.end(), 0.0);
-    total_queries_ = 0.0;
     routed_queries_ = 0.0;
     path_hops_weighted_ = 0.0;
     latency_.reset();
@@ -107,19 +113,56 @@ class EpochTraffic {
     return cells_[p.value()];
   }
 
-  /// q_ijt: queries for p issued near datacenter j this epoch.
-  [[nodiscard]] double requester_queries(PartitionId p, DatacenterId j) const {
-    return requester_queries_[p.value() * datacenters_ + j.value()];
+  /// Take the epoch's demand q_ijt and put it in canonical order:
+  /// strictly ascending (partition, requester), equal keys merged by
+  /// summing them in batch order. Generator output is already canonical
+  /// (one scan); anything else is stable-sorted first. Tallies
+  /// total_queries and partition_queries from the canonical flows.
+  void set_demand(QueryBatch batch) {
+    const auto before = [](const QueryFlow& a, const QueryFlow& b) {
+      return std::pair(a.partition.value(), a.requester.value()) <
+             std::pair(b.partition.value(), b.requester.value());
+    };
+    if (std::adjacent_find(batch.begin(), batch.end(),
+                           std::not_fn(before)) != batch.end()) {
+      std::stable_sort(batch.begin(), batch.end(), before);
+      std::size_t out = 0;
+      for (const QueryFlow& flow : batch) {
+        if (out > 0 && !before(batch[out - 1], flow)) {
+          batch[out - 1].queries += flow.queries;
+        } else {
+          batch[out++] = flow;
+        }
+      }
+      batch.resize(out);
+    }
+    demand_ = std::move(batch);
+    total_queries_ = 0.0;
+    std::fill(partition_queries_.begin(), partition_queries_.end(), 0.0);
+    std::fill(demand_begin_.begin(), demand_begin_.end(), 0);
+    for (const QueryFlow& flow : demand_) {
+      RFH_ASSERT(flow.partition.value() < partitions_ &&
+                 flow.requester.value() < datacenters_);
+      total_queries_ += flow.queries;
+      partition_queries_[flow.partition.value()] += flow.queries;
+      ++demand_begin_[flow.partition.value() + 1];
+    }
+    std::partial_sum(demand_begin_.begin(), demand_begin_.end(),
+                     demand_begin_.begin());
   }
-  double& requester_queries_mut(PartitionId p, DatacenterId j) {
-    return requester_queries_[p.value() * datacenters_ + j.value()];
+
+  /// The epoch's canonical demand, partition-major.
+  [[nodiscard]] std::span<const QueryFlow> demand() const { return demand_; }
+  /// q_ijt of partition p: its flows, ascending requester.
+  [[nodiscard]] std::span<const QueryFlow> demand(PartitionId p) const {
+    RFH_ASSERT(p.value() < partitions_);
+    return std::span<const QueryFlow>(demand_).subspan(
+        demand_begin_[p.value()],
+        demand_begin_[p.value() + 1] - demand_begin_[p.value()]);
   }
 
   /// Total queries for p this epoch (sum over requesters).
   [[nodiscard]] double partition_queries(PartitionId p) const {
-    return partition_queries_[p.value()];
-  }
-  double& partition_queries_mut(PartitionId p) {
     return partition_queries_[p.value()];
   }
 
@@ -138,7 +181,6 @@ class EpochTraffic {
   double& server_work_mut(ServerId s) { return server_work_[s.value()]; }
 
   [[nodiscard]] double total_queries() const noexcept { return total_queries_; }
-  void add_total_queries(double q) noexcept { total_queries_ += q; }
 
   /// Mean lookup path length (hops), query-weighted.
   [[nodiscard]] double mean_path_length() const noexcept {
@@ -186,7 +228,8 @@ class EpochTraffic {
   std::size_t servers_;
   std::size_t datacenters_;
   std::vector<std::vector<TrafficCell>> cells_;  // sorted by server, per p
-  std::vector<double> requester_queries_;
+  QueryBatch demand_;                     // canonical, partition-major
+  std::vector<std::size_t> demand_begin_;  // [p]: p's first flow; [P]: end
   std::vector<double> partition_queries_;
   std::vector<double> unserved_;
   std::vector<double> server_work_;

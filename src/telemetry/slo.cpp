@@ -1,9 +1,9 @@
 #include "telemetry/slo.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 
+#include "common/parse.h"
 #include "telemetry/registry.h"
 
 namespace rfh {
@@ -71,9 +71,7 @@ SloParseResult parse_slo(std::string_view text) {
     const std::string_view key = pair.substr(0, eq);
     const std::string_view value = pair.substr(eq + 1);
     double parsed = 0.0;
-    const auto [end, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), parsed);
-    if (ec != std::errc{} || end != value.data() + value.size()) {
+    if (!parse_finite(value, parsed)) {
       result.error =
           "bad number '" + std::string(value) + "' for key '" +
           std::string(key) + "'";

@@ -41,6 +41,11 @@ struct QueryFlow {
   double queries = 0.0;
 };
 
+/// One epoch of demand. Every built-in generator emits it *canonical*:
+/// strictly ascending (partition, requester), one flow per key. The
+/// engine accepts any order — EpochTraffic::set_demand sorts a batch
+/// that is not canonical and merges its equal keys by summing them in
+/// batch order — but for a canonical batch that step is a single scan.
 using QueryBatch = std::vector<QueryFlow>;
 
 class WorkloadGenerator {
@@ -164,7 +169,7 @@ class HotspotShiftWorkload final : public WorkloadGenerator {
 /// Shared implementation: draw Poisson(total), then assign each query a
 /// partition from `partition_rank_to_id` via the Zipf sampler and a
 /// requester from `requester_weights`, aggregating equal (partition,
-/// requester) pairs into one flow.
+/// requester) pairs into one flow. The batch comes out canonical.
 QueryBatch sample_batch(double mean_total, const ZipfSampler& partitions,
                         std::span<const double> requester_weights,
                         std::uint32_t partition_rotation, Rng& rng);

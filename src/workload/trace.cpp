@@ -1,11 +1,11 @@
 #include "workload/trace.h"
 
 #include <array>
-#include <charconv>
 #include <string>
 #include <string_view>
 
 #include "common/assert.h"
+#include "common/parse.h"
 
 namespace rfh {
 
@@ -35,24 +35,6 @@ std::array<std::string_view, 4> split4(std::string_view line) {
   return out;
 }
 
-std::uint32_t parse_u32(std::string_view text) {
-  std::uint32_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  RFH_ASSERT_MSG(ec == std::errc{} && ptr == text.data() + text.size(),
-                 "malformed integer in trace");
-  return value;
-}
-
-double parse_double(std::string_view text) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  RFH_ASSERT_MSG(ec == std::errc{} && ptr == text.data() + text.size(),
-                 "malformed number in trace");
-  return value;
-}
-
 }  // namespace
 
 TraceWorkload TraceWorkload::from_csv(std::istream& in) {
@@ -68,10 +50,16 @@ TraceWorkload TraceWorkload::from_csv(std::istream& in) {
     }
     first_content_line = false;
     const auto fields = split4(line);
-    const std::uint32_t epoch = parse_u32(fields[0]);
-    const std::uint32_t partition = parse_u32(fields[1]);
-    const std::uint32_t requester = parse_u32(fields[2]);
-    const double queries = parse_double(fields[3]);
+    std::uint32_t epoch = 0;
+    std::uint32_t partition = 0;
+    std::uint32_t requester = 0;
+    double queries = 0.0;
+    RFH_ASSERT_MSG(parse_uint(fields[0], epoch) &&
+                       parse_uint(fields[1], partition) &&
+                       parse_uint(fields[2], requester),
+                   "malformed integer in trace");
+    RFH_ASSERT_MSG(parse_finite(fields[3], queries),
+                   "malformed number in trace");
     RFH_ASSERT_MSG(queries >= 0.0, "negative demand in trace");
     if (epoch >= epochs.size()) epochs.resize(epoch + 1);
     epochs[epoch].push_back(QueryFlow{PartitionId{partition},

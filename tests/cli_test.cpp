@@ -66,6 +66,8 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_FALSE(parse({"--seed=abc"}).ok);
   EXPECT_FALSE(parse({"--write-fraction=1.5"}).ok);
   EXPECT_FALSE(parse({"--write-fraction=-0.1"}).ok);
+  // nan slips past every range check: each comparison is false.
+  EXPECT_FALSE(parse({"--write-fraction=nan"}).ok);
 }
 
 TEST(Cli, JobsAcceptsAutoAndExplicitCounts) {
@@ -334,6 +336,8 @@ TEST(Cli, StreamFlagsAreRangeChecked) {
   EXPECT_FALSE(parse({"--workload=stream", "--arrival-rate=0"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--arrival-rate=-5"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--arrival-rate=lots"}).ok);
+  // inf would reach Rng::poisson as the stream's mean.
+  EXPECT_FALSE(parse({"--workload=stream", "--arrival-rate=inf"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--queue-cap=0"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--queue-cap=1000001"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--service-cv=-1"}).ok);

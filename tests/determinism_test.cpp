@@ -9,14 +9,19 @@
 //     comparison;
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/case.h"
+#include "core/rfh_policy.h"
 #include "exec/sweep.h"
 #include "fault/plan.h"
 #include "harness/runner.h"
 #include "metrics/collector.h"
+#include "test_util.h"
 #include "workload/generator.h"
 
 namespace rfh {
@@ -367,6 +372,96 @@ TEST(EngineJobsDeterminismTest, EveryJobsValueProducesTheSameSeries) {
     EXPECT_EQ(series_digest(run.series), series_digest(reference.series))
         << "jobs " << jobs;
     EXPECT_EQ(run.killed, reference.killed) << "jobs " << jobs;
+  }
+}
+
+TEST(EngineJobsDeterminismTest, ShuffledBatchRunsAsItsCanonicalForm) {
+  // EpochTraffic::set_demand puts every batch in canonical order, so a
+  // batch shuffled and split into equal-key pieces (integer counts, so
+  // every merge sum is exact) must run exactly like the canonical batch
+  // a generator emits — same reports, traffic cells and stats — serial
+  // and sharded.
+  constexpr std::uint32_t kEpochs = 8;
+  SimConfig config;
+  config.seed = 5;
+  WorkloadParams params;
+  params.partitions = config.partitions;
+  params.mean_queries_per_epoch = 600.0;
+  UniformWorkload generator(params);
+  Rng draw(17);
+  std::vector<QueryBatch> canonical;
+  std::vector<QueryBatch> shuffled;
+  for (Epoch e = 0; e < kEpochs; ++e) {
+    canonical.push_back(generator.generate(e, draw));
+    QueryBatch pieces;
+    for (const QueryFlow& flow : canonical.back()) {
+      const double head = std::floor(flow.queries / 2.0);
+      if (head > 0.0) {
+        pieces.push_back(QueryFlow{flow.partition, flow.requester, head});
+      }
+      pieces.push_back(
+          QueryFlow{flow.partition, flow.requester, flow.queries - head});
+    }
+    for (std::size_t i = pieces.size(); i > 1; --i) {
+      std::swap(pieces[i - 1], pieces[draw.uniform(i)]);
+    }
+    shuffled.push_back(std::move(pieces));
+  }
+
+  const auto make = [&](std::vector<QueryBatch> schedule, unsigned jobs) {
+    auto sim = std::make_unique<Simulation>(
+        build_paper_world(test::uniform_world_options()), config,
+        std::make_unique<test::ScheduledWorkload>(std::move(schedule)),
+        std::make_unique<RfhPolicy>());
+    sim->set_jobs(jobs);
+    return sim;
+  };
+  for (const unsigned jobs : {1u, 4u}) {
+    auto sim = make(shuffled, jobs);
+    auto sorted = make(canonical, 1);
+    for (Epoch e = 0; e < kEpochs; ++e) {
+      const EpochReport got = sim->step();
+      const EpochReport want = sorted->step();
+      SCOPED_TRACE("jobs " + std::to_string(jobs) + " epoch " +
+                   std::to_string(e));
+      EXPECT_EQ(got.total_queries, want.total_queries);
+      EXPECT_EQ(got.unserved_queries, want.unserved_queries);
+      EXPECT_EQ(got.mean_path_length, want.mean_path_length);
+      EXPECT_EQ(got.replications, want.replications);
+      EXPECT_EQ(got.migrations, want.migrations);
+      EXPECT_EQ(got.suicides, want.suicides);
+      EXPECT_EQ(got.dropped_actions, want.dropped_actions);
+      EXPECT_EQ(got.dropped_by_reason, want.dropped_by_reason);
+      EXPECT_EQ(got.replication_cost, want.replication_cost);
+      EXPECT_EQ(got.migration_cost, want.migration_cost);
+      EXPECT_EQ(got.total_replicas, want.total_replicas);
+      for (std::uint32_t p = 0; p < config.partitions; ++p) {
+        const PartitionId pid{p};
+        const std::span<const TrafficCell> a = sim->traffic().cells(pid);
+        const std::span<const TrafficCell> b = sorted->traffic().cells(pid);
+        ASSERT_EQ(a.size(), b.size()) << "partition " << p;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].server, b[i].server);
+          EXPECT_EQ(a[i].node, b[i].node);
+          EXPECT_EQ(a[i].served, b[i].served);
+        }
+        EXPECT_EQ(sim->stats().avg_query(pid), sorted->stats().avg_query(pid));
+        const std::span<const StatCell> x = sim->stats().node_cells(pid);
+        const std::span<const StatCell> y = sorted->stats().node_cells(pid);
+        ASSERT_EQ(x.size(), y.size()) << "partition " << p;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          EXPECT_EQ(x[i].server, y[i].server);
+          EXPECT_EQ(x[i].ewma, y[i].ewma);
+        }
+        for (const Datacenter& dc : sim->topology().datacenters()) {
+          EXPECT_EQ(sim->stats().requester_queries(pid, dc.id),
+                    sorted->stats().requester_queries(pid, dc.id));
+        }
+      }
+      EXPECT_GT(got.total_queries, 0.0);
+    }
+    // Not vacuous: the policy acted on the stats it was fed.
+    EXPECT_GT(sim->cumulative_replications(), 0u);
   }
 }
 

@@ -169,6 +169,15 @@ TEST(FaultPlanParse, ReportsLineAndField) {
   EXPECT_NE(unknown_field.error.find("'wat'"), std::string::npos)
       << unknown_field.error;
 
+  // A non-finite factor is malformed, not a multiplier of inf demand.
+  for (const char* factor : {"inf", "nan", "-inf"}) {
+    const auto non_finite = FaultPlan::parse(
+        std::string("flashcrowd at=1 duration=2 factor=") + factor + "\n");
+    ASSERT_FALSE(non_finite.ok) << factor;
+    EXPECT_NE(non_finite.error.find("'factor'"), std::string::npos)
+        << non_finite.error;
+  }
+
   const auto missing_file = FaultPlan::parse_file("/no/such/plan.txt");
   ASSERT_FALSE(missing_file.ok);
   EXPECT_NE(missing_file.error.find("/no/such/plan.txt"), std::string::npos);

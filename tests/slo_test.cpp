@@ -50,6 +50,8 @@ TEST(SloParseTest, MalformedInputsRejectedWithReason) {
       << "windows alone must not arm the watchdog";
   EXPECT_FALSE(parse_slo("avail").ok);          // no '='
   EXPECT_FALSE(parse_slo("avail=abc").ok);      // bad number
+  EXPECT_FALSE(parse_slo("avail=nan").ok);      // not finite
+  EXPECT_FALSE(parse_slo("p99=inf").ok);
   EXPECT_FALSE(parse_slo("avail=1.5").ok);      // out of (0,1)
   EXPECT_FALSE(parse_slo("avail=0").ok);
   EXPECT_FALSE(parse_slo("drops=1").ok);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/thread_pool.h"
+
 namespace rfh {
 namespace {
 
@@ -18,9 +20,9 @@ TEST(TrafficStats, FirstUpdateInitializesDirectly) {
   EXPECT_FALSE(stats.initialized());
 
   EpochTraffic traffic = make_traffic();
-  traffic.partition_queries_mut(PartitionId{0}) = 30.0;
+  traffic.set_demand({QueryFlow{PartitionId{0}, DatacenterId{0}, 23.0},
+                      QueryFlow{PartitionId{0}, DatacenterId{1}, 7.0}});
   traffic.node_traffic_mut(PartitionId{0}, ServerId{2}) = 12.0;
-  traffic.requester_queries_mut(PartitionId{0}, DatacenterId{1}) = 7.0;
   traffic.server_work_mut(ServerId{2}) = 9.0;
   stats.update(traffic);
 
@@ -28,8 +30,12 @@ TEST(TrafficStats, FirstUpdateInitializesDirectly) {
   // q_bar is the per-requester average: 30 / 3 datacenters.
   EXPECT_DOUBLE_EQ(stats.avg_query(PartitionId{0}), 10.0);
   EXPECT_DOUBLE_EQ(stats.node_traffic(PartitionId{0}, ServerId{2}), 12.0);
+  EXPECT_DOUBLE_EQ(stats.requester_queries(PartitionId{0}, DatacenterId{0}),
+                   23.0);
   EXPECT_DOUBLE_EQ(stats.requester_queries(PartitionId{0}, DatacenterId{1}),
                    7.0);
+  EXPECT_DOUBLE_EQ(stats.requester_queries(PartitionId{0}, DatacenterId{2}),
+                   0.0);
   EXPECT_DOUBLE_EQ(stats.server_arrival(ServerId{2}), 9.0);
 }
 
@@ -90,7 +96,7 @@ TEST(TrafficStats, SeriesAreIndependentPerPartitionAndServer) {
 TEST(TrafficStats, ConvergesToSteadyInput) {
   TrafficStats stats(kPartitions, kServers, kDatacenters, 0.2);
   EpochTraffic traffic = make_traffic();
-  traffic.partition_queries_mut(PartitionId{3}) = 21.0;
+  traffic.set_demand({QueryFlow{PartitionId{3}, DatacenterId{2}, 21.0}});
   for (int i = 0; i < 50; ++i) stats.update(traffic);
   EXPECT_NEAR(stats.avg_query(PartitionId{3}), 7.0, 1e-9);
 }
@@ -165,10 +171,9 @@ TEST(EpochTraffic, ResetClearsEverything) {
   EpochTraffic traffic = make_traffic();
   traffic.node_traffic_mut(PartitionId{0}, ServerId{0}) = 1.0;
   traffic.served_mut(PartitionId{0}, ServerId{0}) = 1.0;
-  traffic.partition_queries_mut(PartitionId{0}) = 1.0;
+  traffic.set_demand({QueryFlow{PartitionId{0}, DatacenterId{1}, 5.0}});
   traffic.unserved_mut(PartitionId{0}) = 1.0;
   traffic.server_work_mut(ServerId{0}) = 1.0;
-  traffic.add_total_queries(5.0);
   traffic.add_path_sample(2.0, 3.0);
   traffic.reset();
   EXPECT_DOUBLE_EQ(traffic.node_traffic(PartitionId{0}, ServerId{0}), 0.0);
@@ -178,6 +183,86 @@ TEST(EpochTraffic, ResetClearsEverything) {
   EXPECT_DOUBLE_EQ(traffic.server_work(ServerId{0}), 0.0);
   EXPECT_DOUBLE_EQ(traffic.total_queries(), 0.0);
   EXPECT_DOUBLE_EQ(traffic.mean_path_length(), 0.0);
+  EXPECT_TRUE(traffic.demand().empty());
+  EXPECT_TRUE(traffic.demand(PartitionId{0}).empty());
+}
+
+TEST(EpochTraffic, SetDemandKeepsTheCanonicalBatch) {
+  // Shuffled, with (2, 1) twice and (0, 2) three times: the demand comes
+  // back strictly ascending by (partition, requester), equal keys summed.
+  EpochTraffic traffic = make_traffic();
+  traffic.set_demand({QueryFlow{PartitionId{2}, DatacenterId{1}, 1.0},
+                      QueryFlow{PartitionId{0}, DatacenterId{2}, 2.0},
+                      QueryFlow{PartitionId{2}, DatacenterId{0}, 4.0},
+                      QueryFlow{PartitionId{0}, DatacenterId{2}, 8.0},
+                      QueryFlow{PartitionId{2}, DatacenterId{1}, 16.0},
+                      QueryFlow{PartitionId{0}, DatacenterId{0}, 32.0},
+                      QueryFlow{PartitionId{0}, DatacenterId{2}, 64.0}});
+  const std::span<const QueryFlow> all = traffic.demand();
+  ASSERT_EQ(all.size(), 4u);
+  const std::uint32_t want[][2] = {{0, 0}, {0, 2}, {2, 0}, {2, 1}};
+  const double want_queries[] = {32.0, 74.0, 4.0, 17.0};
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].partition.value(), want[i][0]) << i;
+    EXPECT_EQ(all[i].requester.value(), want[i][1]) << i;
+    EXPECT_DOUBLE_EQ(all[i].queries, want_queries[i]) << i;
+  }
+  EXPECT_EQ(traffic.demand(PartitionId{0}).size(), 2u);
+  EXPECT_TRUE(traffic.demand(PartitionId{1}).empty());
+  EXPECT_EQ(traffic.demand(PartitionId{2}).size(), 2u);
+  EXPECT_EQ(traffic.demand(PartitionId{2})[1].queries, 17.0);
+  EXPECT_TRUE(traffic.demand(PartitionId{3}).empty());
+  EXPECT_DOUBLE_EQ(traffic.partition_queries(PartitionId{0}), 106.0);
+  EXPECT_DOUBLE_EQ(traffic.partition_queries(PartitionId{1}), 0.0);
+  EXPECT_DOUBLE_EQ(traffic.partition_queries(PartitionId{2}), 21.0);
+  EXPECT_DOUBLE_EQ(traffic.total_queries(), 127.0);
+
+  // A later set_demand replaces the epoch's demand outright.
+  traffic.set_demand({QueryFlow{PartitionId{1}, DatacenterId{0}, 3.0}});
+  EXPECT_TRUE(traffic.demand(PartitionId{0}).empty());
+  EXPECT_EQ(traffic.demand(PartitionId{1}).size(), 1u);
+  EXPECT_DOUBLE_EQ(traffic.partition_queries(PartitionId{0}), 0.0);
+  EXPECT_DOUBLE_EQ(traffic.total_queries(), 3.0);
+}
+
+TEST(TrafficStats, RequesterRowsFollowTheDemand) {
+  // Enough partitions for the fold to shard them: sharded and serial
+  // agree bit for bit, and a DC without a flow decays as a*v + b*0.0.
+  constexpr std::uint32_t kWide = 256;
+  QueryBatch busy;
+  for (std::uint32_t p = 0; p < kWide; ++p) {
+    busy.push_back(QueryFlow{PartitionId{p}, DatacenterId{0}, 10.0 + p});
+    if (p % 2 == 0) {
+      busy.push_back(QueryFlow{PartitionId{p}, DatacenterId{2}, 0.5 * p});
+    }
+  }
+  EpochTraffic first(kWide, kServers, kDatacenters);
+  first.set_demand(busy);
+  EpochTraffic second(kWide, kServers, kDatacenters);
+  second.set_demand({QueryFlow{PartitionId{4}, DatacenterId{2}, 1.0}});
+
+  TrafficStats serial(kWide, kServers, kDatacenters, 0.2);
+  TrafficStats sharded(kWide, kServers, kDatacenters, 0.2);
+  ThreadPool pool(4);
+  for (const EpochTraffic* traffic : {&first, &second}) {
+    serial.update(*traffic);
+    sharded.update(*traffic, &pool);
+  }
+  EXPECT_DOUBLE_EQ(serial.requester_queries(PartitionId{4}, DatacenterId{0}),
+                   0.2 * 14.0);
+  EXPECT_DOUBLE_EQ(serial.requester_queries(PartitionId{4}, DatacenterId{1}),
+                   0.0);
+  EXPECT_DOUBLE_EQ(serial.requester_queries(PartitionId{4}, DatacenterId{2}),
+                   0.2 * 2.0 + 0.8 * 1.0);
+  for (std::uint32_t p = 0; p < kWide; ++p) {
+    for (std::uint32_t dc = 0; dc < kDatacenters; ++dc) {
+      EXPECT_EQ(serial.requester_queries(PartitionId{p}, DatacenterId{dc}),
+                sharded.requester_queries(PartitionId{p}, DatacenterId{dc}))
+          << p << "," << dc;
+    }
+    EXPECT_EQ(serial.avg_query(PartitionId{p}),
+              sharded.avg_query(PartitionId{p}));
+  }
 }
 
 TEST(EpochTraffic, MeanPathLengthIsQueryWeighted) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <utility>
 
 #include "test_util.h"
 
@@ -206,16 +208,21 @@ TEST(TrafficPropagation, RequesterQueriesAreRecordedPerFlow) {
       std::make_unique<test::NullPolicy>(), one_partition_config(),
       test::uniform_world_options(kCap));
   sim->step();
-  EXPECT_DOUBLE_EQ(sim->traffic().requester_queries(p, DatacenterId{2}), 4.0);
-  EXPECT_DOUBLE_EQ(sim->traffic().requester_queries(p, DatacenterId{5}), 6.0);
+  const std::span<const QueryFlow> demand = sim->traffic().demand(p);
+  ASSERT_EQ(demand.size(), 2u);
+  EXPECT_EQ(demand[0].requester, DatacenterId{2});
+  EXPECT_DOUBLE_EQ(demand[0].queries, 4.0);
+  EXPECT_EQ(demand[1].requester, DatacenterId{5});
+  EXPECT_DOUBLE_EQ(demand[1].queries, 6.0);
   EXPECT_DOUBLE_EQ(sim->traffic().partition_queries(p), 10.0);
   EXPECT_DOUBLE_EQ(sim->traffic().total_queries(), 10.0);
 }
 
 TEST(TrafficPropagation, RevisitedPartitionContinuesFromItsEarlierRun) {
-  // {P, Q, P} is not partition-major, so P's second flow is routed in a
-  // later run than its first — and must see the capacity the first one
-  // consumed at the holder.
+  // {P, Q, P} is not in canonical order: set_demand sorts it into one
+  // run per partition, so P's two flows share the holder's capacity as
+  // if the batch had been sorted — at every jobs value, and with P's
+  // second flow split into two equal-key flows that merge back.
   const PartitionId p{0};
   const PartitionId q{1};
   SimConfig config;
@@ -236,22 +243,51 @@ TEST(TrafficPropagation, RevisitedPartitionContinuesFromItsEarlierRun) {
   }
   ASSERT_TRUE(second.valid());
 
-  constexpr double kFirst = 1.5;   // under capacity: all served
-  constexpr double kSecond = 3.0;  // only kCap - kFirst left to serve
-  auto sim = test::make_fixed_sim(
-      {QueryFlow{p, first, kFirst}, QueryFlow{q, first, 1.0},
-       QueryFlow{p, second, kSecond}},
-      std::make_unique<test::NullPolicy>(), config,
-      test::uniform_world_options(kCap));
-  ASSERT_EQ(sim->cluster().primary_of(p), holder);
-  sim->step();
+  constexpr double kFirst = 1.5;   // under capacity on its own
+  constexpr double kSecond = 3.0;  // together with kFirst, over capacity
+  const QueryBatch revisited = {
+      QueryFlow{p, first, kFirst}, QueryFlow{q, first, 1.0},
+      QueryFlow{p, second, kSecond / 2}, QueryFlow{p, second, kSecond / 2}};
+  QueryBatch canonical = {QueryFlow{p, first, kFirst},
+                          QueryFlow{p, second, kSecond},
+                          QueryFlow{q, first, 1.0}};
+  if (second.value() < first.value()) std::swap(canonical[0], canonical[1]);
 
-  const EpochTraffic& traffic = sim->traffic();
-  // No copy upstream: both flows reach the holder whole.
-  EXPECT_DOUBLE_EQ(traffic.served(p, holder), kCap);
-  EXPECT_DOUBLE_EQ(traffic.node_traffic(p, holder), kFirst + kSecond);
-  EXPECT_DOUBLE_EQ(traffic.unserved(p), kFirst + kSecond - kCap);
-  EXPECT_DOUBLE_EQ(total_served(traffic, p), kCap);
+  for (const unsigned jobs : {1u, 4u}) {
+    auto sim = test::make_fixed_sim(revisited,
+                                    std::make_unique<test::NullPolicy>(),
+                                    config, test::uniform_world_options(kCap));
+    auto sorted = test::make_fixed_sim(canonical,
+                                       std::make_unique<test::NullPolicy>(),
+                                       config,
+                                       test::uniform_world_options(kCap));
+    sim->set_jobs(jobs);
+    ASSERT_EQ(sim->cluster().primary_of(p), holder);
+    sim->step();
+    sorted->step();
+
+    const EpochTraffic& traffic = sim->traffic();
+    const std::span<const QueryFlow> demand = traffic.demand(p);
+    ASSERT_EQ(demand.size(), 2u) << "jobs " << jobs;
+    EXPECT_LT(demand[0].requester.value(), demand[1].requester.value());
+    // No copy upstream: both flows reach the holder whole.
+    EXPECT_DOUBLE_EQ(traffic.served(p, holder), kCap);
+    EXPECT_DOUBLE_EQ(traffic.node_traffic(p, holder), kFirst + kSecond);
+    EXPECT_DOUBLE_EQ(traffic.unserved(p), kFirst + kSecond - kCap);
+    EXPECT_DOUBLE_EQ(total_served(traffic, p), kCap);
+    // Cell for cell what the canonical batch leaves.
+    for (const PartitionId part : {p, q}) {
+      const std::span<const TrafficCell> got = traffic.cells(part);
+      const std::span<const TrafficCell> want = sorted->traffic().cells(part);
+      ASSERT_EQ(got.size(), want.size()) << "jobs " << jobs;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].server, want[i].server);
+        EXPECT_EQ(got[i].node, want[i].node);
+        EXPECT_EQ(got[i].served, want[i].served);
+      }
+      EXPECT_EQ(traffic.unserved(part), sorted->traffic().unserved(part));
+    }
+  }
 }
 
 }  // namespace
