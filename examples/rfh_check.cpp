@@ -48,6 +48,7 @@
 #include "check/fuzzer.h"
 #include "check/mean_field.h"
 #include "check/shrink.h"
+#include "common/parse.h"
 #include "core/rfh_policy.h"
 #include "exec/thread_pool.h"
 #include "fault/chaos.h"
@@ -74,17 +75,6 @@ struct Options {
   bool quiet = false;
 };
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char ch : text) {
-    if (ch < '0' || ch > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  out = value;
-  return true;
-}
-
 bool parse_args(int argc, char** argv, Options& opt, std::string& error) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -92,18 +82,19 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& error) {
       return arg.substr(std::string(prefix).size());
     };
     if (arg.rfind("--seeds=", 0) == 0) {
-      if (!parse_u64(value("--seeds="), opt.seeds) || opt.seeds == 0) {
+      if (!rfh::parse_uint(value("--seeds="), opt.seeds) || opt.seeds == 0) {
         error = "--seeds wants a positive integer: " + arg;
         return false;
       }
     } else if (arg.rfind("--seed-start=", 0) == 0) {
-      if (!parse_u64(value("--seed-start="), opt.seed_start)) {
+      if (!rfh::parse_uint(value("--seed-start="), opt.seed_start)) {
         error = "--seed-start wants a non-negative integer: " + arg;
         return false;
       }
     } else if (arg.rfind("--budget-seconds=", 0) == 0) {
       std::uint64_t seconds = 0;
-      if (!parse_u64(value("--budget-seconds="), seconds) || seconds == 0) {
+      if (!rfh::parse_uint(value("--budget-seconds="), seconds) ||
+          seconds == 0) {
         error = "--budget-seconds wants a positive integer: " + arg;
         return false;
       }

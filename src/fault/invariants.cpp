@@ -5,10 +5,10 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 
 #include "common/availability.h"
 #include "obs/events.h"
-#include "routing/router.h"
 #include "telemetry/registry.h"
 
 namespace rfh {
@@ -60,19 +60,37 @@ std::size_t InvariantChecker::check_epoch(const Simulation& sim,
                                           const EpochReport& report) {
   violations_this_epoch_ = 0;
   const Epoch epoch = report.epoch;
-
-  // Order matters only for readability of fail-fast output: structural
-  // state first, flow accounting after.
-  check_dead_hosts(sim, epoch);
-  check_replica_floor(sim, epoch);
-  check_routing(sim, epoch);
-  check_storage(sim, epoch);
-  check_accounting(sim, report);
-  check_traffic(sim, report);
-  if (sim.config().redundancy == RedundancyMode::kErasure) {
-    check_fragment_census(sim, epoch);
-    check_zone_diversity(sim, epoch);
+  const SimConfig& cfg = sim.config();
+  const bool erasure = cfg.redundancy == RedundancyMode::kErasure;
+  if (excused_.empty()) {
+    excused_.assign(cfg.partitions, 1);  // bootstrap: seeded with 1 copy
+    prev_hosts_.resize(cfg.partitions);
+    if (erasure) reached_k_.assign(cfg.partitions, 0);
   }
+
+  // One pass over partitions, structural state first and flow after, so
+  // a fail-fast dump reads partition by partition; the global sums it
+  // feeds are reconciled once the pass is done.
+  std::uint32_t by_partition = 0;
+  double queries = 0.0;
+  double unserved = 0.0;
+  for (std::uint32_t p = 0; p < cfg.partitions; ++p) {
+    const PartitionId pid{p};
+    check_dead_hosts(sim, pid, epoch);
+    check_replica_floor(sim, pid, epoch);
+    check_routing(sim, pid, epoch);
+    by_partition += sim.cluster().replica_count(pid);
+    check_traffic(sim, pid, epoch);
+    queries += sim.traffic().partition_queries(pid);
+    unserved += sim.traffic().unserved(pid);
+    if (erasure) {
+      check_fragment_census(sim, pid, epoch);
+      check_zone_diversity(sim, pid, epoch);
+    }
+  }
+  check_storage(sim, epoch);
+  check_accounting(sim, report, by_partition);
+  check_conservation(sim, report, queries, unserved);
 
   queries_sum_ += report.total_queries;
   unserved_sum_ += report.unserved_queries;
@@ -82,17 +100,7 @@ std::size_t InvariantChecker::check_epoch(const Simulation& sim,
   ++epochs_checked_;
   check_telemetry(sim, epoch);
 
-  if (mode_ == Mode::kFailFast && violations_this_epoch_ > 0) {
-    std::fprintf(stderr,
-                 "invariant check failed at epoch %u (%zu violations):\n",
-                 epoch, violations_this_epoch_);
-    const std::size_t first = violations_.size() - violations_this_epoch_;
-    for (std::size_t i = first; i < violations_.size(); ++i) {
-      std::fprintf(stderr, "  [%s] %s\n", invariant_name(violations_[i].id),
-                   violations_[i].detail.c_str());
-    }
-    std::abort();
-  }
+  abort_if_failed("", epoch);
   return violations_this_epoch_;
 }
 
@@ -123,119 +131,181 @@ std::size_t InvariantChecker::check_stream(const StreamEpochStats& stats,
                stats.arrivals, batch_total_queries));
   }
 
-  if (mode_ == Mode::kFailFast && violations_this_epoch_ > 0) {
-    std::fprintf(stderr,
-                 "stream invariant check failed at epoch %u "
-                 "(%zu violations):\n",
-                 epoch, violations_this_epoch_);
-    const std::size_t first = violations_.size() - violations_this_epoch_;
-    for (std::size_t i = first; i < violations_.size(); ++i) {
-      std::fprintf(stderr, "  [%s] %s\n", invariant_name(violations_[i].id),
-                   violations_[i].detail.c_str());
-    }
-    std::abort();
-  }
+  abort_if_failed("stream ", epoch);
   return violations_this_epoch_;
 }
 
+void InvariantChecker::abort_if_failed(const char* layer, Epoch epoch) const {
+  if (mode_ != Mode::kFailFast || violations_this_epoch_ == 0) return;
+  std::fprintf(stderr,
+               "%sinvariant check failed at epoch %u (%zu violations):\n",
+               layer, epoch, violations_this_epoch_);
+  const std::size_t first = violations_.size() - violations_this_epoch_;
+  for (std::size_t i = first; i < violations_.size(); ++i) {
+    std::fprintf(stderr, "  [%s] %s\n", invariant_name(violations_[i].id),
+                 violations_[i].detail.c_str());
+  }
+  std::abort();
+}
+
+void InvariantChecker::check_dead_hosts(const Simulation& sim,
+                                        PartitionId pid, Epoch epoch) {
+  const ClusterState& cluster = sim.cluster();
+  for (const Replica& r : cluster.replicas_of(pid)) {
+    if (!cluster.alive(r.server)) {
+      report_violation(epoch, InvariantId::kDeadHost,
+                       format("partition %u keeps a copy on dead server %u",
+                              pid.value(), r.server.value()));
+    }
+  }
+  const ServerId primary = cluster.primary_of(pid);
+  if (primary.valid() && !cluster.alive(primary)) {
+    report_violation(epoch, InvariantId::kDeadHost,
+                     format("partition %u primary %u is dead", pid.value(),
+                            primary.value()));
+  }
+}
+
 void InvariantChecker::check_replica_floor(const Simulation& sim,
-                                           Epoch epoch) {
+                                           PartitionId pid, Epoch epoch) {
+  const ClusterState& cluster = sim.cluster();
+  const std::uint32_t p = pid.value();
+  const std::uint32_t floor = sim.config().availability_floor();
+  const std::span<const Replica> replicas = cluster.replicas_of(pid);
+  const auto count = static_cast<std::uint32_t>(replicas.size());
+  std::vector<ServerId>& prev_hosts = prev_hosts_[p];
+  if (count >= floor) {
+    excused_[p] = 0;
+  } else if (excused_[p] == 0) {
+    // Dropped below the floor since the last check: only a copy lost to
+    // a dead server (crash, promotion, reseed) excuses the deficit; a
+    // voluntary drop (policy suicide below r_min) is a violation.
+    const bool failure_caused =
+        std::any_of(prev_hosts.begin(), prev_hosts.end(), [&](ServerId s) {
+          return !cluster.alive(s) && !cluster.has_replica(pid, s);
+        });
+    if (failure_caused) {
+      excused_[p] = 1;
+    } else {
+      report_violation(
+          epoch, InvariantId::kReplicaFloor,
+          format("partition %u holds %u copies < Eq. 14 floor %u with no "
+                 "server failure to excuse it",
+                 p, count, floor));
+    }
+  }
+  // Refilled in place: after the first epochs a partition's hosts fit
+  // the capacity its vector already has.
+  prev_hosts.clear();
+  for (const Replica& r : replicas) prev_hosts.push_back(r.server);
+}
+
+void InvariantChecker::check_routing(const Simulation& sim, PartitionId pid,
+                                     Epoch epoch) {
+  // A query from DC 0 reaches a live primary iff the primary is listed
+  // live in its datacenter (the holder stage) and the shortest path from
+  // DC 0 ends there. Read from the state, so the check shares no code
+  // with the router or its relay table.
+  const ClusterState& cluster = sim.cluster();
+  const ServerId primary = cluster.primary_of(pid);
+  if (!primary.valid()) {
+    if (cluster.replica_count(pid) != 0) {
+      report_violation(epoch, InvariantId::kRouting,
+                       format("partition %u has copies but no primary",
+                              pid.value()));
+    }
+    return;
+  }
+  if (!cluster.alive(primary)) return;  // reported by dead_host
+  const DatacenterId holder_dc = sim.topology().server(primary).datacenter;
+  const std::vector<ServerId>& live = cluster.live_by_dc()[holder_dc.value()];
+  const std::span<const DatacenterId> path =
+      sim.paths().path_span(DatacenterId{0}, holder_dc);
+  if (path.empty() || !std::binary_search(live.begin(), live.end(), primary)) {
+    report_violation(epoch, InvariantId::kRouting,
+                     format("partition %u route does not reach primary %u",
+                            pid.value(), primary.value()));
+    return;
+  }
+  if (path.back() != holder_dc) {
+    report_violation(
+        epoch, InvariantId::kRouting,
+        format("partition %u route ends in dc %u, primary lives in dc %u",
+               pid.value(), path.back().value(), holder_dc.value()));
+  }
+}
+
+void InvariantChecker::check_traffic(const Simulation& sim, PartitionId pid,
+                                     Epoch epoch) {
+  const EpochTraffic& traffic = sim.traffic();
+  if (traffic.unserved(pid) >
+      traffic.partition_queries(pid) * (1.0 + 1e-9) + 1e-9) {
+    report_violation(
+        epoch, InvariantId::kTraffic,
+        format("partition %u blocked %.3f of only %.3f offered queries",
+               pid.value(), traffic.unserved(pid),
+               traffic.partition_queries(pid)));
+  }
+  // An absent cell serves 0.0, so only the touched cells can break the
+  // capacity bound.
+  for (const TrafficCell& cell : traffic.cells(pid)) {
+    const double cap =
+        sim.topology().server(ServerId{cell.server}).spec.per_replica_capacity;
+    if (cell.served > cap * (1.0 + 1e-9) + 1e-9) {
+      report_violation(
+          epoch, InvariantId::kTraffic,
+          format("partition %u replica on server %u served %.3f > "
+                 "capacity %.3f",
+                 pid.value(), cell.server, cell.served, cap));
+    }
+  }
+}
+
+void InvariantChecker::check_fragment_census(const Simulation& sim,
+                                             PartitionId pid, Epoch epoch) {
   const SimConfig& cfg = sim.config();
-  const std::uint32_t floor = cfg.availability_floor();
-  if (excused_.empty()) {
-    excused_.assign(cfg.partitions, 1);  // bootstrap: seeded with 1 copy
-    prev_hosts_.resize(cfg.partitions);
+  const std::uint32_t p = pid.value();
+  const std::uint32_t count = sim.cluster().replica_count(pid);
+  if (count > cfg.max_replicas_per_partition) {
+    report_violation(
+        epoch, InvariantId::kFragmentCensus,
+        format("partition %u holds %u fragments > cap %u", p, count,
+               cfg.max_replicas_per_partition));
   }
-  for (std::uint32_t p = 0; p < cfg.partitions; ++p) {
-    const PartitionId pid{p};
-    const auto replicas = sim.cluster().replicas_of(pid);
-    std::vector<ServerId> hosts;
-    hosts.reserve(replicas.size());
-    for (const Replica& r : replicas) hosts.push_back(r.server);
-
-    const auto count = static_cast<std::uint32_t>(hosts.size());
-    if (count >= floor) {
-      excused_[p] = 0;
-    } else if (excused_[p] == 0) {
-      // Dropped below the floor since the last check: only a copy lost to
-      // a dead server (crash, promotion, reseed) excuses the deficit; a
-      // voluntary drop (policy suicide below r_min) is a violation.
-      bool failure_caused = false;
-      for (const ServerId prev : prev_hosts_[p]) {
-        const bool still_hosted =
-            std::find(hosts.begin(), hosts.end(), prev) != hosts.end();
-        if (!still_hosted && !sim.cluster().alive(prev)) {
-          failure_caused = true;
-          break;
-        }
-      }
-      if (failure_caused) {
-        excused_[p] = 1;
-      } else {
-        report_violation(
-            epoch, InvariantId::kReplicaFloor,
-            format("partition %u holds %u copies < Eq. 14 floor %u with no "
-                   "server failure to excuse it",
-                   p, count, floor));
-      }
-    }
-    prev_hosts_[p] = std::move(hosts);
+  if (count >= cfg.ec_k) {
+    reached_k_[p] = 1;
+    return;
+  }
+  // Below k: reconstruction-infeasible. Legal only while the stripe is
+  // still fanning out from its seed (never reached k) or when the engine
+  // already recorded the stripe loss.
+  if (reached_k_[p] != 0 && !sim.stripe_lost(pid)) {
+    report_violation(
+        epoch, InvariantId::kFragmentCensus,
+        format("partition %u holds %u < k=%u fragments with no recorded "
+               "stripe loss",
+               p, count, cfg.ec_k));
   }
 }
 
-void InvariantChecker::check_dead_hosts(const Simulation& sim, Epoch epoch) {
-  const std::uint32_t partitions = sim.config().partitions;
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    const PartitionId pid{p};
-    for (const Replica& r : sim.cluster().replicas_of(pid)) {
-      if (!sim.cluster().alive(r.server)) {
-        report_violation(epoch, InvariantId::kDeadHost,
-                         format("partition %u keeps a copy on dead server %u",
-                                p, r.server.value()));
-      }
+void InvariantChecker::check_zone_diversity(const Simulation& sim,
+                                            PartitionId pid, Epoch epoch) {
+  // A stripe has a few dozen fragments at most, so counting each one's
+  // datacenter peers ahead of it needs no per-DC tally array.
+  const std::uint32_t m = sim.config().ec_m;
+  const std::span<const Replica> replicas = sim.cluster().replicas_of(pid);
+  const Topology& topology = sim.topology();
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const DatacenterId dc = topology.server(replicas[i].server).datacenter;
+    std::uint32_t earlier = 0;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (topology.server(replicas[j].server).datacenter == dc) ++earlier;
     }
-    const ServerId primary = sim.cluster().primary_of(pid);
-    if (primary.valid() && !sim.cluster().alive(primary)) {
+    if (earlier == m) {  // the (m+1)-th fragment in dc: report it once
       report_violation(
-          epoch, InvariantId::kDeadHost,
-          format("partition %u primary %u is dead", p, primary.value()));
-    }
-  }
-}
-
-void InvariantChecker::check_routing(const Simulation& sim, Epoch epoch) {
-  // A fresh Router over the current topology/paths is cheap (two
-  // pointers) and keeps the checker read-only with respect to the
-  // engine's own router.
-  const Router router(sim.topology(), sim.paths());
-  const std::uint32_t partitions = sim.config().partitions;
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    const PartitionId pid{p};
-    const ServerId primary = sim.cluster().primary_of(pid);
-    if (!primary.valid()) {
-      if (!sim.cluster().replicas_of(pid).empty()) {
-        report_violation(
-            epoch, InvariantId::kRouting,
-            format("partition %u has copies but no primary", p));
-      }
-      continue;
-    }
-    if (!sim.cluster().alive(primary)) continue;  // reported by dead_host
-    const Route route = router.route(pid, DatacenterId{0}, primary,
-                                     sim.cluster().live_by_dc());
-    if (route.holder != primary || route.stages.empty()) {
-      report_violation(
-          epoch, InvariantId::kRouting,
-          format("partition %u route does not reach primary %u", p,
-                 primary.value()));
-      continue;
-    }
-    const DatacenterId holder_dc = sim.topology().server(primary).datacenter;
-    if (route.stages.back().dc != holder_dc) {
-      report_violation(
-          epoch, InvariantId::kRouting,
-          format("partition %u route ends in dc %u, primary lives in dc %u",
-                 p, route.stages.back().dc.value(), holder_dc.value()));
+          epoch, InvariantId::kZoneDiversity,
+          format("partition %u packs > m=%u fragments into datacenter %u",
+                 pid.value(), m, dc.value()));
     }
   }
 }
@@ -271,11 +341,8 @@ void InvariantChecker::check_storage(const Simulation& sim, Epoch epoch) {
 }
 
 void InvariantChecker::check_accounting(const Simulation& sim,
-                                        const EpochReport& report) {
-  std::uint32_t by_partition = 0;
-  for (std::uint32_t p = 0; p < sim.config().partitions; ++p) {
-    by_partition += sim.cluster().replica_count(PartitionId{p});
-  }
+                                        const EpochReport& report,
+                                        std::uint32_t by_partition) {
   const std::uint32_t census = sim.cluster().total_replicas();
   if (by_partition != census || report.total_replicas != census) {
     report_violation(
@@ -285,97 +352,21 @@ void InvariantChecker::check_accounting(const Simulation& sim,
   }
 }
 
-void InvariantChecker::check_traffic(const Simulation& sim,
-                                     const EpochReport& report) {
-  const EpochTraffic& traffic = sim.traffic();
-  double queries = 0.0;
-  double unserved = 0.0;
-  for (std::uint32_t p = 0; p < sim.config().partitions; ++p) {
-    const PartitionId pid{p};
-    queries += traffic.partition_queries(pid);
-    unserved += traffic.unserved(pid);
-    if (traffic.unserved(pid) >
-        traffic.partition_queries(pid) * (1.0 + 1e-9) + 1e-9) {
-      report_violation(
-          report.epoch, InvariantId::kTraffic,
-          format("partition %u blocked %.3f of only %.3f offered queries", p,
-                 traffic.unserved(pid), traffic.partition_queries(pid)));
-    }
-    // An absent cell serves 0.0, so only the touched cells can break the
-    // capacity bound.
-    for (const TrafficCell& cell : traffic.cells(pid)) {
-      const double cap = sim.topology()
-                             .server(ServerId{cell.server})
-                             .spec.per_replica_capacity;
-      if (cell.served > cap * (1.0 + 1e-9) + 1e-9) {
-        report_violation(
-            report.epoch, InvariantId::kTraffic,
-            format("partition %u replica on server %u served %.3f > "
-                   "capacity %.3f",
-                   p, cell.server, cell.served, cap));
-      }
-    }
-  }
-  if (!close(queries, report.total_queries) ||
-      !close(queries, traffic.total_queries())) {
+void InvariantChecker::check_conservation(const Simulation& sim,
+                                          const EpochReport& report,
+                                          double queries, double unserved) {
+  const double total = sim.traffic().total_queries();
+  if (!close(queries, report.total_queries) || !close(queries, total)) {
     report_violation(
         report.epoch, InvariantId::kTraffic,
         format("query conservation broke: sum=%.6f report=%.6f total=%.6f",
-               queries, report.total_queries, traffic.total_queries()));
+               queries, report.total_queries, total));
   }
   if (!close(unserved, report.unserved_queries)) {
     report_violation(
         report.epoch, InvariantId::kTraffic,
         format("unserved conservation broke: sum=%.6f report=%.6f", unserved,
                report.unserved_queries));
-  }
-}
-
-void InvariantChecker::check_fragment_census(const Simulation& sim,
-                                             Epoch epoch) {
-  const SimConfig& cfg = sim.config();
-  if (reached_k_.empty()) reached_k_.assign(cfg.partitions, 0);
-  for (std::uint32_t p = 0; p < cfg.partitions; ++p) {
-    const PartitionId pid{p};
-    const std::uint32_t count = sim.cluster().replica_count(pid);
-    if (count > cfg.max_replicas_per_partition) {
-      report_violation(
-          epoch, InvariantId::kFragmentCensus,
-          format("partition %u holds %u fragments > cap %u", p, count,
-                 cfg.max_replicas_per_partition));
-    }
-    if (count >= cfg.ec_k) {
-      reached_k_[p] = 1;
-      continue;
-    }
-    // Below k: reconstruction-infeasible. Legal only while the stripe is
-    // still fanning out from its seed (never reached k) or when the
-    // engine already recorded the stripe loss.
-    if (reached_k_[p] != 0 && !sim.stripe_lost(pid)) {
-      report_violation(
-          epoch, InvariantId::kFragmentCensus,
-          format("partition %u holds %u < k=%u fragments with no recorded "
-                 "stripe loss",
-                 p, count, cfg.ec_k));
-    }
-  }
-}
-
-void InvariantChecker::check_zone_diversity(const Simulation& sim,
-                                            Epoch epoch) {
-  const SimConfig& cfg = sim.config();
-  std::vector<std::uint32_t> per_dc(sim.topology().datacenter_count(), 0);
-  for (std::uint32_t p = 0; p < cfg.partitions; ++p) {
-    std::fill(per_dc.begin(), per_dc.end(), 0u);
-    for (const Replica& r : sim.cluster().replicas_of(PartitionId{p})) {
-      const DatacenterId dc = sim.topology().server(r.server).datacenter;
-      if (++per_dc[dc.value()] == cfg.ec_m + 1) {
-        report_violation(
-            epoch, InvariantId::kZoneDiversity,
-            format("partition %u packs > m=%u fragments into datacenter %u",
-                   p, cfg.ec_m, dc.value()));
-      }
-    }
   }
 }
 

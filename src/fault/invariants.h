@@ -8,9 +8,9 @@
 //                     (the k-of-n fragment floor in EC mode), unless a
 //                     recorded failure explains the deficit
 //   dead_host         no copy (primary included) lives on a dead server
-//   routing           the primary of every partition is reachable: the
-//                     route ends in the holder's datacenter at a live,
-//                     valid holder server
+//   routing           the primary of every partition is reachable: it is
+//                     valid, listed live in its datacenter, and the
+//                     shortest path from DC 0 ends in that datacenter
 //   storage           every live server respects the Eq. 19 occupancy
 //                     limit phi, its vnode cap, and exact used-bytes
 //                     accounting (copies * partition size)
@@ -112,16 +112,26 @@ class InvariantChecker {
 
  private:
   void report_violation(Epoch epoch, InvariantId id, std::string detail);
+  /// Fail-fast mode: print this epoch's violations and abort.
+  void abort_if_failed(const char* layer, Epoch epoch) const;
 
-  void check_replica_floor(const Simulation& sim, Epoch epoch);
-  void check_dead_hosts(const Simulation& sim, Epoch epoch);
-  void check_routing(const Simulation& sim, Epoch epoch);
+  // Per-partition checks, run in one pass over the partitions.
+  void check_dead_hosts(const Simulation& sim, PartitionId pid, Epoch epoch);
+  void check_replica_floor(const Simulation& sim, PartitionId pid,
+                           Epoch epoch);
+  void check_routing(const Simulation& sim, PartitionId pid, Epoch epoch);
+  void check_traffic(const Simulation& sim, PartitionId pid, Epoch epoch);
+  void check_fragment_census(const Simulation& sim, PartitionId pid,
+                             Epoch epoch);
+  void check_zone_diversity(const Simulation& sim, PartitionId pid,
+                            Epoch epoch);
+  // Per-server, then global checks over the pass's sums.
   void check_storage(const Simulation& sim, Epoch epoch);
-  void check_accounting(const Simulation& sim, const EpochReport& report);
-  void check_traffic(const Simulation& sim, const EpochReport& report);
+  void check_accounting(const Simulation& sim, const EpochReport& report,
+                        std::uint32_t by_partition);
+  void check_conservation(const Simulation& sim, const EpochReport& report,
+                          double queries, double unserved);
   void check_telemetry(const Simulation& sim, Epoch epoch);
-  void check_fragment_census(const Simulation& sim, Epoch epoch);
-  void check_zone_diversity(const Simulation& sim, Epoch epoch);
 
   Mode mode_;
   std::vector<Violation> violations_;

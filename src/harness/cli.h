@@ -61,10 +61,9 @@
 //                                  runner prints breach episodes after the
 //                                  run)
 //   --blackbox-out=FILE           (dump the causal flight recorder
-//                                  (obs/timeline.h) as JSONL after the
-//                                  run; single policy runs only. Feed the
-//                                  file to rfh_blackbox for forensic
-//                                  queries)
+//                                  (obs/timeline.h) after the run as a
+//                                  JSONL archive, one event per line;
+//                                  single policy runs only)
 #pragma once
 
 #include <optional>

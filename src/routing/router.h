@@ -36,9 +36,9 @@
 // holder itself and every other cell depends only on liveness.
 //
 // Only partitions reserved by reserve_relays are cached. A Router with no
-// reserved partitions (the one InvariantChecker builds) computes every
-// relay directly with relay_for, hashing on the fly, so it stays an
-// independent oracle for the table and its hash columns.
+// reserved partitions computes every relay directly with relay_for,
+// hashing on the fly, so it stays an independent oracle for the table
+// and its hash columns (router_test's direct reference, latency_test).
 //
 // Concurrency: a partition's cells are only read and written by the code
 // routing that partition. The sharded propagate pass gives each shard a

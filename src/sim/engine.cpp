@@ -56,25 +56,26 @@ void Simulation::set_jobs(unsigned jobs) {
 void Simulation::seed_primaries() {
   for (std::uint32_t p = 0; p < config_.partitions; ++p) {
     const PartitionId pid{p};
-    // Ring ownership decides the home, but "a physical node hosts an
-    // amount of virtual nodes within its capacity limit": walk the
-    // preference order past saturated servers. The walk streams over the
-    // ring — it visits the same servers in the same order a materialized
-    // preference_list would, stopping at the first that can accept.
-    ServerId home;
-    ServerId first;
-    cluster_.ring().for_each_preference(
-        HashRing::partition_key(pid), [&](ServerId candidate) {
-          if (!first.valid()) first = candidate;
-          if (cluster_.can_accept(candidate, pid)) {
-            home = candidate;
-            return false;
-          }
-          return true;
-        });
-    if (!home.valid()) home = first;  // everyone saturated: force the owner
-    cluster_.add_replica(pid, home, /*primary=*/true);
+    cluster_.add_replica(pid, ring_home(pid), /*primary=*/true);
   }
+}
+
+ServerId Simulation::ring_home(PartitionId partition) const {
+  // The walk streams over the ring: it visits the same servers in the
+  // same order a materialized preference_list would, stopping at the
+  // first that can accept.
+  ServerId home;
+  ServerId first;
+  cluster_.ring().for_each_preference(
+      HashRing::partition_key(partition), [&](ServerId candidate) {
+        if (!first.valid()) first = candidate;
+        if (cluster_.can_accept(candidate, partition)) {
+          home = candidate;
+          return false;
+        }
+        return true;
+      });
+  return home.valid() ? home : first;  // everyone saturated: the owner
 }
 
 double Simulation::transfer_cost(DatacenterId from, DatacenterId to,
@@ -698,18 +699,7 @@ void Simulation::handle_lost_copies(std::span<const ClusterState::LostCopy> lost
     if (telemetry_ != nullptr) tel_.data_losses->inc(1.0);
     log(LogLevel::kWarn, "partition %u lost all copies; reseeding",
         copy.partition.value());
-    ServerId home;
-    ServerId first;
-    cluster_.ring().for_each_preference(
-        HashRing::partition_key(copy.partition), [&](ServerId candidate) {
-          if (!first.valid()) first = candidate;
-          if (cluster_.can_accept(candidate, copy.partition)) {
-            home = candidate;
-            return false;
-          }
-          return true;
-        });
-    if (!home.valid()) home = first;
+    const ServerId home = ring_home(copy.partition);
     if (home.valid()) {
       cluster_.add_replica(copy.partition, home, /*primary=*/true);
       last_promotions_.push_back(Promotion{copy.partition, home, true});

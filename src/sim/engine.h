@@ -327,6 +327,11 @@ class Simulation {
   };
 
   void seed_primaries();
+  /// Where a partition's primary goes: the first server in ring
+  /// preference order that can accept it, else the ring owner ("a
+  /// physical node hosts an amount of virtual nodes within its capacity
+  /// limit"). Invalid only for an empty ring.
+  [[nodiscard]] ServerId ring_home(PartitionId partition) const;
   /// Hand `batch` to EpochTraffic::set_demand, then route and absorb
   /// its canonical flows, one partition run per shard task.
   void propagate(QueryBatch batch);
