@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/availability.h"
-
 namespace rfh {
 
 namespace {
@@ -68,8 +66,7 @@ ServerId OwnerOrientedPolicy::best_target(const PolicyContext& ctx,
 
 Actions OwnerOrientedPolicy::decide(const PolicyContext& ctx) {
   Actions actions;
-  const std::uint32_t rmin =
-      min_replicas(ctx.config.min_availability, ctx.config.failure_rate);
+  const std::uint32_t rmin = ctx.config.availability_floor();
 
   const bool membership_changed =
       seen_first_epoch_ && ctx.cluster.live_server_count() != last_live_count_;

@@ -1,14 +1,12 @@
 #include "baselines/random_policy.h"
 
-#include "common/availability.h"
 #include "ring/ring.h"
 
 namespace rfh {
 
 Actions RandomPolicy::decide(const PolicyContext& ctx) {
   Actions actions;
-  const std::uint32_t rmin =
-      min_replicas(ctx.config.min_availability, ctx.config.failure_rate);
+  const std::uint32_t rmin = ctx.config.availability_floor();
 
   for (std::uint32_t pv = 0; pv < ctx.config.partitions; ++pv) {
     const PartitionId p{pv};

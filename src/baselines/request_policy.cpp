@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/availability.h"
 #include "core/selection.h"
 
 namespace rfh {
 
 Actions RequestOrientedPolicy::decide(const PolicyContext& ctx) {
   Actions actions;
-  const std::uint32_t rmin =
-      min_replicas(ctx.config.min_availability, ctx.config.failure_rate);
+  const std::uint32_t rmin = ctx.config.availability_floor();
 
   std::vector<DatacenterId> all_dcs;
   for (const Datacenter& dc : ctx.topology.datacenters()) {

@@ -41,16 +41,12 @@ ReferenceEngine::ReferenceEngine(const Scenario& scenario)
       live_by_dc_(world_.topology.datacenter_count()),
       e_node_traffic_(config_.partitions * world_.topology.server_count(), 0.0),
       e_served_(config_.partitions * world_.topology.server_count(), 0.0),
-      e_requester_queries_(
-          config_.partitions * world_.topology.datacenter_count(), 0.0),
       e_partition_queries_(config_.partitions, 0.0),
       e_unserved_(config_.partitions, 0.0),
       e_server_work_(world_.topology.server_count(), 0.0),
       avg_query_(config_.partitions, 0.0),
       node_traffic_(config_.partitions * world_.topology.server_count(), 0.0),
       node_traffic_sum_(config_.partitions, 0.0),
-      requester_queries_(
-          config_.partitions * world_.topology.datacenter_count(), 0.0),
       server_arrival_(world_.topology.server_count(), 0.0),
       stats_frozen_(world_.topology.server_count(), 0),
       overload_streak_(config_.partitions, 0),
@@ -77,7 +73,7 @@ ReferenceEngine::ReferenceEngine(const Scenario& scenario)
 void ReferenceEngine::ring_add(ServerId s) {
   RFH_ASSERT(!ring_tokens_.contains(s));
   std::vector<std::uint64_t>& tokens = ring_tokens_[s];
-  for (std::uint32_t i = 0; i < config_.ring_tokens_per_server; ++i) {
+  for (std::uint32_t i = 0; i < kRingTokensPerServer; ++i) {
     std::uint64_t pos = hash_combine(hash64(std::uint64_t{s.value()}),
                                      hash64(std::uint64_t{i}));
     // The seed's collision probe: advance past occupied positions so every
@@ -419,7 +415,6 @@ void ReferenceEngine::compute_route(PartitionId partition,
 void ReferenceEngine::propagate(const QueryBatch& batch) {
   std::fill(e_node_traffic_.begin(), e_node_traffic_.end(), 0.0);
   std::fill(e_served_.begin(), e_served_.end(), 0.0);
-  std::fill(e_requester_queries_.begin(), e_requester_queries_.end(), 0.0);
   std::fill(e_partition_queries_.begin(), e_partition_queries_.end(), 0.0);
   std::fill(e_unserved_.begin(), e_unserved_.end(), 0.0);
   std::fill(e_server_work_.begin(), e_server_work_.end(), 0.0);
@@ -427,13 +422,10 @@ void ReferenceEngine::propagate(const QueryBatch& batch) {
   e_routed_queries_ = 0.0;
   e_path_hops_weighted_ = 0.0;
 
-  const std::size_t datacenters = world_.topology.datacenter_count();
   RefRoute route;
   for (const QueryFlow& flow : batch) {
     e_total_queries_ += flow.queries;
     e_partition_queries_[flow.partition.value()] += flow.queries;
-    e_requester_queries_[flow.partition.value() * datacenters +
-                         flow.requester.value()] += flow.queries;
 
     const ServerId holder = primary_of(flow.partition);
     if (!holder.valid()) {
@@ -512,11 +504,6 @@ void ReferenceEngine::update_stats() {
       sum += v;
     }
     node_traffic_sum_[pv] = sum;
-
-    for (std::uint32_t j = 0; j < datacenters; ++j) {
-      double& v = requester_queries_[pv * datacenters + j];
-      v = a * v + b * e_requester_queries_[pv * datacenters + j];
-    }
   }
   for (std::uint32_t s = 0; s < servers; ++s) {
     if (stats_frozen_[s] != 0) continue;

@@ -240,7 +240,6 @@ class ReferenceEngine {
   // Per-epoch raw traffic (Eqs. 2-8 inputs), reset each step.
   std::vector<double> e_node_traffic_;
   std::vector<double> e_served_;
-  std::vector<double> e_requester_queries_;
   std::vector<double> e_partition_queries_;
   std::vector<double> e_unserved_;
   std::vector<double> e_server_work_;
@@ -252,7 +251,6 @@ class ReferenceEngine {
   std::vector<double> avg_query_;
   std::vector<double> node_traffic_;
   std::vector<double> node_traffic_sum_;
-  std::vector<double> requester_queries_;
   std::vector<double> server_arrival_;
   std::vector<char> stats_frozen_;
   bool stats_initialized_ = false;

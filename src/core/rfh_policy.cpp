@@ -369,8 +369,8 @@ void RfhPolicy::decide_partition(const PolicyContext& ctx, PartitionId p,
           it = row.insert(it, ColdStreak{replica.server.value(), 0});
         }
         const std::uint32_t streak = ++it->epochs;
-        if (replicated_this_epoch || done >= options_.max_suicides_per_epoch ||
-            remaining <= rmin || streak < options_.cold_streak_epochs) {
+        if (replicated_this_epoch || done >= kMaxSuicidesPerEpoch ||
+            remaining <= rmin || streak < kColdStreakEpochs) {
           continue;  // cold, but not removable (yet)
         }
         DecisionExplanation why = base_explanation(ctx, q_bar, r, rmin);

@@ -50,17 +50,17 @@ class RfhPolicy final : public ReplicationPolicy {
     /// Replication requests considered by the holder ("choose a node
     /// among the 3 nodes with the largest amount of traffic").
     std::uint32_t top_hubs = 3;
-    /// At most this many suicides per partition per epoch.
-    std::uint32_t max_suicides_per_epoch = 1;
     /// Hysteresis: the holder must satisfy Eq. 12 for this many
-    /// consecutive epochs before relief starts, and a replica must sit
-    /// below the Eq. 15 threshold for this many consecutive epochs before
-    /// it suicides. One noisy Poisson epoch passing the fast EWMA
-    /// (alpha = 0.2 weights the newest sample at 0.8) would otherwise
-    /// cause replicate/suicide churn in steady state.
+    /// consecutive epochs before relief starts (see kColdStreakEpochs).
     std::uint32_t overload_streak_epochs = 3;
-    std::uint32_t cold_streak_epochs = 6;
   };
+  /// At most this many suicides per partition per epoch.
+  static constexpr std::uint32_t kMaxSuicidesPerEpoch = 1;
+  /// Hysteresis: a replica must sit below the Eq. 15 threshold for this
+  /// many consecutive epochs before it suicides. One noisy Poisson epoch
+  /// passing the fast EWMA (alpha = 0.2 weights the newest sample at 0.8)
+  /// would otherwise cause replicate/suicide churn in steady state.
+  static constexpr std::uint32_t kColdStreakEpochs = 6;
 
   RfhPolicy() = default;
   explicit RfhPolicy(const Options& options) : options_(options) {}

@@ -65,6 +65,9 @@ std::size_t InvariantChecker::check_epoch(const Simulation& sim,
   if (excused_.empty()) {
     excused_.assign(cfg.partitions, 1);  // bootstrap: seeded with 1 copy
     prev_hosts_.resize(cfg.partitions);
+    for (const Server& server : sim.topology().servers()) {
+      capacity_.push_back(server.spec.per_replica_capacity);
+    }
     if (erasure) reached_k_.assign(cfg.partitions, 0);
   }
 
@@ -249,8 +252,7 @@ void InvariantChecker::check_traffic(const Simulation& sim, PartitionId pid,
   // An absent cell serves 0.0, so only the touched cells can break the
   // capacity bound.
   for (const TrafficCell& cell : traffic.cells(pid)) {
-    const double cap =
-        sim.topology().server(ServerId{cell.server}).spec.per_replica_capacity;
+    const double cap = capacity_[cell.server];
     if (cell.served > cap * (1.0 + 1e-9) + 1e-9) {
       report_violation(
           epoch, InvariantId::kTraffic,

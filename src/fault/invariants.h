@@ -144,6 +144,10 @@ class InvariantChecker {
   std::vector<char> excused_;
   std::vector<std::vector<ServerId>> prev_hosts_;
 
+  // traffic: per-server per_replica_capacity, read once on the first
+  // check (a server's spec never changes).
+  std::vector<double> capacity_;
+
   // fragment_census bootstrap state: 1 once the partition has ever held
   // >= k live fragments (EC mode only).
   std::vector<char> reached_k_;

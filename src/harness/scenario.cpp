@@ -75,14 +75,8 @@ std::unique_ptr<WorkloadGenerator> make_workload(const Scenario& scenario,
       // uniform generator (same RNG stream, mean = arrival_rate, which
       // defaults to the Table I lambda), so stream and uniform runs at
       // the same seed produce identical batches and the queueing layer
-      // only decides arrival times. Popularity drift opts into the
-      // hotspot-shift generator instead.
+      // only decides arrival times.
       params.mean_queries_per_epoch = scenario.stream.arrival_rate;
-      if (scenario.stream.drift_period > 0) {
-        return std::make_unique<HotspotShiftWorkload>(
-            params, scenario.stream.drift_period,
-            scenario.stream.hotspot_drift);
-      }
       return std::make_unique<UniformWorkload>(params);
   }
   RFH_UNREACHABLE("unknown workload kind");

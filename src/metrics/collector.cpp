@@ -54,8 +54,7 @@ EpochMetrics MetricsCollector::collect(const Simulation& sim,
     m.latency_p99_ms = latency.percentile(0.99);
     m.latency_p999_ms = latency.percentile(0.999);
   }
-  m.sla_attainment =
-      latency.fraction_at_or_below(sim.config().sla_target_ms);
+  m.sla_attainment = latency.fraction_at_or_below(kSlaTargetMs);
 
   m.unserved_fraction = report.total_queries > 0.0
                             ? report.unserved_queries / report.total_queries

@@ -34,7 +34,7 @@ struct EpochMetrics {
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
   double latency_p999_ms = 0.0;
-  /// Fraction of queries answered within SimConfig::sla_target_ms.
+  /// Fraction of queries answered within kSlaTargetMs.
   double sla_attainment = 0.0;
 
   // Geographic diversity (Section II-A availability levels): mean max

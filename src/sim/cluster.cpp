@@ -12,7 +12,7 @@ ClusterState::ClusterState(const Topology& topology, const SimConfig& config)
       partitions_(config.partitions),
       servers_(static_cast<std::uint32_t>(topology.server_count())),
       live_by_dc_(topology.datacenter_count()),
-      ring_(config.ring_tokens_per_server) {
+      ring_(kRingTokensPerServer) {
   servers_.bring_all_up();
   std::vector<ServerId> all;
   all.reserve(topology.server_count());

@@ -27,6 +27,15 @@ namespace rfh {
 ///    queries at the edges).
 enum class RedundancyMode : std::uint8_t { kReplica = 0, kErasure = 1 };
 
+/// Ring tokens per physical server (virtual-node granularity).
+inline constexpr std::uint32_t kRingTokensPerServer = 16;
+/// SLA target: the paper's motivating requirement is a response within
+/// 300 ms for 99.9 % of requests.
+inline constexpr double kSlaTargetMs = 300.0;
+/// Latency charged to a query the system could not serve this epoch
+/// (every copy saturated): it waits out the overload.
+inline constexpr double kBlockedPenaltyMs = 1000.0;
+
 struct SimConfig {
   std::uint32_t partitions = 64;
   Bytes partition_size = kib(512);
@@ -97,16 +106,6 @@ struct SimConfig {
   /// Safety cap on copies per partition (the adaptive loop stops well
   /// below this; the cap only guards against runaway configurations).
   std::uint32_t max_replicas_per_partition = 16;
-
-  /// Ring tokens per physical server (virtual-node granularity).
-  std::uint32_t ring_tokens_per_server = 16;
-
-  /// SLA target: the paper's motivating requirement is a response within
-  /// 300 ms for 99.9 % of requests.
-  double sla_target_ms = 300.0;
-  /// Latency charged to a query the system could not serve this epoch
-  /// (every copy saturated): it waits out the overload.
-  double blocked_penalty_ms = 1000.0;
 
   std::uint64_t seed = 42;
 };

@@ -91,9 +91,8 @@ double Simulation::transfer_cost(DatacenterId from, DatacenterId to,
 }
 
 void Simulation::PropagateShard::begin_epoch(std::size_t servers) {
-  samples.clear();
+  slices.clear();
   work.clear();
-  segments.clear();
   if (columns.size() != servers) columns.assign(servers, DenseCell{});
 }
 
@@ -159,31 +158,22 @@ void Simulation::PropagateShard::end_run(EpochTraffic& traffic, PartitionId p) {
 void Simulation::propagate_flow(
     const QueryFlow& flow, std::span<const std::vector<ServerId>> live_by_dc,
     PropagateShard& shard) {
-  const ServerId holder = cluster_.primary_of(flow.partition);
-  if (!holder.valid()) {
-    // Data currently unavailable (lost primary not yet reseeded).
-    traffic_.unserved_mut(flow.partition) += flow.queries;
-    if (flow_log_ != nullptr) {
-      // No latency sample in batch mode either: -1 marks "lost".
-      shard.segments.push_back(FlowSegment{flow.partition, flow.requester,
-                                           ServerId::invalid(), flow.requester,
-                                           flow.queries, -1.0});
-    }
-    return;
-  }
-
+  const auto slice = [&](ServerId server, DatacenterId dc, std::uint32_t hops,
+                         double queries, double latency_ms) {
+    shard.slices.push_back(FlowSegment{flow.partition, flow.requester, server,
+                                       dc, hops, queries, latency_ms});
+  };
   // k-of-n reconstruction (EC mode): a read fans out to k fragments, so
   // one logical query costs k fragment-reads of capacity; with fewer than
   // k live fragments the partition cannot be reconstructed at all. kf is
   // exactly 1.0 in replica mode, where every scale below is an FP no-op.
   const double kf = static_cast<double>(config_.reconstruction_threshold());
-  if (kf > 1.0 && cluster_.replica_count(flow.partition) < config_.ec_k) {
-    traffic_.unserved_mut(flow.partition) += flow.queries;
-    if (flow_log_ != nullptr) {
-      shard.segments.push_back(FlowSegment{flow.partition, flow.requester,
-                                           ServerId::invalid(), flow.requester,
-                                           flow.queries, -1.0});
-    }
+  const ServerId holder = cluster_.primary_of(flow.partition);
+  if (!holder.valid() ||
+      (kf > 1.0 && cluster_.replica_count(flow.partition) < config_.ec_k)) {
+    // Data unavailable (lost primary not yet reseeded, or a stripe below
+    // k): unserved, with no latency sample (-1 marks "lost").
+    slice(ServerId::invalid(), flow.requester, 0, flow.queries, -1.0);
     return;
   }
 
@@ -212,14 +202,7 @@ void Simulation::propagate_flow(
         cell.node += take;
         shard.work.push_back(WorkDelta{host.value(), take});
       }
-      shard.samples.push_back(PathDelta{
-          take / kf, static_cast<double>(stage.hops_at_entry),
-          stage.latency_ms});
-      if (flow_log_ != nullptr) {
-        shard.segments.push_back(FlowSegment{flow.partition, flow.requester,
-                                             host, stage.dc, take / kf,
-                                             stage.latency_ms});
-      }
+      slice(host, stage.dc, stage.hops_at_entry, take / kf, stage.latency_ms);
       residual -= take;
     }
     return residual > 0.0;
@@ -229,15 +212,8 @@ void Simulation::propagate_flow(
                                       live_by_dc, shard.route_ctx, absorb);
   if (residual > 0.0) {
     // Demand beyond even the primary's capacity: blocked this epoch.
-    traffic_.unserved_mut(flow.partition) += residual / kf;
-    shard.samples.push_back(
-        PathDelta{residual / kf, static_cast<double>(route.total_hops),
-                  route.total_latency_ms + config_.blocked_penalty_ms});
-    if (flow_log_ != nullptr) {
-      shard.segments.push_back(FlowSegment{
-          flow.partition, flow.requester, ServerId::invalid(), flow.requester,
-          residual / kf, route.total_latency_ms + config_.blocked_penalty_ms});
-    }
+    slice(ServerId::invalid(), flow.requester, route.total_hops, residual / kf,
+          route.total_latency_ms + kBlockedPenaltyMs);
   }
 }
 
@@ -279,23 +255,25 @@ void Simulation::propagate(QueryBatch batch) {
       });
 
   // Shard-order merge: shard ranges concatenate to the serial iteration
-  // order, so replaying each shard's deferred writes in shard-index order
-  // reproduces the serial write sequence — and therefore the global
-  // accumulators, histogram, flow log and router counters — bit for bit,
-  // for every shard count and jobs value.
+  // order, so replaying each shard's slices and deferred writes in
+  // shard-index order reproduces the serial write sequence — and
+  // therefore unserved, the global accumulators, histogram, flow log and
+  // router counters — bit for bit, for every shard count and jobs value.
   for (unsigned s = 0; s < shards; ++s) {
     PropagateShard& shard = shards_[s];
-    for (const PathDelta& d : shard.samples) {
-      traffic_.add_path_sample(d.queries, d.hops);
-      traffic_.add_latency(d.queries, d.ms);
+    for (const FlowSegment& slice : shard.slices) {
+      if (!slice.server.valid()) {
+        traffic_.unserved_mut(slice.partition) += slice.queries;
+      }
+      if (slice.latency_ms >= 0.0) {
+        traffic_.add_path_sample(slice.queries,
+                                 static_cast<double>(slice.hops));
+        traffic_.add_latency(slice.queries, slice.latency_ms);
+      }
+      if (flow_log_ != nullptr) flow_log_->add(slice);
     }
     for (const WorkDelta& d : shard.work) {
       traffic_.server_work_mut(ServerId{d.server}) += d.amount;
-    }
-    if (flow_log_ != nullptr) {
-      for (const FlowSegment& segment : shard.segments) {
-        flow_log_->add(segment);
-      }
     }
     router_.flush_counts(shard.route_ctx);
   }

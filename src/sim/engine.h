@@ -196,8 +196,8 @@ class Simulation {
   }
 
   /// Attach a per-flow segment log (sim/flow_log.h): propagate() clears
-  /// it each epoch and records every absorption/blocking decision into
-  /// it for the stream subsystem. Observational only — attaching a log
+  /// it each epoch and copies every absorption/blocking slice into it
+  /// for the stream subsystem. Observational only — attaching a log
   /// never changes simulation state or RNG streams. nullptr detaches.
   void set_flow_log(FlowLog* flow_log) noexcept { flow_log_ = flow_log; }
   [[nodiscard]] FlowLog* flow_log() const noexcept { return flow_log_; }
@@ -263,15 +263,6 @@ class Simulation {
                                      BytesPerEpoch bandwidth) const;
 
  private:
-  /// Deferred add_path_sample + add_latency pair. These feed global
-  /// accumulators (routed_queries_, the latency histogram) whose FP
-  /// association order must match the serial engine, so shards log the
-  /// operands and the merge replays them in shard-index order.
-  struct PathDelta {
-    double queries = 0.0;
-    double hops = 0.0;
-    double ms = 0.0;
-  };
   /// Deferred server_work_mut add — the server axis is shared across
   /// shards (relays of different partitions can be the same server), so
   /// these are replayed too.
@@ -282,9 +273,11 @@ class Simulation {
   /// Per-shard propagate scratch; persists across epochs so steady-state
   /// epochs reuse its capacity.
   struct PropagateShard {
-    std::vector<PathDelta> samples;
+    /// One slice per absorption decision (unavailable, absorbed, blocked
+    /// residual), in decision order. The shard-order replay derives
+    /// unserved, the path and latency samples and the flow log from it.
+    std::vector<FlowSegment> slices;
     std::vector<WorkDelta> work;
-    std::vector<FlowSegment> segments;  ///< only filled when a log is attached
     Router::RouteCtx route_ctx;
     /// The run's replica plan: the partition's copies sorted by datacenter
     /// and, within one, in hosts_in_dc order; plan_dcs holds each
@@ -336,10 +329,9 @@ class Simulation {
   /// its canonical flows, one partition run per shard task.
   void propagate(QueryBatch batch);
   /// Route and absorb one flow of the shard's current run. Node and
-  /// served traffic go to the shard's columns, other partition-indexed
-  /// state is written directly (the caller guarantees this shard owns the
-  /// flow's partition); writes to global accumulators are deferred into
-  /// `shard` for the shard-order replay.
+  /// served traffic go to the shard's columns; every absorption decision
+  /// becomes one slice and every server-work add one WorkDelta, both
+  /// replayed in shard order by propagate.
   void propagate_flow(const QueryFlow& flow,
                       std::span<const std::vector<ServerId>> live_by_dc,
                       PropagateShard& shard);

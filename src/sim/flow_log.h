@@ -1,20 +1,27 @@
-// Observational per-flow segment log for the streaming load subsystem.
+// Per-flow slice log: one record per absorption decision.
 //
 // The engine's propagate() (engine.cpp) absorbs each (partition,
 // requester) flow into replicas along its route as aggregate per-epoch
-// query counts. The stream subsystem (src/stream/) needs to know *where*
-// each slice of a flow landed — which server, in which datacenter, with
-// what one-way routing latency — so it can disaggregate the batch into
-// timestamped arrivals and queue them at the serving server.
+// query counts. Every decision it makes about a slice of a flow is one
+// FlowSegment: the flow was unavailable (lost primary, or an EC stripe
+// below k), a copy absorbed part of it, or a residual blocked beyond
+// every copy. The engine always records these slices, in the exact
+// deterministic order propagate() makes the decisions, and derives the
+// epoch's unserved tally, path-length samples and latency histogram
+// from them.
 //
-// When a FlowLog is attached (Simulation::set_flow_log) the engine
-// records one FlowSegment per absorption decision, in the exact
-// deterministic order propagate() makes them. Recording is purely
-// observational: it never touches simulation state or any RNG stream, so
-// attaching a log cannot change a single byte of a run (locked down by
-// tests/stream_test.cpp).
+// The stream subsystem (src/stream/) needs to know *where* each slice
+// landed — which server, in which datacenter, with what one-way routing
+// latency — so it can disaggregate the batch into timestamped arrivals
+// and queue them at the serving server. When a FlowLog is attached
+// (Simulation::set_flow_log) the engine copies the epoch's slices into
+// it. The copy is purely observational: it never touches simulation
+// state or any RNG stream, so attaching a log cannot change a single
+// byte of a run (locked down by tests/stream_test.cpp and
+// tests/traffic_propagation_test.cpp).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/ids.h"
@@ -26,20 +33,22 @@ struct FlowSegment {
   PartitionId partition;
   DatacenterId requester;
   /// Serving server; invalid() means the slice was not served (blocked
-  /// residual or lost-primary flow).
+  /// residual or unavailable flow) and counts toward unserved(partition).
   ServerId server;
   /// Datacenter of `server`, or the requester DC for unserved slices.
   DatacenterId dc;
+  /// Path length in hops: the absorbing stage's hops_at_entry, the whole
+  /// route's for a blocked residual, 0 for an unavailable flow.
+  std::uint32_t hops = 0;
   double queries = 0.0;
   /// One-way routing latency for this slice, in ms. Blocked residuals
-  /// carry route latency + blocked_penalty_ms (the same sample batch mode
-  /// feeds its latency histogram). Negative means "no latency sample":
-  /// lost-primary flows, which batch mode counts as unserved without
-  /// sampling latency at all.
+  /// carry route latency + kBlockedPenaltyMs. A slice with latency >= 0
+  /// is one path-length and latency sample; negative means "no sample":
+  /// unavailable flows, counted as unserved without sampling latency.
   double latency_ms = 0.0;
 };
 
-/// Append-only segment buffer, cleared by the engine at the start of each
+/// Append-only copy of the engine's slices, cleared at the start of each
 /// propagate() so it always holds exactly the current epoch's segments.
 class FlowLog {
  public:

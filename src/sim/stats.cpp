@@ -28,8 +28,7 @@ void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
   RFH_ASSERT(traffic.servers() == servers_);
   RFH_ASSERT(traffic.datacenters() == datacenters_);
 
-  // The first epoch initializes the averages directly (no zero bias),
-  // matching Ewma semantics.
+  // The first epoch initializes the averages directly (no zero bias).
   const double a = initialized_ ? alpha_ : 0.0;
   const double b = 1.0 - a;
   initialized_ = true;

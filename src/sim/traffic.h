@@ -17,6 +17,11 @@
 // servers back through cells_mut, sorted — no shared state, and no
 // sorted insert per write.
 //
+// Unserved, the path-length samples and the latency histogram are
+// tallied from propagate's slice log (sim/flow_log.h): one FlowSegment
+// per absorption decision, replayed in shard order, which is the only
+// engine path that writes them.
+//
 // Absent cells read as exactly 0.0 through the accessors, and every
 // consumer that used to scan the dense plane (stats EWMA, oracle diff,
 // metrics) adds 0.0 terms in IEEE double exactly where the dense code
@@ -166,7 +171,8 @@ class EpochTraffic {
     return partition_queries_[p.value()];
   }
 
-  /// Demand for p that exceeded even the primary's capacity (blocked).
+  /// Demand for p not served this epoch: unavailable flows plus the
+  /// residuals that exceeded even the primary's capacity (blocked).
   [[nodiscard]] double unserved(PartitionId p) const {
     return unserved_[p.value()];
   }

@@ -13,12 +13,12 @@ namespace rfh {
 
 double ArrivalGenerator::intensity(Epoch epoch, double frac) const noexcept {
   double v = 1.0;
-  if (config_.diurnal_period > 0 && config_.diurnal_amplitude != 0.0) {
+  if (config_.diurnal_amplitude != 0.0) {
     // Continuous phase across epochs: frac advances the sine within the
     // epoch so arrival density ramps smoothly instead of stair-stepping.
     const double phase =
-        (static_cast<double>(epoch % config_.diurnal_period) + frac) /
-        static_cast<double>(config_.diurnal_period);
+        (static_cast<double>(epoch % StreamConfig::kDiurnalPeriod) + frac) /
+        static_cast<double>(StreamConfig::kDiurnalPeriod);
     v = 1.0 + config_.diurnal_amplitude *
                   std::sin(2.0 * std::numbers::pi * phase);
   }
@@ -69,7 +69,7 @@ void ArrivalGenerator::timestamps_into(Epoch epoch, DatacenterId dc,
     const double frac =
         (static_cast<double>(bin) + within) /
         static_cast<double>(kIntensityBins);
-    out.push_back(frac * config_.epoch_ms);
+    out.push_back(frac * StreamConfig::kEpochMs);
   }
   std::sort(out.begin(), out.end());
 }

@@ -32,7 +32,7 @@ class ArrivalGenerator {
   ArrivalGenerator(const StreamConfig& config, std::uint64_t seed) noexcept
       : config_(config), seed_(seed) {}
 
-  /// `n` arrival timestamps in [0, config.epoch_ms), ascending, for
+  /// `n` arrival timestamps in [0, StreamConfig::kEpochMs), ascending, for
   /// queries issued from `dc` during `epoch`. Pure function of
   /// (seed, epoch, dc, n).
   [[nodiscard]] std::vector<double> timestamps(Epoch epoch, DatacenterId dc,

@@ -40,10 +40,10 @@ struct StreamConfig {
   /// holding ~10 queries/epoch offers a = 10 * 1500 / 10000 = 1.5 Erlang
   /// on 4-8 channels — comfortably stable; load factors of 3-4x push hot
   /// servers into queueing and backpressure.
-  double service_time_ms = 1500.0;
+  static constexpr double kServiceTimeMs = 1500.0;
 
   /// Wall-clock length of one epoch, ms (Table I: 10 seconds).
-  double epoch_ms = 10000.0;
+  static constexpr double kEpochMs = 10000.0;
 
   // --- within-epoch arrival-time modulation -----------------------------
   // Arrival *counts* per epoch come from the batch generator; these knobs
@@ -52,22 +52,15 @@ struct StreamConfig {
   // (stream/arrival.cpp). They never change per-epoch totals.
 
   /// Diurnal sine amplitude (0 disables). Intensity follows
-  /// 1 + A * sin(2*pi * epoch_phase) over diurnal_period epochs.
+  /// 1 + A * sin(2*pi * epoch_phase) over kDiurnalPeriod epochs.
   double diurnal_amplitude = 0.5;
-  Epoch diurnal_period = 50;
+  static constexpr Epoch kDiurnalPeriod = 50;
 
   /// Flash-crowd multiplier applied to the [flash_start, flash_end)
   /// fraction of every epoch (1.0 disables).
   double flash_factor = 1.0;
   double flash_start = 0.0;
   double flash_end = 0.25;
-
-  /// Popularity drift: when > 0 the stream workload uses the
-  /// hotspot-shift batch generator (Zipf with rotating hot set) instead
-  /// of uniform, rotating every drift_period epochs by hotspot_drift
-  /// partitions. Default 0 keeps exact uniform batch equivalence.
-  Epoch drift_period = 0;
-  std::uint32_t hotspot_drift = 16;
 };
 
 }  // namespace rfh

@@ -15,7 +15,7 @@ StreamSimulator::StreamSimulator(const World& world, MetricRegistry* registry,
       registry_(registry),
       config_(config),
       arrivals_(config, seed),
-      queue_(0, config.service_time_ms, config.queue_cap) {
+      queue_(0, StreamConfig::kServiceTimeMs, config.queue_cap) {
   const std::size_t dcs = world.topology.datacenter_count();
   dc_latency_.resize(dcs);
   per_server_.resize(world.topology.server_count());

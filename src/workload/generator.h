@@ -14,10 +14,9 @@
 //    (the paper's second type of query surge).
 //
 // The streaming layer (src/stream/) deliberately adds no generator here:
-// --workload=stream reuses UniformWorkload (or HotspotShiftWorkload when
-// drift is enabled) with mean_queries_per_epoch = StreamConfig::
-// arrival_rate, so a stream run consumes the exact RNG stream a batch run
-// does and their per-epoch QueryBatches are identical. Arrival *times*
+// --workload=stream reuses UniformWorkload with mean_queries_per_epoch =
+// StreamConfig::arrival_rate, so a stream run consumes the exact RNG
+// stream a batch run does and their per-epoch QueryBatches are identical. Arrival *times*
 // within an epoch are drawn downstream from a separate forked RNG
 // (kStreamStreamTag), keeping Eqs. 2-19 and the differential oracle
 // untouched.

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "baselines/owner_policy.h"
 #include "baselines/random_policy.h"
@@ -229,6 +231,44 @@ TEST(PolicyNames, AreStable) {
   EXPECT_EQ(RandomPolicy().name(), "Random");
   EXPECT_EQ(OwnerOrientedPolicy().name(), "Owner");
   EXPECT_EQ(RequestOrientedPolicy().name(), "Request");
+}
+
+TEST(Baselines, ErasureFloorKeepsStripesReadable) {
+  // Under ec(4,2) a read needs k = 4 live fragments. A baseline that
+  // stops at the replica-mode floor (2 copies) leaves every stripe below
+  // k and every query unserved; each must grow to the EC floor instead.
+  SimConfig config;
+  config.partitions = 8;
+  std::string error;
+  ASSERT_TRUE(parse_redundancy("ec(4,2)", config, error)) << error;
+  WorkloadParams params;
+  params.partitions = config.partitions;
+  params.datacenters = 10;
+  std::vector<std::unique_ptr<ReplicationPolicy>> policies;
+  policies.push_back(std::make_unique<RandomPolicy>());
+  policies.push_back(std::make_unique<OwnerOrientedPolicy>());
+  policies.push_back(std::make_unique<RequestOrientedPolicy>());
+  for (std::unique_ptr<ReplicationPolicy>& policy : policies) {
+    const std::string name(policy->name());
+    auto sim = std::make_unique<Simulation>(
+        build_paper_world(test::uniform_world_options()), config,
+        std::make_unique<UniformWorkload>(params), std::move(policy));
+    double queries = 0.0;
+    double unserved = 0.0;
+    for (int e = 0; e < 60; ++e) {
+      const EpochReport report = sim->step();
+      if (e < 30) continue;
+      queries += report.total_queries;
+      unserved += report.unserved_queries;
+    }
+    EXPECT_LT(unserved, queries) << name;
+    if (name == "Request") continue;  // capped at its top requester set
+    for (std::uint32_t pv = 0; pv < config.partitions; ++pv) {
+      EXPECT_GE(sim->cluster().replica_count(PartitionId{pv}),
+                config.availability_floor())
+          << name << " partition " << pv;
+    }
+  }
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ TEST(Latency, ServedQueriesRecordAbsorptionLatency) {
   EXPECT_GT(latency.mean(), 0.0);
   // One query fully served by the primary: latency well under the
   // blocked penalty.
-  EXPECT_LT(latency.mean(), sim->config().blocked_penalty_ms);
+  EXPECT_LT(latency.mean(), kBlockedPenaltyMs);
 }
 
 TEST(Latency, BlockedQueriesPayThePenalty) {
@@ -65,9 +65,9 @@ TEST(Latency, BlockedQueriesPayThePenalty) {
   sim->step();
   const Histogram& latency = sim->traffic().latency();
   EXPECT_DOUBLE_EQ(latency.total_weight(), 10.0);
-  EXPECT_GT(latency.percentile(0.9), config.blocked_penalty_ms);
+  EXPECT_GT(latency.percentile(0.9), kBlockedPenaltyMs);
   // 2 of 10 served within SLA, 8 blocked.
-  EXPECT_NEAR(latency.fraction_at_or_below(config.sla_target_ms), 0.2, 0.02);
+  EXPECT_NEAR(latency.fraction_at_or_below(kSlaTargetMs), 0.2, 0.02);
 }
 
 TEST(Latency, NearbyReplicaCutsLatency) {

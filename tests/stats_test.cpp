@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exec/thread_pool.h"
 
 namespace rfh {
@@ -99,6 +101,79 @@ TEST(TrafficStats, ConvergesToSteadyInput) {
   traffic.set_demand({QueryFlow{PartitionId{3}, DatacenterId{2}, 21.0}});
   for (int i = 0; i < 50; ++i) stats.update(traffic);
   EXPECT_NEAR(stats.avg_query(PartitionId{3}), 7.0, 1e-9);
+}
+
+// The Ewma suite pins the smoothing of Eqs. 10-11 as TrafficStats
+// applies it: every smoothed series shares one (alpha, orientation).
+TEST(Ewma, FirstObservationInitializesDirectly) {
+  TrafficStats stats(kPartitions, kServers, kDatacenters, 0.2);
+  EXPECT_FALSE(stats.initialized());
+  EpochTraffic traffic = make_traffic();
+  traffic.server_work_mut(ServerId{3}) = 10.0;
+  stats.update(traffic);
+  EXPECT_TRUE(stats.initialized());
+  // No zero bias: the first sample is taken as is, not 0.8 * 10.
+  EXPECT_DOUBLE_EQ(stats.server_arrival(ServerId{3}), 10.0);
+}
+
+TEST(Ewma, PaperFormulaOrientation) {
+  // v_t = alpha * v_{t-1} + (1 - alpha) * x_t with alpha weighting history
+  // (Eqs. 10-11).
+  TrafficStats stats(kPartitions, kServers, kDatacenters, 0.2);
+  EpochTraffic traffic = make_traffic();
+  traffic.server_work_mut(ServerId{3}) = 10.0;
+  stats.update(traffic);
+  traffic.reset();
+  stats.update(traffic);
+  EXPECT_DOUBLE_EQ(stats.server_arrival(ServerId{3}), 0.2 * 10.0);
+  traffic.reset();
+  traffic.server_work_mut(ServerId{3}) = 5.0;
+  stats.update(traffic);
+  EXPECT_DOUBLE_EQ(stats.server_arrival(ServerId{3}), 0.2 * 2.0 + 0.8 * 5.0);
+}
+
+TEST(Ewma, ConvergesToConstantInput) {
+  TrafficStats stats(kPartitions, kServers, kDatacenters, 0.7);
+  EpochTraffic traffic = make_traffic();
+  stats.update(traffic);
+  traffic.node_traffic_mut(PartitionId{2}, ServerId{5}) = 42.0;
+  for (int i = 0; i < 200; ++i) stats.update(traffic);
+  EXPECT_NEAR(stats.node_traffic(PartitionId{2}, ServerId{5}), 42.0, 1e-9);
+}
+
+TEST(Ewma, HighAlphaAdaptsSlowly) {
+  // alpha weights history: 0.1 adapts fast, 0.9 slowly.
+  TrafficStats fast(kPartitions, kServers, kDatacenters, 0.1);
+  TrafficStats slow(kPartitions, kServers, kDatacenters, 0.9);
+  EpochTraffic traffic = make_traffic();
+  fast.update(traffic);
+  slow.update(traffic);
+  traffic.node_traffic_mut(PartitionId{0}, ServerId{1}) = 100.0;
+  fast.update(traffic);
+  slow.update(traffic);
+  EXPECT_GT(fast.node_traffic(PartitionId{0}, ServerId{1}),
+            slow.node_traffic(PartitionId{0}, ServerId{1}));
+}
+
+TEST(Ewma, StaysWithinObservedRange) {
+  TrafficStats stats(kPartitions, kServers, kDatacenters, 0.3);
+  EpochTraffic traffic = make_traffic();
+  double lo = 1e18;
+  double hi = -1e18;
+  for (const double x : {3.0, 7.0, 1.0, 9.0, 4.0, 4.0, 2.0}) {
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+    traffic.server_work_mut(ServerId{4}) = x;
+    stats.update(traffic);
+    EXPECT_GE(stats.server_arrival(ServerId{4}), lo - 1e-12);
+    EXPECT_LE(stats.server_arrival(ServerId{4}), hi + 1e-12);
+  }
+}
+
+TEST(EwmaDeath, RejectsDegenerateAlpha) {
+  EXPECT_DEATH(TrafficStats(kPartitions, kServers, kDatacenters, 0.0), "");
+  EXPECT_DEATH(TrafficStats(kPartitions, kServers, kDatacenters, 1.0), "");
+  EXPECT_DEATH(TrafficStats(kPartitions, kServers, kDatacenters, -0.5), "");
 }
 
 TEST(TrafficStats, ClearServerForgetsAllSeries) {

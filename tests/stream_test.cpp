@@ -30,7 +30,7 @@ TEST(ArrivalGeneratorTest, TimestampsAreSortedInRangeAndExactCount) {
   EXPECT_TRUE(std::is_sorted(ts.begin(), ts.end()));
   for (const double t : ts) {
     EXPECT_GE(t, 0.0);
-    EXPECT_LT(t, config.epoch_ms);
+    EXPECT_LT(t, StreamConfig::kEpochMs);
   }
 }
 
@@ -65,8 +65,8 @@ TEST(ArrivalGeneratorTest, FlashWindowConcentratesArrivals) {
   config.flash_end = 0.25;
   const ArrivalGenerator gen(config, 7);
   const auto ts = gen.timestamps(Epoch{0}, DatacenterId{0}, 4000);
-  const double cut = config.flash_start * config.epoch_ms +
-                     0.25 * config.epoch_ms;
+  const double cut = config.flash_start * StreamConfig::kEpochMs +
+                     0.25 * StreamConfig::kEpochMs;
   const auto in_window = static_cast<double>(
       std::count_if(ts.begin(), ts.end(),
                     [&](double t) { return t < cut; }));

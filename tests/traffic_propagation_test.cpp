@@ -5,8 +5,11 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "core/rfh_policy.h"
 #include "test_util.h"
 
 namespace rfh {
@@ -287,6 +290,100 @@ TEST(TrafficPropagation, RevisitedPartitionContinuesFromItsEarlierRun) {
       }
       EXPECT_EQ(traffic.unserved(part), sorted->traffic().unserved(part));
     }
+  }
+}
+
+TEST(TrafficPropagation, SliceLogIsTheOnlyRecordOfEachDecision) {
+  // Every absorption decision is one slice, and the epoch's tallies are
+  // read back from the slices in log order: unavailable flows (EC
+  // stripes still below k), absorbed slices and blocked residuals all
+  // appear, at every jobs value, and attaching the log changes nothing.
+  SimConfig config;
+  config.partitions = 8;
+  std::string error;
+  ASSERT_TRUE(parse_redundancy("ec(4,2)", config, error)) << error;
+  WorkloadParams params;
+  params.partitions = config.partitions;
+  params.datacenters = 10;
+  params.mean_queries_per_epoch = 400.0;  // beyond the copies' capacity
+  const auto make = [&] {
+    return std::make_unique<Simulation>(
+        build_paper_world(test::uniform_world_options(kCap)), config,
+        std::make_unique<UniformWorkload>(params),
+        std::make_unique<RfhPolicy>());
+  };
+  for (const unsigned jobs : {1u, 4u}) {
+    auto logged = make();
+    auto bare = make();
+    logged->set_jobs(jobs);
+    bare->set_jobs(jobs);
+    FlowLog log;
+    logged->set_flow_log(&log);
+    bool unavailable = false;
+    bool absorbed = false;
+    bool blocked = false;
+    for (int e = 0; e < 30; ++e) {
+      const EpochReport report = logged->step();
+      bare->step();
+      const EpochTraffic& traffic = logged->traffic();
+
+      double queries = 0.0;
+      double routed = 0.0;
+      double hops_weighted = 0.0;
+      std::vector<double> unserved(config.partitions, 0.0);
+      for (const FlowSegment& slice : log.segments()) {
+        queries += slice.queries;
+        if (!slice.server.valid()) {
+          unserved[slice.partition.value()] += slice.queries;
+        }
+        if (slice.latency_ms >= 0.0) {
+          routed += slice.queries;
+          hops_weighted += slice.queries * static_cast<double>(slice.hops);
+        }
+        unavailable = unavailable || slice.latency_ms < 0.0;
+        absorbed = absorbed || slice.server.valid();
+        blocked = blocked || (!slice.server.valid() && slice.latency_ms >= 0.0);
+      }
+      EXPECT_NEAR(queries, traffic.total_queries(),
+                  1e-9 * traffic.total_queries())
+          << "jobs " << jobs << " epoch " << e;
+      double unserved_sum = 0.0;
+      for (std::uint32_t pv = 0; pv < config.partitions; ++pv) {
+        EXPECT_EQ(unserved[pv], traffic.unserved(PartitionId{pv}));
+        unserved_sum += unserved[pv];
+      }
+      EXPECT_EQ(unserved_sum, report.unserved_queries);
+      EXPECT_EQ(routed > 0.0 ? hops_weighted / routed : 0.0,
+                report.mean_path_length);
+      EXPECT_EQ(routed, traffic.latency().total_weight());
+
+      // The bare twin, stepped without a log, tallies the same bits.
+      const EpochTraffic& twin = bare->traffic();
+      EXPECT_EQ(twin.total_queries(), traffic.total_queries());
+      EXPECT_EQ(twin.mean_path_length(), traffic.mean_path_length());
+      EXPECT_EQ(twin.latency().total_weight(), traffic.latency().total_weight());
+      EXPECT_EQ(twin.latency().mean(), traffic.latency().mean());
+      EXPECT_EQ(twin.latency().max_value(), traffic.latency().max_value());
+      for (std::uint32_t pv = 0; pv < config.partitions; ++pv) {
+        const PartitionId p{pv};
+        EXPECT_EQ(twin.unserved(p), traffic.unserved(p));
+        const std::span<const TrafficCell> got = traffic.cells(p);
+        const std::span<const TrafficCell> want = twin.cells(p);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].server, want[i].server);
+          EXPECT_EQ(got[i].node, want[i].node);
+          EXPECT_EQ(got[i].served, want[i].served);
+        }
+      }
+      for (std::uint32_t sv = 0; sv < traffic.servers(); ++sv) {
+        EXPECT_EQ(twin.server_work(ServerId{sv}),
+                  traffic.server_work(ServerId{sv}));
+      }
+    }
+    EXPECT_TRUE(unavailable) << "jobs " << jobs;
+    EXPECT_TRUE(absorbed) << "jobs " << jobs;
+    EXPECT_TRUE(blocked) << "jobs " << jobs;
   }
 }
 
