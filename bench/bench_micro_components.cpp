@@ -81,29 +81,35 @@ void BM_AllPairsShortestPaths(benchmark::State& state) {
 }
 BENCHMARK(BM_AllPairsShortestPaths)->Arg(10)->Arg(50)->Arg(200);
 
-// Route assembly as the engine does it: path span plus relay lookups from
-// a warm relay table, into a reused result slot (no allocation).
+// Route assembly as the engine does it: Router::walk over the path span
+// with relay lookups from a warm relay table, into a reused context (no
+// allocation).
 void BM_RouteExpansion(benchmark::State& state) {
   const rfh::World world = rfh::build_paper_world();
   const rfh::DcGraph graph(world.topology.datacenter_count(), world.links);
   const rfh::ShortestPaths paths(graph);
-  rfh::Router router(world.topology, paths);
-  router.reserve_relays(1);
+  const rfh::Router router(world.topology, paths, /*partitions=*/1);
   rfh::SimConfig config;
   rfh::ClusterState cluster(world.topology, config);
   const rfh::ServerId holder =
       cluster.ring().partition_owner(rfh::PartitionId{0});
   rfh::Router::RouteCtx ctx;
+  std::uint32_t relays = 0;
+  const auto visit = [&relays](const rfh::RouteStage& stage) {
+    relays ^= stage.relay.value();
+    return true;
+  };
   for (std::uint32_t r = 0; r < 10; ++r) {  // warm every cell
-    (void)router.route(rfh::PartitionId{0}, rfh::DatacenterId{r}, holder,
-                       cluster.live_by_dc(), ctx);
+    (void)router.walk(rfh::PartitionId{0}, rfh::DatacenterId{r}, holder,
+                      cluster.live_by_dc(), ctx, visit);
   }
   std::uint32_t requester = 0;
   for (auto _ : state) {
-    const rfh::Route& route =
-        router.route(rfh::PartitionId{0}, rfh::DatacenterId{requester},
-                     holder, cluster.live_by_dc(), ctx);
-    benchmark::DoNotOptimize(&route);
+    const rfh::RouteEnd end =
+        router.walk(rfh::PartitionId{0}, rfh::DatacenterId{requester},
+                    holder, cluster.live_by_dc(), ctx, visit);
+    benchmark::DoNotOptimize(end);
+    benchmark::DoNotOptimize(relays);
     requester = (requester + 1) % 10;
   }
 }

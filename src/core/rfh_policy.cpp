@@ -62,9 +62,10 @@ ServerId RfhPolicy::select_in_dc(const PolicyContext& ctx, DatacenterId dc,
 }
 
 ServerId RfhPolicy::pick_target(const PolicyContext& ctx, PartitionId p,
-                                const std::vector<HubCandidate>& hubs) const {
+                                const std::vector<HubCandidate>& hubs,
+                                Options::Placement placement) const {
   using Placement = Options::Placement;
-  switch (options_.placement) {
+  switch (placement) {
     case Placement::kTrafficHub: {
       // Walk hubs in traffic order; the hub's datacenter hosts the copy on
       // its lowest-blocking-probability server.
@@ -216,172 +217,168 @@ Actions RfhPolicy::decide(const PolicyContext& ctx) {
 
 void RfhPolicy::decide_partition(const PolicyContext& ctx, PartitionId p,
                                  std::uint32_t rmin, Actions& actions) {
-  {
-    const std::uint32_t pv = p.value();
-    const ServerId primary = ctx.cluster.primary_of(p);
-    if (!primary.valid()) return;
+  const std::uint32_t pv = p.value();
+  const ServerId primary = ctx.cluster.primary_of(p);
+  if (!primary.valid()) return;
 
-    const double q_bar = ctx.stats.avg_query(p);
-    const std::uint32_t r = ctx.cluster.replica_count(p);
+  const double q_bar = ctx.stats.avg_query(p);
+  const std::uint32_t r = ctx.cluster.replica_count(p);
 
-    // --- 1. Availability floor (Eq. 14) --------------------------------
-    if (r < rmin) {
-      auto hubs = hub_candidates(ctx, p, /*gamma_threshold=*/0.0,
-                                 /*require_gamma=*/false);
-      ServerId target = pick_target(ctx, p, hubs);
-      if (!target.valid()) {
-        // No traffic observed yet (cold partition, fresh cluster): fall
-        // back to diversity near the owner so the floor is restored even
-        // before the first query arrives.
-        Options near_owner = options_;
-        near_owner.placement = Options::Placement::kNearOwner;
-        target = RfhPolicy(near_owner).pick_target(ctx, p, hubs);
+  // --- 1. Availability floor (Eq. 14) --------------------------------
+  if (r < rmin) {
+    auto hubs = hub_candidates(ctx, p, /*gamma_threshold=*/0.0,
+                               /*require_gamma=*/false);
+    ServerId target = pick_target(ctx, p, hubs, options_.placement);
+    if (!target.valid()) {
+      // No traffic observed yet (cold partition, fresh cluster): fall
+      // back to diversity near the owner so the floor is restored even
+      // before the first query arrives.
+      target = pick_target(ctx, p, hubs, Options::Placement::kNearOwner);
+    }
+    if (target.valid()) {
+      DecisionExplanation why = base_explanation(ctx, q_bar, r, rmin);
+      why.rule = DecisionRule::kAvailabilityFloor;
+      why.observed = static_cast<double>(r);
+      why.threshold = static_cast<double>(rmin);
+      actions.replications.push_back(ReplicateAction{p, target, why});
+    }
+    return;  // grow back to the floor before optimizing anything else
+  }
+
+  // --- 2. Overload relief (Eqs. 12-13, 16) ----------------------------
+  DecisionExplanation overload_why = base_explanation(ctx, q_bar, r, rmin);
+  if (holder_overloaded(ctx, p, primary, &overload_why)) {
+    ++overload_streak_[pv];
+  } else {
+    overload_streak_[pv] = 0;
+  }
+  const bool overloaded =
+      overload_streak_[pv] >= options_.overload_streak_epochs;
+  bool replicated_this_epoch = false;
+
+  if (overloaded && r < ctx.config.max_replicas_per_partition) {
+    auto hubs = hub_candidates(ctx, p, ctx.config.gamma * q_bar,
+                               /*require_gamma=*/true);
+    bool forced = false;
+    if (hubs.empty()) {
+      // Forced relief: availability reached but still too much traffic.
+      hubs = hub_candidates(ctx, p, 0.0, /*require_gamma=*/false);
+      forced = true;
+    }
+    if (hubs.empty()) {
+      // No forwarding node anywhere carries this partition's traffic:
+      // the demand originates at the holder's own datacenter (or every
+      // carrier already hosts a copy). Relieve locally — "some replicas
+      // are placed on the same datacenter of the primary partition
+      // holders, but in different servers" (Section III-C).
+      const DatacenterId home = ctx.topology.server(primary).datacenter;
+      const ServerId local = select_in_dc(ctx, home, p);
+      if (local.valid()) {
+        DecisionExplanation why = overload_why;
+        why.rule = DecisionRule::kOverloadLocal;
+        actions.replications.push_back(ReplicateAction{p, local, why});
+        replicated_this_epoch = true;
       }
+    }
+    if (!hubs.empty()) {
+      if (hubs.size() > options_.top_hubs) hubs.resize(options_.top_hubs);
+      const ServerId target = pick_target(ctx, p, hubs, options_.placement);
       if (target.valid()) {
-        DecisionExplanation why = base_explanation(ctx, q_bar, r, rmin);
-        why.rule = DecisionRule::kAvailabilityFloor;
-        why.observed = static_cast<double>(r);
-        why.threshold = static_cast<double>(rmin);
-        actions.replications.push_back(ReplicateAction{p, target, why});
-      }
-      return;  // grow back to the floor before optimizing anything else
-    }
-
-    // --- 2. Overload relief (Eqs. 12-13, 16) ----------------------------
-    DecisionExplanation overload_why = base_explanation(ctx, q_bar, r, rmin);
-    if (holder_overloaded(ctx, p, primary, &overload_why)) {
-      ++overload_streak_[pv];
-    } else {
-      overload_streak_[pv] = 0;
-    }
-    const bool overloaded =
-        overload_streak_[pv] >= options_.overload_streak_epochs;
-    bool replicated_this_epoch = false;
-
-    if (overloaded && r < ctx.config.max_replicas_per_partition) {
-      auto hubs = hub_candidates(ctx, p, ctx.config.gamma * q_bar,
-                                 /*require_gamma=*/true);
-      bool forced = false;
-      if (hubs.empty()) {
-        // Forced relief: availability reached but still too much traffic.
-        hubs = hub_candidates(ctx, p, 0.0, /*require_gamma=*/false);
-        forced = true;
-      }
-      if (hubs.empty()) {
-        // No forwarding node anywhere carries this partition's traffic:
-        // the demand originates at the holder's own datacenter (or every
-        // carrier already hosts a copy). Relieve locally — "some replicas
-        // are placed on the same datacenter of the primary partition
-        // holders, but in different servers" (Section III-C).
-        const DatacenterId home = ctx.topology.server(primary).datacenter;
-        const ServerId local = select_in_dc(ctx, home, p);
-        if (local.valid()) {
-          DecisionExplanation why = overload_why;
-          why.rule = DecisionRule::kOverloadLocal;
-          actions.replications.push_back(ReplicateAction{p, local, why});
-          replicated_this_epoch = true;
-        }
-      }
-      if (!hubs.empty()) {
-        if (hubs.size() > options_.top_hubs) hubs.resize(options_.top_hubs);
-        const ServerId target = pick_target(ctx, p, hubs);
-        if (target.valid()) {
-          // Migration check: is there a replica outside the top hub
-          // datacenters whose relocation clears the Eq. 16 benefit bar?
-          ServerId victim;
-          double victim_traffic = 0.0;
-          if (options_.enable_migration) {
-            auto in_top_dcs = [&](DatacenterId dc) {
-              return std::any_of(hubs.begin(), hubs.end(),
-                                 [&](const HubCandidate& h) {
-                                   return ctx.topology.server(h.server)
-                                              .datacenter == dc;
-                                 });
-            };
-            for (const Replica& replica : ctx.cluster.replicas_of(p)) {
-              if (replica.primary) continue;
-              const DatacenterId dc =
-                  ctx.topology.server(replica.server).datacenter;
-              if (in_top_dcs(dc)) continue;
-              const double tr = ctx.stats.node_traffic(p, replica.server);
-              // Only relocate replicas doing markedly less work than the
-              // hub would give them (cold in the Eq. 15 sense, or well
-              // under the hub's traffic): moving an actively-serving
-              // replica would just re-create the hole it was filling.
-              if (tr > std::max(ctx.config.delta * q_bar,
-                                0.3 * hubs.front().traffic)) {
-                continue;
-              }
-              if (!victim.valid() || tr < victim_traffic) {
-                victim = replica.server;
-                victim_traffic = tr;
-              }
+        // Migration check: is there a replica outside the top hub
+        // datacenters whose relocation clears the Eq. 16 benefit bar?
+        ServerId victim;
+        double victim_traffic = 0.0;
+        if (options_.enable_migration) {
+          auto in_top_dcs = [&](DatacenterId dc) {
+            return std::any_of(hubs.begin(), hubs.end(),
+                               [&](const HubCandidate& h) {
+                                 return ctx.topology.server(h.server)
+                                            .datacenter == dc;
+                               });
+          };
+          for (const Replica& replica : ctx.cluster.replicas_of(p)) {
+            if (replica.primary) continue;
+            const DatacenterId dc =
+                ctx.topology.server(replica.server).datacenter;
+            if (in_top_dcs(dc)) continue;
+            const double tr = ctx.stats.node_traffic(p, replica.server);
+            // Only relocate replicas doing markedly less work than the
+            // hub would give them (cold in the Eq. 15 sense, or well
+            // under the hub's traffic): moving an actively-serving
+            // replica would just re-create the hole it was filling.
+            if (tr > std::max(ctx.config.delta * q_bar,
+                              0.3 * hubs.front().traffic)) {
+              continue;
+            }
+            if (!victim.valid() || tr < victim_traffic) {
+              victim = replica.server;
+              victim_traffic = tr;
             }
           }
-          const double mean_tr = ctx.stats.mean_node_traffic(
-              p, ctx.cluster.live_server_count());
-          if (victim.valid() &&
-              hubs.front().traffic - victim_traffic >=
-                  ctx.config.mu * mean_tr) {
-            DecisionExplanation why = overload_why;
-            why.rule = DecisionRule::kMigrationBenefit;
-            why.observed = hubs.front().traffic - victim_traffic;
-            why.threshold = ctx.config.mu * mean_tr;
-            actions.migrations.push_back(
-                MigrateAction{p, victim, target, why});
-          } else {
-            DecisionExplanation why = overload_why;
-            why.rule = forced ? DecisionRule::kOverloadForced
-                              : DecisionRule::kOverloadHub;
-            actions.replications.push_back(ReplicateAction{p, target, why});
-          }
-          replicated_this_epoch = true;
         }
+        const double mean_tr = ctx.stats.mean_node_traffic(
+            p, ctx.cluster.live_server_count());
+        if (victim.valid() &&
+            hubs.front().traffic - victim_traffic >=
+                ctx.config.mu * mean_tr) {
+          DecisionExplanation why = overload_why;
+          why.rule = DecisionRule::kMigrationBenefit;
+          why.observed = hubs.front().traffic - victim_traffic;
+          why.threshold = ctx.config.mu * mean_tr;
+          actions.migrations.push_back(
+              MigrateAction{p, victim, target, why});
+        } else {
+          DecisionExplanation why = overload_why;
+          why.rule = forced ? DecisionRule::kOverloadForced
+                            : DecisionRule::kOverloadHub;
+          actions.replications.push_back(ReplicateAction{p, target, why});
+        }
+        replicated_this_epoch = true;
       }
     }
+  }
 
-    // --- 3. Suicide (Eq. 15) --------------------------------------------
-    if (options_.enable_suicide && q_bar > 0.0) {
-      // This partition's cold-streak row, sorted by server id — the only
-      // cross-epoch policy state the suicide rule keeps.
-      std::vector<ColdStreak>& row = cold_streak_[pv];
-      const auto row_find = [&row](ServerId s) {
-        return std::lower_bound(row.begin(), row.end(), s.value(),
-                                [](const ColdStreak& c, std::uint32_t v) {
-                                  return c.server < v;
-                                });
-      };
-      const auto row_erase = [&](ServerId s) {
-        const auto it = row_find(s);
-        if (it != row.end() && it->server == s.value()) row.erase(it);
-      };
-      std::uint32_t remaining = r;
-      std::uint32_t done = 0;
-      for (const Replica& replica : ctx.cluster.replicas_of(p)) {
-        if (replica.primary) continue;
-        const double tr = ctx.stats.node_traffic(p, replica.server);
-        if (tr > ctx.config.delta * q_bar) {
-          row_erase(replica.server);
-          continue;
-        }
-        auto it = row_find(replica.server);
-        if (it == row.end() || it->server != replica.server.value()) {
-          it = row.insert(it, ColdStreak{replica.server.value(), 0});
-        }
-        const std::uint32_t streak = ++it->epochs;
-        if (replicated_this_epoch || done >= kMaxSuicidesPerEpoch ||
-            remaining <= rmin || streak < kColdStreakEpochs) {
-          continue;  // cold, but not removable (yet)
-        }
-        DecisionExplanation why = base_explanation(ctx, q_bar, r, rmin);
-        why.rule = DecisionRule::kSuicideCold;
-        why.observed = tr;
-        why.threshold = ctx.config.delta * q_bar;
-        actions.suicides.push_back(SuicideAction{p, replica.server, why});
-        row.erase(row_find(replica.server));
-        --remaining;
-        ++done;
+  // --- 3. Suicide (Eq. 15) --------------------------------------------
+  if (options_.enable_suicide && q_bar > 0.0) {
+    // This partition's cold-streak row, sorted by server id — the only
+    // cross-epoch policy state the suicide rule keeps.
+    std::vector<ColdStreak>& row = cold_streak_[pv];
+    const auto row_find = [&row](ServerId s) {
+      return std::lower_bound(row.begin(), row.end(), s.value(),
+                              [](const ColdStreak& c, std::uint32_t v) {
+                                return c.server < v;
+                              });
+    };
+    const auto row_erase = [&](ServerId s) {
+      const auto it = row_find(s);
+      if (it != row.end() && it->server == s.value()) row.erase(it);
+    };
+    std::uint32_t remaining = r;
+    std::uint32_t done = 0;
+    for (const Replica& replica : ctx.cluster.replicas_of(p)) {
+      if (replica.primary) continue;
+      const double tr = ctx.stats.node_traffic(p, replica.server);
+      if (tr > ctx.config.delta * q_bar) {
+        row_erase(replica.server);
+        continue;
       }
+      auto it = row_find(replica.server);
+      if (it == row.end() || it->server != replica.server.value()) {
+        it = row.insert(it, ColdStreak{replica.server.value(), 0});
+      }
+      const std::uint32_t streak = ++it->epochs;
+      if (replicated_this_epoch || done >= kMaxSuicidesPerEpoch ||
+          remaining <= rmin || streak < kColdStreakEpochs) {
+        continue;  // cold, but not removable (yet)
+      }
+      DecisionExplanation why = base_explanation(ctx, q_bar, r, rmin);
+      why.rule = DecisionRule::kSuicideCold;
+      why.observed = tr;
+      why.threshold = ctx.config.delta * q_bar;
+      actions.suicides.push_back(SuicideAction{p, replica.server, why});
+      row.erase(row_find(replica.server));
+      --remaining;
+      ++done;
     }
   }
 }

@@ -97,11 +97,11 @@ class RfhPolicy final : public ReplicationPolicy {
   void decide_partition(const PolicyContext& ctx, PartitionId p,
                         std::uint32_t rmin, Actions& out);
 
-  /// Pick the target server for a new copy of p according to the
-  /// configured placement; invalid if nothing is feasible.
-  [[nodiscard]] ServerId pick_target(
-      const PolicyContext& ctx, PartitionId p,
-      const std::vector<HubCandidate>& hubs) const;
+  /// Pick the target server for a new copy of p according to
+  /// `placement`; invalid if nothing is feasible.
+  [[nodiscard]] ServerId pick_target(const PolicyContext& ctx, PartitionId p,
+                                     const std::vector<HubCandidate>& hubs,
+                                     Options::Placement placement) const;
 
   [[nodiscard]] ServerId select_in_dc(const PolicyContext& ctx,
                                       DatacenterId dc, PartitionId p) const;

@@ -3,15 +3,10 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <sstream>
 #include <utility>
 
-#include "common/assert.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
-#include "harness/report.h"
-#include "obs/sinks.h"
-#include "obs/timeline.h"
 #include "telemetry/registry.h"
 
 namespace rfh {
@@ -38,32 +33,6 @@ void digest_u64(std::uint64_t& hash, std::uint64_t value) {
   const int n = std::snprintf(buf, sizeof buf, "%llu",
                               static_cast<unsigned long long>(value));
   hash = fnv1a(hash, std::string_view(buf, static_cast<std::size_t>(n)));
-}
-
-void append_double(std::string& out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += buf;
-}
-
-/// Minimal JSON string escaping for our own labels (quotes, backslashes,
-/// control characters).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 constexpr PolicyKind kComparedPolicies[] = {
@@ -129,43 +98,6 @@ unsigned SweepRunner::effective_jobs() const noexcept {
   return options_.jobs == 0 ? ThreadPool::default_jobs() : options_.jobs;
 }
 
-SweepCellResult SweepRunner::run_cell(const SweepCell& cell,
-                                      std::size_t index) const {
-  SweepCellResult result;
-  result.index = index;
-  result.label = cell.label;
-  result.policy = cell.policy;
-  result.seed = cell.scenario.sim.seed;
-
-  MetricRegistry registry;
-  std::ostringstream trace;
-  JsonlSink sink(trace);
-  std::optional<TimelineStore> timeline;
-  if (options_.collect_timeline) {
-    timeline.emplace(cell.scenario.sim.partitions);
-  }
-  result.run = run_policy(cell.scenario, cell.policy, cell.failures, cell.rfh,
-                          options_.collect_traces ? &sink : nullptr,
-                          options_.collect_metrics ? &registry : nullptr,
-                          /*profiler=*/nullptr, /*checker=*/nullptr,
-                          timeline ? &*timeline : nullptr);
-  if (options_.collect_metrics) {
-    std::ostringstream metrics;
-    registry.write_json(metrics);
-    result.metrics_json = std::move(metrics).str();
-  }
-  if (options_.collect_traces) {
-    result.trace_jsonl = std::move(trace).str();
-  }
-  if (timeline) {
-    result.timeline_digest = timeline->digest();
-    std::ostringstream dump;
-    timeline->dump_jsonl(dump);
-    result.timeline_jsonl = std::move(dump).str();
-  }
-  return result;
-}
-
 std::vector<SweepCellResult> SweepRunner::run(
     std::span<const SweepCell> cells) const {
   const unsigned jobs = effective_jobs();
@@ -181,8 +113,12 @@ std::vector<SweepCellResult> SweepRunner::run(
   if (jobs > 1 && n > 1) pool.emplace(std::min(jobs, n));
   parallel_for_shards(pool ? &*pool : nullptr, n, n,
                       [&](unsigned /*shard*/, IndexRange range) {
-                        results[range.begin] =
-                            run_cell(cells[range.begin], range.begin);
+                        const SweepCell& cell = cells[range.begin];
+                        results[range.begin] = SweepCellResult{
+                            range.begin, cell.label, cell.policy,
+                            cell.scenario.sim.seed,
+                            run_policy(cell.scenario, cell.policy,
+                                       cell.failures, cell.rfh)};
                       });
   ThreadPool::Stats pool_stats;
   if (pool) {
@@ -212,64 +148,6 @@ std::vector<SweepCellResult> SweepRunner::run(
                            : 0.0);
   }
   return results;
-}
-
-std::string sweep_results_json(std::span<const SweepCellResult> results) {
-  std::string out;
-  out += "{\"schema\":\"rfh-sweep/1\",\"cells\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const SweepCellResult& r = results[i];
-    if (i > 0) out += ',';
-    out += "{\"index\":";
-    out += std::to_string(r.index);
-    out += ",\"label\":\"" + json_escape(r.label) + "\"";
-    out += ",\"policy\":\"" + std::string(policy_name(r.policy)) + "\"";
-    out += ",\"seed\":" + std::to_string(r.seed);
-    out += ",\"epochs\":" + std::to_string(r.run.series.size());
-    out += ",\"faults_injected\":" + std::to_string(r.run.faults_injected);
-    out += ",\"killed\":" + std::to_string(r.run.killed.size());
-    out += ",\"slo_breaches\":" + std::to_string(r.run.slo_breaches.size());
-    out += ",\"utilization_tail50\":";
-    append_double(out, tail_mean(r.run, &EpochMetrics::utilization, 50));
-    out += ",\"path_length_tail50\":";
-    append_double(out, tail_mean(r.run, &EpochMetrics::path_length, 50));
-    out += ",\"replication_cost_total\":";
-    append_double(out, r.run.series.empty()
-                           ? 0.0
-                           : r.run.series.back().replication_cost_total);
-    // Fingerprint of every per-epoch field plus the kill order — the
-    // bit-identity witness the differential tests compare.
-    std::uint64_t digest = series_digest(r.run.series);
-    for (const ServerId victim : r.run.killed) {
-      digest_u64(digest, victim.value());
-    }
-    for (const std::uint64_t count : r.run.faults_by_kind) {
-      digest_u64(digest, count);
-    }
-    // SLO breach episodes and the causal flight record fold into the same
-    // fingerprint; runs without either keep their prior digests (no bytes
-    // are folded for empty breach lists or a zero timeline digest).
-    for (const SloBreachRecord& b : r.run.slo_breaches) {
-      digest_u64(digest, b.epoch);
-      digest_u64(digest, static_cast<std::uint64_t>(b.objective));
-      digest_double(digest, b.observed);
-      digest_double(digest, b.target);
-      digest_double(digest, b.burn_short);
-      digest_double(digest, b.burn_long);
-      digest_u64(digest, b.cause_id);
-    }
-    if (r.timeline_digest != 0) {
-      digest_u64(digest, r.timeline_digest);
-    }
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(digest));
-    out += ",\"series_digest\":\"";
-    out += buf;
-    out += "\"}";
-  }
-  out += "]}";
-  return out;
 }
 
 ComparativeResult run_comparison(

@@ -4,14 +4,14 @@
 // triples, optionally with per-cell RFH options and failure schedules —
 // each of which is one full run_policy() simulation. Cells share nothing
 // mutable: every cell builds its own World, workload stream and RNG
-// streams forked from its scenario seed, gets its own MetricRegistry and
-// trace sink when collection is enabled, and writes only its own result
+// streams forked from its scenario seed, and writes only its own result
 // slot. The SweepRunner fans cells out with parallel_for_shards, one
-// shard per cell on a FIFO ThreadPool (no pool for one job), and each cell
-// writes its own result slot, so a parallel sweep is bit-identical to the
-// serial one — enforced by
-// tests/determinism_test.cpp, which byte-compares sweep_results_json()
-// (and per-cell traces and metric dumps) across --jobs values.
+// shard per cell on a FIFO ThreadPool (no pool for one job), so a
+// parallel sweep is bit-identical to the serial one — enforced by
+// tests/determinism_test.cpp, which compares every cell's series digest,
+// kill order, fault counts and SLO breaches across --jobs values. A caller
+// that wants a cell's trace, metrics or flight record attaches them
+// through run_policy itself.
 //
 // Seed-forking rules (DESIGN.md §11): the runner never draws randomness
 // itself. Each cell's Simulation forks its subsystem streams
@@ -34,7 +34,7 @@ class MetricRegistry;
 
 /// One independent sweep cell.
 struct SweepCell {
-  /// Free-form identifier carried into results and JSON ("fig3/flash",
+  /// Free-form identifier carried into the result ("fig3/flash",
   /// "seed=7", ...). Not required to be unique; cells are keyed by index.
   std::string label;
   Scenario scenario;
@@ -49,17 +49,6 @@ struct SweepCellResult {
   PolicyKind policy = PolicyKind::kRfh;
   std::uint64_t seed = 0;
   PolicyRun run;
-  /// rfh-metrics/1 JSON dump of the cell's own registry (empty unless
-  /// SweepOptions::collect_metrics).
-  std::string metrics_json;
-  /// JSONL event trace from the cell's own sink (empty unless
-  /// SweepOptions::collect_traces).
-  std::string trace_jsonl;
-  /// Causal flight record (obs/timeline.h) of the cell's run: the
-  /// store's FNV-1a digest and its JSONL dump (zero/empty unless
-  /// SweepOptions::collect_timeline). Byte-identical across --jobs.
-  std::uint64_t timeline_digest = 0;
-  std::string timeline_jsonl;
 };
 
 struct SweepOptions {
@@ -67,13 +56,6 @@ struct SweepOptions {
   /// in index order — the serial baseline; 0 asks the hardware
   /// (ThreadPool::default_jobs()); N > 1 uses a pool of N.
   unsigned jobs = 1;
-  /// Give each cell its own MetricRegistry and keep its JSON dump.
-  bool collect_metrics = false;
-  /// Give each cell its own JsonlSink and keep the trace text.
-  bool collect_traces = false;
-  /// Give each cell its own TimelineStore recorder and keep its digest
-  /// and JSONL dump (bounded memory, unlike collect_traces).
-  bool collect_timeline = false;
   /// Sweep-level telemetry (rfh_sweep_* / rfh_pool_*); optional, bumped
   /// after the fan-out completes so it never races cell execution.
   MetricRegistry* registry = nullptr;
@@ -92,19 +74,8 @@ class SweepRunner {
   [[nodiscard]] unsigned effective_jobs() const noexcept;
 
  private:
-  [[nodiscard]] SweepCellResult run_cell(const SweepCell& cell,
-                                         std::size_t index) const;
-
   SweepOptions options_;
 };
-
-/// Canonical JSON (schema "rfh-sweep/1") of merged results in cell-index
-/// order: label, policy, seed, epochs, faults injected, tail means of the
-/// headline series and an FNV-1a digest over every per-epoch metric
-/// field. Contains no wall-clock, so serial and parallel runs of the same
-/// grid serialize byte-identically.
-[[nodiscard]] std::string sweep_results_json(
-    std::span<const SweepCellResult> results);
 
 /// FNV-1a digest over the canonical text form of every field of every
 /// EpochMetrics in the series (printf %.17g for doubles, decimal for

@@ -54,7 +54,12 @@ EpochMetrics MetricsCollector::collect(const Simulation& sim,
     m.latency_p99_ms = latency.percentile(0.99);
     m.latency_p999_ms = latency.percentile(0.999);
   }
-  m.sla_attainment = latency.fraction_at_or_below(kSlaTargetMs);
+  // Unavailable queries carry no latency sample, so an epoch where every
+  // query was unavailable has an empty histogram, whose fraction reads
+  // 1.0; none of those queries met the SLA.
+  m.sla_attainment = report.total_queries > 0.0 && latency.empty()
+                         ? 0.0
+                         : latency.fraction_at_or_below(kSlaTargetMs);
 
   m.unserved_fraction = report.total_queries > 0.0
                             ? report.unserved_queries / report.total_queries

@@ -34,7 +34,9 @@ struct EpochMetrics {
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
   double latency_p999_ms = 0.0;
-  /// Fraction of queries answered within kSlaTargetMs.
+  /// Fraction of the epoch's latency samples (served and blocked
+  /// queries) within kSlaTargetMs; 0 when there were queries but every
+  /// one was unavailable, so none left a sample.
   double sla_attainment = 0.0;
 
   // Geographic diversity (Section II-A availability levels): mean max

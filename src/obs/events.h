@@ -76,7 +76,8 @@ struct DecisionExplanation {
 // ---------------------------------------------------------------------------
 
 /// Why the engine refused an action during validation (engine.cpp's
-/// apply_actions). Ordered so the values double as counter indices.
+/// apply_actions; a refused target names ClusterState::refusal's reason).
+/// Ordered so the values double as counter indices.
 enum class DropReason : std::uint8_t {
   /// Source out of per-epoch replication/migration bandwidth budget.
   kBandwidth = 0,
@@ -91,8 +92,8 @@ enum class DropReason : std::uint8_t {
   /// EC zone-diversity rule: the target's datacenter already holds m
   /// fragments of the stripe (replica mode never emits this).
   kZoneDiversity,
-  /// can_accept refused but no classifier check matched — a rejection
-  /// path the classifier does not model yet (asserts in debug builds).
+  /// Never produced: every refusal names its constraint. Kept so the
+  /// counter index and the dropped_unknown series stay stable.
   kUnknown,
 };
 inline constexpr std::size_t kDropReasonCount = 7;

@@ -19,9 +19,25 @@ std::uint64_t relay_key(PartitionId partition, DatacenterId dc) {
 
 }  // namespace
 
-Router::Router(const Topology& topology, const ShortestPaths& paths)
-    : topology_(&topology), paths_(&paths) {
+Router::Router(const Topology& topology, const ShortestPaths& paths,
+               std::size_t partitions)
+    : topology_(&topology),
+      paths_(&paths),
+      partition_keys_(partitions),
+      server_hashes_(topology.server_count()),
+      dc_hashes_(topology.datacenter_count()),
+      relays_(topology.datacenter_count() * partitions, ServerId::invalid()) {
   RFH_ASSERT(topology.datacenter_count() == paths.size());
+  for (std::size_t p = 0; p < partitions; ++p) {
+    partition_keys_[p] =
+        HashRing::partition_key(PartitionId{static_cast<std::uint32_t>(p)});
+  }
+  for (std::size_t s = 0; s < server_hashes_.size(); ++s) {
+    server_hashes_[s] = hash64(std::uint64_t{s});
+  }
+  for (std::size_t dc = 0; dc < dc_hashes_.size(); ++dc) {
+    dc_hashes_[dc] = hash64(std::uint64_t{dc});
+  }
 }
 
 void Router::set_telemetry(MetricRegistry* registry) {
@@ -40,33 +56,6 @@ void Router::set_telemetry(MetricRegistry* registry) {
       "Transit datacenters skipped because no server was alive");
 }
 
-void Router::reserve_relays(std::size_t partitions) {
-  const std::size_t had = partition_keys_.size();
-  if (partitions <= had) return;
-  const std::size_t dcs = topology_->datacenter_count();
-  if (server_hashes_.empty()) {
-    server_hashes_.resize(topology_->server_count());
-    for (std::size_t s = 0; s < server_hashes_.size(); ++s) {
-      server_hashes_[s] = hash64(std::uint64_t{s});
-    }
-    dc_hashes_.resize(dcs);
-    for (std::size_t dc = 0; dc < dcs; ++dc) {
-      dc_hashes_[dc] = hash64(std::uint64_t{dc});
-    }
-  }
-  std::vector<ServerId> grown(dcs * partitions, ServerId::invalid());
-  for (std::size_t dc = 0; dc < dcs; ++dc) {
-    std::copy_n(relays_.begin() + static_cast<std::ptrdiff_t>(dc * had), had,
-                grown.begin() + static_cast<std::ptrdiff_t>(dc * partitions));
-  }
-  relays_ = std::move(grown);
-  partition_keys_.reserve(partitions);
-  for (std::size_t p = had; p < partitions; ++p) {
-    partition_keys_.push_back(
-        HashRing::partition_key(PartitionId{static_cast<std::uint32_t>(p)}));
-  }
-}
-
 void Router::servers_down(std::span<const ServerId> servers) {
   const std::size_t partitions = partition_keys_.size();
   for (const ServerId s : servers) {
@@ -79,7 +68,6 @@ void Router::servers_down(std::span<const ServerId> servers) {
 
 void Router::servers_up(std::span<const ServerId> servers) {
   const std::size_t partitions = partition_keys_.size();
-  if (partitions == 0) return;  // no table, and no hash columns either
   for (const ServerId s : servers) {
     const DatacenterId dc = topology_->server(s).datacenter;
     const std::uint64_t dc_hash = dc_hashes_[dc.value()];
@@ -100,8 +88,7 @@ void Router::servers_up(std::span<const ServerId> servers) {
 }
 
 ServerId Router::cached_relay(PartitionId partition, DatacenterId dc) const {
-  const ServerId* const cell = relay_cell(partition, dc);
-  return cell == nullptr ? ServerId::invalid() : *cell;
+  return relay_cell(partition, dc);
 }
 
 ServerId Router::relay_for(PartitionId partition, DatacenterId dc,
@@ -116,33 +103,9 @@ ServerId Router::fill_relay(PartitionId partition, DatacenterId dc,
                          live_servers, server_hashes_);
 }
 
-const Route& Router::route(
-    PartitionId partition, DatacenterId requester, ServerId holder,
-    std::span<const std::vector<ServerId>> live_by_dc, RouteCtx& ctx) const {
-  Route& route = ctx.result;
-  route.stages.clear();
-  route.holder = holder;
-  static_cast<RouteEnd&>(route) =
-      walk(partition, requester, holder, live_by_dc, ctx,
-           [&](const RouteStage& stage) {
-             route.stages.push_back(stage);
-             return true;
-           });
-  return route;
-}
-
-const Route& Router::route(
-    PartitionId partition, DatacenterId requester, ServerId holder,
-    std::span<const std::vector<ServerId>> live_by_dc) const {
-  const Route& result =
-      route(partition, requester, holder, live_by_dc, serial_ctx_);
-  flush_counts(serial_ctx_);
-  return result;
-}
-
 void Router::flush_counts(RouteCtx& ctx) const {
   // Counters hold integer-valued doubles; batching shard tallies into one
-  // inc() is exact below 2^53, so totals match the per-route serial incs.
+  // inc() is exact below 2^53, so totals match per-route incs.
   if (dead_skips_ != nullptr && ctx.dead_skips > 0) {
     dead_skips_->inc(static_cast<double>(ctx.dead_skips));
   }

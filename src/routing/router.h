@@ -11,13 +11,14 @@
 //
 // Relay table: a route is assembled from the requester -> holder-DC path
 // span (ShortestPaths' arena, read live, so link changes need no hook)
-// plus one relay per transit datacenter. walk() assembles it stage by
-// stage and stops when the caller does (propagate stops once the demand
-// is absorbed); route() collects every stage. relay_for is a pure argmax
-// over the DC's live servers, so the Router caches it per (partition, DC)
-// in one flat table, filled on first lookup. The table stays
-// exact — equal to a fresh relay_for over live_by_dc[dc], bit for bit —
-// as long as the owner reports every liveness change:
+// plus one relay per transit datacenter. walk() is the only routing call:
+// it assembles the route stage by stage and stops when the caller does
+// (propagate stops once the demand is absorbed). relay_for is a pure
+// argmax over the DC's live servers, so the Router caches it per
+// (partition, DC) in one flat table, sized for every partition at
+// construction and filled on first lookup. The table stays exact — equal
+// to a fresh relay_for over live_by_dc[dc], bit for bit — as long as the
+// owner reports every liveness change:
 //  * servers_down(victims) after a kill clears exactly the cells whose
 //    relay died;
 //  * servers_up(revived) after a revive lets each revived server take a
@@ -27,18 +28,14 @@
 // The table is column-major (one contiguous column of partitions per
 // datacenter), so both hooks read only the changed servers' datacenter
 // columns, front to back: a wave costs O(partitions · changed DCs), not
-// O(partitions · DCs). reserve_relays hashes every partition key, server
+// O(partitions · DCs). The constructor hashes every partition key, server
 // id and datacenter id once; table fills and servers_up read those
 // columns, so a candidate's weight is one hash_combine over its stored
-// hash64 — the same weight relay_for computes from scratch.
+// hash64 — the same weight relay_for computes from scratch. relay_for
+// stays the reference pick (ReferenceEngine, the relay-table tests).
 // In the engine, Simulation::fail_servers and recover_servers call the
 // hooks; placement changes need nothing, since the holder stage is the
 // holder itself and every other cell depends only on liveness.
-//
-// Only partitions reserved by reserve_relays are cached. A Router with no
-// reserved partitions computes every relay directly with relay_for,
-// hashing on the fly, so it stays an independent oracle for the table
-// and its hash columns (router_test's direct reference, latency_test).
 //
 // Concurrency: a partition's cells are only read and written by the code
 // routing that partition. The sharded propagate pass gives each shard a
@@ -46,10 +43,9 @@
 // synchronisation (DESIGN.md §11/§15); the hooks run serially between
 // epochs.
 //
-// Counters: the serial route() maintains the telemetry counters directly.
-// walk() and the RouteCtx overload accumulate them per shard instead; the
-// engine flushes contexts in shard-index order after the join, which
-// reproduces the serial totals exactly (integer counts in doubles are
+// Counters: walk() accumulates them per shard in a RouteCtx; the engine
+// flushes contexts in shard-index order after the join, which reproduces
+// the serial totals exactly (integer counts in doubles are
 // order-invariant below 2^53).
 #pragma once
 
@@ -88,11 +84,6 @@ struct RouteEnd {
   double total_latency_ms = 0.0;
 };
 
-struct Route : RouteEnd {
-  std::vector<RouteStage> stages;  // requester DC first, holder DC last
-  ServerId holder;
-};
-
 /// Latency model constants (see DESIGN.md): 2 ms switching cost per hop,
 /// ~200 km of fibre per millisecond of propagation.
 inline constexpr double kHopLatencyMs = 2.0;
@@ -100,41 +91,27 @@ inline constexpr double kFibreKmPerMs = 200.0;
 
 class Router {
  public:
-  Router(const Topology& topology, const ShortestPaths& paths);
+  /// A relay table for partitions [0, partitions), every cell empty.
+  Router(const Topology& topology, const ShortestPaths& paths,
+         std::size_t partitions);
 
-  /// Per-shard routing context: telemetry tallies plus the result slot
-  /// the route is assembled into. Flush contexts in shard-index order via
+  /// Per-shard telemetry tallies. Flush contexts in shard-index order via
   /// flush_counts().
   struct RouteCtx {
     std::uint64_t routes = 0;
     std::uint64_t stages = 0;
     std::uint64_t dead_skips = 0;
-    Route result;
   };
 
-  /// Compute the route for queries from `requester` to the primary copy on
-  /// `holder`. `live_by_dc[dc]` lists the currently-alive servers of each
-  /// datacenter (relays are only chosen among live servers; a datacenter
-  /// with no live servers is skipped as a stage).
-  ///
-  /// The returned reference stays valid until the next route() call on
-  /// this Router. Callers needing to keep a route must copy it.
-  [[nodiscard]] const Route& route(
-      PartitionId partition, DatacenterId requester, ServerId holder,
-      std::span<const std::vector<ServerId>> live_by_dc) const;
-
-  /// Concurrent variant: identical routing, but the result and all
-  /// counter traffic land in `ctx` (valid until the next call with the
-  /// same ctx). Callers running shards concurrently must never route the
-  /// same partition from two shards.
-  [[nodiscard]] const Route& route(
-      PartitionId partition, DatacenterId requester, ServerId holder,
-      std::span<const std::vector<ServerId>> live_by_dc, RouteCtx& ctx) const;
-
-  /// The same route, one stage at a time: `visit(const RouteStage&)`
-  /// returns false to stop. Stages after that are not assembled (no relay
-  /// lookup, no latency) but still counted, so the tallies in `ctx` match
-  /// a full route() — which is this walk, collecting every stage.
+  /// Walk the route for queries from `requester` to the primary copy on
+  /// `holder`, one stage at a time: `visit(const RouteStage&)` returns
+  /// false to stop. `live_by_dc[dc]` lists the currently-alive servers of
+  /// each datacenter (relays are only chosen among live servers; a
+  /// datacenter with no live servers is skipped as a stage). Stages after
+  /// the stop are not assembled (no relay lookup, no latency) but still
+  /// counted in `ctx`, so the tallies describe the whole route. Callers
+  /// running shards concurrently must never walk the same partition from
+  /// two shards.
   template <typename Visit>
   RouteEnd walk(PartitionId partition, DatacenterId requester,
                 ServerId holder,
@@ -145,18 +122,13 @@ class Router {
   /// them. Call once per shard, in shard-index order.
   void flush_counts(RouteCtx& ctx) const;
 
-  /// Cache relays for partitions [0, partitions): the table's cells start
-  /// empty. Idempotent, and keeps the cells it already has. Partitions
-  /// outside the reserved range are routed with direct relay_for picks.
-  void reserve_relays(std::size_t partitions);
-
   /// Liveness hooks (see the relay-table contract above): call after the
   /// servers left, or rejoined, their datacenters' live lists.
   void servers_down(std::span<const ServerId> servers);
   void servers_up(std::span<const ServerId> servers);
 
-  /// The table's cell for (partition, dc); invalid when not cached (cold,
-  /// cleared by servers_down, or outside the reserved partitions).
+  /// The table's cell for (partition, dc); invalid when not cached (cold
+  /// or cleared by servers_down).
   [[nodiscard]] ServerId cached_relay(PartitionId partition,
                                       DatacenterId dc) const;
 
@@ -167,7 +139,7 @@ class Router {
 
   /// Export route/stage/dead-skip counters into `registry`
   /// (rfh_router_*). nullptr detaches. Counting is observational only;
-  /// route() stays deterministic either way.
+  /// routing stays deterministic either way.
   void set_telemetry(MetricRegistry* registry);
 
  private:
@@ -179,32 +151,26 @@ class Router {
     return kHopLatencyMs * static_cast<double>(hops) +
            paths_->distance_km(requester, dc) / kFibreKmPerMs;
   }
-  /// relay_for for a reserved partition, from the stored hash columns.
+  /// relay_for from the stored hash columns.
   [[nodiscard]] ServerId fill_relay(PartitionId partition, DatacenterId dc,
                                     std::span<const ServerId> live_servers)
       const;
-  /// The table cell for (partition, dc), or nullptr outside the reserved
-  /// partitions.
-  [[nodiscard]] ServerId* relay_cell(PartitionId partition,
+  /// The table cell for (partition, dc).
+  [[nodiscard]] ServerId& relay_cell(PartitionId partition,
                                      DatacenterId dc) const {
-    if (partition.value() >= partition_keys_.size()) return nullptr;
-    return &relays_[std::size_t{dc.value()} * partition_keys_.size() +
+    return relays_[std::size_t{dc.value()} * partition_keys_.size() +
                     partition.value()];
   }
 
   const Topology* topology_;
   const ShortestPaths* paths_;
-  /// relays_[dc * reserved partitions + partition]; invalid = not yet
-  /// picked.
-  mutable std::vector<ServerId> relays_;
-  /// HashRing::partition_key of each reserved partition.
+  /// HashRing::partition_key of each partition.
   std::vector<std::uint64_t> partition_keys_;
-  /// hash64 of every server id and every datacenter id; filled by the
-  /// first reserve_relays.
+  /// hash64 of every server id and every datacenter id.
   std::vector<std::uint64_t> server_hashes_;
   std::vector<std::uint64_t> dc_hashes_;
-  /// Context backing the serial route() overload.
-  mutable RouteCtx serial_ctx_;
+  /// relays_[dc * partitions + partition]; invalid = not yet picked.
+  mutable std::vector<ServerId> relays_;
   // Registry-owned counters (not ours); null when telemetry is detached.
   Counter* routes_ = nullptr;
   Counter* stages_ = nullptr;
@@ -217,6 +183,7 @@ RouteEnd Router::walk(PartitionId partition, DatacenterId requester,
                       std::span<const std::vector<ServerId>> live_by_dc,
                       RouteCtx& ctx, Visit&& visit) const {
   RFH_ASSERT(holder.valid());
+  RFH_ASSERT(partition.value() < partition_keys_.size());
   RFH_ASSERT(live_by_dc.size() == paths_->size());
   const DatacenterId holder_dc = topology_->server(holder).datacenter;
   const std::span<const DatacenterId> path =
@@ -235,13 +202,9 @@ RouteEnd Router::walk(PartitionId partition, DatacenterId requester,
     ++ctx.stages;
     ServerId relay = holder;
     if (dc != holder_dc) {
-      ServerId* const cell = relay_cell(partition, dc);
-      if (cell == nullptr) {
-        relay = relay_for(partition, dc, live);
-      } else {
-        if (!cell->valid()) *cell = fill_relay(partition, dc, live);
-        relay = *cell;
-      }
+      ServerId& cell = relay_cell(partition, dc);
+      if (!cell.valid()) cell = fill_relay(partition, dc, live);
+      relay = cell;
     }
     const RouteStage stage{dc, relay, static_cast<std::uint32_t>(i),
                            latency_to(requester, dc, i)};

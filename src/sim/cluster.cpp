@@ -92,10 +92,12 @@ std::uint32_t ClusterState::copies_on(ServerId s) const {
   return servers_.copies(s);
 }
 
-bool ClusterState::can_accept(ServerId s, PartitionId p) const {
-  if (!alive(s) || has_replica(p, s)) return false;
+std::optional<DropReason> ClusterState::refusal(ServerId s,
+                                                PartitionId p) const {
+  if (!alive(s)) return DropReason::kDeadTarget;
+  if (has_replica(p, s)) return DropReason::kInvalid;
   const ServerSpec& spec = topology_->server(s).spec;
-  if (copies_on(s) >= spec.max_vnodes) return false;
+  if (copies_on(s) >= spec.max_vnodes) return DropReason::kNodeCap;
   if (config_->redundancy == RedundancyMode::kErasure) {
     // Zone diversity: no datacenter may hold more than m fragments of a
     // stripe, so losing one whole DC can never destroy more fragments
@@ -105,12 +107,15 @@ bool ClusterState::can_accept(ServerId s, PartitionId p) const {
     for (const Replica& r : replicas_of(p)) {
       if (topology_->server(r.server).datacenter == dc) ++in_dc;
     }
-    if (in_dc >= config_->ec_m) return false;
+    if (in_dc >= config_->ec_m) return DropReason::kZoneDiversity;
   }
   const auto projected =
       static_cast<double>(storage_used(s) + config_->unit_size());
-  return projected <=
-         config_->storage_limit * static_cast<double>(spec.storage_capacity);
+  if (projected >
+      config_->storage_limit * static_cast<double>(spec.storage_capacity)) {
+    return DropReason::kStorageCap;
+  }
+  return std::nullopt;
 }
 
 bool ClusterState::alive(ServerId s) const { return servers_.alive(s); }

@@ -20,11 +20,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/units.h"
+#include "obs/events.h"
 #include "ring/ring.h"
 #include "sim/config.h"
 #include "sim/tables.h"
@@ -60,11 +62,18 @@ class ClusterState {
   [[nodiscard]] Bytes storage_used(ServerId s) const;
   [[nodiscard]] double storage_fraction(ServerId s) const;
   [[nodiscard]] std::uint32_t copies_on(ServerId s) const;
-  /// True if `s` may accept a new copy of `p`: live, not already hosting,
-  /// under the phi storage limit (Eq. 19) and the virtual-node cap. In
-  /// EC mode the zone-diversity rule also applies: a datacenter may hold
-  /// at most m fragments of a stripe.
-  [[nodiscard]] bool can_accept(ServerId s, PartitionId p) const;
+  /// The constraint that refuses a new copy of `p` on `s`, or none. The
+  /// checks run in this order and the first that fails names the
+  /// refusal: dead (kDeadTarget), already hosting (kInvalid), the
+  /// virtual-node cap (kNodeCap), in EC mode the zone-diversity rule — a
+  /// datacenter may hold at most m fragments of a stripe
+  /// (kZoneDiversity) — and the phi storage limit (Eq. 19, kStorageCap).
+  [[nodiscard]] std::optional<DropReason> refusal(ServerId s,
+                                                  PartitionId p) const;
+  /// True if `s` may accept a new copy of `p`: nothing refuses it.
+  [[nodiscard]] bool can_accept(ServerId s, PartitionId p) const {
+    return !refusal(s, p).has_value();
+  }
 
   // --- liveness ------------------------------------------------------------
   [[nodiscard]] bool alive(ServerId s) const;

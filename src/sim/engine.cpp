@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/assert.h"
 #include "common/log.h"
@@ -16,7 +17,7 @@ Simulation::Simulation(World world, const SimConfig& config,
       config_(config),
       graph_(world_.topology.datacenter_count(), world_.links),
       paths_(graph_),
-      router_(world_.topology, paths_),
+      router_(world_.topology, paths_, config_.partitions),
       cluster_(world_.topology, config_),
       stats_(config_.partitions, world_.topology.server_count(),
              world_.topology.datacenter_count(), config_.alpha,
@@ -36,10 +37,6 @@ Simulation::Simulation(World world, const SimConfig& config,
   RFH_ASSERT(workload_ != nullptr);
   RFH_ASSERT(policy_ != nullptr);
   RFH_ASSERT_MSG(graph_.connected(), "datacenter graph must be connected");
-  // Pre-size the relay table's outer vector so concurrent propagate
-  // shards never grow it (rows themselves are allocated by the owning
-  // shard).
-  router_.reserve_relays(config_.partitions);
   seed_primaries();
 }
 
@@ -279,43 +276,6 @@ void Simulation::propagate(QueryBatch batch) {
   }
 }
 
-namespace {
-
-/// Why can_accept(target, p) said no — mirrors its checks in order so the
-/// dropped action's trace event names the binding constraint. Every check
-/// is evaluated for real (including the Eq. 19 phi limit), so a new
-/// rejection path in can_accept that this mirror misses shows up as
-/// kUnknown instead of being mislabeled kStorageCap.
-DropReason classify_rejected_target(const ClusterState& cluster,
-                                    const Topology& topology,
-                                    const SimConfig& config, ServerId target,
-                                    PartitionId p) {
-  if (!cluster.alive(target)) return DropReason::kDeadTarget;
-  if (cluster.has_replica(p, target)) return DropReason::kInvalid;
-  const ServerSpec& spec = topology.server(target).spec;
-  if (cluster.copies_on(target) >= spec.max_vnodes) {
-    return DropReason::kNodeCap;
-  }
-  if (config.redundancy == RedundancyMode::kErasure) {
-    const DatacenterId dc = topology.server(target).datacenter;
-    std::uint32_t in_dc = 0;
-    for (const Replica& r : cluster.replicas_of(p)) {
-      if (topology.server(r.server).datacenter == dc) ++in_dc;
-    }
-    if (in_dc >= config.ec_m) return DropReason::kZoneDiversity;
-  }
-  const auto projected =
-      static_cast<double>(cluster.storage_used(target) + config.unit_size());
-  if (projected >
-      config.storage_limit * static_cast<double>(spec.storage_capacity)) {
-    return DropReason::kStorageCap;  // the phi limit (Eq. 19)
-  }
-  RFH_ASSERT_MSG(false, "can_accept rejected for a reason classify missed");
-  return DropReason::kUnknown;
-}
-
-}  // namespace
-
 void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
   std::fill(replication_bytes_.begin(), replication_bytes_.end(), Bytes{0});
   std::fill(migration_bytes_.begin(), migration_bytes_.end(), Bytes{0});
@@ -364,17 +324,16 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
            rule_id);
       continue;
     }
-    if (!cluster_.can_accept(a.target, a.partition)) {
-      const DropReason reason = classify_rejected_target(
-          cluster_, world_.topology, config_, a.target, a.partition);
+    if (const std::optional<DropReason> reason =
+            cluster_.refusal(a.target, a.partition)) {
       // A node-cap drop of an availability-floor action is a *repair*
       // the capacity layer refused — the starvation the default vnode
       // cap silently caused at scale (see kStarvedRepairWarnThreshold).
-      if (reason == DropReason::kNodeCap &&
+      if (*reason == DropReason::kNodeCap &&
           a.why.rule == DecisionRule::kAvailabilityFloor) {
         ++report.repairs_starved;
       }
-      drop(ActionKind::kReplicate, a.partition, a.target, reason, rule_id);
+      drop(ActionKind::kReplicate, a.partition, a.target, *reason, rule_id);
       continue;
     }
     if (cluster_.replica_count(a.partition) >=
@@ -426,11 +385,9 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
            rule_id);
       continue;
     }
-    if (!cluster_.can_accept(a.to, a.partition)) {
-      drop(ActionKind::kMigrate, a.partition, a.to,
-           classify_rejected_target(cluster_, world_.topology, config_, a.to,
-                                    a.partition),
-           rule_id);
+    if (const std::optional<DropReason> reason =
+            cluster_.refusal(a.to, a.partition)) {
+      drop(ActionKind::kMigrate, a.partition, a.to, *reason, rule_id);
       continue;
     }
     const ServerSpec& spec = world_.topology.server(a.from).spec;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -98,6 +99,68 @@ TEST_F(ClusterTest, CanAcceptEnforcesVnodeCap) {
   cluster.add_replica(PartitionId{0}, ServerId{0}, true);
   cluster.add_replica(PartitionId{1}, ServerId{0}, true);
   EXPECT_FALSE(cluster.can_accept(ServerId{0}, PartitionId{2}));
+}
+
+TEST(ClusterRefusal, NamesTheFirstConstraintThatRefuses) {
+  // One row per constraint. Rows where a later check would refuse too
+  // pin the order: dead, hosted, node cap, EC zone, phi storage.
+  // can_accept agrees with every row.
+  constexpr Bytes kPartitionSize = kib(512);
+  // Room for two copies under the 70% limit, not three.
+  constexpr Bytes kTwoCopyDisk = 3 * kPartitionSize;
+  struct Row {
+    const char* name;
+    RedundancyMode redundancy = RedundancyMode::kReplica;
+    std::uint32_t max_vnodes = 0;  // 0 keeps the world default
+    Bytes disk = 0;                // 0 keeps the world default
+    /// Copies placed first: (partition, index among datacenter 0's
+    /// servers). The target is index 0, asked for partition 0.
+    std::vector<std::pair<std::uint32_t, std::size_t>> copies;
+    bool kill_target = false;
+    std::optional<DropReason> want;
+  };
+  const Row rows[] = {
+      {"accepts", RedundancyMode::kReplica, 0, 0, {}, false, std::nullopt},
+      {"dead", RedundancyMode::kReplica, 0, kTwoCopyDisk, {}, true,
+       DropReason::kDeadTarget},
+      {"hosted", RedundancyMode::kReplica, 0, 0, {{0, 0}}, false,
+       DropReason::kInvalid},
+      {"node cap before storage", RedundancyMode::kReplica, 2, kTwoCopyDisk,
+       {{1, 0}, {2, 0}}, false, DropReason::kNodeCap},
+      {"ec zone before storage", RedundancyMode::kErasure, 0, kib(64),
+       {{0, 1}, {0, 2}}, false, DropReason::kZoneDiversity},
+      {"ec zone below m", RedundancyMode::kErasure, 0, 0, {{0, 1}}, false,
+       std::nullopt},
+      {"storage", RedundancyMode::kReplica, 0, kTwoCopyDisk, {{1, 0}, {2, 0}},
+       false, DropReason::kStorageCap},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    WorldOptions options;
+    if (row.max_vnodes != 0) options.max_vnodes = row.max_vnodes;
+    if (row.disk != 0) {
+      options.storage_capacity_lo = row.disk;
+      options.storage_capacity_hi = row.disk;
+    }
+    const World world = build_paper_world(options);
+    SimConfig config;
+    config.partitions = 8;
+    config.partition_size = kPartitionSize;
+    config.redundancy = row.redundancy;
+    config.ec_k = 4;
+    config.ec_m = 2;
+    ClusterState cluster(world.topology, config);
+    const std::span<const ServerId> dc0 =
+        world.topology.servers_in(DatacenterId{0});
+    for (const auto& [partition, index] : row.copies) {
+      const PartitionId pid{partition};
+      cluster.add_replica(pid, dc0[index], !cluster.primary_of(pid).valid());
+    }
+    const ServerId target = dc0[0];
+    if (row.kill_target) cluster.kill_server(target);
+    EXPECT_EQ(cluster.refusal(target, PartitionId{0}), row.want);
+    EXPECT_EQ(cluster.can_accept(target, PartitionId{0}), !row.want);
+  }
 }
 
 TEST_F(ClusterTest, HostsInDcOrdersPrimaryLast) {

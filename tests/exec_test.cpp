@@ -223,8 +223,8 @@ TEST(ParallelForTest, ExceptionInOneShardStillJoinsAllShards) {
 }
 
 // ---------------------------------------------------------------------
-// SweepRunner plumbing (cell identity, collection, telemetry). The
-// bit-identity guarantees are covered in determinism_test.cpp.
+// SweepRunner plumbing (cell identity, telemetry). The bit-identity
+// guarantees are covered in determinism_test.cpp.
 
 std::vector<SweepCell> small_grid() {
   std::vector<SweepCell> cells;
@@ -255,26 +255,6 @@ TEST(SweepRunnerTest, ResultsArriveInCellIndexOrderWithIdentity) {
     EXPECT_EQ(results[i].policy, cells[i].policy);
     EXPECT_EQ(results[i].seed, cells[i].scenario.sim.seed);
     EXPECT_EQ(results[i].run.series.size(), cells[i].scenario.epochs);
-  }
-}
-
-TEST(SweepRunnerTest, CollectionTogglesMetricsAndTraces) {
-  std::vector<SweepCell> cells = small_grid();
-  cells.resize(2);
-
-  SweepOptions off;
-  for (const SweepCellResult& r : SweepRunner(off).run(cells)) {
-    EXPECT_TRUE(r.metrics_json.empty());
-    EXPECT_TRUE(r.trace_jsonl.empty());
-  }
-
-  SweepOptions on;
-  on.jobs = 2;
-  on.collect_metrics = true;
-  on.collect_traces = true;
-  for (const SweepCellResult& r : SweepRunner(on).run(cells)) {
-    EXPECT_NE(r.metrics_json.find("rfh-metrics/1"), std::string::npos);
-    EXPECT_FALSE(r.trace_jsonl.empty());
   }
 }
 

@@ -16,17 +16,19 @@ TEST(Latency, RouteLatencyGrowsWithHopsAndDistance) {
   const World world = build_paper_world();
   const DcGraph graph(world.topology.datacenter_count(), world.links);
   const ShortestPaths paths(graph);
-  const Router router(world.topology, paths);
+  const Router router(world.topology, paths, /*partitions=*/1);
   std::vector<std::vector<ServerId>> live(world.topology.datacenter_count());
   for (const Server& s : world.topology.servers()) {
     live[s.datacenter.value()].push_back(s.id);
   }
   const ServerId holder = world.topology.servers_in(world.by_letter('A'))[0];
 
-  const Route local =
-      router.route(PartitionId{0}, world.by_letter('A'), holder, live);
-  const Route remote =
-      router.route(PartitionId{0}, world.by_letter('J'), holder, live);
+  const test::WalkedRoute local =
+      test::walk_route(router, PartitionId{0}, world.by_letter('A'), holder,
+                       live);
+  const test::WalkedRoute remote =
+      test::walk_route(router, PartitionId{0}, world.by_letter('J'), holder,
+                       live);
   // Local query: entry + descent switching only (no fibre distance).
   EXPECT_NEAR(local.total_latency_ms, 2.0 * kHopLatencyMs, 1e-9);
   // Remote query pays fibre propagation: Osaka->Atlanta is > 10000 km.
@@ -122,6 +124,42 @@ TEST(Latency, CollectorExposesPercentilesAndSla) {
     EXPECT_LE(m.sla_attainment, 1.0);
     EXPECT_GT(m.latency_mean_ms, 0.0);
   }
+}
+
+TEST(Latency, SlaReadsZeroWhenEveryQueryIsUnavailable) {
+  // ec(4,2) with a policy that never repairs: every stripe keeps only its
+  // primary fragment, below k, so every query is unavailable and the
+  // latency histogram stays empty. None of those queries met the SLA.
+  SimConfig config;
+  config.partitions = 2;
+  config.redundancy = RedundancyMode::kErasure;
+  config.ec_k = 4;
+  config.ec_m = 2;
+  auto sim = test::make_fixed_sim(
+      {QueryFlow{PartitionId{0}, DatacenterId{1}, 3.0},
+       QueryFlow{PartitionId{1}, DatacenterId{4}, 2.0}},
+      std::make_unique<test::NullPolicy>(), config);
+  MetricsCollector collector;
+  for (int e = 0; e < 3; ++e) {
+    const EpochReport report = sim->step();
+    ASSERT_GT(report.total_queries, 0.0);
+    EXPECT_EQ(report.unserved_queries, report.total_queries);
+    EXPECT_TRUE(sim->traffic().latency().empty());
+    EXPECT_EQ(collector.collect(*sim, report).sla_attainment, 0.0);
+  }
+}
+
+TEST(Latency, SlaOfAnIdleEpochIsUnchanged) {
+  // No queries at all: nothing was refused service, and the empty
+  // histogram's fraction stands.
+  SimConfig config;
+  config.partitions = 1;
+  auto sim = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>(),
+                                  config);
+  const EpochReport report = sim->step();
+  EXPECT_EQ(report.total_queries, 0.0);
+  EXPECT_EQ(MetricsCollector{}.collect(*sim, report).sla_attainment,
+            sim->traffic().latency().fraction_at_or_below(kSlaTargetMs));
 }
 
 }  // namespace

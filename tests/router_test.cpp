@@ -9,10 +9,16 @@
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "net/graph.h"
+#include "test_util.h"
 #include "topology/world.h"
 
 namespace rfh {
 namespace {
+
+using test::walk_route;
+using test::WalkedRoute;
+
+constexpr std::uint32_t kFixturePartitions = 64;
 
 class RouterTest : public ::testing::Test {
  protected:
@@ -20,8 +26,7 @@ class RouterTest : public ::testing::Test {
       : world_(build_paper_world()),
         graph_(world_.topology.datacenter_count(), world_.links),
         paths_(graph_),
-        router_(world_.topology, paths_) {
-    router_.reserve_relays(64);
+        router_(world_.topology, paths_, kFixturePartitions) {
     live_by_dc_.resize(world_.topology.datacenter_count());
     for (const Server& s : world_.topology.servers()) {
       live_by_dc_[s.datacenter.value()].push_back(s.id);
@@ -41,21 +46,20 @@ class RouterTest : public ::testing::Test {
 
 TEST_F(RouterTest, StagesFollowTheDatacenterPath) {
   const ServerId holder = first_server_in('A');
-  const Route route = router_.route(PartitionId{0}, world_.by_letter('J'),
-                                    holder, live_by_dc_);
+  const WalkedRoute route = walk_route(
+      router_, PartitionId{0}, world_.by_letter('J'), holder, live_by_dc_);
   const auto dc_path =
       paths_.path(world_.by_letter('J'), world_.by_letter('A'));
   ASSERT_EQ(route.stages.size(), dc_path.size());
   for (std::size_t i = 0; i < dc_path.size(); ++i) {
     EXPECT_EQ(route.stages[i].dc, dc_path[i]);
   }
-  EXPECT_EQ(route.holder, holder);
 }
 
 TEST_F(RouterTest, HopsAreMonotoneAndTotalIsOnePastLastStage) {
   const ServerId holder = first_server_in('A');
-  const Route route = router_.route(PartitionId{3}, world_.by_letter('H'),
-                                    holder, live_by_dc_);
+  const WalkedRoute route = walk_route(
+      router_, PartitionId{3}, world_.by_letter('H'), holder, live_by_dc_);
   ASSERT_FALSE(route.stages.empty());
   EXPECT_EQ(route.stages.front().hops_at_entry, 1u);
   for (std::size_t i = 1; i < route.stages.size(); ++i) {
@@ -68,8 +72,8 @@ TEST_F(RouterTest, HopsAreMonotoneAndTotalIsOnePastLastStage) {
 TEST_F(RouterTest, RelayIsALiveServerOfItsDatacenter) {
   const ServerId holder = first_server_in('A');
   for (const DatacenterId requester : world_.dc) {
-    const Route route =
-        router_.route(PartitionId{7}, requester, holder, live_by_dc_);
+    const WalkedRoute route =
+        walk_route(router_, PartitionId{7}, requester, holder, live_by_dc_);
     for (const RouteStage& stage : route.stages) {
       const auto& live = live_by_dc_[stage.dc.value()];
       EXPECT_NE(std::find(live.begin(), live.end(), stage.relay), live.end());
@@ -80,16 +84,16 @@ TEST_F(RouterTest, RelayIsALiveServerOfItsDatacenter) {
 
 TEST_F(RouterTest, HolderDatacenterRelayIsTheHolderItself) {
   const ServerId holder = first_server_in('A');
-  const Route route = router_.route(PartitionId{1}, world_.by_letter('C'),
-                                    holder, live_by_dc_);
+  const WalkedRoute route = walk_route(
+      router_, PartitionId{1}, world_.by_letter('C'), holder, live_by_dc_);
   EXPECT_EQ(route.stages.back().dc, world_.by_letter('A'));
   EXPECT_EQ(route.stages.back().relay, holder);
 }
 
 TEST_F(RouterTest, LocalQueryHasSingleStage) {
   const ServerId holder = first_server_in('A');
-  const Route route = router_.route(PartitionId{2}, world_.by_letter('A'),
-                                    holder, live_by_dc_);
+  const WalkedRoute route = walk_route(
+      router_, PartitionId{2}, world_.by_letter('A'), holder, live_by_dc_);
   ASSERT_EQ(route.stages.size(), 1u);
   EXPECT_EQ(route.stages[0].relay, holder);
   EXPECT_EQ(route.total_hops, 2u);  // entry + descent
@@ -98,8 +102,8 @@ TEST_F(RouterTest, LocalQueryHasSingleStage) {
 TEST_F(RouterTest, DeadDatacenterIsSkippedButCostsAHop) {
   const ServerId holder = first_server_in('A');
   // J -> A transits I and D; empty out I.
-  const Route before = router_.route(PartitionId{0}, world_.by_letter('J'),
-                                     holder, live_by_dc_);
+  const WalkedRoute before = walk_route(
+      router_, PartitionId{0}, world_.by_letter('J'), holder, live_by_dc_);
   auto live = live_by_dc_;
   std::vector<ServerId>& dead = live[world_.by_letter('I').value()];
   // Liveness changed: the owner of a Router reports it through the hooks
@@ -107,8 +111,8 @@ TEST_F(RouterTest, DeadDatacenterIsSkippedButCostsAHop) {
   router_.servers_down(dead);
   const std::vector<ServerId> victims = dead;
   dead.clear();
-  const Route after = router_.route(PartitionId{0}, world_.by_letter('J'),
-                                    holder, live);
+  const WalkedRoute after = walk_route(
+      router_, PartitionId{0}, world_.by_letter('J'), holder, live);
   EXPECT_EQ(after.stages.size(), before.stages.size() - 1);
   EXPECT_EQ(after.total_hops, before.total_hops);  // hop still paid
   for (const RouteStage& stage : after.stages) {
@@ -116,8 +120,8 @@ TEST_F(RouterTest, DeadDatacenterIsSkippedButCostsAHop) {
   }
   // Reviving the datacenter restores the original route exactly.
   router_.servers_up(victims);
-  const Route revived = router_.route(PartitionId{0}, world_.by_letter('J'),
-                                      holder, live_by_dc_);
+  const WalkedRoute revived = walk_route(
+      router_, PartitionId{0}, world_.by_letter('J'), holder, live_by_dc_);
   ASSERT_EQ(revived.stages.size(), before.stages.size());
   for (std::size_t i = 0; i < before.stages.size(); ++i) {
     EXPECT_EQ(revived.stages[i].relay, before.stages[i].relay);
@@ -126,10 +130,10 @@ TEST_F(RouterTest, DeadDatacenterIsSkippedButCostsAHop) {
 
 TEST_F(RouterTest, RelayIsDeterministicPerPartition) {
   const ServerId holder = first_server_in('A');
-  const Route r1 = router_.route(PartitionId{5}, world_.by_letter('J'),
-                                 holder, live_by_dc_);
-  const Route r2 = router_.route(PartitionId{5}, world_.by_letter('J'),
-                                 holder, live_by_dc_);
+  const WalkedRoute r1 = walk_route(
+      router_, PartitionId{5}, world_.by_letter('J'), holder, live_by_dc_);
+  const WalkedRoute r2 = walk_route(
+      router_, PartitionId{5}, world_.by_letter('J'), holder, live_by_dc_);
   ASSERT_EQ(r1.stages.size(), r2.stages.size());
   for (std::size_t i = 0; i < r1.stages.size(); ++i) {
     EXPECT_EQ(r1.stages[i].relay, r2.stages[i].relay);
@@ -141,9 +145,9 @@ TEST_F(RouterTest, DifferentPartitionsUseDifferentRelays) {
   // transit datacenter D must not always pick the same server.
   const ServerId holder = first_server_in('A');
   std::set<ServerId> relays;
-  for (std::uint32_t p = 0; p < 64; ++p) {
-    const Route route = router_.route(PartitionId{p}, world_.by_letter('J'),
-                                      holder, live_by_dc_);
+  for (std::uint32_t p = 0; p < kFixturePartitions; ++p) {
+    const WalkedRoute route = walk_route(
+        router_, PartitionId{p}, world_.by_letter('J'), holder, live_by_dc_);
     for (const RouteStage& stage : route.stages) {
       if (stage.dc == world_.by_letter('D')) relays.insert(stage.relay);
     }
@@ -158,28 +162,43 @@ TEST_F(RouterTest, RelayForPicksAmongGivenServers) {
   EXPECT_TRUE(relay == ServerId{12} || relay == ServerId{13});
 }
 
-TEST_F(RouterTest, RoutesMatchARouterWithoutARelayTable) {
-  // A Router with no reserved rows picks every relay directly: the
-  // oracle the cached table must agree with, stage for stage.
-  const Router direct(world_.topology, paths_);
-  for (std::uint32_t p = 0; p < 80; ++p) {  // rows 64.. are never cached
+TEST_F(RouterTest, EveryStageIsTheFreshRelayOnThePathSpan) {
+  // Every stage of every partition's route, from every requester: the
+  // stage is the next datacenter of the shortest path, its relay is a
+  // fresh relay_for pick over the live servers (the holder itself in the
+  // holder's datacenter), and hops and latency follow the path. The first
+  // walk of a partition fills its cells; later walks read them back.
+  for (std::uint32_t p = 0; p < kFixturePartitions; ++p) {
+    const PartitionId pid{p};
     const ServerId holder =
         world_.topology.servers_in(world_.dc[p % 10])[p % 7];
+    const DatacenterId holder_dc = world_.topology.server(holder).datacenter;
     for (const DatacenterId requester : world_.dc) {
-      const Route cached =
-          router_.route(PartitionId{p}, requester, holder, live_by_dc_);
-      const Route fresh =
-          direct.route(PartitionId{p}, requester, holder, live_by_dc_);
-      ASSERT_EQ(cached.stages.size(), fresh.stages.size());
-      for (std::size_t i = 0; i < fresh.stages.size(); ++i) {
-        EXPECT_EQ(cached.stages[i].dc, fresh.stages[i].dc);
-        EXPECT_EQ(cached.stages[i].relay, fresh.stages[i].relay);
-        EXPECT_EQ(cached.stages[i].hops_at_entry,
-                  fresh.stages[i].hops_at_entry);
-        EXPECT_EQ(cached.stages[i].latency_ms, fresh.stages[i].latency_ms);
+      const WalkedRoute route =
+          walk_route(router_, pid, requester, holder, live_by_dc_);
+      const std::span<const DatacenterId> path =
+          paths_.path_span(requester, holder_dc);
+      ASSERT_EQ(route.stages.size(), path.size());
+      for (std::size_t i = 0; i < path.size(); ++i) {
+        const RouteStage& stage = route.stages[i];
+        EXPECT_EQ(stage.dc, path[i]);
+        EXPECT_EQ(stage.relay,
+                  stage.dc == holder_dc
+                      ? holder
+                      : Router::relay_for(pid, stage.dc,
+                                          live_by_dc_[stage.dc.value()]))
+            << "partition " << p << " stage " << i;
+        EXPECT_EQ(stage.hops_at_entry, i + 1);
+        EXPECT_DOUBLE_EQ(stage.latency_ms,
+                         kHopLatencyMs * static_cast<double>(i + 1) +
+                             paths_.distance_km(requester, stage.dc) /
+                                 kFibreKmPerMs);
       }
-      EXPECT_EQ(cached.total_hops, fresh.total_hops);
-      EXPECT_EQ(cached.total_latency_ms, fresh.total_latency_ms);
+      EXPECT_EQ(route.total_hops, path.size() + 1);
+      EXPECT_DOUBLE_EQ(route.total_latency_ms,
+                       kHopLatencyMs * static_cast<double>(path.size() + 1) +
+                           paths_.distance_km(requester, holder_dc) /
+                               kFibreKmPerMs);
     }
   }
 }
@@ -188,15 +207,13 @@ TEST_F(RouterTest, ConcurrentShardsFillTheirOwnRows) {
   // The sharded propagate pattern: each shard routes only its own
   // partitions with its own context, filling those rows concurrently.
   // The result must equal serial routing on a fresh table.
-  constexpr std::size_t kPartitions = 64;
-  Router serial(world_.topology, paths_);
-  serial.reserve_relays(kPartitions);
+  const Router serial(world_.topology, paths_, kFixturePartitions);
   std::vector<ServerId> expected;
-  for (std::uint32_t p = 0; p < kPartitions; ++p) {
+  for (std::uint32_t p = 0; p < kFixturePartitions; ++p) {
     const ServerId holder = world_.topology.servers_in(world_.dc[p % 10])[0];
     for (const DatacenterId requester : world_.dc) {
       for (const RouteStage& stage :
-           serial.route(PartitionId{p}, requester, holder, live_by_dc_)
+           walk_route(serial, PartitionId{p}, requester, holder, live_by_dc_)
                .stages) {
         expected.push_back(stage.relay);
       }
@@ -208,14 +225,15 @@ TEST_F(RouterTest, ConcurrentShardsFillTheirOwnRows) {
   std::vector<Router::RouteCtx> ctx(kShards);
   std::vector<std::vector<ServerId>> got(kShards);
   parallel_for_shards(
-      &pool, kPartitions, kShards, [&](unsigned s, IndexRange range) {
+      &pool, kFixturePartitions, kShards, [&](unsigned s, IndexRange range) {
         for (std::size_t p = range.begin; p < range.end; ++p) {
           const PartitionId pid{static_cast<std::uint32_t>(p)};
           const ServerId holder =
               world_.topology.servers_in(world_.dc[p % 10])[0];
           for (const DatacenterId requester : world_.dc) {
             for (const RouteStage& stage :
-                 router_.route(pid, requester, holder, live_by_dc_, ctx[s])
+                 walk_route(router_, pid, requester, holder, live_by_dc_,
+                            ctx[s])
                      .stages) {
               got[s].push_back(stage.relay);
             }
@@ -241,8 +259,7 @@ TEST_P(RelayTableTest, FilledCellsMatchFreshPicksAcrossKillReviveWaves) {
   const DcGraph graph(world.topology.datacenter_count(), world.links);
   const ShortestPaths paths(graph);
   constexpr std::uint32_t kPartitions = 40;
-  Router router(world.topology, paths);
-  router.reserve_relays(kPartitions);
+  Router router(world.topology, paths, kPartitions);
   const std::size_t n_dc = world.topology.datacenter_count();
 
   std::vector<std::uint8_t> alive(world.topology.server_count(), 1);
@@ -317,9 +334,9 @@ TEST_P(RelayTableTest, FilledCellsMatchFreshPicksAcrossKillReviveWaves) {
       if (live_by_dc[holder_dc.value()].empty()) continue;
       const ServerId holder = live_by_dc[holder_dc.value()].front();
       for (std::size_t r = 0; r < n_dc; ++r) {
-        (void)router.route(PartitionId{p},
-                           DatacenterId{static_cast<std::uint32_t>(r)},
-                           holder, live_by_dc);
+        (void)walk_route(router, PartitionId{p},
+                         DatacenterId{static_cast<std::uint32_t>(r)}, holder,
+                         live_by_dc);
       }
     }
   }
@@ -338,8 +355,7 @@ TEST(RelayTableWave, OneWaveOverManyDatacentersKeepsEveryCellExact) {
   const DcGraph graph(world.topology.datacenter_count(), world.links);
   const ShortestPaths paths(graph);
   constexpr std::uint32_t kPartitions = 24;
-  Router router(world.topology, paths);
-  router.reserve_relays(kPartitions);
+  Router router(world.topology, paths, kPartitions);
   const std::size_t n_dc = world.topology.datacenter_count();
   std::vector<std::vector<ServerId>> live_by_dc(n_dc);
   for (const Server& s : world.topology.servers()) {
@@ -357,7 +373,7 @@ TEST(RelayTableWave, OneWaveOverManyDatacentersKeepsEveryCellExact) {
             live_by_dc[(dc + 1) % n_dc].empty()
                 ? live_by_dc[dc].front()
                 : live_by_dc[(dc + 1) % n_dc].front();
-        (void)router.route(PartitionId{p}, did, holder, live_by_dc);
+        (void)walk_route(router, PartitionId{p}, did, holder, live_by_dc);
       }
     }
   };

@@ -1,21 +1,50 @@
-// Shared test helpers: controlled worlds (degenerate capacity ranges so
-// every server is identical), scripted workloads and policies, small
-// scenario builders, and event counts over a captured trace.
+// Shared test helpers: whole routes collected from Router::walk,
+// controlled worlds (degenerate capacity ranges so every server is
+// identical), scripted workloads and policies, small scenario builders,
+// and event counts over a captured trace.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/sinks.h"
+#include "routing/router.h"
 #include "sim/engine.h"
 #include "topology/world.h"
 #include "workload/generator.h"
 
 namespace rfh::test {
+
+/// Every stage of one route, collected by walking it to the end.
+struct WalkedRoute : RouteEnd {
+  std::vector<RouteStage> stages;  // requester DC first, holder DC last
+};
+
+inline WalkedRoute walk_route(
+    const Router& router, PartitionId partition, DatacenterId requester,
+    ServerId holder, std::span<const std::vector<ServerId>> live_by_dc,
+    Router::RouteCtx& ctx) {
+  WalkedRoute route;
+  static_cast<RouteEnd&>(route) =
+      router.walk(partition, requester, holder, live_by_dc, ctx,
+                  [&](const RouteStage& stage) {
+                    route.stages.push_back(stage);
+                    return true;
+                  });
+  return route;
+}
+
+inline WalkedRoute walk_route(
+    const Router& router, PartitionId partition, DatacenterId requester,
+    ServerId holder, std::span<const std::vector<ServerId>> live_by_dc) {
+  Router::RouteCtx ctx;
+  return walk_route(router, partition, requester, holder, live_by_dc, ctx);
+}
 
 /// World options with all heterogeneity collapsed: every server has
 /// exactly `capacity` per-replica capacity, `channels` service channels,
