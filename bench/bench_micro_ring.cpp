@@ -2,28 +2,28 @@
 // std::map walk.
 //
 // The ring refactor (src/ring/ring.h) replaced a std::map<position,
-// owner> with a sorted flat array + binary search, and added lazily
-// built per-token successor lists so preference_list is a slice copy
-// instead of a fresh clockwise dedup walk. This bench keeps the old
-// implementation alive as an inline reference (same token hashing, same
-// collision probe, so both structures hold identical tokens) and
-// measures both on identical key streams:
+// owner> with a sorted flat array + binary search behind a per-server
+// liveness mask. This bench keeps the old implementation alive as an
+// inline reference (same token hashing, same collision probe, so both
+// structures hold identical tokens) and measures both on identical key
+// streams:
 //
 //   * primary(key)            — one successor lookup;
-//   * preference_list(key, 3) — a short Dynamo preference list;
-//   * preference_list(key, S) — the full distinct-successor walk, which
-//     is what the engine actually asks for (seed_primaries and lost-copy
-//     reseeding pass live_server_count(), and RandomPolicy walks r+4):
-//     the seed pays a fresh O(tokens) dedup walk per call, the flat ring
-//     serves a slice of the per-token successor cache;
+//   * preference_list(key, 3) — a short Dynamo preference list, the
+//     shape of the engine's own walks: RandomPolicy asks for r + 4
+//     servers, and seed_primaries and lost-copy reseeding stream
+//     for_each_preference and stop after the first few candidates;
+//   * preference_list(key, S) — the full distinct-successor walk. No
+//     engine path asks for it; both sides run the same O(tokens) dedup
+//     walk per call (the flat ring caches no successor lists), so it
+//     reads near 1x and shows what a full walk costs;
 //   * churn wave — the write path: a batch leave plus rejoin of 0.5% of
 //     a 10k-server ring (one churn_stream epoch's ring writes). The flat
 //     ring keeps departed tokens behind a liveness mask, so a wave flips
 //     flags; the seed erases and re-inserts every token.
 //
-// Reported ns/op are medians of kReps timed repetitions. The acceptance
-// gate for the refactor is lookup_speedup >= 3 on the preference-list
-// path (the dominant lookup in the simulation loop).
+// Reported ns/op are medians of kReps timed repetitions. `lookup_speedup`
+// is the full-walk ratio at the paper's 100 servers; no gate reads it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -137,8 +137,7 @@ int main(int argc, char** argv) {
   // bench interface but timing stays serial.
   (void)rfh::bench_jobs(argc, argv);
   rfh::BenchReport report("micro_ring");
-  std::printf("# Ring lookup hot path: flat sorted array (+ successor "
-              "cache) vs std::map walk\n");
+  std::printf("# Ring lookup hot path: flat sorted array vs std::map walk\n");
   std::printf("%8s %22s %12s %12s %9s\n", "servers", "op", "map ns/op",
               "flat ns/op", "speedup");
 
@@ -227,9 +226,8 @@ int main(int argc, char** argv) {
     report.add_metric("map_full_walk_ns" + suffix, map_walk);
     report.add_metric("flat_full_walk_ns" + suffix, flat_walk);
     report.add_metric("full_walk_speedup" + suffix, walk_speedup);
-    // Headline acceptance metric: the full-walk preference list at the
-    // paper's world size (100 servers) — the lookup seed_primaries,
-    // lost-copy reseeding and RandomPolicy hammer every epoch.
+    // The full-walk ratio at the paper's world size (100 servers), kept
+    // under its historical name so old reports still diff.
     if (servers == 100u) {
       report.add_metric("lookup_speedup", walk_speedup);
     }

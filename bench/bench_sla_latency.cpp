@@ -23,6 +23,7 @@
 #include "common/histogram.h"
 #include "harness/runner.h"
 #include "stream/stream_sim.h"
+#include "telemetry/registry.h"
 
 namespace {
 
@@ -54,12 +55,15 @@ struct PolicyTails {
 
 /// Drive one policy through the stream scenario and keep the cumulative
 /// latency histograms (run_policy hides the StreamSimulator, and the
-/// curves here need its per-DC distributions).
-PolicyTails run_stream(const rfh::Scenario& scenario, rfh::PolicyKind kind) {
+/// curves here need the per-DC distributions it records in the registry's
+/// rfh_stream_latency_ms{dc=...} histograms).
+PolicyTails run_stream(const rfh::Scenario& scenario, rfh::PolicyKind kind,
+                       const std::vector<std::string>& dc_names) {
   PolicyTails out;
   out.policy = kind;
   auto sim = rfh::make_simulation(scenario, kind, rfh::RfhPolicy::Options{});
-  rfh::StreamSimulator stream(sim->world(), nullptr, scenario.stream,
+  rfh::MetricRegistry registry;
+  rfh::StreamSimulator stream(sim->world(), &registry, scenario.stream,
                               scenario.sim.seed);
   sim->set_flow_log(&stream.flow_log());
   double wait_weight = 0.0;
@@ -85,13 +89,13 @@ PolicyTails run_stream(const rfh::Scenario& scenario, rfh::PolicyKind kind) {
     out.epoch_p99_ms /= tail_weight;
     out.epoch_p999_ms /= tail_weight;
   }
-  const std::size_t dcs = sim->topology().datacenter_count();
-  out.by_dc.reserve(dcs);
-  for (std::size_t d = 0; d < dcs; ++d) {
-    out.by_dc.push_back(
-        stream.dc_latency(rfh::DatacenterId{static_cast<std::uint32_t>(d)}));
+  out.by_dc.reserve(dc_names.size());
+  for (const std::string& name : dc_names) {
+    const rfh::HistogramMetric* latency =
+        registry.find_histogram("rfh_stream_latency_ms", {{"dc", name}});
+    out.by_dc.push_back(latency->histogram());
+    out.merged.merge(latency->histogram());
   }
-  out.merged = stream.merged_latency();
   return out;
 }
 
@@ -152,7 +156,7 @@ int main(int argc, char** argv) {
     std::vector<PolicyTails> tails;
     tails.reserve(std::size(kPolicies));
     for (const rfh::PolicyKind kind : kPolicies) {
-      tails.push_back(run_stream(scenario, kind));
+      tails.push_back(run_stream(scenario, kind, dc_names));
     }
     print_block(load, dc_names, tails);
     for (const PolicyTails& t : tails) {

@@ -359,17 +359,14 @@ CheckCase::ParseResult CheckCase::from_json(std::string_view text) {
   }
 
   // Sanity floors: a zero-sized world or run is never a meaningful case.
-  if (c.partitions == 0) return fail("field 'partitions' must be positive");
   if (c.epochs == 0) return fail("field 'epochs' must be positive");
   if (c.rooms_per_datacenter == 0 || c.racks_per_room == 0 ||
       c.servers_per_rack == 0) {
     return fail("world shape fields must be positive");
   }
-  if (!(c.alpha > 0.0 && c.alpha < 1.0)) {
-    return fail("field 'alpha' must be in (0, 1)");
-  }
-  if (!(c.phi > 0.0 && c.phi <= 1.0)) {
-    return fail("field 'phi' must be in (0, 1]");
+  // The Table I ranges: the same rules the CLI applies to its flags.
+  if (std::string error = validate(c.to_scenario().sim); !error.empty()) {
+    return fail(std::move(error));
   }
 
   result.ok = true;

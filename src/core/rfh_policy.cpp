@@ -281,7 +281,7 @@ void RfhPolicy::decide_partition(const PolicyContext& ctx, PartitionId p,
       }
     }
     if (!hubs.empty()) {
-      if (hubs.size() > options_.top_hubs) hubs.resize(options_.top_hubs);
+      if (hubs.size() > kTopHubs) hubs.resize(kTopHubs);
       const ServerId target = pick_target(ctx, p, hubs, options_.placement);
       if (target.valid()) {
         // Migration check: is there a replica outside the top hub

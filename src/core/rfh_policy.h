@@ -47,13 +47,13 @@ class RfhPolicy final : public ReplicationPolicy {
     /// traffic-oriented placement while keeping the rest of RFH fixed).
     enum class Placement { kTrafficHub, kNearOwner, kNearRequester, kRandom };
     Placement placement = Placement::kTrafficHub;
-    /// Replication requests considered by the holder ("choose a node
-    /// among the 3 nodes with the largest amount of traffic").
-    std::uint32_t top_hubs = 3;
     /// Hysteresis: the holder must satisfy Eq. 12 for this many
     /// consecutive epochs before relief starts (see kColdStreakEpochs).
     std::uint32_t overload_streak_epochs = 3;
   };
+  /// Replication requests considered by the holder ("choose a node
+  /// among the 3 nodes with the largest amount of traffic").
+  static constexpr std::uint32_t kTopHubs = 3;
   /// At most this many suicides per partition per epoch.
   static constexpr std::uint32_t kMaxSuicidesPerEpoch = 1;
   /// Hysteresis: a replica must sit below the Eq. 15 threshold for this

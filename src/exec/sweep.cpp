@@ -7,20 +7,12 @@
 
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
+#include "ring/hash.h"
 #include "telemetry/registry.h"
 
 namespace rfh {
 
 namespace {
-
-/// FNV-1a 64-bit over a byte string.
-std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) {
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 void digest_double(std::uint64_t& hash, double value) {
   char buf[32];
@@ -42,7 +34,7 @@ constexpr PolicyKind kComparedPolicies[] = {
 }  // namespace
 
 std::uint64_t series_digest(std::span<const EpochMetrics> series) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV offset basis
+  std::uint64_t hash = kFnvOffset;
   for (const EpochMetrics& m : series) {
     digest_u64(hash, m.epoch);
     digest_double(hash, m.utilization);

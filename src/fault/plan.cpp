@@ -38,9 +38,65 @@ bool kind_from_name(std::string_view name, FaultKind& out) {
   return false;
 }
 
+constexpr std::uint32_t bit(FaultKind kind) {
+  return 1u << static_cast<unsigned>(kind);
+}
+
+/// Every field past `at`, with the kinds whose grammar line names it
+/// (plan.h) and whether an event moved it off its default.
+struct FieldUse {
+  const char* name;
+  std::uint32_t kinds;
+  bool (*set)(const FaultEvent&);
+};
+constexpr std::uint32_t kVictimKinds =
+    bit(FaultKind::kCrash) | bit(FaultKind::kRecover) |
+    bit(FaultKind::kStaleStats);
+constexpr std::uint32_t kLinkKinds =
+    bit(FaultKind::kLinkDown) | bit(FaultKind::kLinkFlap);
+constexpr FieldUse kFieldUses[] = {
+    {"until",
+     bit(FaultKind::kLinkFlap) | bit(FaultKind::kChurn) |
+         bit(FaultKind::kStaleStats),
+     [](const FaultEvent& e) { return e.until != 0; }},
+    {"count", kVictimKinds, [](const FaultEvent& e) { return e.count != 0; }},
+    {"servers", kVictimKinds,
+     [](const FaultEvent& e) { return !e.servers.empty(); }},
+    {"dc", bit(FaultKind::kDatacenterOutage),
+     [](const FaultEvent& e) { return e.dc.valid(); }},
+    {"recover_after",
+     bit(FaultKind::kDatacenterOutage) | bit(FaultKind::kZoneOutage),
+     [](const FaultEvent& e) { return e.recover_after != 0; }},
+    {"zone", bit(FaultKind::kZoneOutage),
+     [](const FaultEvent& e) { return e.zone != kNoZone; }},
+    {"a", kLinkKinds, [](const FaultEvent& e) { return e.link_a.valid(); }},
+    {"b", kLinkKinds, [](const FaultEvent& e) { return e.link_b.valid(); }},
+    {"restore_at", bit(FaultKind::kLinkDown),
+     [](const FaultEvent& e) { return e.restore_at != 0; }},
+    {"period", bit(FaultKind::kLinkFlap) | bit(FaultKind::kChurn),
+     [](const FaultEvent& e) { return e.period != 0; }},
+    {"down", bit(FaultKind::kLinkFlap),
+     [](const FaultEvent& e) { return e.down != 0; }},
+    {"kill", bit(FaultKind::kChurn),
+     [](const FaultEvent& e) { return e.kill != 0; }},
+    {"recover", bit(FaultKind::kChurn),
+     [](const FaultEvent& e) { return e.recover != 0; }},
+    {"factor", bit(FaultKind::kFlashCrowd),
+     [](const FaultEvent& e) { return e.factor != 1.0; }},
+    {"duration", bit(FaultKind::kFlashCrowd),
+     [](const FaultEvent& e) { return e.duration != 0; }},
+};
+
 }  // namespace
 
 std::string validate_fault_event(const FaultEvent& e) {
+  // A field outside the kind's grammar line would be dropped silently.
+  for (const FieldUse& field : kFieldUses) {
+    if ((field.kinds & bit(e.kind)) == 0 && field.set(e)) {
+      return "field '" + std::string(field.name) + "' does not apply to '" +
+             fault_kind_name(e.kind) + "'";
+    }
+  }
   const auto windowed = [&]() -> std::string {
     if (e.until <= e.at) return "field 'until' must be greater than 'at'";
     if (e.period == 0) return "field 'period' expects a positive integer";
@@ -268,6 +324,11 @@ FaultPlan::ParseResult FaultPlan::parse(std::string_view text) {
       }
       const std::string_view key = token.substr(0, eq);
       const std::string_view value = token.substr(eq + 1);
+      for (std::size_t prior = 1; prior < t; ++prior) {
+        if (tokens[prior].substr(0, tokens[prior].find('=')) == key) {
+          return fail("field '" + std::string(key) + "' repeated");
+        }
+      }
       const auto bad_field = [&](const char* expects) {
         return "field '" + std::string(key) + "' " + expects + " (got '" +
                std::string(value) + "')";

@@ -9,7 +9,8 @@
 // line-oriented text spec, and serialize back to the same canonical form,
 // so a plan can be checked into a repo, diffed, and round-tripped.
 //
-// Spec grammar (one event per line; '#' starts a comment):
+// Spec grammar (one event per line; '#' starts a comment; a line names
+// each key at most once, and only the keys of its kind):
 //
 //   crash      at=E (count=N | servers=1,2,3)
 //   recover    at=E (count=N | servers=1,2,3)
@@ -120,8 +121,10 @@ struct FaultEvent {
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// Empty string when `event` is well-formed for its kind; otherwise a
-/// human-readable description of the offending field.
+/// Empty string when `event` is well-formed for its kind — its required
+/// fields set, and every field its grammar line does not name left at
+/// its default; otherwise a human-readable description of the offending
+/// field.
 [[nodiscard]] std::string validate_fault_event(const FaultEvent& event);
 
 class FaultPlan {

@@ -25,6 +25,19 @@ bool is_event_name(std::string_view name) {
   return false;
 }
 
+/// The Table I coefficient a --NAME=value flag sets (value in `value`),
+/// or nullptr when `arg` is none of them.
+double* table_one_flag(const char* arg, SimConfig& sim, std::string& value) {
+  const std::pair<const char*, double*> flags[] = {
+      {"--alpha=", &sim.alpha}, {"--beta=", &sim.beta},
+      {"--gamma=", &sim.gamma}, {"--delta=", &sim.delta},
+      {"--mu=", &sim.mu},       {"--phi=", &sim.storage_limit}};
+  for (const auto& [name, field] : flags) {
+    if (consume(arg, name, value)) return field;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::optional<unsigned> parse_jobs(std::string_view text) {
@@ -134,7 +147,7 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       options.scenario.world.seed = seed;
     } else if (consume(arg, "--partitions=", value)) {
       std::uint64_t partitions = 0;
-      if (!parse_uint(value, partitions) || partitions == 0) {
+      if (!parse_uint(value, partitions)) {
         return fail("--partitions expects a positive integer");
       }
       options.scenario.sim.partitions =
@@ -164,48 +177,13 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       const std::optional<unsigned> jobs = parse_jobs(value);
       if (!jobs) return fail(std::string(kJobsError));
       options.jobs = *jobs;
-    } else if (consume(arg, "--alpha=", value)) {
-      double v = 0.0;
-      if (!parse_finite(value, v) || !(v > 0.0 && v < 1.0)) {
-        return fail("--alpha expects a smoothing factor in (0, 1), got '" +
-                    value + "'");
+    } else if (double* coefficient =
+                   table_one_flag(arg, options.scenario.sim, value)) {
+      // Range rules are validate(SimConfig)'s, checked once below.
+      if (!parse_finite(value, *coefficient)) {
+        return fail(std::string(arg, std::strchr(arg, '=')) +
+                    " expects a number, got '" + value + "'");
       }
-      options.scenario.sim.alpha = v;
-    } else if (consume(arg, "--beta=", value)) {
-      double v = 0.0;
-      if (!parse_finite(value, v) || !(v > 0.0)) {
-        return fail("--beta expects a positive overload threshold, got '" +
-                    value + "'");
-      }
-      options.scenario.sim.beta = v;
-    } else if (consume(arg, "--gamma=", value)) {
-      double v = 0.0;
-      if (!parse_finite(value, v) || !(v > 0.0)) {
-        return fail("--gamma expects a positive hub threshold, got '" +
-                    value + "'");
-      }
-      options.scenario.sim.gamma = v;
-    } else if (consume(arg, "--delta=", value)) {
-      double v = 0.0;
-      if (!parse_finite(value, v) || !(v >= 0.0)) {
-        return fail("--delta expects a non-negative suicide threshold, "
-                    "got '" + value + "'");
-      }
-      options.scenario.sim.delta = v;
-    } else if (consume(arg, "--mu=", value)) {
-      double v = 0.0;
-      if (!parse_finite(value, v) || !(v >= 0.0)) {
-        return fail("--mu expects a non-negative migration-benefit "
-                    "threshold, got '" + value + "'");
-      }
-      options.scenario.sim.mu = v;
-    } else if (consume(arg, "--phi=", value)) {
-      double v = 0.0;
-      if (!parse_finite(value, v) || !(v > 0.0 && v <= 1.0)) {
-        return fail("--phi expects a storage-limit fraction in (0, 1], "
-                    "got '" + value + "'");
-      }
-      options.scenario.sim.storage_limit = v;
     } else if (consume(arg, "--redundancy=", value)) {
       std::string err;
       if (!parse_redundancy(value, options.scenario.sim, err)) {
@@ -290,6 +268,10 @@ CliParseResult parse_cli(std::span<const char* const> args) {
     } else {
       return fail(std::string("unknown argument '") + arg + "'");
     }
+  }
+  if (const std::string error = validate(options.scenario.sim);
+      !error.empty()) {
+    return fail("--" + error);
   }
   if (!options.trace_out.empty() && options.compare) {
     return fail("--trace-out traces a single policy run; drop --compare");

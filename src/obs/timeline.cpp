@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "ring/hash.h"
+
 namespace rfh {
 
 namespace {
@@ -258,13 +260,7 @@ std::vector<TimelineRecord> TimelineStore::snapshot() const {
 }
 
 std::uint64_t TimelineStore::digest() const {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](const char* text) {
-    for (const char* c = text; *c != '\0'; ++c) {
-      hash ^= static_cast<unsigned char>(*c);
-      hash *= 0x100000001b3ULL;
-    }
-  };
+  std::uint64_t hash = kFnvOffset;
   char buf[256];
   for (const TimelineRecord& rec : snapshot()) {
     std::snprintf(buf, sizeof buf,
@@ -276,7 +272,7 @@ std::uint64_t TimelineStore::digest() const {
                   static_cast<unsigned>(rec.dc),
                   static_cast<unsigned>(rec.type),
                   static_cast<unsigned>(rec.code));
-    mix(buf);
+    hash = fnv1a(hash, buf);
   }
   return hash;
 }

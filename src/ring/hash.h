@@ -5,9 +5,11 @@
 // here (rather than relying on std::hash) so that ring placement is
 // identical on every platform and standard library.
 //
-// The integer kernels are inline: every rendezvous weight and every ring
+// Everything here is inline: every rendezvous weight and every ring
 // token is a hash_combine over a hash64, and the relay table's liveness
-// hooks evaluate thousands of them per churn wave.
+// hooks evaluate thousands of them per churn wave. The bare FNV-1a fold
+// is also the one byte-digest kernel of the series, timeline and sweep
+// fingerprints, which include this header without linking the ring.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +28,23 @@ constexpr std::uint64_t finalize(std::uint64_t z) noexcept {
 
 }  // namespace hash_detail
 
+/// FNV-1a 64-bit offset basis: the running value of an empty digest.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+/// Fold `bytes` into a running FNV-1a 64-bit value (no finalizer).
+constexpr std::uint64_t fnv1a(std::uint64_t hash,
+                              std::string_view bytes) noexcept {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 /// FNV-1a 64-bit over a byte string, with avalanche finalizer.
-std::uint64_t hash64(std::string_view bytes) noexcept;
+constexpr std::uint64_t hash64(std::string_view bytes) noexcept {
+  return hash_detail::finalize(fnv1a(kFnvOffset, bytes));
+}
 
 /// Hash a 64-bit integer (finalizer only; already fixed-width).
 constexpr std::uint64_t hash64(std::uint64_t value) noexcept {

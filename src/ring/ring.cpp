@@ -45,7 +45,6 @@ void HashRing::add_server(ServerId server) {
   RFH_ASSERT(server.valid());
   const Member was = member(server);
   RFH_ASSERT_MSG(was != Member::kLive, "server already on ring");
-  ++membership_epoch_;
   if (was == Member::kDeparted) {
     rejoin(server);
     return;
@@ -66,7 +65,6 @@ void HashRing::add_server(ServerId server) {
     ring_.insert(it, Token{pos, server});
   }
   rejoin(server);
-  successor_cache_.clear();  // slots shifted
 }
 
 void HashRing::add_servers(std::span<const ServerId> servers) {
@@ -79,7 +77,6 @@ void HashRing::add_servers(std::span<const ServerId> servers) {
   if (members_.size() <= max_id) {
     members_.resize(std::size_t{max_id} + 1, Member::kNever);
   }
-  ++membership_epoch_;
   std::vector<ServerId> fresh_servers;
   for (const ServerId server : servers) {
     const Member was = members_[server.value()];
@@ -119,7 +116,6 @@ void HashRing::add_servers(std::span<const ServerId> servers) {
   std::inplace_merge(ring_.begin(), ring_.begin() + middle, ring_.end(),
                      by_position);
   for (const ServerId server : fresh_servers) rejoin(server);
-  successor_cache_.clear();  // slots shifted
 }
 
 void HashRing::remove_server(ServerId server) {
@@ -133,7 +129,6 @@ void HashRing::remove_servers(std::span<const ServerId> servers) {
     members_[server.value()] = Member::kDeparted;
     --live_count_;
   }
-  ++membership_epoch_;
 }
 
 bool HashRing::contains(ServerId server) const {
@@ -149,38 +144,15 @@ ServerId HashRing::primary(std::uint64_t key) const {
   return ring_[slot].owner;
 }
 
-const std::vector<ServerId>& HashRing::successors_of(std::size_t slot) const {
-  if (successor_cache_.size() != ring_.size()) {
-    successor_cache_.assign(ring_.size(), {});
-  }
-  Walk& walk = successor_cache_[slot];
-  if (walk.epoch != membership_epoch_) {
-    // Full clockwise walk collecting each live server once, in
-    // first-token order — exactly the order the map-based dedup walk
-    // over the live tokens produces.
-    walk.epoch = membership_epoch_;
-    walk.servers.clear();
-    walk.servers.reserve(live_count_);
-    for (std::size_t step = 0; step < ring_.size(); ++step) {
-      const ServerId candidate = ring_[(slot + step) % ring_.size()].owner;
-      if (live(candidate) &&
-          std::find(walk.servers.begin(), walk.servers.end(), candidate) ==
-              walk.servers.end()) {
-        walk.servers.push_back(candidate);
-        if (walk.servers.size() == live_count_) break;
-      }
-    }
-  }
-  return walk.servers;
-}
-
 std::vector<ServerId> HashRing::preference_list(std::uint64_t key,
                                                 std::size_t n) const {
-  RFH_ASSERT_MSG(live_count_ > 0, "ring is empty");
-  const std::vector<ServerId>& walk = successors_of(successor_slot(key));
-  const std::size_t take = std::min(n, walk.size());
-  return std::vector<ServerId>(walk.begin(),
-                               walk.begin() + static_cast<std::ptrdiff_t>(take));
+  std::vector<ServerId> out;
+  out.reserve(std::min<std::size_t>(n, live_count_));
+  for_each_preference(key, [&](ServerId server) {
+    if (out.size() < n) out.push_back(server);
+    return out.size() < n;
+  });
+  return out;
 }
 
 std::uint64_t HashRing::partition_key(PartitionId partition) {

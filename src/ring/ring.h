@@ -20,11 +20,10 @@
 // Lookups skip tokens whose owner is down, so the answers are exactly
 // those of a ring built from the live servers alone, and a membership
 // change costs O(1) per known server instead of a rebuild of the array.
-// Each token additionally carries a lazily built successor list — the
-// distinct live servers met walking clockwise from it — so
-// preference_list is a slice copy after the first query per token; a
-// list is stamped with the membership epoch it was built at and rebuilt
-// when that epoch is stale. tests/property_test.cpp checks the ring
+// There is one walk: for_each_preference streams the distinct live
+// servers met clockwise from a key, and preference_list collects its
+// first n. Nothing derived from the membership is cached, so every
+// const lookup only reads the ring. tests/property_test.cpp checks the ring
 // against a std::map reference under randomized add/remove
 // interleavings, and against a ring freshly built from the live set
 // after kill/revive waves.
@@ -77,16 +76,17 @@ class HashRing {
   [[nodiscard]] ServerId primary(std::uint64_t key) const;
 
   /// Up to `n` *distinct* live servers starting at the primary and walking
-  /// clockwise (the Dynamo preference list for the key).
+  /// clockwise (the Dynamo preference list for the key): the first `n`
+  /// servers for_each_preference streams.
   [[nodiscard]] std::vector<ServerId> preference_list(std::uint64_t key,
                                                       std::size_t n) const;
 
-  /// Stream the key's preference order — the same distinct-server
-  /// clockwise walk preference_list slices — into `fn` without
-  /// materializing or caching it. `fn` returns false to stop the walk.
-  /// Callers that stop after a few candidates (replica seeding, loss
-  /// repair) pay O(tokens scanned) instead of the full O(ring · servers)
-  /// dedup walk, which is what keeps those paths flat at 100k servers.
+  /// Stream the key's preference order — the distinct live servers met
+  /// walking clockwise from the key — into `fn` without materializing it.
+  /// `fn` returns false to stop the walk. Callers that stop after a few
+  /// candidates (replica seeding, loss repair, RandomPolicy's r + 4) pay
+  /// O(tokens scanned) instead of the full O(ring · servers) dedup walk,
+  /// which is what keeps those paths flat at 100k servers.
   template <typename Fn>
   void for_each_preference(std::uint64_t key, Fn&& fn) const {
     RFH_ASSERT_MSG(live_count_ > 0, "ring is empty");
@@ -114,13 +114,6 @@ class HashRing {
   }
   [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }
 
-  /// Bumped on every membership change; consumers caching derived
-  /// placement (successor snapshots) compare epochs to know when to
-  /// rebuild.
-  [[nodiscard]] std::uint64_t membership_epoch() const noexcept {
-    return membership_epoch_;
-  }
-
   /// Hash position used for a partition (exposed for tests).
   [[nodiscard]] static std::uint64_t partition_key(PartitionId partition);
 
@@ -130,12 +123,6 @@ class HashRing {
     ServerId owner;
   };
   enum class Member : std::uint8_t { kNever, kDeparted, kLive };
-  /// One slot's distinct-live-server clockwise walk and the membership
-  /// epoch it was built at.
-  struct Walk {
-    std::uint64_t epoch = 0;
-    std::vector<ServerId> servers;
-  };
 
   [[nodiscard]] Member member(ServerId server) const {
     return server.value() < members_.size() ? members_[server.value()]
@@ -150,20 +137,11 @@ class HashRing {
   /// end. Ring must be non-empty.
   [[nodiscard]] std::size_t successor_slot(std::uint64_t key) const;
   [[nodiscard]] bool has_token_at(std::uint64_t position) const;
-  /// The slot's distinct-live-server clockwise walk, rebuilt on first use
-  /// after a membership change.
-  [[nodiscard]] const std::vector<ServerId>& successors_of(
-      std::size_t slot) const;
 
   std::uint32_t tokens_per_server_;
   std::vector<Token> ring_;  // sorted by position; departed owners stay
   std::vector<Member> members_;  // by server id
   std::uint32_t live_count_ = 0;
-  /// Starts at 1 so a default Walk (epoch 0) is always stale.
-  std::uint64_t membership_epoch_ = 1;
-  /// successor_cache_[slot], sized to the ring on first use (and again
-  /// when new servers grow it).
-  mutable std::vector<Walk> successor_cache_;
 };
 
 }  // namespace rfh

@@ -144,15 +144,6 @@ std::vector<ServerId> ClusterState::live_at_ranks(
   return out;
 }
 
-std::vector<ClusterState::LostCopy> ClusterState::kill_server(ServerId s) {
-  std::vector<LostCopy> lost;
-  kill_servers(std::span<const ServerId>(&s, 1),
-               [&](ServerId, std::span<const LostCopy> copies) {
-                 lost.assign(copies.begin(), copies.end());
-               });
-  return lost;
-}
-
 void ClusterState::kill_servers(
     std::span<const ServerId> servers,
     const std::function<void(ServerId, std::span<const LostCopy>)>&
@@ -207,12 +198,6 @@ void ClusterState::kill_servers(
     }
     on_killed(servers[i], mine);
   }
-}
-
-void ClusterState::revive_server(ServerId s) {
-  servers_.set_alive(s, true);
-  ring_.add_server(s);
-  live_list_insert(s);
 }
 
 void ClusterState::revive_servers(std::span<const ServerId> servers) {

@@ -90,29 +90,27 @@ class ClusterState {
   [[nodiscard]] std::span<const std::vector<ServerId>> live_by_dc() const {
     return live_by_dc_;
   }
-  /// Kill a server: drops its copies and takes it off the ring. Returns the
-  /// partitions that lost a copy (with a flag for lost primaries).
+  /// A partition that lost a copy when its host died (with a flag for a
+  /// lost primary).
   struct LostCopy {
     PartitionId partition;
     bool was_primary = false;
   };
-  std::vector<LostCopy> kill_server(ServerId s);
-  /// Kill a batch of servers, invoking `on_killed(s, lost)` per victim in
-  /// span order with that server's losses in ascending-partition order —
-  /// the exact per-server sequence sequential kill_server calls produce.
-  /// The whole batch goes down in one pass over the partitions (not one
-  /// per victim), with surviving copies keeping their slot order, and
-  /// leaves the ring in O(1) per victim; the callbacks run once the batch
-  /// is down, and see the same final state sequential kills leave.
+  /// Kill a batch of servers: drop their copies and take them off the
+  /// ring. Invokes `on_killed(s, lost)` per victim in span order with
+  /// that server's losses in ascending-partition order — the exact
+  /// per-server sequence one-server batches in span order produce. The
+  /// whole batch goes down in one pass over the partitions (not one per
+  /// victim), with surviving copies keeping their slot order, and leaves
+  /// the ring in O(1) per victim; the callbacks run once the batch is
+  /// down, and see the same final state sequential kills leave.
   void kill_servers(
       std::span<const ServerId> servers,
       const std::function<void(ServerId, std::span<const LostCopy>)>&
           on_killed);
-  /// Bring a (previously killed or never-started) server online.
-  void revive_server(ServerId s);
-  /// Batched revive: per-server liveness bookkeeping plus one bulk ring
-  /// join (HashRing::add_servers, O(1) per known server) — same final
-  /// state as sequential revive_server calls.
+  /// Bring a batch of dead servers online: per-server liveness
+  /// bookkeeping plus one bulk ring join (HashRing::add_servers, O(1)
+  /// per known server).
   void revive_servers(std::span<const ServerId> servers);
 
   // --- misc ------------------------------------------------------------

@@ -1,8 +1,49 @@
 #include "sim/config.h"
 
+#include <cstdio>
+
 #include "common/parse.h"
 
 namespace rfh {
+
+std::string validate(const SimConfig& config) {
+  struct Rule {
+    const char* name;
+    double value;
+    bool ok;
+    const char* expects;
+  };
+  const double partitions = config.partitions;
+  const Rule rules[] = {
+      {"partitions", partitions, partitions > 0.0, "a positive integer"},
+      {"alpha", config.alpha, config.alpha > 0.0 && config.alpha < 1.0,
+       "a smoothing factor in (0, 1)"},
+      {"beta", config.beta, config.beta > 0.0,
+       "a positive overload threshold"},
+      {"gamma", config.gamma, config.gamma > 0.0, "a positive hub threshold"},
+      {"delta", config.delta, config.delta >= 0.0,
+       "a non-negative suicide threshold"},
+      {"mu", config.mu, config.mu >= 0.0,
+       "a non-negative migration-benefit threshold"},
+      {"phi", config.storage_limit,
+       config.storage_limit > 0.0 && config.storage_limit <= 1.0,
+       "a storage-limit fraction in (0, 1]"},
+      {"failure_rate", config.failure_rate,
+       config.failure_rate > 0.0 && config.failure_rate < 1.0,
+       "a per-copy failure probability in (0, 1)"},
+      {"min_availability", config.min_availability,
+       config.min_availability >= 0.0 && config.min_availability < 1.0,
+       "a target availability in [0, 1)"},
+  };
+  for (const Rule& rule : rules) {
+    if (rule.ok) continue;
+    char value[32];
+    std::snprintf(value, sizeof value, "%.12g", rule.value);
+    return std::string(rule.name) + " expects " + rule.expects + ", got " +
+           value;
+  }
+  return "";
+}
 
 std::string redundancy_spec(const SimConfig& config) {
   if (config.redundancy == RedundancyMode::kReplica) return "replica";

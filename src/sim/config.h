@@ -110,6 +110,15 @@ struct SimConfig {
   std::uint64_t seed = 42;
 };
 
+/// Empty when every range rule holds; otherwise "<name> expects <rule>,
+/// got <value>" for the first field that breaks one, named as Table I,
+/// the CLI flags and check-case JSON spell it (storage_limit is "phi").
+/// The rules: partitions > 0; alpha in (0, 1); beta, gamma > 0; delta,
+/// mu >= 0; phi in (0, 1]; failure_rate in (0, 1); min_availability in
+/// [0, 1). Every reader of untrusted input (parse_cli,
+/// CheckCase::from_json) calls this one function.
+[[nodiscard]] std::string validate(const SimConfig& config);
+
 /// Canonical spelling of a config's redundancy scheme: "replica" or
 /// "ec(k,m)". parse_redundancy accepts exactly these spellings.
 [[nodiscard]] std::string redundancy_spec(const SimConfig& config);

@@ -8,33 +8,26 @@
 #include "common/assert.h"
 #include "common/rng.h"
 #include "sim/engine.h"  // kStreamStreamTag
+#include "stream/config.h"
 
 namespace rfh {
 
-double ArrivalGenerator::intensity(Epoch epoch, double frac) const noexcept {
-  double v = 1.0;
-  if (config_.diurnal_amplitude != 0.0) {
-    // Continuous phase across epochs: frac advances the sine within the
-    // epoch so arrival density ramps smoothly instead of stair-stepping.
-    const double phase =
-        (static_cast<double>(epoch % StreamConfig::kDiurnalPeriod) + frac) /
-        static_cast<double>(StreamConfig::kDiurnalPeriod);
-    v = 1.0 + config_.diurnal_amplitude *
-                  std::sin(2.0 * std::numbers::pi * phase);
-  }
-  if (config_.flash_factor != 1.0 && frac >= config_.flash_start &&
-      frac < config_.flash_end) {
-    v *= config_.flash_factor;
-  }
-  return std::max(v, 0.05);
+namespace {
+
+/// Relative arrival intensity at fraction `frac` in [0, 1) of `epoch`.
+/// The phase is continuous across epochs: frac advances the sine within
+/// the epoch so arrival density ramps smoothly instead of stair-stepping.
+/// With kDiurnalAmplitude < 1 it stays positive, so the inverse CDF is
+/// strictly increasing.
+double intensity(Epoch epoch, double frac) noexcept {
+  const double phase =
+      (static_cast<double>(epoch % StreamConfig::kDiurnalPeriod) + frac) /
+      static_cast<double>(StreamConfig::kDiurnalPeriod);
+  return 1.0 + StreamConfig::kDiurnalAmplitude *
+                   std::sin(2.0 * std::numbers::pi * phase);
 }
 
-std::vector<double> ArrivalGenerator::timestamps(Epoch epoch, DatacenterId dc,
-                                                 std::size_t n) const {
-  std::vector<double> out;
-  timestamps_into(epoch, dc, n, out);
-  return out;
-}
+}  // namespace
 
 void ArrivalGenerator::timestamps_into(Epoch epoch, DatacenterId dc,
                                        std::size_t n,

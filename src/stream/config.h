@@ -46,21 +46,15 @@ struct StreamConfig {
   static constexpr double kEpochMs = 10000.0;
 
   // --- within-epoch arrival-time modulation -----------------------------
-  // Arrival *counts* per epoch come from the batch generator; these knobs
-  // shape the timestamp density inside the epoch via an inhomogeneous
-  // intensity warped through a piecewise-linear inverse CDF
-  // (stream/arrival.cpp). They never change per-epoch totals.
+  // Arrival *counts* per epoch come from the batch generator; the diurnal
+  // sine shapes the timestamp density inside the epoch via an
+  // inhomogeneous intensity warped through a piecewise-linear inverse CDF
+  // (stream/arrival.cpp). It never changes per-epoch totals.
 
-  /// Diurnal sine amplitude (0 disables). Intensity follows
+  /// Diurnal sine amplitude: intensity follows
   /// 1 + A * sin(2*pi * epoch_phase) over kDiurnalPeriod epochs.
-  double diurnal_amplitude = 0.5;
+  static constexpr double kDiurnalAmplitude = 0.5;
   static constexpr Epoch kDiurnalPeriod = 50;
-
-  /// Flash-crowd multiplier applied to the [flash_start, flash_end)
-  /// fraction of every epoch (1.0 disables).
-  double flash_factor = 1.0;
-  double flash_start = 0.0;
-  double flash_end = 0.25;
 };
 
 }  // namespace rfh

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assert.h"
+#include "common/histogram.h"
 #include "obs/events.h"
 
 namespace rfh {
@@ -14,10 +15,9 @@ StreamSimulator::StreamSimulator(const World& world, MetricRegistry* registry,
     : world_(&world),
       registry_(registry),
       config_(config),
-      arrivals_(config, seed),
+      arrivals_(seed),
       queue_(0, StreamConfig::kServiceTimeMs, config.queue_cap) {
   const std::size_t dcs = world.topology.datacenter_count();
-  dc_latency_.resize(dcs);
   per_server_.resize(world.topology.server_count());
   dc_totals_.resize(dcs, 0.0);
   by_dc_.resize(dcs);
@@ -57,17 +57,6 @@ StreamSimulator::StreamSimulator(const World& world, MetricRegistry* registry,
   }
 }
 
-const Histogram& StreamSimulator::dc_latency(DatacenterId dc) const {
-  RFH_ASSERT(dc.valid() && dc.value() < dc_latency_.size());
-  return dc_latency_[dc.value()];
-}
-
-Histogram StreamSimulator::merged_latency() const {
-  Histogram out;
-  for (const Histogram& h : dc_latency_) out.merge(h);
-  return out;
-}
-
 StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
                                                 const EpochReport& report) {
   const Epoch epoch = report.epoch;
@@ -100,7 +89,6 @@ StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
 
   const auto sample = [&](DatacenterId requester, double latency_ms,
                           double weight) {
-    dc_latency_[requester.value()].add(weight, latency_ms);
     epoch_hist.add(weight, latency_ms);
     if (!latency_by_dc_.empty()) {
       latency_by_dc_[requester.value()]->observe(latency_ms, weight);
@@ -217,7 +205,6 @@ StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
                                        stats.blocked, stats.dropped,
                                        stats.max_queue_depth,
                                        stats.mean_wait_ms});
-  last_ = stats;
   return stats;
 }
 

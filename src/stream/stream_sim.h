@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/histogram.h"
 #include "obs/event_bus.h"
 #include "sim/engine.h"
 #include "sim/flow_log.h"
@@ -81,20 +80,9 @@ class StreamSimulator {
   /// Consume the flow segments of the epoch `sim` just stepped (pass the
   /// step's EpochReport), queue every arrival, update histograms/metrics
   /// and emit stream events on sim's bus.
+  /// The cumulative per-requester-DC latency distributions live in the
+  /// registry's rfh_stream_latency_ms{dc=...} histograms.
   StreamEpochStats process_epoch(Simulation& sim, const EpochReport& report);
-
-  [[nodiscard]] const StreamEpochStats& last() const noexcept {
-    return last_;
-  }
-  /// Cumulative end-to-end latency distribution for queries issued from
-  /// `dc` (requester side), across all processed epochs.
-  [[nodiscard]] const Histogram& dc_latency(DatacenterId dc) const;
-  /// Cumulative distribution over all DCs.
-  [[nodiscard]] Histogram merged_latency() const;
-
-  [[nodiscard]] const StreamConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
   struct QueuedArrival {
@@ -110,8 +98,6 @@ class StreamSimulator {
   StreamConfig config_;
   ArrivalGenerator arrivals_;
   FlowLog flow_log_;
-  StreamEpochStats last_;
-  std::vector<Histogram> dc_latency_;  // by requester DC index
 
   // Registry handles resolved once in the constructor (same pattern as
   // the engine's TelemetryHandles).

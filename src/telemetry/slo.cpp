@@ -1,7 +1,6 @@
 #include "telemetry/slo.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/parse.h"
 #include "telemetry/registry.h"
@@ -200,22 +199,6 @@ void SloWatchdog::observe(Epoch epoch, const SloSample& sample) {
       in_breach_[k] = false;  // short window recovered: re-arm
     }
   }
-}
-
-std::uint64_t SloWatchdog::digest() const {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  char buf[192];
-  for (const SloBreachRecord& record : breaches_) {
-    std::snprintf(buf, sizeof buf, "%u|%s|%.17g|%.17g|%.17g|%.17g\n",
-                  record.epoch, slo_objective_name(record.objective),
-                  record.observed, record.target, record.burn_short,
-                  record.burn_long);
-    for (const char* c = buf; *c != '\0'; ++c) {
-      hash ^= static_cast<unsigned char>(*c);
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  return hash;
 }
 
 }  // namespace rfh

@@ -19,8 +19,8 @@
 //
 // Everything here is observational and deterministic: the watchdog never
 // feeds simulation state, and its breach sequence is a pure function of
-// the sample series, so sweep digests over it are byte-identical across
-// --jobs (tests/determinism_test.cpp).
+// the sample series, so the breach records are byte-identical across
+// --jobs (tests/determinism_test.cpp compares them record for record).
 #pragma once
 
 #include <array>
@@ -97,7 +97,7 @@ struct SloSample {
 };
 
 /// One breach episode (the trace's SloBreach event, kept structurally for
-/// harness results and sweep digests).
+/// harness results and the sweep's determinism checks).
 struct SloBreachRecord {
   Epoch epoch = 0;
   SloObjective objective = SloObjective::kAvailability;
@@ -135,10 +135,6 @@ class SloWatchdog {
   /// Current burn rates (short, long windowed means) for an objective.
   [[nodiscard]] double burn_short(SloObjective objective) const noexcept;
   [[nodiscard]] double burn_long(SloObjective objective) const noexcept;
-
-  /// FNV-1a fingerprint of the breach sequence — the determinism witness
-  /// sweep digests fold in.
-  [[nodiscard]] std::uint64_t digest() const;
 
  private:
   /// Error-budget burn rate of one observation: (1 - availability) /

@@ -122,6 +122,14 @@ TEST(CheckCaseJson, RejectsOutOfRangeValues) {
   EXPECT_FALSE(CheckCase::from_json(with("phi", "0")).ok);
   EXPECT_FALSE(CheckCase::from_json(with("phi", "1.5")).ok);
   EXPECT_FALSE(CheckCase::from_json(with("partitions", "0")).ok);
+  // The CLI's Table I rules, plus the Eq. 14 inputs whose out-of-range
+  // values used to abort the replay inside min_replicas.
+  EXPECT_FALSE(CheckCase::from_json(with("beta", "-3")).ok);
+  EXPECT_FALSE(CheckCase::from_json(with("gamma", "0")).ok);
+  EXPECT_FALSE(CheckCase::from_json(with("delta", "-0.1")).ok);
+  EXPECT_FALSE(CheckCase::from_json(with("mu", "-1")).ok);
+  EXPECT_FALSE(CheckCase::from_json(with("min_availability", "1")).ok);
+  EXPECT_FALSE(CheckCase::from_json(with("failure_rate", "1.5")).ok);
   EXPECT_FALSE(CheckCase::from_json(with("epochs", "0")).ok);
   EXPECT_FALSE(CheckCase::from_json(with("servers_per_rack", "0")).ok);
   EXPECT_FALSE(

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "test_util.h"
 #include "topology/world.h"
 
 namespace rfh {
@@ -71,7 +73,7 @@ TEST_F(ClusterTest, CanAcceptRejectsDuplicatesAndDead) {
   cluster_->add_replica(p, ServerId{5}, true);
   EXPECT_FALSE(cluster_->can_accept(ServerId{5}, p));  // already hosting
   EXPECT_TRUE(cluster_->can_accept(ServerId{6}, p));
-  cluster_->kill_server(ServerId{6});
+  cluster_->kill_servers(std::array{ServerId{6}}, nullptr);
   EXPECT_FALSE(cluster_->can_accept(ServerId{6}, p));  // dead
 }
 
@@ -157,7 +159,7 @@ TEST(ClusterRefusal, NamesTheFirstConstraintThatRefuses) {
       cluster.add_replica(pid, dc0[index], !cluster.primary_of(pid).valid());
     }
     const ServerId target = dc0[0];
-    if (row.kill_target) cluster.kill_server(target);
+    if (row.kill_target) cluster.kill_servers(std::array{target}, nullptr);
     EXPECT_EQ(cluster.refusal(target, PartitionId{0}), row.want);
     EXPECT_EQ(cluster.can_accept(target, PartitionId{0}), !row.want);
   }
@@ -184,7 +186,7 @@ TEST_F(ClusterTest, KillServerDropsCopiesAndReportsThem) {
   cluster_->add_replica(p1, ServerId{10});
   cluster_->add_replica(p1, ServerId{11}, true);
 
-  const auto lost = cluster_->kill_server(ServerId{10});
+  const auto lost = test::kill_one(*cluster_, ServerId{10});
   ASSERT_EQ(lost.size(), 2u);
   EXPECT_EQ(lost[0].partition, p0);
   EXPECT_TRUE(lost[0].was_primary);
@@ -220,7 +222,7 @@ TEST_F(ClusterTest, BatchedKillMatchesSequentialKills) {
       });
 
   // Victim order and the per-victim ascending-partition loss report match
-  // what sequential kill_server calls produce.
+  // what sequential one-server kills produce.
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], ServerId{10});
   EXPECT_EQ(order[1], ServerId{20});
@@ -244,7 +246,7 @@ TEST_F(ClusterTest, BatchedKillMatchesSequentialKills) {
 
 TEST(ClusterBatchKill, MatchesALoopOfSingleKills) {
   // kill_servers takes the batch down in one pass over the partitions; it
-  // must leave exactly what a kill_server loop leaves: the same
+  // must leave exactly what a loop of one-server kills leaves: the same
   // per-victim loss lists, the same surviving slot order in every
   // partition, the same accounting and the same ring.
   const World world = build_paper_world();
@@ -300,7 +302,7 @@ TEST(ClusterBatchKill, MatchesALoopOfSingleKills) {
       });
   std::vector<Losses> loop_lost;
   for (const ServerId s : victims) {
-    loop_lost.push_back(flatten(looped.kill_server(s)));
+    loop_lost.push_back(flatten(test::kill_one(looped, s)));
   }
   EXPECT_EQ(order, victims);
   EXPECT_EQ(batch_lost, loop_lost);
@@ -353,13 +355,13 @@ TEST_F(ClusterTest, BatchedReviveMatchesSequentialRevives) {
 TEST_F(ClusterTest, LiveByDcExcludesDeadServers) {
   const DatacenterId dc = world_.topology.server(ServerId{10}).datacenter;
   const std::size_t before = cluster_->live_by_dc()[dc.value()].size();
-  cluster_->kill_server(ServerId{10});
+  cluster_->kill_servers(std::array{ServerId{10}}, nullptr);
   EXPECT_EQ(cluster_->live_by_dc()[dc.value()].size(), before - 1);
 }
 
 TEST_F(ClusterTest, ReviveRestoresMembership) {
-  cluster_->kill_server(ServerId{10});
-  cluster_->revive_server(ServerId{10});
+  cluster_->kill_servers(std::array{ServerId{10}}, nullptr);
+  cluster_->revive_servers(std::array{ServerId{10}});
   EXPECT_TRUE(cluster_->alive(ServerId{10}));
   EXPECT_EQ(cluster_->live_server_count(), 100u);
   EXPECT_TRUE(cluster_->ring().contains(ServerId{10}));
@@ -386,10 +388,12 @@ TEST_F(ClusterTest, DeathOnMisuse) {
                "");  // second primary
   EXPECT_DEATH(cluster_->remove_replica(p, ServerId{7}), "");  // absent
   EXPECT_DEATH(cluster_->set_primary(p, ServerId{7}), "");
-  cluster_->kill_server(ServerId{9});
+  cluster_->kill_servers(std::array{ServerId{9}}, nullptr);
   EXPECT_DEATH(cluster_->add_replica(p, ServerId{9}), "");  // dead target
-  EXPECT_DEATH(cluster_->kill_server(ServerId{9}), "");     // already dead
-  EXPECT_DEATH(cluster_->revive_server(ServerId{5}), "");   // already alive
+  EXPECT_DEATH(cluster_->kill_servers(std::array{ServerId{9}}, nullptr),
+               "");  // already dead
+  EXPECT_DEATH(cluster_->revive_servers(std::array{ServerId{5}}),
+               "");  // already alive
 }
 
 }  // namespace

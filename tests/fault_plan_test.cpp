@@ -183,6 +183,33 @@ TEST(FaultPlanParse, ReportsLineAndField) {
   EXPECT_NE(missing_file.error.find("/no/such/plan.txt"), std::string::npos);
 }
 
+TEST(FaultPlanParse, RejectsForeignAndRepeatedFields) {
+  // A field outside the kind's grammar line used to be dropped silently,
+  // and a repeated key was last-one-wins.
+  const auto foreign =
+      FaultPlan::parse("crash at=1 count=1\ncrash at=2 count=3 dc=4 zone=1\n");
+  ASSERT_FALSE(foreign.ok);
+  EXPECT_NE(foreign.error.find("line 2"), std::string::npos) << foreign.error;
+  EXPECT_NE(foreign.error.find("'dc'"), std::string::npos) << foreign.error;
+
+  const auto repeated =
+      FaultPlan::parse("# plan\n\ncrash at=3 at=4 count=1\n");
+  ASSERT_FALSE(repeated.ok);
+  EXPECT_NE(repeated.error.find("line 3"), std::string::npos)
+      << repeated.error;
+  EXPECT_NE(repeated.error.find("'at'"), std::string::npos) << repeated.error;
+
+  // The same rule holds for programmatic events.
+  FaultEvent crowd;
+  crowd.kind = FaultKind::kFlashCrowd;
+  crowd.at = 1;
+  crowd.duration = 2;
+  crowd.factor = 3.0;
+  EXPECT_EQ(validate_fault_event(crowd), "");
+  crowd.kill = 4;
+  EXPECT_NE(validate_fault_event(crowd).find("'kill'"), std::string::npos);
+}
+
 TEST(FaultPlanParse, ToleratesCommentsAndWhitespace) {
   const auto parsed = FaultPlan::parse(
       "# full-line comment\n"

@@ -260,25 +260,12 @@ TEST(RfhDecisionTree, NearOwnerPlacementStaysNearOwner) {
   EXPECT_TRUE(found_near);
 }
 
-TEST(RfhDecisionTree, TopHubsLimitRespected) {
-  // With top_hubs = 1, only the single hottest forwarding node is ever a
-  // target; growth still happens but placement is the argmax hub.
-  const SimConfig config = small_config(1);
-  RfhPolicy::Options options;
-  options.top_hubs = 1;
-  auto sim = test::make_fixed_sim(
-      {QueryFlow{PartitionId{0}, DatacenterId{8}, 20.0}},
-      std::make_unique<RfhPolicy>(options), config);
-  for (int e = 0; e < 20; ++e) sim->step();
-  EXPECT_GT(sim->cluster().replica_count(PartitionId{0}), 1u);
-}
-
 TEST(RfhPolicy, NameAndOptionsAccessors) {
   RfhPolicy::Options options;
-  options.top_hubs = 5;
+  options.overload_streak_epochs = 5;
   RfhPolicy policy(options);
   EXPECT_EQ(policy.name(), "RFH");
-  EXPECT_EQ(policy.options().top_hubs, 5u);
+  EXPECT_EQ(policy.options().overload_streak_epochs, 5u);
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 // vnode-cap pressure; long-run stability.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/log.h"
 #include "core/rfh_policy.h"
@@ -280,6 +284,53 @@ TEST(Logging, LevelFilterWorks) {
   log(LogLevel::kDebug, "should be suppressed %d", 1);  // must not crash
   log(LogLevel::kError, "visible %s", "message");
   set_log_level(before);
+}
+
+TEST(Logging, ConcurrentLinesStayWhole) {
+  // Each line is formatted whole and written with one call, so warnings
+  // from concurrent threads (sweep cells on a pool) never interleave
+  // mid-line. The long message also takes the heap-buffer path.
+  constexpr int kThreads = 8;
+  constexpr int kLines = 200;
+  const std::string tail(600, 'x');
+  testing::internal::CaptureStderr();
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([t, &tail] {
+        for (int i = 0; i < kLines; ++i) {
+          log(LogLevel::kWarn, "thread %d line %d %s", t, i,
+              i % 50 == 0 ? tail.c_str() : "end");
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  const std::string captured = testing::internal::GetCapturedStderr();
+
+  std::vector<std::vector<bool>> seen(kThreads,
+                                      std::vector<bool>(kLines, false));
+  std::istringstream in(captured);
+  std::string line;
+  int lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    int t = -1;
+    int i = -1;
+    char rest[8] = {};
+    ASSERT_EQ(std::sscanf(line.c_str(), "[rfh WARN] thread %d line %d %7s", &t,
+                          &i, rest),
+              3)
+        << "torn line: " << line;
+    ASSERT_TRUE(t >= 0 && t < kThreads && i >= 0 && i < kLines) << line;
+    const std::string want =
+        "[rfh WARN] thread " + std::to_string(t) + " line " +
+        std::to_string(i) + " " + (i % 50 == 0 ? tail : std::string("end"));
+    EXPECT_EQ(line, want);
+    EXPECT_FALSE(seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)]);
+    seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)] = true;
+  }
+  EXPECT_EQ(lines, kThreads * kLines);
 }
 
 }  // namespace

@@ -158,30 +158,6 @@ TEST(SloWatchdogTest, BreachEmitsEventAndCounterWithAmbientCause) {
   EXPECT_NE(prom.str().find("drop_rate"), std::string::npos);
 }
 
-TEST(SloWatchdogTest, DigestIsPureFunctionOfBreachSequence) {
-  SloSpec spec;
-  spec.migrations_per_epoch = 1.0;
-  spec.short_window = 1;
-  spec.long_window = 2;
-  const auto run = [&spec] {
-    SloWatchdog watchdog(spec);
-    SloSample quiet;
-    SloSample storm;
-    storm.migrations = 9.0;
-    for (Epoch e = 0; e < 20; ++e) {
-      watchdog.observe(e, e % 5 < 2 ? storm : quiet);
-    }
-    return watchdog;
-  };
-  const SloWatchdog a = run();
-  const SloWatchdog b = run();
-  EXPECT_FALSE(a.breaches().empty());
-  EXPECT_EQ(a.digest(), b.digest());
-  // And the digest actually depends on the sequence.
-  SloWatchdog empty(spec);
-  EXPECT_NE(a.digest(), empty.digest());
-}
-
 TEST(SloWatchdogTest, DisabledObjectivesNeverBreach) {
   SloSpec spec;
   spec.stream_p99_ms = 100.0;

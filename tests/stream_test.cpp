@@ -22,10 +22,19 @@ namespace {
 // ---------------------------------------------------------------------
 // ArrivalGenerator
 
+/// The timestamps ArrivalGenerator::timestamps_into writes for one
+/// (epoch, DC) stream.
+std::vector<double> timestamps(const ArrivalGenerator& gen, Epoch epoch,
+                               DatacenterId dc, std::size_t n) {
+  std::vector<double> out;
+  gen.timestamps_into(epoch, dc, n, out);
+  return out;
+}
+
 TEST(ArrivalGeneratorTest, TimestampsAreSortedInRangeAndExactCount) {
-  StreamConfig config;
-  const ArrivalGenerator gen(config, 42);
-  const std::vector<double> ts = gen.timestamps(Epoch{3}, DatacenterId{2}, 500);
+  const ArrivalGenerator gen(42);
+  const std::vector<double> ts =
+      timestamps(gen, Epoch{3}, DatacenterId{2}, 500);
   ASSERT_EQ(ts.size(), 500u);
   EXPECT_TRUE(std::is_sorted(ts.begin(), ts.end()));
   for (const double t : ts) {
@@ -35,55 +44,24 @@ TEST(ArrivalGeneratorTest, TimestampsAreSortedInRangeAndExactCount) {
 }
 
 TEST(ArrivalGeneratorTest, PureFunctionOfSeedEpochDcAndCount) {
-  StreamConfig config;
-  const ArrivalGenerator a(config, 42);
-  const ArrivalGenerator b(config, 42);
+  const ArrivalGenerator a(42);
+  const ArrivalGenerator b(42);
   // Draw order must not matter: b samples other (epoch, DC) streams
   // first, then the same one — forked per-(epoch, DC) streams make the
   // result independent of any other cell's consumption.
-  (void)b.timestamps(Epoch{9}, DatacenterId{7}, 123);
-  (void)b.timestamps(Epoch{3}, DatacenterId{1}, 77);
-  EXPECT_EQ(a.timestamps(Epoch{3}, DatacenterId{2}, 64),
-            b.timestamps(Epoch{3}, DatacenterId{2}, 64));
+  (void)timestamps(b, Epoch{9}, DatacenterId{7}, 123);
+  (void)timestamps(b, Epoch{3}, DatacenterId{1}, 77);
+  EXPECT_EQ(timestamps(a, Epoch{3}, DatacenterId{2}, 64),
+            timestamps(b, Epoch{3}, DatacenterId{2}, 64));
 }
 
 TEST(ArrivalGeneratorTest, DistinctStreamsPerEpochDcAndSeed) {
-  StreamConfig config;
-  const ArrivalGenerator gen(config, 42);
-  const ArrivalGenerator other(config, 43);
-  const auto base = gen.timestamps(Epoch{3}, DatacenterId{2}, 64);
-  EXPECT_NE(base, gen.timestamps(Epoch{4}, DatacenterId{2}, 64));
-  EXPECT_NE(base, gen.timestamps(Epoch{3}, DatacenterId{3}, 64));
-  EXPECT_NE(base, other.timestamps(Epoch{3}, DatacenterId{2}, 64));
-}
-
-TEST(ArrivalGeneratorTest, FlashWindowConcentratesArrivals) {
-  StreamConfig config;
-  config.diurnal_amplitude = 0.0;
-  config.flash_factor = 8.0;
-  config.flash_start = 0.0;
-  config.flash_end = 0.25;
-  const ArrivalGenerator gen(config, 7);
-  const auto ts = gen.timestamps(Epoch{0}, DatacenterId{0}, 4000);
-  const double cut = config.flash_start * StreamConfig::kEpochMs +
-                     0.25 * StreamConfig::kEpochMs;
-  const auto in_window = static_cast<double>(
-      std::count_if(ts.begin(), ts.end(),
-                    [&](double t) { return t < cut; }));
-  // 8x intensity over a quarter of the epoch: expected share
-  // 8*0.25 / (8*0.25 + 0.75) ~= 0.727; without the flash it would be 0.25.
-  EXPECT_GT(in_window / 4000.0, 0.6);
-}
-
-TEST(ArrivalGeneratorTest, IntensityIsFlooredPositive) {
-  StreamConfig config;
-  config.diurnal_amplitude = 1.5;  // sine dips below zero without a floor
-  const ArrivalGenerator gen(config, 1);
-  for (const double frac : {0.0, 0.3, 0.6, 0.9}) {
-    for (Epoch e = 0; e < 100; ++e) {
-      EXPECT_GE(gen.intensity(e, frac), 0.05);
-    }
-  }
+  const ArrivalGenerator gen(42);
+  const ArrivalGenerator other(43);
+  const auto base = timestamps(gen, Epoch{3}, DatacenterId{2}, 64);
+  EXPECT_NE(base, timestamps(gen, Epoch{4}, DatacenterId{2}, 64));
+  EXPECT_NE(base, timestamps(gen, Epoch{3}, DatacenterId{3}, 64));
+  EXPECT_NE(base, timestamps(other, Epoch{3}, DatacenterId{2}, 64));
 }
 
 // ---------------------------------------------------------------------

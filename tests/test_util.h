@@ -1,7 +1,8 @@
 // Shared test helpers: whole routes collected from Router::walk,
 // controlled worlds (degenerate capacity ranges so every server is
 // identical), scripted workloads and policies, small scenario builders,
-// and event counts over a captured trace.
+// event counts over a captured trace, and one-server kills through the
+// batch membership path.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +20,19 @@
 #include "workload/generator.h"
 
 namespace rfh::test {
+
+/// Kill one server through ClusterState::kill_servers and return its
+/// losses (ascending partition order).
+inline std::vector<ClusterState::LostCopy> kill_one(ClusterState& cluster,
+                                                    ServerId server) {
+  std::vector<ClusterState::LostCopy> lost;
+  cluster.kill_servers(std::span<const ServerId>(&server, 1),
+                       [&](ServerId, std::span<const ClusterState::LostCopy>
+                                         copies) {
+                         lost.assign(copies.begin(), copies.end());
+                       });
+  return lost;
+}
 
 /// Every stage of one route, collected by walking it to the end.
 struct WalkedRoute : RouteEnd {
