@@ -46,7 +46,7 @@ ServerId OwnerOrientedPolicy::best_target(const PolicyContext& ctx,
     if (dc.id != home) dcs.push_back(dc.id);
   }
   auto has_copy_in = [&](DatacenterId dc) {
-    return !ctx.cluster.hosts_in_dc(p, dc).empty();
+    return ctx.cluster.copies_in_dc(p, dc) > 0;
   };
   std::sort(dcs.begin(), dcs.end(), [&](DatacenterId a, DatacenterId b) {
     const bool copy_a = has_copy_in(a);
@@ -102,7 +102,7 @@ Actions OwnerOrientedPolicy::decide(const PolicyContext& ctx) {
       const double current_d = ctx.topology.distance_km(home, dc);
       for (const Datacenter& cand : ctx.topology.datacenters()) {
         if (cand.id == home || cand.id == dc) continue;
-        if (!ctx.cluster.hosts_in_dc(p, cand.id).empty()) continue;
+        if (ctx.cluster.copies_in_dc(p, cand.id) > 0) continue;
         if (ctx.topology.distance_km(home, cand.id) >= current_d) continue;
         const ServerId target = pick_in_dc(ctx, cand.id, p);
         if (target.valid()) {

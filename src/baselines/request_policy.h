@@ -16,7 +16,7 @@
 #pragma once
 
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/policy.h"
 
@@ -38,12 +38,26 @@ class RequestOrientedPolicy final : public ReplicationPolicy {
   [[nodiscard]] Actions decide(const PolicyContext& ctx) override;
 
  private:
+  struct Requester {
+    DatacenterId dc;
+    double queries = 0.0;
+  };
+  struct Streak {
+    DatacenterId dc;  // invalid: a free slot
+    std::uint32_t epochs = 0;
+  };
+
   std::uint32_t top_requesters_;
   std::uint32_t max_migrations_per_epoch_;
-  /// Consecutive epochs each (partition, datacenter) has been in the
-  /// top-requester set; a *join* (the paper's migration trigger) is a
-  /// membership that persists, not a one-epoch sampling blip.
-  std::unordered_map<std::uint64_t, std::uint32_t> membership_streak_;
+  /// Consecutive epochs each datacenter of a partition's current top set
+  /// has been in it, top_requesters_ slots per partition; a datacenter
+  /// that leaves the set loses its slot. A *join* (the paper's migration
+  /// trigger) is a membership that persists, not a one-epoch sampling
+  /// blip.
+  std::vector<Streak> streaks_;
+  // Per-partition scratch, reused across partitions and epochs.
+  std::vector<Requester> ranked_;
+  std::vector<Requester> vacant_;
 };
 
 }  // namespace rfh

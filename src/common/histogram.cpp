@@ -63,14 +63,16 @@ double Histogram::fraction_at_or_below(double value) const noexcept {
   return below / total_weight_;
 }
 
-std::vector<double> Histogram::quantiles(std::span<const double> qs) const {
-  std::vector<double> out(qs.size(), 0.0);
+void Histogram::quantiles(std::span<const double> qs,
+                          std::span<double> out) const {
+  RFH_ASSERT(out.size() == qs.size());
+  std::fill(out.begin(), out.end(), 0.0);
   for (std::size_t i = 0; i < qs.size(); ++i) {
     RFH_ASSERT(qs[i] > 0.0 && qs[i] <= 1.0);
     RFH_ASSERT_MSG(i == 0 || qs[i] >= qs[i - 1],
                    "quantile grid must be ascending");
   }
-  if (total_weight_ == 0.0) return out;
+  if (total_weight_ == 0.0) return;
   std::size_t qi = 0;
   double cumulative = 0.0;
   for (std::size_t i = 0; i < kBuckets && qi < qs.size(); ++i) {
@@ -87,7 +89,6 @@ std::vector<double> Histogram::quantiles(std::span<const double> qs) const {
   // Floating-point shortfall at q=1.0: the running sum can end a hair
   // below the target, exactly as percentile() falls through to max.
   for (; qi < qs.size(); ++qi) out[qi] = max_value_;
-  return out;
 }
 
 void Histogram::append_json(std::string& out,

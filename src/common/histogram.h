@@ -46,10 +46,16 @@ class Histogram {
   /// over zero requests is trivially met).
   [[nodiscard]] double fraction_at_or_below(double value) const noexcept;
 
-  /// percentile() over an ascending grid of quantiles in one bucket pass;
-  /// element i equals percentile(qs[i]) exactly. All zeros when empty.
+  /// percentile() over an ascending grid of quantiles in one bucket pass:
+  /// out[i] equals percentile(qs[i]) exactly (out has qs.size()
+  /// elements). All zeros when empty.
+  void quantiles(std::span<const double> qs, std::span<double> out) const;
   [[nodiscard]] std::vector<double> quantiles(
-      std::span<const double> qs) const;
+      std::span<const double> qs) const {
+    std::vector<double> out(qs.size());
+    quantiles(qs, out);
+    return out;
+  }
 
   /// Append a one-line JSON snapshot — {"count":...,"mean":...,
   /// "max":...,"quantiles":{"0.5":...}} — for the metric registry and

@@ -6,29 +6,9 @@
 
 namespace rfh {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept : seed_(seed) {
   SplitMix64 sm(seed);
   for (auto& s : state_) s = sm.next();
-}
-
-Rng::result_type Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
@@ -45,11 +25,6 @@ std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) noexcept {
   RFH_ASSERT(lo <= hi);
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(uniform(span));
-}
-
-double Rng::uniform_real() noexcept {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform_real_range(double lo, double hi) noexcept {
@@ -134,6 +109,7 @@ Rng Rng::fork(std::uint64_t tag) const noexcept {
 
 DiscreteSampler::DiscreteSampler(std::span<const double> weights) {
   RFH_ASSERT(!weights.empty());
+  RFH_ASSERT(weights.size() < std::size_t{1} << 30);
   cdf_.reserve(weights.size());
   double total = 0.0;
   for (const double w : weights) {
@@ -142,22 +118,15 @@ DiscreteSampler::DiscreteSampler(std::span<const double> weights) {
     cdf_.push_back(total);
   }
   RFH_ASSERT_MSG(total > 0.0, "at least one weight must be positive");
-}
-
-std::size_t DiscreteSampler::sample(Rng& rng) const noexcept {
-  const double u = rng.uniform_real() * cdf_.back();
-  // Binary search for the first cdf entry > u.
-  std::size_t lo = 0;
-  std::size_t hi = cdf_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] > u) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
+  guide_.resize(4 * cdf_.size());
+  const auto buckets = static_cast<double>(guide_.size());
+  buckets_per_unit_ = buckets / total;
+  std::uint32_t i = 0;
+  for (std::size_t j = 0; j < guide_.size(); ++j) {
+    const double edge = static_cast<double>(j) / buckets * total;
+    while (i + 1 < cdf_.size() && cdf_[i] <= edge) ++i;
+    guide_[j] = i;
   }
-  return lo;
 }
 
 double DiscreteSampler::probability(std::size_t i) const noexcept {

@@ -8,7 +8,9 @@
 // std::mt19937 stream details across standard libraries.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -43,7 +45,17 @@ class Rng {
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
   result_type operator()() noexcept { return next(); }
-  result_type next() noexcept;
+  result_type next() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0.
   std::uint64_t uniform(std::uint64_t bound) noexcept;
@@ -51,8 +63,10 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) noexcept;
 
-  /// Uniform double in [0, 1).
-  double uniform_real() noexcept;
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform_real() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform_real_range(double lo, double hi) noexcept;
@@ -91,12 +105,37 @@ class Rng {
 };
 
 /// Discrete sampler over explicit nonnegative weights (CDF inversion).
+///
+/// The inversion is an exact guide table (Chen & Asau's indexed search):
+/// 4n buckets over [0, total), bucket j holding the answer at its lower
+/// edge, so a draw starts next to its answer and steps to it. The steps
+/// check the answer itself — cdf[i-1] <= u < cdf[i] — so the index is
+/// the one a binary search over the CDF returns for the same u, however
+/// the bucket arithmetic rounds. Build a sampler once per weight vector
+/// and keep it; construction is O(n).
 class DiscreteSampler {
  public:
   explicit DiscreteSampler(std::span<const double> weights);
 
-  /// Index drawn proportionally to its weight.
-  std::size_t sample(Rng& rng) const noexcept;
+  /// Index drawn proportionally to its weight: index_of(uniform * total).
+  std::size_t sample(Rng& rng) const noexcept {
+    return index_of(rng.uniform_real() * cdf_.back());
+  }
+
+  /// The first index whose cumulative weight exceeds u (the last index
+  /// when none does).
+  [[nodiscard]] std::size_t index_of(double u) const noexcept {
+    if (!(u < cdf_.back())) return cdf_.size() - 1;  // NaN lands here too
+    const double bucket = u * buckets_per_unit_;  // at most size()
+    std::size_t i = guide_.front();
+    if (bucket > 0.0) {
+      i = guide_[std::min(static_cast<std::size_t>(bucket),
+                          guide_.size() - 1)];
+    }
+    while (i > 0 && cdf_[i - 1] > u) --i;
+    while (cdf_[i] <= u) ++i;  // stops at the last entry, which exceeds u
+    return i;
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
   /// Normalized probability of index i.
@@ -104,6 +143,8 @@ class DiscreteSampler {
 
  private:
   std::vector<double> cdf_;  // cumulative, last element == total
+  std::vector<std::uint32_t> guide_;  // bucket -> index at its lower edge
+  double buckets_per_unit_ = 0.0;     // guide_.size() / total
 };
 
 /// Zipf(s) sampler over ranks 1..n (rank 1 most popular).

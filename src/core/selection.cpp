@@ -38,12 +38,19 @@ ServerId select_server_first_fit(const PolicyContext& ctx, DatacenterId dc,
 
 ServerId select_server_random(const PolicyContext& ctx, DatacenterId dc,
                               PartitionId p, Rng& rng) {
-  std::vector<ServerId> feasible;
-  for (const ServerId s : ctx.cluster.live_by_dc()[dc.value()]) {
-    if (ctx.cluster.can_accept(s, p)) feasible.push_back(s);
+  // Count the feasible servers, draw one rank, walk to it: the draw and
+  // the pick a list of the feasible servers would give, without the list.
+  const std::vector<ServerId>& live = ctx.cluster.live_by_dc()[dc.value()];
+  std::uint64_t feasible = 0;
+  for (const ServerId s : live) {
+    if (ctx.cluster.can_accept(s, p)) ++feasible;
   }
-  if (feasible.empty()) return ServerId::invalid();
-  return feasible[rng.uniform(feasible.size())];
+  if (feasible == 0) return ServerId::invalid();
+  std::uint64_t rank = rng.uniform(feasible);
+  for (const ServerId s : live) {
+    if (ctx.cluster.can_accept(s, p) && rank-- == 0) return s;
+  }
+  return ServerId::invalid();  // unreachable: rank < feasible
 }
 
 }  // namespace rfh

@@ -1,22 +1,57 @@
 #include "metrics/collector.h"
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
+#include "common/mathutil.h"
 #include "metrics/diversity.h"
-#include "metrics/imbalance.h"
-#include "metrics/utilization.h"
 
 namespace rfh {
 
 EpochMetrics MetricsCollector::collect(const Simulation& sim,
                                        const EpochReport& report) const {
+  const ClusterState& cluster = sim.cluster();
+  const Topology& topology = sim.topology();
+  const EpochTraffic& traffic = sim.traffic();
+  const std::uint32_t partitions = sim.config().partitions;
   EpochMetrics m;
   m.epoch = report.epoch;
 
-  m.utilization =
-      replica_utilization(sim.traffic(), sim.cluster(), sim.topology());
-  m.total_replicas = sim.cluster().total_replicas();
+  // One pass over every partition's copies, reading each copy's served
+  // queries once. Every copy's load feeds the imbalance statistic; a
+  // non-primary copy's load also feeds Fig. 3's utilization (Eq. 20:
+  // served / capacity, clamped to [0, 1] — the paper measures replicas,
+  // so primaries are left out). Each partition's diversity level is
+  // computed once for both diversity series.
+  std::vector<double> loads;
+  loads.reserve(cluster.total_replicas());
+  double utilization_sum = 0.0;
+  std::size_t utilization_copies = 0;
+  double diversity_sum = 0.0;
+  std::uint32_t survivable = 0;
+  for (std::uint32_t pv = 0; pv < partitions; ++pv) {
+    const PartitionId p{pv};
+    for (const Replica& r : cluster.replicas_of(p)) {
+      const double served = traffic.served(p, r.server);
+      loads.push_back(served);
+      if (r.primary) continue;
+      const double cap = topology.server(r.server).spec.per_replica_capacity;
+      utilization_sum += cap <= 0.0 ? 0.0 : std::clamp(served / cap, 0.0, 1.0);
+      ++utilization_copies;
+    }
+    const std::uint32_t level = partition_diversity_level(cluster, topology, p);
+    diversity_sum += level;
+    // Copies in two datacenters survive the loss of any single one.
+    if (level == 5) ++survivable;
+  }
+  m.utilization = utilization_copies == 0
+                      ? 0.0
+                      : utilization_sum /
+                            static_cast<double>(utilization_copies);
+  m.total_replicas = cluster.total_replicas();
   m.avg_replicas_per_partition =
-      static_cast<double>(m.total_replicas) /
-      static_cast<double>(sim.config().partitions);
+      static_cast<double>(m.total_replicas) / static_cast<double>(partitions);
 
   m.replication_cost_total = sim.cumulative_replication_cost();
   m.replication_cost_avg =
@@ -40,20 +75,22 @@ EpochMetrics MetricsCollector::collect(const Simulation& sim,
   // the raw stddev is dominated by the mean per-copy load, which differs
   // across algorithms simply because their copy counts differ; the
   // coefficient of variation isolates how *evenly* work is spread.
-  m.load_imbalance = load_imbalance_cv(sim.traffic(), sim.cluster());
+  m.load_imbalance = coefficient_of_variation(loads);
   m.path_length = report.mean_path_length;
 
-  m.diversity_level = mean_diversity_level(sim.cluster(), sim.topology());
-  m.dc_survivable_fraction =
-      datacenter_survivable_fraction(sim.cluster(), sim.topology());
-
-  const Histogram& latency = sim.traffic().latency();
-  m.latency_mean_ms = latency.mean();
-  if (!latency.empty()) {
-    m.latency_p50_ms = latency.percentile(0.50);
-    m.latency_p99_ms = latency.percentile(0.99);
-    m.latency_p999_ms = latency.percentile(0.999);
+  if (partitions > 0) {
+    m.diversity_level = diversity_sum / partitions;
+    m.dc_survivable_fraction = static_cast<double>(survivable) / partitions;
   }
+
+  const Histogram& latency = traffic.latency();
+  m.latency_mean_ms = latency.mean();
+  constexpr std::array<double, 3> kLatencyQuantiles{0.5, 0.99, 0.999};
+  std::array<double, 3> quantiles{};
+  latency.quantiles(kLatencyQuantiles, quantiles);
+  m.latency_p50_ms = quantiles[0];
+  m.latency_p99_ms = quantiles[1];
+  m.latency_p999_ms = quantiles[2];
   // Unavailable queries carry no latency sample, so an epoch where every
   // query was unavailable has an empty histogram, whose fraction reads
   // 1.0; none of those queries met the SLA.

@@ -20,28 +20,4 @@ std::uint32_t partition_diversity_level(const ClusterState& cluster,
   return best;
 }
 
-double mean_diversity_level(const ClusterState& cluster,
-                            const Topology& topology) {
-  const std::uint32_t partitions = cluster.config().partitions;
-  if (partitions == 0) return 0.0;
-  double sum = 0.0;
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    sum += partition_diversity_level(cluster, topology, PartitionId{p});
-  }
-  return sum / partitions;
-}
-
-double datacenter_survivable_fraction(const ClusterState& cluster,
-                                      const Topology& topology) {
-  const std::uint32_t partitions = cluster.config().partitions;
-  if (partitions == 0) return 0.0;
-  std::uint32_t survivable = 0;
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    if (partition_diversity_level(cluster, topology, PartitionId{p}) == 5) {
-      ++survivable;
-    }
-  }
-  return static_cast<double>(survivable) / partitions;
-}
-
 }  // namespace rfh

@@ -22,13 +22,4 @@ std::uint32_t partition_diversity_level(const ClusterState& cluster,
                                         const Topology& topology,
                                         PartitionId p);
 
-/// Mean partition diversity level over all partitions.
-double mean_diversity_level(const ClusterState& cluster,
-                            const Topology& topology);
-
-/// Fraction of partitions that survive the loss of any single datacenter
-/// (copies span at least two datacenters).
-double datacenter_survivable_fraction(const ClusterState& cluster,
-                                      const Topology& topology);
-
 }  // namespace rfh

@@ -77,6 +77,15 @@ std::vector<ServerId> ClusterState::hosts_in_dc(PartitionId p,
   return out;
 }
 
+std::uint32_t ClusterState::copies_in_dc(PartitionId p,
+                                         DatacenterId dc) const {
+  std::uint32_t in_dc = 0;
+  for (const Replica& r : replicas_of(p)) {
+    if (topology_->server(r.server).datacenter == dc) ++in_dc;
+  }
+  return in_dc;
+}
+
 Bytes ClusterState::storage_used(ServerId s) const {
   return servers_.storage_used(s);
 }
@@ -102,12 +111,9 @@ std::optional<DropReason> ClusterState::refusal(ServerId s,
     // Zone diversity: no datacenter may hold more than m fragments of a
     // stripe, so losing one whole DC can never destroy more fragments
     // than the stripe's parity budget tolerates.
-    const DatacenterId dc = topology_->server(s).datacenter;
-    std::uint32_t in_dc = 0;
-    for (const Replica& r : replicas_of(p)) {
-      if (topology_->server(r.server).datacenter == dc) ++in_dc;
+    if (copies_in_dc(p, topology_->server(s).datacenter) >= config_->ec_m) {
+      return DropReason::kZoneDiversity;
     }
-    if (in_dc >= config_->ec_m) return DropReason::kZoneDiversity;
   }
   const auto projected =
       static_cast<double>(storage_used(s) + config_->unit_size());

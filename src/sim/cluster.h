@@ -57,6 +57,9 @@ class ClusterState {
   /// in ascending server id (the deterministic absorption order).
   [[nodiscard]] std::vector<ServerId> hosts_in_dc(PartitionId p,
                                                   DatacenterId dc) const;
+  /// Copies of p hosted in `dc` (primary included), counted in place.
+  [[nodiscard]] std::uint32_t copies_in_dc(PartitionId p,
+                                           DatacenterId dc) const;
 
   // --- capacity ------------------------------------------------------------
   [[nodiscard]] Bytes storage_used(ServerId s) const;

@@ -35,12 +35,31 @@ std::string validate(const SimConfig& config) {
        config.min_availability >= 0.0 && config.min_availability < 1.0,
        "a target availability in [0, 1)"},
   };
+  char value[32];
   for (const Rule& rule : rules) {
     if (rule.ok) continue;
-    char value[32];
     std::snprintf(value, sizeof value, "%.12g", rule.value);
     return std::string(rule.name) + " expects " + rule.expects + ", got " +
            value;
+  }
+  // Eq. 14's copy floor must fit the copy cap: availability grows with
+  // the copy count, so the floor fits iff the cap itself reaches the
+  // target (checked here, not by searching for the floor, which asserts
+  // when it cannot reach the target).
+  const std::uint32_t cap = config.max_replicas_per_partition;
+  const bool erasure = config.redundancy == RedundancyMode::kErasure;
+  const std::uint32_t least = erasure ? config.ec_k + config.ec_m : 2;
+  const double reached =
+      erasure ? ec_availability(cap, config.ec_k, config.failure_rate)
+              : availability(cap, config.failure_rate);
+  if (cap < least || reached < config.min_availability) {
+    std::snprintf(value, sizeof value, "%.12g", config.failure_rate);
+    const std::string failure_rate = value;
+    std::snprintf(value, sizeof value, "%.12g", config.min_availability);
+    return "min_availability expects a target that "
+           "max_replicas_per_partition = " +
+           std::to_string(cap) + " copies reach at failure_rate " +
+           failure_rate + " (Eq. 14), got " + value;
   }
   return "";
 }

@@ -115,8 +115,9 @@ struct SimConfig {
 /// the CLI flags and check-case JSON spell it (storage_limit is "phi").
 /// The rules: partitions > 0; alpha in (0, 1); beta, gamma > 0; delta,
 /// mu >= 0; phi in (0, 1]; failure_rate in (0, 1); min_availability in
-/// [0, 1). Every reader of untrusted input (parse_cli,
-/// CheckCase::from_json) calls this one function.
+/// [0, 1); and the Eq. 14 copy floor (availability_floor()) must fit
+/// max_replicas_per_partition. Every reader of untrusted input
+/// (parse_cli, CheckCase::from_json) calls this one function.
 [[nodiscard]] std::string validate(const SimConfig& config);
 
 /// Canonical spelling of a config's redundancy scheme: "replica" or

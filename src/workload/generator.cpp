@@ -8,14 +8,13 @@
 namespace rfh {
 
 QueryBatch sample_batch(double mean_total, const ZipfSampler& partitions,
-                        std::span<const double> requester_weights,
+                        const DiscreteSampler& requesters,
                         std::uint32_t partition_rotation, Rng& rng) {
   const std::uint64_t total = rng.poisson(mean_total);
-  const DiscreteSampler requesters(requester_weights);
 
   // Aggregate counts per (partition, requester).
   const std::size_t n_partitions = partitions.size();
-  const std::size_t n_requesters = requester_weights.size();
+  const std::size_t n_requesters = requesters.size();
   std::vector<double> counts(n_partitions * n_requesters, 0.0);
   for (std::uint64_t q = 0; q < total; ++q) {
     const std::size_t rank = partitions.sample(rng);
@@ -26,6 +25,7 @@ QueryBatch sample_batch(double mean_total, const ZipfSampler& partitions,
   }
 
   QueryBatch batch;
+  batch.reserve(std::min<std::size_t>(counts.size(), total));
   for (std::size_t p = 0; p < n_partitions; ++p) {
     for (std::size_t r = 0; r < n_requesters; ++r) {
       const double c = counts[p * n_requesters + r];
@@ -41,13 +41,13 @@ QueryBatch sample_batch(double mean_total, const ZipfSampler& partitions,
 
 namespace {
 
-std::vector<double> uniform_weights(std::uint32_t n) {
-  return std::vector<double>(n, 1.0);
+DiscreteSampler uniform_requesters(std::uint32_t n) {
+  return DiscreteSampler(std::vector<double>(n, 1.0));
 }
 
-std::vector<double> stage_weights(const FlashStage& stage,
-                                  std::uint32_t n_datacenters) {
-  if (stage.hot_dcs.empty()) return uniform_weights(n_datacenters);
+DiscreteSampler stage_requesters(const FlashStage& stage,
+                                 std::uint32_t n_datacenters) {
+  if (stage.hot_dcs.empty()) return uniform_requesters(n_datacenters);
   RFH_ASSERT(stage.hot_share > 0.0 && stage.hot_share < 1.0);
   RFH_ASSERT(stage.hot_dcs.size() < n_datacenters);
   const double hot_each =
@@ -60,44 +60,46 @@ std::vector<double> stage_weights(const FlashStage& stage,
     RFH_ASSERT(dc.value() < n_datacenters);
     weights[dc.value()] = hot_each;
   }
-  return weights;
+  return DiscreteSampler(weights);
 }
 
 }  // namespace
 
 UniformWorkload::UniformWorkload(const WorkloadParams& params)
     : params_(params),
-      partition_sampler_(params.partitions, params.zipf_exponent) {}
+      partition_sampler_(params.partitions, params.zipf_exponent),
+      requester_sampler_(uniform_requesters(params.datacenters)) {}
 
 QueryBatch UniformWorkload::generate(Epoch /*epoch*/, Rng& rng) {
-  const auto weights = uniform_weights(params_.datacenters);
   return sample_batch(params_.mean_queries_per_epoch, partition_sampler_,
-                      weights, /*partition_rotation=*/0, rng);
+                      requester_sampler_, /*partition_rotation=*/0, rng);
 }
 
 FlashCrowdWorkload::FlashCrowdWorkload(const WorkloadParams& params,
-                                       std::vector<FlashStage> stages,
+                                       const std::vector<FlashStage>& stages,
                                        Epoch total_epochs)
     : params_(params),
       partition_sampler_(params.partitions, params.zipf_exponent),
-      stages_(std::move(stages)),
       total_epochs_(total_epochs) {
-  RFH_ASSERT(!stages_.empty());
+  RFH_ASSERT(!stages.empty());
   RFH_ASSERT(total_epochs_ > 0);
+  stage_samplers_.reserve(stages.size());
+  for (const FlashStage& stage : stages) {
+    stage_samplers_.push_back(stage_requesters(stage, params_.datacenters));
+  }
 }
 
 std::size_t FlashCrowdWorkload::stage_at(Epoch epoch) const noexcept {
   const Epoch clamped = std::min(epoch, static_cast<Epoch>(total_epochs_ - 1));
-  const std::size_t stage =
-      static_cast<std::size_t>(clamped) * stages_.size() / total_epochs_;
-  return std::min(stage, stages_.size() - 1);
+  const std::size_t stage = static_cast<std::size_t>(clamped) *
+                            stage_samplers_.size() / total_epochs_;
+  return std::min(stage, stage_samplers_.size() - 1);
 }
 
 QueryBatch FlashCrowdWorkload::generate(Epoch epoch, Rng& rng) {
-  const auto weights =
-      stage_weights(stages_[stage_at(epoch)], params_.datacenters);
   return sample_batch(params_.mean_queries_per_epoch, partition_sampler_,
-                      weights, /*partition_rotation=*/0, rng);
+                      stage_samplers_[stage_at(epoch)],
+                      /*partition_rotation=*/0, rng);
 }
 
 std::vector<FlashStage> FlashCrowdWorkload::paper_stages(
@@ -122,6 +124,7 @@ DiurnalWorkload::DiurnalWorkload(const WorkloadParams& params,
                                  Epoch period_epochs, double amplitude)
     : params_(params),
       partition_sampler_(params.partitions, params.zipf_exponent),
+      requester_sampler_(uniform_requesters(params.datacenters)),
       period_epochs_(period_epochs),
       amplitude_(amplitude) {
   RFH_ASSERT(period_epochs_ > 0);
@@ -137,8 +140,7 @@ double DiurnalWorkload::mean_at(Epoch epoch) const noexcept {
 }
 
 QueryBatch DiurnalWorkload::generate(Epoch epoch, Rng& rng) {
-  const std::vector<double> weights(params_.datacenters, 1.0);
-  return sample_batch(mean_at(epoch), partition_sampler_, weights,
+  return sample_batch(mean_at(epoch), partition_sampler_, requester_sampler_,
                       /*partition_rotation=*/0, rng);
 }
 
@@ -146,6 +148,7 @@ SpikeWorkload::SpikeWorkload(const WorkloadParams& params, Epoch spike_period,
                              double spike_factor, Epoch spike_width)
     : params_(params),
       partition_sampler_(params.partitions, params.zipf_exponent),
+      requester_sampler_(uniform_requesters(params.datacenters)),
       spike_period_(spike_period),
       spike_factor_(spike_factor),
       spike_width_(spike_width) {
@@ -161,8 +164,7 @@ bool SpikeWorkload::is_spike(Epoch epoch) const noexcept {
 QueryBatch SpikeWorkload::generate(Epoch epoch, Rng& rng) {
   const double mean = params_.mean_queries_per_epoch *
                       (is_spike(epoch) ? spike_factor_ : 1.0);
-  const std::vector<double> weights(params_.datacenters, 1.0);
-  return sample_batch(mean, partition_sampler_, weights,
+  return sample_batch(mean, partition_sampler_, requester_sampler_,
                       /*partition_rotation=*/0, rng);
 }
 
@@ -171,6 +173,7 @@ HotspotShiftWorkload::HotspotShiftWorkload(const WorkloadParams& params,
                                            std::uint32_t shift_per_phase)
     : params_(params),
       partition_sampler_(params.partitions, params.zipf_exponent),
+      requester_sampler_(uniform_requesters(params.datacenters)),
       phase_epochs_(phase_epochs),
       shift_per_phase_(shift_per_phase) {
   RFH_ASSERT(phase_epochs_ > 0);
@@ -180,9 +183,8 @@ QueryBatch HotspotShiftWorkload::generate(Epoch epoch, Rng& rng) {
   const std::uint32_t phase = epoch / phase_epochs_;
   const std::uint32_t rotation =
       (phase * shift_per_phase_) % params_.partitions;
-  const auto weights = uniform_weights(params_.datacenters);
   return sample_batch(params_.mean_queries_per_epoch, partition_sampler_,
-                      weights, rotation, rng);
+                      requester_sampler_, rotation, rng);
 }
 
 }  // namespace rfh

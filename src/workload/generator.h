@@ -71,6 +71,7 @@ class UniformWorkload final : public WorkloadGenerator {
  private:
   WorkloadParams params_;
   ZipfSampler partition_sampler_;
+  DiscreteSampler requester_sampler_;
 };
 
 /// One stage of a flash-crowd schedule.
@@ -86,7 +87,8 @@ class FlashCrowdWorkload final : public WorkloadGenerator {
   /// `stages` are equal slices of [0, total_epochs); epochs beyond
   /// total_epochs reuse the final stage.
   FlashCrowdWorkload(const WorkloadParams& params,
-                     std::vector<FlashStage> stages, Epoch total_epochs);
+                     const std::vector<FlashStage>& stages,
+                     Epoch total_epochs);
 
   [[nodiscard]] QueryBatch generate(Epoch epoch, Rng& rng) override;
 
@@ -101,7 +103,7 @@ class FlashCrowdWorkload final : public WorkloadGenerator {
  private:
   WorkloadParams params_;
   ZipfSampler partition_sampler_;
-  std::vector<FlashStage> stages_;
+  std::vector<DiscreteSampler> stage_samplers_;  // one per stage
   Epoch total_epochs_;
 };
 
@@ -123,6 +125,7 @@ class DiurnalWorkload final : public WorkloadGenerator {
  private:
   WorkloadParams params_;
   ZipfSampler partition_sampler_;
+  DiscreteSampler requester_sampler_;
   Epoch period_epochs_;
   double amplitude_;
 };
@@ -144,6 +147,7 @@ class SpikeWorkload final : public WorkloadGenerator {
  private:
   WorkloadParams params_;
   ZipfSampler partition_sampler_;
+  DiscreteSampler requester_sampler_;
   Epoch spike_period_;
   double spike_factor_;
   Epoch spike_width_;
@@ -161,16 +165,18 @@ class HotspotShiftWorkload final : public WorkloadGenerator {
  private:
   WorkloadParams params_;
   ZipfSampler partition_sampler_;
+  DiscreteSampler requester_sampler_;
   Epoch phase_epochs_;
   std::uint32_t shift_per_phase_;
 };
 
 /// Shared implementation: draw Poisson(total), then assign each query a
-/// partition from `partition_rank_to_id` via the Zipf sampler and a
-/// requester from `requester_weights`, aggregating equal (partition,
-/// requester) pairs into one flow. The batch comes out canonical.
+/// partition rank from the Zipf sampler (rotated by `partition_rotation`)
+/// and a requester datacenter from `requesters`, aggregating equal
+/// (partition, requester) pairs into one flow. The batch comes out
+/// canonical. Generators build both samplers once, not per epoch.
 QueryBatch sample_batch(double mean_total, const ZipfSampler& partitions,
-                        std::span<const double> requester_weights,
+                        const DiscreteSampler& requesters,
                         std::uint32_t partition_rotation, Rng& rng);
 
 }  // namespace rfh

@@ -205,6 +205,51 @@ TEST(RequestPolicy, MigratesWhenTheCrowdMoves) {
   EXPECT_TRUE(near_new_crowd);
 }
 
+TEST(RequestPolicy, MigrationNeedsThreeConsecutiveTopSetEpochs) {
+  const SimConfig config = one_partition();
+  const PartitionId p{0};
+  // Capacity far above the demand: no holder overloads, so every move is
+  // one the top-set membership triggers.
+  const WorldOptions world = test::uniform_world_options(1000.0);
+  auto probe = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>(),
+                                    config, world);
+  const DatacenterId home =
+      probe->topology().server(probe->cluster().primary_of(p)).datacenter;
+  std::vector<DatacenterId> dc;  // A..F: six datacenters off the primary's
+  for (std::uint32_t d = 0; dc.size() < 6; ++d) {
+    if (DatacenterId{d} != home) dc.push_back(DatacenterId{d});
+  }
+  const auto from = [&](std::vector<std::size_t> which) {
+    QueryBatch batch;
+    for (const std::size_t i : which) {
+      batch.push_back(QueryFlow{p, dc[i], 10.0});
+    }
+    return batch;
+  };
+  // Epochs 0-9: only A queries, so the floor copy lands at A. 10-11: B, C
+  // and D hold the top set for two epochs, leaving A's copy stale. 12: A,
+  // E and F push them out. From 13: B, C and D again.
+  std::vector<QueryBatch> schedule(10, from({0}));
+  schedule.push_back(from({1, 2, 3}));
+  schedule.push_back(from({1, 2, 3}));
+  schedule.push_back(from({0, 4, 5}));
+  schedule.push_back(from({1, 2, 3}));
+  auto sim = std::make_unique<Simulation>(
+      build_paper_world(world), config,
+      std::make_unique<test::ScheduledWorkload>(schedule),
+      std::make_unique<RequestOrientedPolicy>());
+  for (int e = 0; e < 18; ++e) {
+    const EpochReport report = sim->step();
+    if (e == 0) {
+      ASSERT_EQ(sim->cluster().copies_in_dc(p, dc[0]), 1u);
+    }
+    // Not at 10-11 (two epochs), not at 13 (the streak restarted when
+    // the set dropped out at 12): first at 15, the third epoch in a row.
+    EXPECT_EQ(report.migrations, e == 15 ? 1u : 0u) << "epoch " << e;
+  }
+  EXPECT_EQ(sim->cluster().copies_in_dc(p, dc[0]), 0u);
+}
+
 TEST(RequestPolicy, MigrationBudgetBoundsPerEpochMoves) {
   SimConfig config;
   config.partitions = 16;

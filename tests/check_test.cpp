@@ -136,6 +136,41 @@ TEST(CheckCaseJson, RejectsOutOfRangeValues) {
       CheckCase::from_json(with("fault_plan", "\"crash at=0\"")).ok);
 }
 
+TEST(CheckCaseJson, RejectsAFloorBeyondTheCopyCap) {
+  // Each value is in range, but Eq. 14 needs more copies than
+  // max_replicas_per_partition allows: min_replicas would assert.
+  const auto result = CheckCase::from_json(
+      R"({"schema": "rfh-check-case/1", "failure_rate": 0.9999,)"
+      R"( "min_availability": 0.999})");
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("min_availability"), std::string::npos);
+  EXPECT_NE(result.error.find("max_replicas_per_partition"),
+            std::string::npos);
+}
+
+TEST(SimConfigValidate, EqFourteenFloorMustFitTheCopyCap) {
+  SimConfig config;
+  EXPECT_EQ(validate(config), "");
+  config.failure_rate = 0.5;
+  config.min_availability = 0.9999;  // 1 - 0.5^14 reaches it
+  EXPECT_EQ(validate(config), "");
+  EXPECT_EQ(config.availability_floor(), 14u);
+  config.min_availability = 0.99999;  // 1 - 0.5^16 falls short
+  EXPECT_NE(validate(config).find("max_replicas_per_partition = 16"),
+            std::string::npos);
+  // In EC mode the floor is the k-of-n tail, at least the full stripe.
+  std::string error;
+  ASSERT_TRUE(parse_redundancy("ec(4,2)", config, error)) << error;
+  config.min_availability = 0.98;  // P(Bin(15, 0.5) >= 4) reaches it
+  EXPECT_EQ(validate(config), "");
+  EXPECT_EQ(config.availability_floor(), 15u);
+  config.min_availability = 0.99;  // P(Bin(16, 0.5) >= 4) falls short
+  EXPECT_NE(validate(config), "");
+  config.min_availability = 0.8;
+  config.max_replicas_per_partition = 5;  // below the 6-fragment stripe
+  EXPECT_NE(validate(config), "");
+}
+
 TEST(CheckCaseJson, ToScenarioMapsEveryKnob) {
   const CheckCase c = sample_case();
   const Scenario s = c.to_scenario();

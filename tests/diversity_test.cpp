@@ -5,6 +5,7 @@
 
 #include "core/rfh_policy.h"
 #include "harness/runner.h"
+#include "metrics/collector.h"
 #include "metrics/diversity.h"
 #include "test_util.h"
 
@@ -74,15 +75,23 @@ TEST_F(DiversityTest, BestPairWins) {
 
 TEST_F(DiversityTest, MeanAndSurvivabilityAggregate) {
   // Partition 0: cross-DC (level 5); partition 1: single copy (level 0).
-  cluster_->add_replica(PartitionId{0},
-                        world_.topology.servers_in(world_.dc[0])[0], true);
-  cluster_->add_replica(PartitionId{0},
-                        world_.topology.servers_in(world_.dc[1])[0]);
-  cluster_->add_replica(PartitionId{1},
-                        world_.topology.servers_in(world_.dc[2])[0], true);
-  EXPECT_DOUBLE_EQ(mean_diversity_level(*cluster_, world_.topology), 2.5);
-  EXPECT_DOUBLE_EQ(datacenter_survivable_fraction(*cluster_, world_.topology),
-                   0.5);
+  const PartitionId p0{0};
+  auto probe = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>(),
+                                    config_);
+  const DatacenterId home =
+      world_.topology.server(probe->cluster().primary_of(p0)).datacenter;
+  const DatacenterId away = home == world_.dc[0] ? world_.dc[1] : world_.dc[0];
+  Actions e0;
+  e0.replications.push_back(
+      ReplicateAction{p0, world_.topology.servers_in(away)[0], {}});
+  auto sim = test::make_fixed_sim(
+      {}, std::make_unique<test::ScriptedPolicy>(std::vector<Actions>{e0}),
+      config_);
+  const EpochMetrics m = MetricsCollector().collect(*sim, sim->step());
+  ASSERT_EQ(sim->cluster().replica_count(p0), 2u);
+  ASSERT_EQ(sim->cluster().replica_count(PartitionId{1}), 1u);
+  EXPECT_DOUBLE_EQ(m.diversity_level, 2.5);
+  EXPECT_DOUBLE_EQ(m.dc_survivable_fraction, 0.5);
 }
 
 TEST(DatacenterFailure, DiversePlacementSurvivesAWholeDatacenterLoss) {
@@ -97,9 +106,9 @@ TEST(DatacenterFailure, DiversePlacementSurvivesAWholeDatacenterLoss) {
       build_paper_world(test::uniform_world_options()), config,
       std::make_unique<UniformWorkload>(params),
       std::make_unique<RfhPolicy>());
-  sim->run(40);
-  ASSERT_GT(datacenter_survivable_fraction(sim->cluster(), sim->topology()),
-            0.99);
+  sim->run(39);
+  const EpochMetrics warm = MetricsCollector().collect(*sim, sim->step());
+  ASSERT_GT(warm.dc_survivable_fraction, 0.99);
 
   const auto victims = sim->fail_datacenter(sim->world().by_letter('A'));
   EXPECT_EQ(victims.size(), 10u);
@@ -137,9 +146,10 @@ TEST(DatacenterFailure, ClusteredPlacementLosesData) {
   auto sim = test::make_fixed_sim(
       {QueryFlow{PartitionId{0}, DatacenterId{1}, 5.0}}, std::move(clustered),
       config);
-  sim->run(10);
+  sim->run(9);
   EXPECT_DOUBLE_EQ(
-      datacenter_survivable_fraction(sim->cluster(), sim->topology()), 0.0);
+      MetricsCollector().collect(*sim, sim->step()).dc_survivable_fraction,
+      0.0);
 
   // Find a datacenter that holds a primary and destroy it.
   const ServerId some_primary = sim->cluster().primary_of(PartitionId{0});

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/mathutil.h"
 #include "core/rfh_policy.h"
 #include "harness/report.h"
+#include "harness/scenario.h"
 #include "metrics/collector.h"
 #include "metrics/csv.h"
-#include "metrics/imbalance.h"
-#include "metrics/utilization.h"
+#include "metrics/diversity.h"
 #include "test_util.h"
 
 namespace rfh {
@@ -16,17 +20,20 @@ namespace {
 
 constexpr double kCap = 2.0;
 
+/// One epoch's metrics, as run_policy collects them.
+EpochMetrics step_and_collect(Simulation& sim) {
+  const EpochReport report = sim.step();
+  return MetricsCollector().collect(sim, report);
+}
+
 TEST(Utilization, ZeroWithoutCopies) {
   SimConfig config;
   config.partitions = 2;
   auto sim = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>(),
                                   config, test::uniform_world_options(kCap));
-  sim->step();
-  // Only primaries exist; with include_primaries=false there is nothing
-  // to average over.
-  EXPECT_DOUBLE_EQ(
-      replica_utilization(sim->traffic(), sim->cluster(), sim->topology()),
-      0.0);
+  // Only primaries exist, and utilization leaves them out: there is
+  // nothing to average over.
+  EXPECT_DOUBLE_EQ(step_and_collect(*sim).utilization, 0.0);
 }
 
 TEST(Utilization, SaturatedReplicaScoresOne) {
@@ -51,20 +58,11 @@ TEST(Utilization, SaturatedReplicaScoresOne) {
       std::make_unique<test::ScriptedPolicy>(std::vector<Actions>{e0}),
       config, test::uniform_world_options(kCap));
   sim->step();
-  sim->step();
   // The non-primary sibling absorbs its full capacity -> utilization 1.
-  EXPECT_DOUBLE_EQ(copy_utilization(sim->traffic(), sim->topology(), p,
-                                    sibling),
-                   1.0);
-  EXPECT_DOUBLE_EQ(
-      replica_utilization(sim->traffic(), sim->cluster(), sim->topology()),
-      1.0);
-  // Including primaries averages in the saturated holder too.
-  UtilizationOptions with_primaries;
-  with_primaries.include_primaries = true;
-  EXPECT_DOUBLE_EQ(replica_utilization(sim->traffic(), sim->cluster(),
-                                       sim->topology(), with_primaries),
-                   1.0);
+  EXPECT_DOUBLE_EQ(step_and_collect(*sim).utilization, 1.0);
+  EXPECT_GE(sim->traffic().served(p, sibling), kCap);
+  // The primary is saturated too, so counting it would not change that.
+  EXPECT_GE(sim->traffic().served(p, holder), kCap);
 }
 
 TEST(Utilization, AlwaysWithinUnitInterval) {
@@ -77,9 +75,7 @@ TEST(Utilization, AlwaysWithinUnitInterval) {
       build_paper_world(), config, std::make_unique<UniformWorkload>(params),
       std::make_unique<RfhPolicy>());
   for (int e = 0; e < 30; ++e) {
-    sim->step();
-    const double u =
-        replica_utilization(sim->traffic(), sim->cluster(), sim->topology());
+    const double u = step_and_collect(*sim).utilization;
     EXPECT_GE(u, 0.0);
     EXPECT_LE(u, 1.0);
   }
@@ -93,9 +89,7 @@ TEST(Imbalance, ZeroForPerfectlyEvenCopies) {
   config.partitions = 4;
   auto sim = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>(),
                                   config, test::uniform_world_options(kCap));
-  sim->step();
-  EXPECT_DOUBLE_EQ(load_imbalance(sim->traffic(), sim->cluster()), 0.0);
-  EXPECT_DOUBLE_EQ(load_imbalance_cv(sim->traffic(), sim->cluster()), 0.0);
+  EXPECT_DOUBLE_EQ(step_and_collect(*sim).load_imbalance, 0.0);
 }
 
 TEST(Imbalance, SkewedServingRaisesTheStatistic) {
@@ -105,10 +99,8 @@ TEST(Imbalance, SkewedServingRaisesTheStatistic) {
   auto sim = test::make_fixed_sim({QueryFlow{hot, DatacenterId{4}, 2.0}},
                                   std::make_unique<test::NullPolicy>(),
                                   config, test::uniform_world_options(kCap));
-  sim->step();
   // One primary saturated, one idle: nonzero spread.
-  EXPECT_GT(load_imbalance(sim->traffic(), sim->cluster()), 0.0);
-  EXPECT_GT(load_imbalance_servers(sim->traffic(), sim->cluster()), 0.0);
+  EXPECT_GT(step_and_collect(*sim).load_imbalance, 0.0);
 }
 
 TEST(Collector, FieldsAreConsistentWithTheSimulation) {
@@ -143,6 +135,85 @@ TEST(Collector, FieldsAreConsistentWithTheSimulation) {
   }
   EXPECT_EQ(run.series.size(), 40u);
   EXPECT_GT(tail_mean(run, &EpochMetrics::utilization, 10), 0.0);
+}
+
+// The collector's single pass against the separate whole-cluster scans
+// it replaced, computed here from replicas_of, served,
+// partition_diversity_level and the latency histogram. Every field must
+// match bit for bit, under churn, for every policy and for ec(4,2).
+TEST(Collector, OnePassEqualsSeparateScansBitForBit) {
+  struct Case {
+    PolicyKind kind;
+    const char* redundancy;
+  };
+  const Case cases[] = {{PolicyKind::kRequest, "replica"},
+                        {PolicyKind::kOwner, "replica"},
+                        {PolicyKind::kRandom, "replica"},
+                        {PolicyKind::kRfh, "replica"},
+                        {PolicyKind::kRfh, "ec(4,2)"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(policy_name(c.kind)) + " " + c.redundancy);
+    Scenario scenario = Scenario::paper_random_query();
+    std::string error;
+    ASSERT_TRUE(parse_redundancy(c.redundancy, scenario.sim, error)) << error;
+    const auto sim = make_simulation(scenario, c.kind);
+    const ClusterState& cluster = sim->cluster();
+    const Topology& topology = sim->topology();
+    const EpochTraffic& traffic = sim->traffic();
+    const std::uint32_t partitions = scenario.sim.partitions;
+    MetricsCollector collector;
+    std::vector<ServerId> down;
+    for (int e = 0; e < 60; ++e) {
+      // Churn: three servers go down every ten epochs and come back
+      // five epochs later.
+      if (e % 10 == 3) down = sim->fail_random_servers(3);
+      if (e % 10 == 8) sim->recover_servers(down);
+      const EpochReport report = sim->step();
+      const EpochMetrics m = collector.collect(*sim, report);
+
+      double utilization = 0.0;
+      std::size_t replicas = 0;
+      std::vector<double> loads;
+      for (std::uint32_t pv = 0; pv < partitions; ++pv) {
+        for (const Replica& r : cluster.replicas_of(PartitionId{pv})) {
+          loads.push_back(traffic.served(PartitionId{pv}, r.server));
+          if (r.primary) continue;
+          const double cap =
+              topology.server(r.server).spec.per_replica_capacity;
+          utilization += std::clamp(
+              traffic.served(PartitionId{pv}, r.server) / cap, 0.0, 1.0);
+          ++replicas;
+        }
+      }
+      if (replicas > 0) utilization /= static_cast<double>(replicas);
+      double level_sum = 0.0;
+      for (std::uint32_t pv = 0; pv < partitions; ++pv) {
+        level_sum +=
+            partition_diversity_level(cluster, topology, PartitionId{pv});
+      }
+      std::uint32_t survivable = 0;
+      for (std::uint32_t pv = 0; pv < partitions; ++pv) {
+        if (partition_diversity_level(cluster, topology, PartitionId{pv}) ==
+            5) {
+          ++survivable;
+        }
+      }
+      const Histogram& latency = traffic.latency();
+      const auto quantile = [&latency](double q) {
+        return latency.empty() ? 0.0 : latency.percentile(q);
+      };
+
+      EXPECT_EQ(m.utilization, utilization) << "epoch " << e;
+      EXPECT_EQ(m.load_imbalance, coefficient_of_variation(loads));
+      EXPECT_EQ(m.diversity_level, level_sum / partitions);
+      EXPECT_EQ(m.dc_survivable_fraction,
+                static_cast<double>(survivable) / partitions);
+      EXPECT_EQ(m.latency_mean_ms, latency.mean());
+      EXPECT_EQ(m.latency_p50_ms, quantile(0.5));
+      EXPECT_EQ(m.latency_p99_ms, quantile(0.99));
+      EXPECT_EQ(m.latency_p999_ms, quantile(0.999));
+    }
+  }
 }
 
 TEST(Collector, TailMeanHandlesShortSeries) {

@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "topology/world.h"
 
 namespace rfh {
 namespace {
@@ -264,6 +267,95 @@ TEST(DiscreteSampler, ProbabilityNormalizes) {
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
   EXPECT_NEAR(sampler.probability(0), 0.2, 1e-12);
+}
+
+/// The first index whose cumulative weight exceeds u, the last when none
+/// does: the binary search the guide table must reproduce exactly.
+std::size_t binary_search_index(const std::vector<double>& cdf, double u) {
+  std::size_t lo = 0;
+  std::size_t hi = cdf.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] > u) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+std::vector<double> zipf_weights(std::size_t n) {
+  std::vector<double> w(n);
+  for (std::size_t rank = 1; rank <= n; ++rank) {
+    w[rank - 1] = 1.0 / std::pow(static_cast<double>(rank), 0.8);
+  }
+  return w;
+}
+
+/// The requester weights of the paper's flash-crowd stages: 80% of the
+/// queries from three datacenters (H,I,J -> A,B,C -> E,F,G), the rest
+/// spread over the other seven.
+std::vector<std::vector<double>> flash_stage_weights() {
+  const World world = build_paper_world();
+  std::vector<std::vector<double>> stages;
+  for (const char* hot : {"HIJ", "ABC", "EFG"}) {
+    std::vector<double> w(10, 0.2 / 7.0);
+    for (const char* c = hot; *c != '\0'; ++c) {
+      w[world.by_letter(*c).value()] = 0.8 / 3.0;
+    }
+    stages.push_back(w);
+  }
+  return stages;
+}
+
+TEST(DiscreteSampler, IndexOfEqualsBinarySearchEverywhere) {
+  std::vector<std::vector<double>> cases = {
+      {0.0, 0.0, 1.0, 0.0, 0.0, 2.5, 0.0, 3.0, 0.0, 0.0},  // zeros everywhere
+      {3.5},                                               // one weight
+      {0.0, 0.0, 7.0, 0.0},                                // one positive
+      {1e-300, 1e300, 1e-300, 2.0},                        // extreme range
+      {1e300, 1e-300},
+      std::vector<double>(10, 1.0),  // all equal
+      std::vector<double>(97, 0.1),
+      zipf_weights(64),
+      zipf_weights(800),
+      zipf_weights(8000),
+  };
+  for (std::vector<double>& stage : flash_stage_weights()) {
+    cases.push_back(std::move(stage));
+  }
+  Rng rng(99);
+  for (const std::vector<double>& weights : cases) {
+    SCOPED_TRACE("n = " + std::to_string(weights.size()));
+    const DiscreteSampler sampler(weights);
+    std::vector<double> cdf;
+    double total = 0.0;
+    for (const double w : weights) cdf.push_back(total += w);
+    std::vector<double> probes{0.0, std::nan("")};
+    for (const double c : cdf) {
+      probes.push_back(c);
+      probes.push_back(std::nextafter(c, HUGE_VAL));
+      probes.push_back(std::nextafter(c, -HUGE_VAL));
+    }
+    for (int i = 0; i < 1'000'000; ++i) {
+      probes.push_back(rng.uniform_real() * total);
+    }
+    std::size_t mismatches = 0;
+    for (const double u : probes) {
+      if (sampler.index_of(u) != binary_search_index(cdf, u)) {
+        ADD_FAILURE() << "u = " << u << ": index_of " << sampler.index_of(u)
+                      << ", binary search " << binary_search_index(cdf, u);
+        if (++mismatches == 10) break;
+      }
+    }
+    // sample() is index_of on the same single draw.
+    Rng a(7);
+    Rng b(7);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(sampler.sample(a), sampler.index_of(b.uniform_real() * total));
+    }
+  }
 }
 
 TEST(DiscreteSamplerDeath, RejectsEmptyAndNegative) {

@@ -284,9 +284,9 @@ TEST(DiurnalWorkloadDeath, RejectsBadParameters) {
 TEST(SampleBatch, RotationWrapsModuloPartitions) {
   WorkloadParams p = small_params();
   ZipfSampler zipf(p.partitions, 5.0);  // extreme skew: almost surely rank 0
-  const std::vector<double> weights(10, 1.0);
+  const DiscreteSampler requesters(std::vector<double>(10, 1.0));
   Rng rng(30);
-  const QueryBatch batch = sample_batch(200.0, zipf, weights,
+  const QueryBatch batch = sample_batch(200.0, zipf, requesters,
                                         /*rotation=*/p.partitions + 2, rng);
   double rotated = 0.0;
   double total = 0.0;
