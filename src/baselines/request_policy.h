@@ -36,6 +36,7 @@ class RequestOrientedPolicy final : public ReplicationPolicy {
 
   [[nodiscard]] std::string_view name() const override { return "Request"; }
   [[nodiscard]] Actions decide(const PolicyContext& ctx) override;
+  [[nodiscard]] bool reads_requester_stats() const override { return true; }
 
  private:
   struct Requester {

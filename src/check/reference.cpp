@@ -46,7 +46,6 @@ ReferenceEngine::ReferenceEngine(const Scenario& scenario)
       e_server_work_(world_.topology.server_count(), 0.0),
       avg_query_(config_.partitions, 0.0),
       node_traffic_(config_.partitions * world_.topology.server_count(), 0.0),
-      node_traffic_sum_(config_.partitions, 0.0),
       server_arrival_(world_.topology.server_count(), 0.0),
       stats_frozen_(world_.topology.server_count(), 0),
       overload_streak_(config_.partitions, 0),
@@ -244,14 +243,7 @@ void ReferenceEngine::clear_server_stats(ServerId s) {
   server_arrival_[s.value()] = 0.0;
   const std::size_t servers = world_.topology.server_count();
   for (std::uint32_t pv = 0; pv < config_.partitions; ++pv) {
-    double& v = node_traffic_[pv * servers + s.value()];
-    if (v == 0.0) continue;
-    v = 0.0;
-    double sum = 0.0;
-    for (std::uint32_t k = 0; k < servers; ++k) {
-      sum += node_traffic_[pv * servers + k];
-    }
-    node_traffic_sum_[pv] = sum;
+    node_traffic_[pv * servers + s.value()] = 0.0;
   }
 }
 
@@ -493,17 +485,13 @@ void ReferenceEngine::update_stats() {
         e_partition_queries_[pv] / static_cast<double>(datacenters);
     avg_query_[pv] = a * avg_query_[pv] + b * q_avg;
 
-    double sum = 0.0;
     for (std::uint32_t s = 0; s < servers; ++s) {
-      double& v = node_traffic_[pv * servers + s];
       // A frozen (stalestats) server keeps its stale value; the engine's
-      // sparse merge skips its cells the same way.
-      if (stats_frozen_[s] == 0) {
-        v = a * v + b * e_node_traffic_[pv * servers + s];
-      }
-      sum += v;
+      // sparse fold skips its cells the same way.
+      if (stats_frozen_[s] != 0) continue;
+      double& v = node_traffic_[pv * servers + s];
+      v = a * v + b * e_node_traffic_[pv * servers + s];
     }
-    node_traffic_sum_[pv] = sum;
   }
   for (std::uint32_t s = 0; s < servers; ++s) {
     if (stats_frozen_[s] != 0) continue;
@@ -675,10 +663,15 @@ void ReferenceEngine::decide(std::vector<ProposedReplicate>& replications,
               victim_traffic = tr;
             }
           }
+          // Eq. 17: the partition's dense tr_bar row, summed in order.
+          const std::size_t servers = world_.topology.server_count();
+          double tr_sum = 0.0;
+          for (std::size_t s = 0; s < servers; ++s) {
+            tr_sum += node_traffic_[pv * servers + s];
+          }
           const double mean_tr =
-              live_count_ == 0
-                  ? 0.0
-                  : node_traffic_sum_[pv] / static_cast<double>(live_count_);
+              live_count_ == 0 ? 0.0
+                               : tr_sum / static_cast<double>(live_count_);
           if (victim.valid() &&
               hubs.front().traffic - victim_traffic >= config_.mu * mean_tr) {
             migrations.push_back(ProposedMigrate{

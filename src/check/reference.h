@@ -250,7 +250,6 @@ class ReferenceEngine {
   // Smoothed statistics (Eqs. 9-11), direct transcription.
   std::vector<double> avg_query_;
   std::vector<double> node_traffic_;
-  std::vector<double> node_traffic_sum_;
   std::vector<double> server_arrival_;
   std::vector<char> stats_frozen_;
   bool stats_initialized_ = false;

@@ -38,15 +38,15 @@ std::vector<RfhPolicy::HubCandidate> RfhPolicy::hub_candidates(
   // partition's nonzero tr_bar cells — walking them (ascending server id,
   // like the full-axis scan they replace) instead of all S servers makes
   // the decide pass independent of cluster size.
-  for (const StatCell& cell : ctx.stats.node_cells(p)) {
+  ctx.stats.for_each_node_cell(p, [&](const StatCell& cell) {
     const ServerId sid{cell.server};
     const double tr = cell.ewma;
-    if (tr <= 0.0) continue;
-    if (!ctx.cluster.alive(sid)) continue;
-    if (ctx.cluster.has_replica(p, sid)) continue;
-    if (require_gamma && tr < gamma_threshold) continue;
+    if (tr <= 0.0) return;
+    if (!ctx.cluster.alive(sid)) return;
+    if (ctx.cluster.has_replica(p, sid)) return;
+    if (require_gamma && tr < gamma_threshold) return;
     out.push_back(HubCandidate{sid, tr});
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const HubCandidate& a, const HubCandidate& b) {
               if (a.traffic != b.traffic) return a.traffic > b.traffic;

@@ -71,6 +71,10 @@ class RfhPolicy final : public ReplicationPolicy {
   /// Export decision counters (rfh_policy_*): decide calls, proposals by
   /// kind, and which inequality fired per action. nullptr detaches.
   void set_telemetry(MetricRegistry* registry) override;
+  /// Only the near-requester placement ranks DCs by requester volume.
+  [[nodiscard]] bool reads_requester_stats() const override {
+    return options_.placement == Options::Placement::kNearRequester;
+  }
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 

@@ -21,7 +21,8 @@ Simulation::Simulation(World world, const SimConfig& config,
       cluster_(world_.topology, config_),
       stats_(config_.partitions, world_.topology.server_count(),
              world_.topology.datacenter_count(), config_.alpha,
-             config_.alpha_weights_history),
+             config_.alpha_weights_history,
+             policy != nullptr && policy->reads_requester_stats()),
       traffic_(config_.partitions, world_.topology.server_count(),
                world_.topology.datacenter_count()),
       workload_(std::move(workload)),

@@ -50,6 +50,9 @@ class ReplicationPolicy {
   /// Offered a registry by Simulation::set_telemetry; policies that export
   /// metrics resolve their handles here. nullptr detaches. Optional.
   virtual void set_telemetry(MetricRegistry* /*registry*/) {}
+  /// Whether decide() reads TrafficStats::requester_queries. The engine
+  /// asks once, at construction, and keeps the requester rows only then.
+  [[nodiscard]] virtual bool reads_requester_stats() const { return false; }
 };
 
 /// Eq. 12 with two practical adjustments:

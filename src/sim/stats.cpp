@@ -9,17 +9,16 @@ namespace rfh {
 
 TrafficStats::TrafficStats(std::size_t partitions, std::size_t servers,
                            std::size_t datacenters, double alpha,
-                           bool alpha_weights_history)
+                           bool alpha_weights_history, bool requester_rows)
     : partitions_(partitions),
       servers_(servers),
       datacenters_(datacenters),
       alpha_(alpha_weights_history ? alpha : 1.0 - alpha),
       avg_query_(partitions, 0.0),
       node_cells_(partitions),
-      node_traffic_sum_(partitions, 0.0),
-      requester_queries_(partitions * datacenters, 0.0),
+      requester_queries_(requester_rows ? partitions * datacenters : 0, 0.0),
       server_arrival_(servers, 0.0),
-      frozen_(servers, 0) {
+      flags_(servers, 0) {
   RFH_ASSERT(alpha > 0.0 && alpha < 1.0);
 }
 
@@ -33,6 +32,12 @@ void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
   const double b = 1.0 - a;
   initialized_ = true;
 
+  // A frozen server keeps its stale EWMA (a frozen absent cell stays
+  // absent); a cleared one folds from prev = 0.0, and a new one too.
+  const auto fold = [&](std::uint32_t server, double prev, double obs) {
+    return (flags_[server] & kFrozen) != 0 ? prev : a * prev + b * obs;
+  };
+
   // Partition axis: every write below lands in a [p]-indexed slot, so
   // shards owning disjoint partition ranges share nothing, and each
   // output is a pure function of its own partition's inputs — identical
@@ -41,59 +46,50 @@ void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
       pool, partitions_,
       shard_count_for(pool, partitions_, /*min_grain=*/64),
       [&](unsigned /*shard*/, IndexRange range) {
-        std::vector<StatCell> merged;
         for (std::size_t p = range.begin; p < range.end; ++p) {
           const PartitionId pid{static_cast<std::uint32_t>(p)};
           const double q_avg = traffic.partition_queries(pid) /
                                static_cast<double>(datacenters_);
           avg_query_[p] = a * avg_query_[p] + b * q_avg;
 
-          // Sorted merge of the EWMA cells with the epoch's traffic
-          // cells. Both lists ascend by server id, so the visit order —
-          // and therefore the Eq. 17 sum's association order — matches
-          // the dense 0..S-1 scan; servers on neither side would add
-          // exactly +0.0 and are skipped.
-          const std::vector<StatCell>& old_cells = node_cells_[p];
+          // Fold the resident cells in place (obs = 0.0 if untouched),
+          // compacting out exact zeros, and count the new servers.
+          std::vector<StatCell>& cells = node_cells_[p];
           const std::span<const TrafficCell> fresh = traffic.cells(pid);
-          merged.clear();
-          merged.reserve(old_cells.size() + fresh.size());
-          double sum = 0.0;
-          std::size_t i = 0;
+          std::size_t kept = 0;
+          std::size_t inserts = 0;
           std::size_t j = 0;
-          while (i < old_cells.size() || j < fresh.size()) {
-            const bool take_old =
-                j >= fresh.size() ||
-                (i < old_cells.size() &&
-                 old_cells[i].server <= fresh[j].server);
-            const bool take_fresh =
-                i >= old_cells.size() ||
-                (j < fresh.size() && fresh[j].server <= old_cells[i].server);
-            const std::uint32_t server =
-                take_old ? old_cells[i].server : fresh[j].server;
-            const double prev = take_old ? old_cells[i].ewma : 0.0;
-            const double obs = take_fresh ? fresh[j].node : 0.0;
-            // A frozen server keeps its stale EWMA (a frozen absent cell
-            // stays absent: prev == 0.0 is not pushed, and contributes
-            // the same +0.0 to the Eq. 17 sum as the dense scan would).
-            const double v = frozen_[server] != 0 ? prev : a * prev + b * obs;
-            sum += v;
-            if (v != 0.0) merged.push_back(StatCell{server, v});
-            if (take_old) ++i;
-            if (take_fresh) ++j;
+          const auto count_new = [&](std::uint32_t below) {
+            for (; j < fresh.size() && fresh[j].server < below; ++j) {
+              if (fold(fresh[j].server, 0.0, fresh[j].node) != 0.0) ++inserts;
+            }
+          };
+          for (std::size_t i = 0; i < cells.size(); ++i) {
+            const std::uint32_t s = cells[i].server;
+            count_new(s);
+            const bool touched = j < fresh.size() && fresh[j].server == s;
+            const double prev =
+                (flags_[s] & kCleared) != 0 ? 0.0 : cells[i].ewma;
+            const double v = fold(s, prev, touched ? fresh[j++].node : 0.0);
+            if (v != 0.0) cells[kept++] = StatCell{s, v};
           }
-          // Hand the merged cells over instead of copying them; `merged`
-          // takes the old buffer and reuses it for the shard's next
-          // partition. A scratch buffer more than twice the cells' size
-          // is copied from instead, so it stays scratch: swapping alone
-          // lets every partition's capacity creep up to the hottest
-          // partition's over the epochs.
-          if (merged.capacity() <= 2 * merged.size()) {
-            node_cells_[p].swap(merged);
-          } else {
-            node_cells_[p].assign(merged.begin(), merged.end());
+          count_new(static_cast<std::uint32_t>(servers_));
+          // Merge the new servers in from the back, without scratch. (A
+          // server whose resident cell was pruned folds to 0.0 here too.)
+          cells.resize(kept + inserts);
+          std::size_t w = kept + inserts;
+          for (std::size_t i = kept; inserts > 0;) {
+            const TrafficCell& cell = fresh[--j];
+            while (i > 0 && cells[i - 1].server > cell.server) {
+              cells[--w] = cells[--i];
+            }
+            if (i > 0 && cells[i - 1].server == cell.server) continue;
+            const double v = fold(cell.server, 0.0, cell.node);
+            if (v == 0.0) continue;
+            cells[--w] = StatCell{cell.server, v};
+            --inserts;
           }
-          node_traffic_sum_[p] = sum;
-
+          if (requester_queries_.empty()) continue;
           // Merge the partition's demand (ascending requester) into its
           // requester row; a DC with no flow still takes a*v + b*0.0.
           const std::span<const QueryFlow> flows = traffic.demand(pid);
@@ -106,12 +102,13 @@ void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
           }
         }
       });
-  // Server axis: same argument, one slot per server.
+  // Server axis: one slot per server, as above; clear marks end here.
   parallel_for_shards(pool, servers_,
                       shard_count_for(pool, servers_, /*min_grain=*/4096),
                       [&](unsigned /*shard*/, IndexRange range) {
                         for (std::size_t s = range.begin; s < range.end; ++s) {
-                          if (frozen_[s] != 0) continue;
+                          flags_[s] &= kFrozen;
+                          if (flags_[s] != 0) continue;
                           server_arrival_[s] =
                               a * server_arrival_[s] +
                               b * traffic.server_work(
@@ -122,35 +119,20 @@ void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
 
 void TrafficStats::set_frozen(ServerId s, bool frozen) {
   RFH_ASSERT(s.value() < servers_);
-  frozen_[s.value()] = frozen ? 1 : 0;
+  flags_[s.value()] = static_cast<std::uint8_t>(
+      (flags_[s.value()] & kCleared) | (frozen ? kFrozen : 0));
 }
 
 bool TrafficStats::frozen(ServerId s) const {
   RFH_ASSERT(s.value() < servers_);
-  return frozen_[s.value()] != 0;
+  return (flags_[s.value()] & kFrozen) != 0;
 }
 
 void TrafficStats::clear_servers(std::span<const ServerId> servers) {
-  if (servers.empty()) return;
-  std::vector<std::uint8_t> gone(servers_, 0);
   for (const ServerId s : servers) {
     RFH_ASSERT(s.value() < servers_);
     server_arrival_[s.value()] = 0.0;
-    gone[s.value()] = 1;
-  }
-  for (std::uint32_t p = 0; p < partitions_; ++p) {
-    std::vector<StatCell>& cells = node_cells_[p];
-    const auto kept = std::remove_if(
-        cells.begin(), cells.end(),
-        [&](const StatCell& c) { return gone[c.server] != 0; });
-    if (kept == cells.end()) continue;
-    cells.erase(kept, cells.end());
-    // Recompute the Eq. 17 numerator from scratch rather than
-    // subtracting: the next update() does the same ascending re-sum, so
-    // this keeps the two code paths bit-identical for the oracle.
-    double sum = 0.0;
-    for (const StatCell& cell : cells) sum += cell.ewma;
-    node_traffic_sum_[p] = sum;
+    flags_[s.value()] |= kCleared;
   }
 }
 
@@ -161,6 +143,7 @@ double TrafficStats::avg_query(PartitionId p) const {
 
 double TrafficStats::node_traffic(PartitionId p, ServerId s) const {
   RFH_ASSERT(p.value() < partitions_ && s.value() < servers_);
+  if ((flags_[s.value()] & kCleared) != 0) return 0.0;
   const std::vector<StatCell>& cells = node_cells_[p.value()];
   const auto it = std::lower_bound(
       cells.begin(), cells.end(), s.value(),
@@ -169,12 +152,9 @@ double TrafficStats::node_traffic(PartitionId p, ServerId s) const {
   return it->ewma;
 }
 
-std::span<const StatCell> TrafficStats::node_cells(PartitionId p) const {
-  RFH_ASSERT(p.value() < partitions_);
-  return node_cells_[p.value()];
-}
-
 double TrafficStats::requester_queries(PartitionId p, DatacenterId j) const {
+  RFH_ASSERT_MSG(!requester_queries_.empty(),
+                 "requester rows need a policy that reads_requester_stats()");
   RFH_ASSERT(p.value() < partitions_ && j.value() < datacenters_);
   return requester_queries_[p.value() * datacenters_ + j.value()];
 }
@@ -188,7 +168,10 @@ double TrafficStats::mean_node_traffic(PartitionId p,
                                        std::size_t live_servers) const {
   RFH_ASSERT(p.value() < partitions_);
   if (live_servers == 0) return 0.0;
-  return node_traffic_sum_[p.value()] / static_cast<double>(live_servers);
+  // Eq. 17's numerator, summed in ascending server order.
+  double sum = 0.0;
+  for_each_node_cell(p, [&](const StatCell& cell) { sum += cell.ewma; });
+  return sum / static_cast<double>(live_servers);
 }
 
 }  // namespace rfh

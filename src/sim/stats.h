@@ -4,22 +4,22 @@
 //   q_bar_i   — per-partition system average query (Eq. 9 averaged over
 //               requesters, smoothed by Eq. 10);
 //   tr_bar_ik — per-(partition, server) traffic load (Eq. 11);
-//   per-(partition, requester) query volume (used by the
-//               request-oriented comparator);
+//   per-(partition, requester) query volume (only for a policy that
+//               reads_requester_stats());
 //   per-server arrival rate (Erlang-B's lambda, Eq. 18).
 //
 // The tr_bar plane is sparse: each partition holds cells (sorted by
-// server id) only for servers whose EWMA is nonzero. update() merges the
-// cell list with the epoch's sparse traffic cells in ascending server
-// order; servers absent from both sides would contribute a*0 + b*0 =
-// +0.0 to the value and the Eq. 17 sum — exact IEEE identities — so
-// skipping them is bit-identical to the dense scan the seed performed
-// (the differential oracle checks this). Cells whose EWMA decays to
-// exactly 0.0 are pruned for the same reason.
+// server id) only for servers whose EWMA is nonzero. update() folds the
+// epoch's traffic cells into them in place — a*prev + b*obs, with obs =
+// 0.0 for an untouched cell and prev = 0.0 for a new one — and prunes
+// exact zeros. Servers on neither side would stay +0.0, so this is
+// bit-identical to the dense scan the seed performed (the differential
+// oracle checks it), and so is Eq. 17's numerator, summed on read in
+// ascending server order. clear_servers() only marks its victims: readers
+// skip them, and the next fold reads their cells as absent and drops them.
 //
-// The requester rows are the one dense [p][dc] array left: update()
-// merges each with EpochTraffic::demand(p) (ascending requester); a DC
-// with no flow still takes a*v + b*0.0, as a dense plane of zeros did.
+// The requester rows are dense [p][dc]: update() merges each with
+// EpochTraffic::demand(p); a DC with no flow takes a*v + b*0.0.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/ids.h"
 #include "sim/traffic.h"
 #include "workload/generator.h"
@@ -44,10 +45,12 @@ struct StatCell {
 class TrafficStats {
  public:
   /// `alpha_weights_history`: Eq. 10's printed orientation (see
-  /// SimConfig::alpha_weights_history).
+  /// SimConfig::alpha_weights_history). Without `requester_rows`,
+  /// requester_queries() asserts.
   TrafficStats(std::size_t partitions, std::size_t servers,
                std::size_t datacenters, double alpha,
-               bool alpha_weights_history = true);
+               bool alpha_weights_history = true,
+               bool requester_rows = false);
 
   /// Fold in one epoch of raw observations. Every write is indexed by
   /// partition or by server, so with a pool the fold shards those axes
@@ -65,12 +68,10 @@ class TrafficStats {
   void set_frozen(ServerId s, bool frozen);
   [[nodiscard]] bool frozen(ServerId s) const;
 
-  /// Forget everything about failed servers, in one pass over the
-  /// partitions. Without this, the exponentially decaying tr_bar entries
-  /// of dead servers keep inflating Eq. 17's numerator while
-  /// mean_node_traffic() divides by the *live* server count, skewing the
-  /// migration-benefit test (Eq. 16) for many epochs after a failure.
-  /// Called by the engine once per failure wave.
+  /// Forget everything about failed servers, in O(victims). Otherwise the
+  /// decaying tr_bar of dead servers keeps inflating Eq. 17's numerator
+  /// while mean_node_traffic() divides by the *live* server count,
+  /// skewing the migration-benefit test (Eq. 16) for many epochs.
   void clear_servers(std::span<const ServerId> servers);
 
   /// q_bar_i: smoothed system average query for partition p — the paper
@@ -80,9 +81,15 @@ class TrafficStats {
   /// tr_bar_ik: smoothed traffic load of server s for partition p.
   [[nodiscard]] double node_traffic(PartitionId p, ServerId s) const;
 
-  /// The partition's nonzero tr_bar cells, ascending server id — the
-  /// hub-candidate scan iterates these instead of the full server axis.
-  [[nodiscard]] std::span<const StatCell> node_cells(PartitionId p) const;
+  /// Visit the partition's nonzero tr_bar cells, ascending server id,
+  /// skipping servers cleared since the last fold.
+  template <typename Fn>
+  void for_each_node_cell(PartitionId p, Fn&& fn) const {
+    RFH_ASSERT(p.value() < partitions_);
+    for (const StatCell& cell : node_cells_[p.value()]) {
+      if ((flags_[cell.server] & kCleared) == 0) fn(cell);
+    }
+  }
 
   /// Smoothed queries for p issued near datacenter j.
   [[nodiscard]] double requester_queries(PartitionId p, DatacenterId j) const;
@@ -94,10 +101,12 @@ class TrafficStats {
   [[nodiscard]] double mean_node_traffic(PartitionId p,
                                          std::size_t live_servers) const;
 
-  [[nodiscard]] double alpha() const noexcept { return alpha_; }
   [[nodiscard]] bool initialized() const noexcept { return initialized_; }
 
  private:
+  static constexpr std::uint8_t kFrozen = 1;   // stale-stats fault
+  static constexpr std::uint8_t kCleared = 2;  // cleared since the last fold
+
   std::size_t partitions_;
   std::size_t servers_;
   std::size_t datacenters_;
@@ -105,10 +114,9 @@ class TrafficStats {
   bool initialized_ = false;
   std::vector<double> avg_query_;                 // [p]
   std::vector<std::vector<StatCell>> node_cells_;  // [p], sorted by server
-  std::vector<double> node_traffic_sum_;          // [p] (for Eq. 17)
-  std::vector<double> requester_queries_;         // [p][dc]
-  std::vector<double> server_arrival_;            // [s]
-  std::vector<char> frozen_;                      // [s] stale-stats flags
+  std::vector<double> requester_queries_;  // [p][dc], empty without rows
+  std::vector<double> server_arrival_;     // [s]
+  std::vector<std::uint8_t> flags_;        // [s] kFrozen | kCleared
 };
 
 }  // namespace rfh

@@ -37,13 +37,21 @@ void ArrivalGenerator::timestamps_into(Epoch epoch, DatacenterId dc,
   RFH_ASSERT(dc.valid());
 
   // Cumulative intensity over the bin grid: cdf[i] = integral of the
-  // (midpoint-sampled) intensity over the first i bins.
-  std::array<double, kIntensityBins + 1> cdf{};
-  for (std::size_t i = 0; i < kIntensityBins; ++i) {
-    const double mid = (static_cast<double>(i) + 0.5) /
-                       static_cast<double>(kIntensityBins);
-    cdf[i + 1] = cdf[i] + intensity(epoch, mid);
-  }
+  // (midpoint-sampled) intensity over the first i bins. It depends on the
+  // epoch only through epoch % kDiurnalPeriod: one table per phase, once.
+  using Cdf = std::array<double, kIntensityBins + 1>;
+  static const auto phase_cdfs = [] {
+    std::array<Cdf, StreamConfig::kDiurnalPeriod> tables{};
+    for (Epoch phase = 0; phase < StreamConfig::kDiurnalPeriod; ++phase) {
+      for (std::size_t i = 0; i < kIntensityBins; ++i) {
+        const double mid = (static_cast<double>(i) + 0.5) /
+                           static_cast<double>(kIntensityBins);
+        tables[phase][i + 1] = tables[phase][i] + intensity(phase, mid);
+      }
+    }
+    return tables;
+  }();
+  const Cdf& cdf = phase_cdfs[epoch % StreamConfig::kDiurnalPeriod];
   const double total = cdf[kIntensityBins];
 
   Rng rng = Rng(seed_)

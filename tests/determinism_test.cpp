@@ -436,11 +436,15 @@ TEST(EngineJobsDeterminismTest, ShuffledBatchRunsAsItsCanonicalForm) {
     shuffled.push_back(std::move(pieces));
   }
 
+  // Near-requester placement, so the stats keep (and the comparison
+  // below reads) the requester rows.
+  RfhPolicy::Options near_requester;
+  near_requester.placement = RfhPolicy::Options::Placement::kNearRequester;
   const auto make = [&](std::vector<QueryBatch> schedule, unsigned jobs) {
     auto sim = std::make_unique<Simulation>(
         build_paper_world(test::uniform_world_options()), config,
         std::make_unique<test::ScheduledWorkload>(std::move(schedule)),
-        std::make_unique<RfhPolicy>());
+        std::make_unique<RfhPolicy>(near_requester));
     sim->set_jobs(jobs);
     return sim;
   };
@@ -474,8 +478,12 @@ TEST(EngineJobsDeterminismTest, ShuffledBatchRunsAsItsCanonicalForm) {
           EXPECT_EQ(a[i].served, b[i].served);
         }
         EXPECT_EQ(sim->stats().avg_query(pid), sorted->stats().avg_query(pid));
-        const std::span<const StatCell> x = sim->stats().node_cells(pid);
-        const std::span<const StatCell> y = sorted->stats().node_cells(pid);
+        std::vector<StatCell> x;
+        std::vector<StatCell> y;
+        sim->stats().for_each_node_cell(
+            pid, [&](const StatCell& cell) { x.push_back(cell); });
+        sorted->stats().for_each_node_cell(
+            pid, [&](const StatCell& cell) { y.push_back(cell); });
         ASSERT_EQ(x.size(), y.size()) << "partition " << p;
         for (std::size_t i = 0; i < x.size(); ++i) {
           EXPECT_EQ(x[i].server, y[i].server);

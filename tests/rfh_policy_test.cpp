@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 
+#include "baselines/request_policy.h"
 #include "common/availability.h"
 #include "test_util.h"
 
@@ -258,6 +259,62 @@ TEST(RfhDecisionTree, NearOwnerPlacementStaysNearOwner) {
     }
   }
   EXPECT_TRUE(found_near);
+}
+
+TEST(RfhDecisionTree, NearRequesterFloorRepairLandsInTheHeaviestRequesterDc) {
+  // The near-requester placement ranks datacenters by the smoothed
+  // requester rows, so the first floor repair goes to the heaviest
+  // requester — here not datacenter 0, which is where an all-zero row
+  // (requester rows not kept) would tie-break to.
+  const SimConfig config = small_config(1);
+  const PartitionId p{0};
+  auto probe = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>(),
+                                    config);
+  const DatacenterId home =
+      probe->topology().server(probe->cluster().primary_of(p)).datacenter;
+  const std::uint32_t dcs =
+      static_cast<std::uint32_t>(probe->topology().datacenter_count());
+  DatacenterId light;
+  DatacenterId heavy;
+  for (std::uint32_t d = 1; d < dcs && !heavy.valid(); ++d) {
+    if (DatacenterId{d} == home) continue;
+    if (!light.valid()) {
+      light = DatacenterId{d};
+    } else {
+      heavy = DatacenterId{d};
+    }
+  }
+  ASSERT_TRUE(heavy.valid());
+
+  RfhPolicy::Options options;
+  options.placement = RfhPolicy::Options::Placement::kNearRequester;
+  auto sim = test::make_fixed_sim(
+      {QueryFlow{p, light, 5.0}, QueryFlow{p, heavy, 40.0}},
+      std::make_unique<RfhPolicy>(options), config);
+  ASSERT_LT(sim->cluster().replica_count(p), rmin(config));
+  sim->step();
+  ASSERT_EQ(sim->cluster().replica_count(p), 2u);
+  for (const Replica& r : sim->cluster().replicas_of(p)) {
+    if (r.primary) continue;
+    EXPECT_EQ(sim->topology().server(r.server).datacenter, heavy);
+  }
+}
+
+TEST(RfhDecisionTreeDeath, DefaultRfhStatsKeepNoRequesterRows) {
+  // Only a policy that reads them gets requester rows; reading them
+  // anyway fails loudly instead of returning zeros.
+  const PartitionId p{0};
+  auto sim = test::make_fixed_sim({QueryFlow{p, DatacenterId{3}, 9.0}},
+                                  std::make_unique<RfhPolicy>(),
+                                  small_config(1));
+  sim->step();
+  EXPECT_DEATH((void)sim->stats().requester_queries(p, DatacenterId{3}),
+               "reads_requester_stats");
+  auto request = test::make_fixed_sim(
+      {QueryFlow{p, DatacenterId{3}, 9.0}},
+      std::make_unique<RequestOrientedPolicy>(), small_config(1));
+  request->step();
+  EXPECT_EQ(request->stats().requester_queries(p, DatacenterId{3}), 9.0);
 }
 
 TEST(RfhPolicy, NameAndOptionsAccessors) {
