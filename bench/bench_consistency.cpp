@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   scenario.write_fraction = 0.2;
 
   {
-    const rfh::ComparativeResult r = rfh::run_comparison(scenario, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(scenario, jobs);
     rfh::print_figure(std::cout,
                       "Consistency: mean replica lag (versions), 20% writes",
                       r, &rfh::EpochMetrics::mean_replica_lag);
@@ -32,13 +32,15 @@ int main(int argc, char** argv) {
                       &rfh::EpochMetrics::stale_read_fraction);
   }
   {
-    // Same workload plus a mass failure: how many accepted writes does
-    // each policy's placement lose in the failover?
-    rfh::FailureEvent failure;
-    failure.epoch = 150;
-    failure.kill_random = 30;
-    const rfh::ComparativeResult r =
-        rfh::run_comparison(scenario, {failure}, jobs);
+    // Same workload plus a mass failure (the plan line `crash at=150
+    // count=30`): how many accepted writes does each policy's placement
+    // lose in the failover?
+    rfh::FaultEvent failure;
+    failure.kind = rfh::FaultKind::kCrash;
+    failure.at = 150;
+    failure.count = 30;
+    scenario.fault_plan.add(failure);
+    const rfh::ComparativeResult r = rfh::run_comparison(scenario, jobs);
     rfh::print_figure(std::cout,
                       "Consistency: cumulative lost writes "
                       "(30 servers killed at epoch 150)",

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   scenario.epochs = 200;
 
   {
-    const rfh::ComparativeResult r = rfh::run_comparison(scenario, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(scenario, jobs);
     rfh::print_figure(std::cout,
                       "Diversity: mean partition availability level", r,
                       &rfh::EpochMetrics::diversity_level);

@@ -1,8 +1,9 @@
 // Fig. 10 — node join, failure and recovery (RFH only).
 //
 // 500 epochs of uniform query load; at epoch 290, 30 of the 100 servers
-// are removed at random — expressed as a FaultPlan so the injection goes
-// through the same chaos path the tests and the CLI use. Paper shape:
+// are removed at random — the scenario's own `crash at=290 count=30`
+// plan line, injected through the same chaos path the tests and the CLI
+// use. Paper shape:
 // the copy count grows, plateaus, drops sharply at the failure, then
 // recovers to the initial plateau as RFH re-replicates on the survivors.
 //
@@ -15,7 +16,6 @@
 
 #include "bench_args.h"
 #include "bench_report.h"
-#include "fault/plan.h"
 #include "harness/report.h"
 #include "obs/timeline.h"
 
@@ -24,12 +24,7 @@ int main(int argc, char** argv) {
   // interface but there is nothing to fan out.
   (void)rfh::bench_jobs(argc, argv);
   rfh::BenchReport report("fig10_failure_recovery");
-  rfh::Scenario s = rfh::Scenario::paper_failure_recovery();
-  rfh::FaultEvent failure;
-  failure.kind = rfh::FaultKind::kCrash;
-  failure.at = 290;
-  failure.count = 30;
-  s.fault_plan.add(failure);
+  const rfh::Scenario s = rfh::Scenario::paper_failure_recovery();
   using Clock = std::chrono::steady_clock;
   rfh::PolicyRun run;
   Clock::duration base_wall{};

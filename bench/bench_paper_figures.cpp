@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   rfh::ComparativeResult results[std::size(scenarios)];
   for (std::size_t i = 0; i < std::size(scenarios); ++i) {
     const auto stage = report.stage(kComparisonNames[i]);
-    results[i] = rfh::run_comparison(scenarios[i], {}, jobs);
+    results[i] = rfh::run_comparison(scenarios[i], jobs);
   }
 
   for (const Panel& panel : kPanels) {

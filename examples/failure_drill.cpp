@@ -4,10 +4,18 @@
 // datacenter disaster — recovering each in turn. Watch the copy count
 // crater and rebuild, and the unserved fraction spike and decay.
 //
+// The drill is one fault plan, applied by a ChaosController before each
+// epoch steps:
+//
+//   crash    at=100 count=30
+//   recover  at=170 count=30
+//   linkdown at=200 a=I b=D restore_at=260
+//   outage   at=300 dc=F recover_after=60
+//
 //   $ ./failure_drill
 #include <cstdio>
 
-#include "harness/runner.h"
+#include "fault/chaos.h"
 #include "harness/scenario.h"
 
 int main() {
@@ -19,37 +27,56 @@ int main() {
   const rfh::DatacenterId vancouver = sim->world().by_letter('D');
   const rfh::DatacenterId zurich = sim->world().by_letter('F');
 
-  std::vector<rfh::ServerId> victims;
-  std::vector<rfh::ServerId> disaster;
+  rfh::FaultPlan drill;
+  rfh::FaultEvent crash;
+  crash.kind = rfh::FaultKind::kCrash;
+  crash.at = 100;
+  crash.count = 30;
+  drill.add(crash);
+  rfh::FaultEvent recover;
+  recover.kind = rfh::FaultKind::kRecover;
+  recover.at = 170;
+  recover.count = 30;
+  drill.add(recover);
+  rfh::FaultEvent link;
+  link.kind = rfh::FaultKind::kLinkDown;
+  link.at = 200;
+  link.link_a = tokyo;
+  link.link_b = vancouver;
+  link.restore_at = 260;
+  drill.add(link);
+  rfh::FaultEvent disaster;
+  disaster.kind = rfh::FaultKind::kDatacenterOutage;
+  disaster.at = 300;
+  disaster.dc = zurich;
+  disaster.recover_after = 60;
+  drill.add(disaster);
+  rfh::ChaosController chaos(drill, scenario.sim.seed);
+
   for (rfh::Epoch e = 0; e < scenario.epochs; ++e) {
+    const rfh::ChaosController::Applied applied = chaos.before_epoch(*sim, e);
     switch (e) {
       case 100:
-        victims = sim->fail_random_servers(30);
-        std::printf("-- epoch 100: killed 30 random servers (%u live)\n",
-                    sim->cluster().live_server_count());
+        std::printf("-- epoch 100: killed %zu random servers (%u live)\n",
+                    applied.killed.size(), sim->cluster().live_server_count());
         break;
       case 170:
-        sim->recover_servers(victims);
         std::printf("-- epoch 170: recovered them (%u live)\n",
                     sim->cluster().live_server_count());
         break;
       case 200:
-        sim->fail_link(tokyo, vancouver);
         std::printf("-- epoch 200: trans-Pacific link I-D down "
                     "(Asia reroutes via Beijing/Zurich)\n");
         break;
       case 260:
-        sim->restore_link(tokyo, vancouver);
         std::printf("-- epoch 260: link I-D restored\n");
         break;
       case 300:
-        disaster = sim->fail_datacenter(zurich);
         std::printf("-- epoch 300: datacenter F (Zurich) destroyed "
                     "(%zu servers)\n",
-                    disaster.size());
+                    applied.killed.size());
         break;
       case 360:
-        sim->recover_servers(disaster);
         std::printf("-- epoch 360: Zurich rebuilt\n");
         break;
       default:

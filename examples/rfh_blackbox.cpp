@@ -13,7 +13,9 @@
 // Flags:
 //   --case=FILE       run a committed rfh-check-case/1 corpus scenario
 //   --fault-plan=FILE run the paper scenario under a chaos plan
-//   --kill=N@E        kill N random servers at epoch E (repeatable)
+//   --kill=N@E        kill N random servers at epoch E (repeatable): the
+//                     plan line `crash at=E count=N`, appended to the
+//                     scenario's plan
 //   --seed=N --epochs=N --partitions=N   scenario overrides
 //   --slo=SPEC        arm the SLO watchdog (telemetry/slo.h grammar)
 //   --why partition=P [epoch=E]   print the cause chain behind partition
@@ -32,6 +34,7 @@
 
 #include "check/case.h"
 #include "common/parse.h"
+#include "harness/cli.h"
 #include "harness/runner.h"
 #include "obs/timeline.h"
 
@@ -76,14 +79,14 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::uint64_t seed = 0;
   bool seed_set = false;
-  std::uint64_t epochs = 0;
-  std::uint64_t partitions = 0;
-  std::vector<rfh::FailureEvent> failures;
+  rfh::Epoch epochs = 0;
+  std::uint32_t partitions = 0;
+  rfh::FaultPlan kills;
   bool why_mode = false;
   bool storm_mode = false;
-  std::uint64_t why_partition = 0;
+  std::uint32_t why_partition = 0;
   bool why_partition_set = false;
-  std::uint64_t why_epoch = rfh::TimelineQuery::kAnyEpoch;
+  rfh::Epoch why_epoch = rfh::TimelineQuery::kAnyEpoch;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -103,37 +106,30 @@ int main(int argc, char** argv) {
       seed_set = true;
     } else if (consume(arg, "--epochs=", value)) {
       if (!rfh::parse_uint(value, epochs) || epochs == 0) {
-        return usage("--epochs expects a positive integer");
+        return usage("--epochs expects a positive 32-bit integer");
       }
     } else if (consume(arg, "--partitions=", value)) {
       if (!rfh::parse_uint(value, partitions) || partitions == 0) {
-        return usage("--partitions expects a positive integer");
+        return usage("--partitions expects a positive 32-bit integer");
       }
     } else if (consume(arg, "--kill=", value)) {
-      const std::size_t at = value.find('@');
-      std::uint64_t n = 0;
-      std::uint64_t epoch = 0;
-      if (at == std::string::npos ||
-          !rfh::parse_uint(value.substr(0, at), n) ||
-          !rfh::parse_uint(value.substr(at + 1), epoch) || n == 0) {
-        return usage("--kill expects N@E with positive N");
-      }
-      rfh::FailureEvent event;
-      event.kill_random = static_cast<std::uint32_t>(n);
-      event.epoch = static_cast<rfh::Epoch>(epoch);
-      failures.push_back(event);
+      const std::optional<rfh::FaultEvent> crash = rfh::parse_kill(value);
+      if (!crash) return usage(std::string(rfh::kKillError).c_str());
+      kills.add(*crash);
     } else if (std::strcmp(arg, "--why") == 0) {
       why_mode = true;
     } else if (std::strcmp(arg, "--storm") == 0) {
       storm_mode = true;
     } else if (consume(arg, "partition=", value)) {
       if (!why_mode || !rfh::parse_uint(value, why_partition)) {
-        return usage("partition=P belongs after --why");
+        return usage("partition=P belongs after --why and expects a "
+                     "32-bit integer");
       }
       why_partition_set = true;
     } else if (consume(arg, "epoch=", value)) {
       if (!why_mode || !rfh::parse_uint(value, why_epoch)) {
-        return usage("epoch=E belongs after --why");
+        return usage("epoch=E belongs after --why and expects a 32-bit "
+                     "integer");
       }
     } else {
       return usage((std::string("unknown argument '") + arg + "'").c_str());
@@ -164,18 +160,19 @@ int main(int argc, char** argv) {
       return usage(("--fault-plan: " + plan.error).c_str());
     }
     // --kill alone replaces the built-in drill instead of stacking on it.
-    if (!plan_path.empty() || failures.empty()) {
+    if (!plan_path.empty() || kills.empty()) {
       scenario.fault_plan = std::move(plan.plan);
     }
+  }
+  for (const rfh::FaultEvent& crash : kills.events()) {
+    scenario.fault_plan.add(crash);
   }
   if (seed_set) {
     scenario.sim.seed = seed;
     scenario.world.seed = seed;
   }
-  if (epochs != 0) scenario.epochs = static_cast<rfh::Epoch>(epochs);
-  if (partitions != 0) {
-    scenario.sim.partitions = static_cast<std::uint32_t>(partitions);
-  }
+  if (epochs != 0) scenario.epochs = epochs;
+  if (partitions != 0) scenario.sim.partitions = partitions;
   if (!slo_spec.empty()) {
     const rfh::SloParseResult parsed = rfh::parse_slo(slo_spec);
     if (!parsed.ok) return usage(("--slo: " + parsed.error).c_str());
@@ -185,7 +182,8 @@ int main(int argc, char** argv) {
   // --- fly the scenario with the recorder attached ----------------------
   rfh::TimelineStore store(scenario.sim.partitions);
   const rfh::PolicyRun run = rfh::run_policy(
-      scenario, rfh::PolicyKind::kRfh, failures, rfh::RfhPolicy::Options{},
+      scenario, rfh::PolicyKind::kRfh, rfh::FaultPlan{},
+      rfh::RfhPolicy::Options{},
       /*trace_sink=*/nullptr, /*metrics=*/nullptr, /*profiler=*/nullptr,
       /*checker=*/nullptr, &store);
 
@@ -213,20 +211,18 @@ int main(int argc, char** argv) {
   const rfh::TimelineQuery query(store);
 
   if (why_mode) {
-    const rfh::PartitionId p{static_cast<std::uint32_t>(why_partition)};
-    const auto at = static_cast<rfh::Epoch>(why_epoch);
+    const rfh::PartitionId p{why_partition};
+    const rfh::Epoch at = why_epoch;
     const std::vector<rfh::TimelineRecord> chain = query.why(p, at);
     if (chain.empty()) {
-      std::printf("partition %llu has no recorded history",
-                  static_cast<unsigned long long>(why_partition));
+      std::printf("partition %u has no recorded history", why_partition);
       if (at != rfh::TimelineQuery::kAnyEpoch) {
         std::printf(" at or before epoch %u", at);
       }
       std::printf("\n");
       return 1;
     }
-    std::printf("\n=== why: partition %llu",
-                static_cast<unsigned long long>(why_partition));
+    std::printf("\n=== why: partition %u", why_partition);
     if (at != rfh::TimelineQuery::kAnyEpoch) std::printf(" @ epoch %u", at);
     std::printf(" ===\n");
     print_chain(query, chain);
@@ -236,9 +232,8 @@ int main(int argc, char** argv) {
     // TimelineStore::kMaxRing records) plus its sampled evictions.
     const std::vector<rfh::TimelineRecord> history =
         query.partition_history(p, at);
-    std::printf("\n--- lifecycle of partition %llu: %zu records ---\n",
-                static_cast<unsigned long long>(why_partition),
-                history.size());
+    std::printf("\n--- lifecycle of partition %u: %zu records ---\n",
+                why_partition, history.size());
     for (const rfh::TimelineRecord& rec : history) {
       std::printf("epoch %4u  %s\n", rec.epoch,
                   rfh::describe_record(rec).c_str());

@@ -125,12 +125,10 @@ int main(int argc, char** argv) {
 
   std::vector<rfh::PolicyRun> runs;
   if (options.compare) {
-    runs = rfh::run_comparison(options.scenario, options.failures,
-                               options.jobs)
-               .runs;
+    runs = rfh::run_comparison(options.scenario, options.jobs).runs;
   } else {
     runs.push_back(rfh::run_policy(options.scenario, options.policy,
-                                   options.failures, rfh::RfhPolicy::Options{},
+                                   rfh::FaultPlan{}, rfh::RfhPolicy::Options{},
                                    sink, registry.get(), profiler.get(),
                                    checker.get(), recorder.get()));
   }

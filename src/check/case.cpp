@@ -272,20 +272,19 @@ CheckCase::ParseResult CheckCase::from_json(std::string_view text) {
                key == "racks_per_room" || key == "servers_per_rack" ||
                key == "partitions" || key == "epochs") {
       err = want_plain("non-negative integer");
-      std::uint64_t v = 0;
-      if (err.empty() && !parse_uint(raw, v)) {
-        err = "field '" + key + "' expects an integer, got '" + raw + "'";
-      }
-      if (err.empty()) {
-        if (key == "seed") c.seed = v;
-        else if (key == "rooms_per_datacenter")
-          c.rooms_per_datacenter = static_cast<std::uint32_t>(v);
-        else if (key == "racks_per_room")
-          c.racks_per_room = static_cast<std::uint32_t>(v);
-        else if (key == "servers_per_rack")
-          c.servers_per_rack = static_cast<std::uint32_t>(v);
-        else if (key == "partitions") c.partitions = static_cast<std::uint32_t>(v);
-        else c.epochs = static_cast<Epoch>(v);
+      // Each value parses straight into its field's width, so a value
+      // past the field's maximum is malformed rather than wrapped.
+      const auto into = [&](auto& field) { return parse_uint(raw, field); };
+      if (err.empty() &&
+          !(key == "seed"                   ? into(c.seed)
+            : key == "rooms_per_datacenter" ? into(c.rooms_per_datacenter)
+            : key == "racks_per_room"       ? into(c.racks_per_room)
+            : key == "servers_per_rack"     ? into(c.servers_per_rack)
+            : key == "partitions"           ? into(c.partitions)
+                                            : into(c.epochs))) {
+        err = "field '" + key + "' expects a " +
+              (key == "seed" ? "64" : "32") + "-bit integer, got '" + raw +
+              "'";
       }
     } else if (key == "zipf" || key == "alpha" || key == "beta" ||
                key == "gamma" || key == "delta" || key == "mu" ||

@@ -142,9 +142,7 @@ std::vector<SweepCellResult> SweepRunner::run(
   return results;
 }
 
-ComparativeResult run_comparison(
-    const Scenario& scenario, const std::vector<FailureEvent>& failures,
-    unsigned jobs) {
+ComparativeResult run_comparison(const Scenario& scenario, unsigned jobs) {
   std::vector<SweepCell> cells;
   cells.reserve(std::size(kComparedPolicies));
   for (const PolicyKind kind : kComparedPolicies) {
@@ -152,7 +150,6 @@ ComparativeResult run_comparison(
     cell.label = std::string(policy_name(kind));
     cell.scenario = scenario;
     cell.policy = kind;
-    cell.failures = failures;
     cells.push_back(std::move(cell));
   }
   SweepOptions options;

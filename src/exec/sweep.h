@@ -1,7 +1,7 @@
 // Deterministic parallel sweep execution.
 //
 // A sweep is a grid of independent cells — (scenario, policy, seed)
-// triples, optionally with per-cell RFH options and failure schedules —
+// triples, optionally with per-cell RFH options and extra fault events —
 // each of which is one full run_policy() simulation. Cells share nothing
 // mutable: every cell builds its own World, workload stream and RNG
 // streams forked from its scenario seed, and writes only its own result
@@ -14,9 +14,9 @@
 // through run_policy itself.
 //
 // Seed-forking rules (DESIGN.md §11): the runner never draws randomness
-// itself. Each cell's Simulation forks its subsystem streams
-// (workload / policy / failures) from scenario.sim.seed with fixed tags,
-// and the ChaosController forks its own stream from the same seed, so
+// itself. Each cell's Simulation forks its workload and policy streams
+// from scenario.sim.seed with fixed tags, and the ChaosController (every
+// fault victim's picker) forks its own stream from that seed, so
 // two cells with equal scenarios produce equal runs no matter which
 // worker executes them or in what order.
 #pragma once
@@ -40,7 +40,8 @@ struct SweepCell {
   Scenario scenario;
   PolicyKind policy = PolicyKind::kRfh;
   RfhPolicy::Options rfh;
-  std::vector<FailureEvent> failures;
+  /// Fault events run_policy appends after scenario.fault_plan.
+  FaultPlan failures;
 };
 
 struct SweepCellResult {
@@ -83,12 +84,11 @@ class SweepRunner {
 [[nodiscard]] std::uint64_t series_digest(std::span<const EpochMetrics> series);
 
 /// The paper's standard comparison — Request, Owner, Random, RFH — as a
-/// four-cell sweep. Every run faces the same scenario and failure
-/// schedule. jobs: 1 runs the policies inline in that order, 0 uses
+/// four-cell sweep. Every run faces the same scenario, fault plan
+/// included. jobs: 1 runs the policies inline in that order, 0 uses
 /// min(hardware threads, 4), N a pool of N. Results are bit-identical
 /// for every jobs value.
-[[nodiscard]] ComparativeResult run_comparison(
-    const Scenario& scenario, const std::vector<FailureEvent>& failures = {},
-    unsigned jobs = 0);
+[[nodiscard]] ComparativeResult run_comparison(const Scenario& scenario,
+                                               unsigned jobs = 0);
 
 }  // namespace rfh

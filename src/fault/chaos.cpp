@@ -10,7 +10,7 @@ namespace rfh {
 
 namespace {
 // Dedicated stream tag ("caos"): chaos victim selection never perturbs
-// the engine's workload / policy / failure streams.
+// the engine's workload / policy streams.
 constexpr std::uint64_t kChaosStreamTag = 0x63616F73;
 }  // namespace
 

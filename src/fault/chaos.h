@@ -10,10 +10,10 @@
 // agree.
 //
 // Determinism: random victim selection draws from a dedicated generator
-// forked from the scenario seed with its own tag (like the engine's
-// rng_failures_ stream), so a chaos plan never perturbs workload, policy
-// or ad-hoc failure randomness — the same seed and plan reproduce the
-// same injection sequence bit-for-bit, with or without observers.
+// forked from the scenario seed with its own tag ("caos"), beside the
+// engine's workload and policy streams, so a fault plan never perturbs
+// either of them — the same seed and plan reproduce the same injection
+// sequence bit-for-bit, with or without observers.
 //
 // Safety: the controller never violates engine preconditions. Kills are
 // capped at live_count - 1 (the engine refuses to kill the last server),

@@ -40,6 +40,18 @@ double* table_one_flag(const char* arg, SimConfig& sim, std::string& value) {
 
 }  // namespace
 
+std::optional<FaultEvent> parse_kill(std::string_view text) {
+  const std::size_t at = text.find('@');
+  FaultEvent crash;
+  crash.kind = FaultKind::kCrash;
+  if (at == std::string_view::npos ||
+      !parse_uint(text.substr(0, at), crash.count) ||
+      !parse_uint(text.substr(at + 1), crash.at) || crash.count == 0) {
+    return std::nullopt;
+  }
+  return crash;
+}
+
 std::optional<unsigned> parse_jobs(std::string_view text) {
   if (text == "auto") return 0u;  // exec/sweep.h: 0 = one per hardware thread
   std::uint64_t jobs = 0;
@@ -135,23 +147,22 @@ CliParseResult parse_cli(std::span<const char* const> args) {
         return fail("unknown workload '" + value + "'");
       }
     } else if (consume(arg, "--epochs=", value)) {
-      std::uint64_t epochs = 0;
+      Epoch epochs = 0;
       if (!parse_uint(value, epochs) || epochs == 0) {
-        return fail("--epochs expects a positive integer");
+        return fail("--epochs expects a positive 32-bit integer, got '" +
+                    value + "'");
       }
-      options.scenario.epochs = static_cast<Epoch>(epochs);
+      options.scenario.epochs = epochs;
     } else if (consume(arg, "--seed=", value)) {
       std::uint64_t seed = 0;
       if (!parse_uint(value, seed)) return fail("--seed expects an integer");
       options.scenario.sim.seed = seed;
       options.scenario.world.seed = seed;
     } else if (consume(arg, "--partitions=", value)) {
-      std::uint64_t partitions = 0;
-      if (!parse_uint(value, partitions)) {
-        return fail("--partitions expects a positive integer");
+      if (!parse_uint(value, options.scenario.sim.partitions)) {
+        return fail("--partitions expects a positive 32-bit integer, got '" +
+                    value + "'");
       }
-      options.scenario.sim.partitions =
-          static_cast<std::uint32_t>(partitions);
     } else if (consume(arg, "--write-fraction=", value)) {
       double fraction = 0.0;
       if (!parse_finite(value, fraction) || fraction < 0.0 ||
@@ -160,18 +171,11 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       }
       options.scenario.write_fraction = fraction;
     } else if (consume(arg, "--kill=", value)) {
-      const std::size_t at = value.find('@');
-      std::uint64_t n = 0;
-      std::uint64_t epoch = 0;
-      if (at == std::string::npos ||
-          !parse_uint(value.substr(0, at), n) ||
-          !parse_uint(value.substr(at + 1), epoch) || n == 0) {
-        return fail("--kill expects N@E with positive N");
+      const std::optional<FaultEvent> crash = parse_kill(value);
+      if (!crash) {
+        return fail(std::string(kKillError) + ", got '" + value + "'");
       }
-      FailureEvent event;
-      event.kill_random = static_cast<std::uint32_t>(n);
-      event.epoch = static_cast<Epoch>(epoch);
-      options.failures.push_back(event);
+      options.scenario.fault_plan.add(*crash);
     } else if (consume(arg, "--jobs=", value)) {
       jobs_seen = true;
       const std::optional<unsigned> jobs = parse_jobs(value);
@@ -242,12 +246,16 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       else return fail("--metrics-format expects prom or json");
     } else if (consume(arg, "--fault-plan=", value)) {
       if (value.empty()) return fail("--fault-plan expects a file path");
+      if (options.fault_plan_path == value) continue;  // a repeat adds nothing
       FaultPlan::ParseResult parsed = FaultPlan::parse_file(value);
       if (!parsed.ok) {
         return fail("--fault-plan: " + parsed.error);
       }
       options.fault_plan_path = value;
-      options.scenario.fault_plan = std::move(parsed.plan);
+      // Its lines join the plan after any --kill given before it.
+      for (const FaultEvent& event : parsed.plan.events()) {
+        options.scenario.fault_plan.add(event);
+      }
     } else if (consume(arg, "--slo=", value)) {
       SloParseResult parsed = parse_slo(value);
       if (!parsed.ok) {
@@ -281,9 +289,6 @@ CliParseResult parse_cli(std::span<const char* const> args) {
   }
   if (options.profile && options.compare) {
     return fail("--profile times a single policy run; drop --compare");
-  }
-  if (!options.fault_plan_path.empty() && options.compare) {
-    return fail("--fault-plan drives a single policy run; drop --compare");
   }
   if (options.check_invariants && options.compare) {
     return fail("--check-invariants checks a single policy run; drop "

@@ -22,7 +22,8 @@
 //   --service-cv=F                (stream only: service-time coefficient
 //                                  of variation for the M/G/c wait
 //                                  correction; F >= 0, 1 = exponential)
-//   --kill=N@E                    (repeatable: kill N random servers at E)
+//   --kill=N@E                    (repeatable: the fault-plan line `crash
+//                                  at=E count=N`, appended in flag order)
 //   --metric=<name>               (see metric_names())
 //   --compare                     (all four policies)
 //   --jobs=N|auto                 (worker threads; auto = one per hardware
@@ -49,9 +50,9 @@
 //                                  breakdown table and, with --trace-out,
 //                                  emits PhaseSpan slices into the trace;
 //                                  single policy runs only)
-//   --fault-plan=FILE             (scheduled chaos: parse a fault-plan
-//                                  spec (fault/plan.h) into the scenario;
-//                                  single policy runs only)
+//   --fault-plan=FILE             (append a fault-plan spec (fault/plan.h)
+//                                  to the scenario's plan; it and --kill
+//                                  combine with --compare)
 //   --check-invariants            (verify the invariant catalogue after
 //                                  every epoch and report violations;
 //                                  single policy runs only)
@@ -90,7 +91,6 @@ struct CliOptions {
   bool quiet = false;
   std::string metric = "utilization";
   Scenario scenario = Scenario::paper_random_query();
-  std::vector<FailureEvent> failures;
   /// Trace destination; empty disables tracing.
   std::string trace_out;
   TraceFormat trace_format = TraceFormat::kJsonl;
@@ -101,8 +101,8 @@ struct CliOptions {
   MetricsFormat metrics_format = MetricsFormat::kProm;
   /// Wall-clock phase profiling (see telemetry/profiler.h).
   bool profile = false;
-  /// Path the scenario's fault plan was parsed from (empty without one;
-  /// the parsed plan itself lands in scenario.fault_plan).
+  /// Path of the --fault-plan file (empty without one; its lines and the
+  /// --kill crash lines land in scenario.fault_plan).
   std::string fault_plan_path;
   /// Run the InvariantChecker (record mode) over every epoch.
   bool check_invariants = false;
@@ -120,6 +120,12 @@ struct CliParseResult {
 /// Parse the argument list (argv[1..]); never aborts — malformed input
 /// yields ok=false with a human-readable error.
 CliParseResult parse_cli(std::span<const char* const> args);
+
+/// --kill=N@E (rfh_cli, rfh_blackbox) as the line `crash at=E count=N`;
+/// nullopt unless N > 0 and both fit 32 bits.
+std::optional<FaultEvent> parse_kill(std::string_view text);
+inline constexpr std::string_view kKillError =
+    "--kill expects N@E: a positive 32-bit count N and a 32-bit epoch E";
 
 /// The --jobs grammar shared by rfh_cli and the bench drivers: "auto"
 /// (0, one worker per hardware thread) or an integer in [1, 1024].

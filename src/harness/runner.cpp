@@ -17,7 +17,7 @@ const PolicyRun& ComparativeResult::run(PolicyKind kind) const {
 }
 
 PolicyRun run_policy(const Scenario& scenario, PolicyKind kind,
-                     const std::vector<FailureEvent>& failures,
+                     const FaultPlan& extra_faults,
                      const RfhPolicy::Options& rfh, EventSink* trace_sink,
                      MetricRegistry* registry, PhaseProfiler* profiler,
                      InvariantChecker* checker, EventSink* recorder) {
@@ -51,9 +51,16 @@ PolicyRun run_policy(const Scenario& scenario, PolicyKind kind,
                     static_cast<std::uint32_t>(sim->topology().server_count()));
   }
 
+  // One controller injects every fault; the plans are copied together
+  // only when both carry events.
   std::optional<ChaosController> chaos;
-  if (!scenario.fault_plan.empty()) {
-    chaos.emplace(scenario.fault_plan, scenario.sim.seed);
+  if (!scenario.fault_plan.empty() && !extra_faults.empty()) {
+    FaultPlan plan = scenario.fault_plan;
+    for (const FaultEvent& event : extra_faults.events()) plan.add(event);
+    chaos.emplace(plan, scenario.sim.seed);
+  } else if (!scenario.fault_plan.empty() || !extra_faults.empty()) {
+    chaos.emplace(extra_faults.empty() ? scenario.fault_plan : extra_faults,
+                  scenario.sim.seed);
   }
 
   std::optional<SloWatchdog> watchdog;
@@ -79,19 +86,6 @@ PolicyRun run_policy(const Scenario& scenario, PolicyKind kind,
           chaos->before_epoch(*sim, e, note_failures);
       run.killed.insert(run.killed.end(), applied.killed.begin(),
                         applied.killed.end());
-    }
-    for (const FailureEvent& event : failures) {
-      if (event.epoch != e) continue;
-      if (!event.kill.empty()) {
-        sim->fail_servers(event.kill);
-        note_failures(event.kill);
-      }
-      if (event.kill_random > 0) {
-        const auto victims = sim->fail_random_servers(event.kill_random);
-        note_failures(victims);
-        run.killed.insert(run.killed.end(), victims.begin(), victims.end());
-      }
-      if (!event.recover.empty()) sim->recover_servers(event.recover);
     }
     const EpochReport report = sim->step();
     if (checker != nullptr) checker->check_epoch(*sim, report);

@@ -1,5 +1,5 @@
 // Comparative experiment runner: the same scenario (identical world seed,
-// workload stream and failure schedule) executed once per policy, so the
+// workload stream and fault plan) executed once per policy, so the
 // four curves in every figure face byte-identical demand. The four-policy
 // comparison itself, run_comparison(), lives in exec/sweep.h.
 #pragma once
@@ -15,25 +15,13 @@
 
 namespace rfh {
 
-/// Failure injection applied *before* the given epoch's step.
-struct FailureEvent {
-  Epoch epoch = 0;
-  /// Kill this many uniformly-random live servers.
-  std::uint32_t kill_random = 0;
-  /// Explicit victims (in addition to kill_random).
-  std::vector<ServerId> kill;
-  /// Servers to bring back.
-  std::vector<ServerId> recover;
-};
-
 struct PolicyRun {
   PolicyKind kind = PolicyKind::kRfh;
   std::vector<EpochMetrics> series;
-  /// Servers killed by `kill_random` events and by the scenario's fault
-  /// plan, in order.
+  /// Servers killed by the fault plan, in order.
   std::vector<ServerId> killed;
-  /// FaultInjected tallies from the scenario's chaos plan (zero without
-  /// one), total and per FaultKind.
+  /// FaultInjected tallies from the fault plan (zero without one), total
+  /// and per FaultKind.
   std::uint64_t faults_injected = 0;
   std::array<std::uint64_t, kFaultKindCount> faults_by_kind{};
   /// SLO breach episodes flagged by the watchdog, in epoch order (empty
@@ -47,7 +35,7 @@ struct ComparativeResult {
   [[nodiscard]] const PolicyRun& run(PolicyKind kind) const;
 };
 
-/// Run one policy through the scenario with the failure schedule.
+/// Run one policy through the scenario.
 ///
 /// `trace_sink`, when non-null, is attached to the simulation's EventBus
 /// before the first epoch and flushed after the last, so the whole run —
@@ -61,9 +49,10 @@ struct ComparativeResult {
 /// observational only: simulation outputs are bit-identical with or
 /// without them.
 ///
-/// When the scenario carries a FaultPlan, a ChaosController applies it
-/// before each epoch's step. `checker`, when non-null, verifies the
-/// cross-cutting invariants (fault/invariants.h) after every step.
+/// One ChaosController applies the scenario's FaultPlan, then
+/// `extra_faults`, before each epoch's step. `checker`, when non-null,
+/// verifies the cross-cutting invariants (fault/invariants.h) after
+/// every step.
 ///
 /// `recorder`, when non-null, is attached as a second sink — typically a
 /// TimelineStore (obs/timeline.h), so the run leaves a bounded causal
@@ -71,7 +60,7 @@ struct ComparativeResult {
 /// scenario enables SLO objectives, an SloWatchdog observes every epoch
 /// and its breach episodes land in PolicyRun::slo_breaches.
 PolicyRun run_policy(const Scenario& scenario, PolicyKind kind,
-                     const std::vector<FailureEvent>& failures = {},
+                     const FaultPlan& extra_faults = {},
                      const RfhPolicy::Options& rfh = {},
                      EventSink* trace_sink = nullptr,
                      MetricRegistry* metrics = nullptr,

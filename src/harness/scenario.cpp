@@ -35,6 +35,7 @@ Scenario Scenario::paper_failure_recovery() {
   Scenario s;
   s.workload = WorkloadKind::kUniform;
   s.epochs = 500;
+  s.fault_plan = FaultPlan::parse("crash at=290 count=30").plan;
   return s;
 }
 

@@ -57,7 +57,7 @@ struct Scenario {
   /// Table I defaults with the paper's horizons per workload kind.
   static Scenario paper_random_query();
   static Scenario paper_flash_crowd();
-  /// Fig. 10: 500 epochs, 30 random servers killed at epoch 290.
+  /// Fig. 10: 500 epochs, and the plan line `crash at=290 count=30`.
   static Scenario paper_failure_recovery();
 };
 

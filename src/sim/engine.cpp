@@ -29,7 +29,6 @@ Simulation::Simulation(World world, const SimConfig& config,
       policy_(std::move(policy)),
       rng_workload_(Rng(config_.seed).fork(kWorkloadStreamTag)),
       rng_policy_(Rng(config_.seed).fork(kPolicyStreamTag)),
-      rng_failures_(Rng(config_.seed).fork(kFailureStreamTag)),
       partition_cause_(config_.partitions, 0),
       shift_baseline_(config_.partitions, -1.0),
       stripe_lost_(config_.partitions, 0),
@@ -712,15 +711,6 @@ void Simulation::fail_servers(std::span<const ServerId> servers) {
       if (id != 0) partition_cause_[p.value()] = id;
     }
   }
-}
-
-std::vector<ServerId> Simulation::fail_random_servers(std::uint32_t n) {
-  const std::size_t live = cluster_.live_server_count();
-  RFH_ASSERT(n < live);
-  std::vector<ServerId> victims = cluster_.live_at_ranks(
-      rng_failures_.sample_without_replacement(live, n));
-  fail_servers(victims);
-  return victims;
 }
 
 std::vector<ServerId> Simulation::fail_datacenter(DatacenterId dc) {

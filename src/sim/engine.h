@@ -12,10 +12,11 @@
 //      replication/migration bandwidth constraints, accounting each
 //      transfer's cost per Eq. 1:  c = d * f * s / b.
 //
-// Failure injection (fail_servers / fail_random_servers / recover_servers)
+// Failure injection (fail_servers / fail_datacenter / recover_servers)
 // may be called between steps; lost primaries are promoted from surviving
 // copies (highest smoothed traffic first), or re-seeded at the ring
-// successor when no copy survives (counted as a data loss).
+// successor when no copy survives (counted as a data loss). The engine
+// draws no victims: the ChaosController (fault/chaos.h) picks them.
 #pragma once
 
 #include <array>
@@ -49,7 +50,6 @@ namespace rfh {
 /// is bit-identical to the engine's.
 inline constexpr std::uint64_t kWorkloadStreamTag = 0x776B6C64;  // "wkld"
 inline constexpr std::uint64_t kPolicyStreamTag = 0x706F6C69;    // "poli"
-inline constexpr std::uint64_t kFailureStreamTag = 0x6661696C;   // "fail"
 /// Arrival-timestamp stream for src/stream/: forked per (epoch, DC) so
 /// parallel sweeps and the batch engine never contend for the same
 /// stream (see stream/arrival.cpp).
@@ -103,8 +103,6 @@ class Simulation {
 
   // --- failure injection -------------------------------------------------
   void fail_servers(std::span<const ServerId> servers);
-  /// Kill `n` uniformly-random live servers; returns which.
-  std::vector<ServerId> fail_random_servers(std::uint32_t n);
   /// Kill every live server in a datacenter at once (the paper's
   /// "natural disasters, such as earthquake or tornado, which may destroy
   /// a whole datacenter"). Returns the victims. Partitions whose copies
@@ -120,8 +118,8 @@ class Simulation {
     /// True when no copy survived and the partition was reseeded empty.
     bool reseeded = false;
   };
-  /// Promotions from the most recent fail_servers / fail_random_servers
-  /// call (cleared on the next one). Consumers such as the consistency
+  /// Promotions from the most recent fail_servers call (cleared on the
+  /// next one). Consumers such as the consistency
   /// tracker use this to account for writes lost in a failover.
   [[nodiscard]] std::span<const Promotion> last_promotions() const noexcept {
     return last_promotions_;
@@ -385,7 +383,6 @@ class Simulation {
   std::unique_ptr<ReplicationPolicy> policy_;
   Rng rng_workload_;
   Rng rng_policy_;
-  Rng rng_failures_;
   Epoch epoch_ = 0;
   double traffic_multiplier_ = 1.0;
   /// Causal bookkeeping (tracing only; never feeds simulation state).

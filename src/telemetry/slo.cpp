@@ -69,6 +69,15 @@ SloParseResult parse_slo(std::string_view text) {
     }
     const std::string_view key = pair.substr(0, eq);
     const std::string_view value = pair.substr(eq + 1);
+    if (key == "short" || key == "long") {  // whole epochs, 32 bits
+      if (!parse_uint(value, key == "short" ? result.spec.short_window
+                                            : result.spec.long_window)) {
+        result.error = "window '" + std::string(key) +
+                       "' expects a whole number of epochs below 2^32";
+        return result;
+      }
+      continue;
+    }
     double parsed = 0.0;
     if (!parse_finite(value, parsed)) {
       result.error =
@@ -92,10 +101,6 @@ SloParseResult parse_slo(std::string_view text) {
         return result;
       }
       result.spec.drop_rate = parsed;
-    } else if (key == "short") {
-      result.spec.short_window = static_cast<std::uint32_t>(parsed);
-    } else if (key == "long") {
-      result.spec.long_window = static_cast<std::uint32_t>(parsed);
     } else if (key == "burn") {
       result.spec.burn_threshold = parsed;
     } else {

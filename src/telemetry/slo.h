@@ -78,7 +78,8 @@ struct SloSpec {
 
 /// Parse result for the --slo=<spec> grammar (mirrors FaultPlan::parse):
 /// comma-separated key=value pairs with keys avail, p99, migrations,
-/// drops, short, long, burn — e.g. "avail=0.999,p99=350,burn=2".
+/// drops, short, long (whole epochs) and burn — e.g.
+/// "avail=0.999,p99=350,burn=2".
 struct SloParseResult {
   bool ok = false;
   std::string error;

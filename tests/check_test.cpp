@@ -134,6 +134,18 @@ TEST(CheckCaseJson, RejectsOutOfRangeValues) {
   EXPECT_FALSE(CheckCase::from_json(with("servers_per_rack", "0")).ok);
   EXPECT_FALSE(
       CheckCase::from_json(with("fault_plan", "\"crash at=0\"")).ok);
+  // A 32-bit field one past its maximum, or wrapping to a legal value
+  // (2^32 + 64 would read as 64), is malformed, and the error names it.
+  for (const char* key : {"partitions", "epochs", "rooms_per_datacenter",
+                          "racks_per_room", "servers_per_rack"}) {
+    for (const char* value : {"4294967296", "4294967360"}) {
+      const auto result = CheckCase::from_json(with(key, value));
+      EXPECT_FALSE(result.ok) << key << "=" << value;
+      EXPECT_NE(result.error.find(key), std::string::npos) << result.error;
+    }
+  }
+  EXPECT_FALSE(
+      CheckCase::from_json(with("seed", "18446744073709551616")).ok);
 }
 
 TEST(CheckCaseJson, RejectsAFloorBeyondTheCopyCap) {

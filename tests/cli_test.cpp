@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <variant>
 #include <vector>
@@ -23,7 +24,7 @@ TEST(Cli, DefaultsMatchPaperRandomQuery) {
   EXPECT_FALSE(r.options.quiet);
   EXPECT_EQ(r.options.metric, "utilization");
   EXPECT_EQ(r.options.scenario.epochs, 250u);
-  EXPECT_TRUE(r.options.failures.empty());
+  EXPECT_TRUE(r.options.scenario.fault_plan.empty());
 }
 
 TEST(Cli, ParsesEveryPolicy) {
@@ -63,6 +64,16 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_FALSE(parse({"--epochs=0"}).ok);
   EXPECT_FALSE(parse({"--epochs=ten"}).ok);
   EXPECT_FALSE(parse({"--partitions=0"}).ok);
+  // Past 2^32 - 1 is malformed, not narrowed: 2^32 + 3 epochs would run
+  // 3, and 2^32 + 64 partitions would build 64. The error names the flag.
+  for (const char* arg : {"--epochs=4294967299", "--epochs=4294967296",
+                          "--partitions=4294967360",
+                          "--partitions=4294967296"}) {
+    const CliParseResult r = parse({arg});
+    EXPECT_FALSE(r.ok) << arg;
+    const std::string flag(arg, std::strchr(arg, '='));
+    EXPECT_EQ(r.error.rfind(flag, 0), 0u) << r.error;
+  }
   EXPECT_FALSE(parse({"--seed=abc"}).ok);
   EXPECT_FALSE(parse({"--write-fraction=1.5"}).ok);
   EXPECT_FALSE(parse({"--write-fraction=-0.1"}).ok);
@@ -139,17 +150,23 @@ TEST(Cli, IdenticalDuplicateFlagsAreHarmless) {
 TEST(Cli, KillStaysRepeatableWithDifferentValues) {
   const CliParseResult r = parse({"--kill=3@5", "--kill=2@9"});
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.options.failures.size(), 2u);
+  EXPECT_EQ(r.options.scenario.fault_plan.size(), 2u);
 }
 
 TEST(Cli, KillEventsAreRepeatable) {
+  // Each --kill is a `crash` line of the scenario's fault plan, in flag
+  // order.
   const CliParseResult r = parse({"--kill=30@290", "--kill=5@10"});
   ASSERT_TRUE(r.ok) << r.error;
-  ASSERT_EQ(r.options.failures.size(), 2u);
-  EXPECT_EQ(r.options.failures[0].kill_random, 30u);
-  EXPECT_EQ(r.options.failures[0].epoch, 290u);
-  EXPECT_EQ(r.options.failures[1].kill_random, 5u);
-  EXPECT_EQ(r.options.failures[1].epoch, 10u);
+  const FaultPlan::ParseResult text = FaultPlan::parse(
+      "crash at=290 count=30\n"
+      "crash at=10 count=5\n");
+  ASSERT_TRUE(text.ok) << text.error;
+  EXPECT_EQ(r.options.scenario.fault_plan, text.plan);
+  // --kill combines with --compare: every policy faces the same plan.
+  const CliParseResult compare = parse({"--kill=30@290", "--compare"});
+  ASSERT_TRUE(compare.ok) << compare.error;
+  EXPECT_EQ(compare.options.scenario.fault_plan.size(), 1u);
 }
 
 TEST(Cli, RejectsMalformedKill) {
@@ -157,6 +174,14 @@ TEST(Cli, RejectsMalformedKill) {
   EXPECT_FALSE(parse({"--kill=@5"}).ok);
   EXPECT_FALSE(parse({"--kill=0@5"}).ok);
   EXPECT_FALSE(parse({"--kill=a@b"}).ok);
+  // A count or epoch past 2^32 - 1 is malformed, not narrowed (2^32 + 5
+  // would kill at epoch 5).
+  for (const char* arg : {"--kill=30@4294967301", "--kill=4294967326@5",
+                          "--kill=30@4294967296"}) {
+    const CliParseResult r = parse({arg});
+    EXPECT_FALSE(r.ok) << arg;
+    EXPECT_EQ(r.error.rfind("--kill", 0), 0u) << r.error;
+  }
 }
 
 TEST(Cli, MetricsAreValidated) {

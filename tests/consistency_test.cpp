@@ -181,10 +181,8 @@ TEST(ConsistencyRunner, FailoverUnderWritesLosesSomeWrites) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 100;
   scenario.write_fraction = 0.3;
-  FailureEvent event;
-  event.epoch = 60;
-  event.kill_random = 30;
-  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh, {event});
+  scenario.fault_plan = test::crash_plan(60, 30);
+  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh);
   // Killing 30 servers mid-write-stream promotes lagging survivors.
   EXPECT_GT(run.series.back().lost_writes_total, 0.0);
   // Lost writes are cumulative and only move at the failure epoch.

@@ -225,12 +225,10 @@ TEST(SweepDeterminismTest, TimelineAndSloBreachesByteIdenticalAcrossJobs) {
 TEST(SweepDeterminismTest, PooledComparisonMatchesSequentialForAllJobs) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 15;
-  FailureEvent failure;
-  failure.epoch = 8;
-  failure.kill_random = 10;
-  const ComparativeResult reference = run_comparison(scenario, {failure}, 1);
+  scenario.fault_plan = test::crash_plan(8, 10);
+  const ComparativeResult reference = run_comparison(scenario, 1);
   for (const unsigned jobs : {2u, 4u, 8u}) {
-    const ComparativeResult pooled = run_comparison(scenario, {failure}, jobs);
+    const ComparativeResult pooled = run_comparison(scenario, jobs);
     ASSERT_EQ(pooled.runs.size(), reference.runs.size()) << "jobs " << jobs;
     for (std::size_t i = 0; i < reference.runs.size(); ++i) {
       EXPECT_EQ(pooled.runs[i].kind, reference.runs[i].kind);

@@ -266,7 +266,7 @@ TEST(Engine, FailureClearsDeadServerStatistics) {
 
 TEST(Engine, FailRandomServersKillsExactlyN) {
   auto sim = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>());
-  const auto victims = sim->fail_random_servers(30);
+  const auto victims = test::crash_now(*sim, 30);
   EXPECT_EQ(victims.size(), 30u);
   EXPECT_EQ(sim->cluster().live_server_count(), 70u);
   for (const ServerId v : victims) {
@@ -279,7 +279,7 @@ TEST(Engine, FailRandomServersKillsExactlyN) {
 
 TEST(Engine, RecoverIsIdempotent) {
   auto sim = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>());
-  const auto victims = sim->fail_random_servers(5);
+  const auto victims = test::crash_now(*sim, 5);
   sim->recover_servers(victims);
   sim->recover_servers(victims);  // second call is a no-op
   EXPECT_EQ(sim->cluster().live_server_count(), 100u);

@@ -7,6 +7,7 @@
 #include "common/availability.h"
 #include "harness/report.h"
 #include "harness/runner.h"
+#include "test_util.h"
 
 namespace rfh {
 namespace {
@@ -14,10 +15,8 @@ namespace {
 TEST(FailureRecovery, CensusDropsAtTheKillAndRecovers) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 200;
-  FailureEvent event;
-  event.epoch = 100;
-  event.kill_random = 30;
-  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh, {event});
+  scenario.fault_plan = test::crash_plan(100, 30);
+  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh);
 
   const auto replicas = [&](std::size_t e) {
     return run.series[e].total_replicas;
@@ -40,10 +39,8 @@ TEST(FailureRecovery, CensusDropsAtTheKillAndRecovers) {
 TEST(FailureRecovery, AvailabilityFloorIsRestoredAfterMassFailure) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 160;
-  FailureEvent event;
-  event.epoch = 80;
-  event.kill_random = 30;
-  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh, {event});
+  scenario.fault_plan = test::crash_plan(80, 30);
+  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh);
   const std::uint32_t floor =
       min_replicas(scenario.sim.min_availability, scenario.sim.failure_rate);
   // Well after the failure every partition is back at or above the floor.
@@ -54,10 +51,8 @@ TEST(FailureRecovery, AvailabilityFloorIsRestoredAfterMassFailure) {
 TEST(FailureRecovery, ServiceContinuesThroughTheFailure) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 160;
-  FailureEvent event;
-  event.epoch = 80;
-  event.kill_random = 30;
-  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh, {event});
+  scenario.fault_plan = test::crash_plan(80, 30);
+  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh);
   // The unserved spike right after the failure decays again.
   double spike = 0.0;
   for (std::size_t e = 80; e < 90; ++e) {
@@ -70,14 +65,10 @@ TEST(FailureRecovery, ServiceContinuesThroughTheFailure) {
 TEST(FailureRecovery, RepeatedSmallFailuresAreAbsorbed) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 150;
-  std::vector<FailureEvent> events;
   for (Epoch e = 30; e <= 120; e += 30) {
-    FailureEvent event;
-    event.epoch = e;
-    event.kill_random = 5;
-    events.push_back(event);
+    scenario.fault_plan.add(test::crash_plan(e, 5).events().front());
   }
-  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh, events);
+  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh);
   EXPECT_EQ(run.killed.size(), 20u);
   EXPECT_GT(run.series.back().total_replicas, 64u);  // still replicated
 }
@@ -85,12 +76,10 @@ TEST(FailureRecovery, RepeatedSmallFailuresAreAbsorbed) {
 TEST(FailureRecovery, EveryPolicySurvivesMassFailure) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 100;
-  FailureEvent event;
-  event.epoch = 50;
-  event.kill_random = 30;
+  scenario.fault_plan = test::crash_plan(50, 30);
   for (const PolicyKind kind : {PolicyKind::kRequest, PolicyKind::kOwner,
                                 PolicyKind::kRandom, PolicyKind::kRfh}) {
-    const PolicyRun run = run_policy(scenario, kind, {event});
+    const PolicyRun run = run_policy(scenario, kind);
     EXPECT_EQ(run.series.size(), 100u) << policy_name(kind);
     // Every partition still has a primary serving queries.
     EXPECT_GT(run.series.back().total_replicas, 0u) << policy_name(kind);
@@ -102,7 +91,7 @@ TEST(FailureRecovery, RecoveredServersAreReused) {
   scenario.epochs = 160;
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
   sim->run(60);
-  const auto victims = sim->fail_random_servers(30);
+  const auto victims = test::crash_now(*sim, 30);
   sim->run(20);
   sim->recover_servers(victims);
   sim->run(80);

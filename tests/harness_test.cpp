@@ -6,6 +6,7 @@
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
+#include "test_util.h"
 
 namespace rfh {
 namespace {
@@ -27,7 +28,13 @@ TEST(Scenario, PaperFactoriesMatchTableOne) {
   EXPECT_EQ(Scenario::paper_flash_crowd().epochs, 400u);
   EXPECT_EQ(Scenario::paper_flash_crowd().workload,
             WorkloadKind::kFlashCrowd);
-  EXPECT_EQ(Scenario::paper_failure_recovery().epochs, 500u);
+  const Scenario failure_recovery = Scenario::paper_failure_recovery();
+  EXPECT_EQ(failure_recovery.epochs, 500u);
+  // Fig. 10's failure is the scenario's own plan: 30 random servers die
+  // before epoch 290.
+  EXPECT_EQ(failure_recovery.fault_plan, test::crash_plan(290, 30));
+  EXPECT_EQ(failure_recovery.fault_plan.serialize(),
+            "# rfh-fault-plan/1\ncrash at=290 count=30\n");
 }
 
 TEST(Scenario, MakePolicyProducesCorrectKinds) {
@@ -80,13 +87,11 @@ TEST(Runner, ComparisonCoversAllFourPolicies) {
   }
 }
 
-TEST(Runner, FailureEventsFireAtTheRequestedEpoch) {
+TEST(Runner, CrashLinesFireAtTheRequestedEpoch) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 30;
-  FailureEvent event;
-  event.epoch = 10;
-  event.kill_random = 20;
-  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh, {event});
+  scenario.fault_plan = test::crash_plan(10, 20);
+  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh);
   EXPECT_EQ(run.killed.size(), 20u);
   // The copy census visibly drops at the failure epoch.
   EXPECT_LT(run.series[10].total_replicas, run.series[9].total_replicas);
@@ -95,17 +100,59 @@ TEST(Runner, FailureEventsFireAtTheRequestedEpoch) {
 TEST(Runner, RecoverEventRestoresServers) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 12;
-  FailureEvent kill;
-  kill.epoch = 2;
-  kill.kill.push_back(ServerId{0});
-  kill.kill.push_back(ServerId{1});
-  FailureEvent recover;
-  recover.epoch = 6;
-  recover.recover.push_back(ServerId{0});
-  recover.recover.push_back(ServerId{1});
-  const PolicyRun run =
-      run_policy(scenario, PolicyKind::kRfh, {kill, recover});
+  const FaultPlan::ParseResult parsed = FaultPlan::parse(
+      "crash at=2 servers=0,1\n"
+      "recover at=6 servers=0,1\n");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  scenario.fault_plan = parsed.plan;
+  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh);
   EXPECT_EQ(run.series.size(), 12u);
+  EXPECT_EQ(run.killed, (std::vector<ServerId>{ServerId{0}, ServerId{1}}));
+  EXPECT_EQ(run.faults_by_kind[static_cast<std::size_t>(FaultKind::kRecover)],
+            1u);
+}
+
+TEST(Runner, ExtraFaultsJoinTheScenarioPlanInOneController) {
+  // run_policy's extra events run in the same controller as the
+  // scenario's plan, after it: passing them separately gives the run
+  // that placing them at the end of scenario.fault_plan gives.
+  Scenario scenario = Scenario::paper_random_query();
+  scenario.epochs = 40;
+  scenario.fault_plan = test::crash_plan(10, 8);
+  const FaultPlan extra = FaultPlan::parse(
+                              "crash at=10 count=5\n"
+                              "recover at=20 count=6\n"
+                              "crash at=30 count=12\n")
+                              .plan;
+  ASSERT_EQ(extra.size(), 3u);
+  Scenario combined = scenario;
+  for (const FaultEvent& event : extra.events()) {
+    combined.fault_plan.add(event);
+  }
+  Scenario extra_only = scenario;
+  extra_only.fault_plan = FaultPlan{};
+  Scenario inline_only = scenario;
+  inline_only.fault_plan = extra;
+
+  const struct {
+    const char* label;
+    PolicyRun split;
+    PolicyRun joined;
+  } cases[] = {
+      {"plan + extra", run_policy(scenario, PolicyKind::kRfh, extra),
+       run_policy(combined, PolicyKind::kRfh)},
+      {"extra only", run_policy(extra_only, PolicyKind::kRfh, extra),
+       run_policy(inline_only, PolicyKind::kRfh)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    EXPECT_EQ(series_digest(c.split.series), series_digest(c.joined.series));
+    EXPECT_EQ(c.split.killed, c.joined.killed);
+    EXPECT_EQ(c.split.faults_injected, c.joined.faults_injected);
+    EXPECT_EQ(c.split.faults_by_kind, c.joined.faults_by_kind);
+  }
+  EXPECT_EQ(cases[0].split.killed.size(), 8u + 5u + 12u);
+  EXPECT_EQ(cases[0].split.faults_injected, 4u);
 }
 
 TEST(Report, PrintFigureEmitsCsvAndSummary) {

@@ -166,7 +166,7 @@ TEST(Collector, OnePassEqualsSeparateScansBitForBit) {
     for (int e = 0; e < 60; ++e) {
       // Churn: three servers go down every ten epochs and come back
       // five epochs later.
-      if (e % 10 == 3) down = sim->fail_random_servers(3);
+      if (e % 10 == 3) down = test::crash_now(*sim, 3);
       if (e % 10 == 8) sim->recover_servers(down);
       const EpochReport report = sim->step();
       const EpochMetrics m = collector.collect(*sim, report);

@@ -74,14 +74,14 @@ TEST(ObsIntegration, EpochStreamIsCompleteAndOrdered) {
   }
 }
 
-TEST(ObsIntegration, FailureInjectionEmitsFailureEvents) {
+TEST(ObsIntegration, FailureInjectionEmitsServerLifecycleEvents) {
   const Scenario scenario = small_scenario();
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
   CaptureSink capture;
   sim->events().add_sink(&capture);
   for (Epoch e = 0; e < 30; ++e) sim->step();
 
-  const auto victims = sim->fail_random_servers(25);
+  const auto victims = test::crash_now(*sim, 25);
   EXPECT_EQ(test::count_events<ServerFailed>(capture), victims.size());
   // With 25 of 100 servers gone some partition must have lost its primary
   // and been promoted (or reseeded).
@@ -141,12 +141,8 @@ TEST(ObsIntegration, RunPolicyAttachesAndFlushesTheSink) {
   scenario.epochs = 20;
   std::ostringstream out;
   ChromeTraceSink sink(out);
-  std::vector<FailureEvent> failures;
-  FailureEvent event;
-  event.epoch = 10;
-  event.kill_random = 5;
-  failures.push_back(event);
-  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh, failures,
+  scenario.fault_plan = test::crash_plan(10, 5);
+  const PolicyRun run = run_policy(scenario, PolicyKind::kRfh, FaultPlan{},
                                    RfhPolicy::Options{}, &sink);
   EXPECT_EQ(run.series.size(), 20u);
   const std::string trace = out.str();
@@ -201,21 +197,16 @@ TEST(ObsIntegration, ProfilingAndTelemetryDoNotPerturbTheSimulation) {
   // the profiler and the registry, never the simulation.
   Scenario scenario = small_scenario();
   scenario.world.replication_bandwidth = 1;  // exercise the drop path too
-  std::vector<FailureEvent> failures;
-  FailureEvent event;
-  event.epoch = 25;
-  event.kill_random = 10;
-  failures.push_back(event);
+  scenario.fault_plan = test::crash_plan(25, 10);
 
-  const PolicyRun plain =
-      run_policy(scenario, PolicyKind::kRfh, failures);
+  const PolicyRun plain = run_policy(scenario, PolicyKind::kRfh);
   MetricRegistry registry;
   PhaseProfiler profiler;
   std::ostringstream trace;
   ChromeTraceSink sink(trace);
   const PolicyRun instrumented =
-      run_policy(scenario, PolicyKind::kRfh, failures, RfhPolicy::Options{},
-                 &sink, &registry, &profiler);
+      run_policy(scenario, PolicyKind::kRfh, FaultPlan{},
+                 RfhPolicy::Options{}, &sink, &registry, &profiler);
 
   ASSERT_EQ(plain.series.size(), instrumented.series.size());
   ASSERT_EQ(plain.killed, instrumented.killed);

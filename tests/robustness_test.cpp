@@ -37,7 +37,7 @@ TEST(Robustness, CombinedServerLinkAndDatacenterFailures) {
   sim->run(10);
   sim->fail_datacenter(sim->world().by_letter('C'));
   sim->run(10);
-  sim->fail_random_servers(10);
+  test::crash_now(*sim, 10);
   sim->run(40);
   sim->cluster().check_invariants();
 
@@ -190,7 +190,7 @@ TEST(Robustness, ErasureInvariantsHoldUnderCombinedFailures) {
     }
   };
   step_checked(30);
-  sim->fail_random_servers(10);
+  test::crash_now(*sim, 10);
   step_checked(10);
   sim->fail_datacenter(sim->world().by_letter('C'));
   step_checked(20);
@@ -248,7 +248,7 @@ TEST(Robustness, DefaultVnodeCapStarvesFloorRepairsAtScale) {
     for (int e = 0; e < 10; ++e) step();
     // Rolling churn keeps a repair backlog alive past the bootstrap.
     for (int wave = 0; wave < 10; ++wave) {
-      sim->fail_random_servers(200);
+      test::crash_now(*sim, 200);
       step();
       std::vector<ServerId> dead;
       for (const Server& s : sim->topology().servers()) {

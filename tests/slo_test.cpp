@@ -60,6 +60,15 @@ TEST(SloParseTest, MalformedInputsRejectedWithReason) {
   EXPECT_FALSE(parse_slo("avail=0.9,short=9,long=3").ok);
   EXPECT_FALSE(parse_slo("avail=0.9,burn=0").ok);
   EXPECT_FALSE(parse_slo("avail=0.9,burn=-1").ok);
+  // A window is a whole number of epochs that fits 32 bits: 2.5 is not
+  // read as 2, and 1e12 is not cast out of range.
+  for (const char* spec :
+       {"avail=0.99,short=2.5", "avail=0.99,short=1e12,long=1e12",
+        "avail=0.99,long=4294967296", "avail=0.99,short=-1"}) {
+    const SloParseResult window = parse_slo(spec);
+    EXPECT_FALSE(window.ok) << spec;
+    EXPECT_NE(window.error.find("window"), std::string::npos) << spec;
+  }
   const SloParseResult bad = parse_slo("avail=0.9,frobnicate=1");
   ASSERT_FALSE(bad.ok);
   EXPECT_NE(bad.error.find("frobnicate"), std::string::npos);

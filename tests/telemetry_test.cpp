@@ -252,7 +252,7 @@ TEST(TelemetryIntegration, RegistryReconcilesWithTraceAndReports) {
   std::array<std::uint64_t, kDropReasonCount> dropped{};
   std::uint32_t last_replicas = 0;
   for (Epoch e = 0; e < scenario.epochs; ++e) {
-    if (e == 30) sim->fail_random_servers(20);
+    if (e == 30) test::crash_now(*sim, 20);
     const EpochReport report = sim->step();
     queries += report.total_queries;
     replications += report.replications;

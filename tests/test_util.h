@@ -1,8 +1,9 @@
 // Shared test helpers: whole routes collected from Router::walk,
 // controlled worlds (degenerate capacity ranges so every server is
 // identical), scripted workloads and policies, small scenario builders,
-// event counts over a captured trace, and one-server kills through the
-// batch membership path.
+// event counts over a captured trace, one-server kills through the
+// batch membership path, and random kills through a one-line `crash`
+// fault plan.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "obs/sinks.h"
 #include "routing/router.h"
 #include "sim/engine.h"
@@ -32,6 +35,27 @@ inline std::vector<ClusterState::LostCopy> kill_one(ClusterState& cluster,
                          lost.assign(copies.begin(), copies.end());
                        });
   return lost;
+}
+
+/// The one-line fault plan `crash at=E count=N`: N random live servers
+/// die before epoch E steps.
+inline FaultPlan crash_plan(Epoch at, std::uint32_t count) {
+  FaultEvent crash;
+  crash.kind = FaultKind::kCrash;
+  crash.at = at;
+  crash.count = count;
+  FaultPlan plan;
+  plan.add(crash);
+  return plan;
+}
+
+/// Kill `count` random live servers now, between steps: crash_plan at
+/// the simulation's current epoch, applied by a ChaosController seeded
+/// with that epoch (so waves at different epochs draw differently).
+/// Returns the victims.
+inline std::vector<ServerId> crash_now(Simulation& sim, std::uint32_t count) {
+  ChaosController chaos(crash_plan(sim.epoch(), count), sim.epoch());
+  return chaos.before_epoch(sim, sim.epoch()).killed;
 }
 
 /// Every stage of one route, collected by walking it to the end.
