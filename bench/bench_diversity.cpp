@@ -8,9 +8,11 @@
 // busiest datacenter is destroyed mid-run (data losses + recovery).
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench_args.h"
 #include "exec/sweep.h"
+#include "fault/chaos.h"
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "metrics/diversity.h"
@@ -39,7 +41,13 @@ int main(int argc, char** argv) {
     auto sim = rfh::make_simulation(scenario, kind);
     sim->run(100);
     const std::uint32_t before = sim->cluster().total_replicas();
-    sim->fail_datacenter(sim->world().by_letter('A'));
+    // DC A's outage, applied before epoch 100 steps.
+    const rfh::FaultPlan plan =
+        rfh::FaultPlan::parse(
+            "outage at=100 dc=" +
+            std::to_string(sim->world().by_letter('A').value()))
+            .plan;
+    rfh::ChaosController(plan, scenario.sim.seed).before_epoch(*sim, 100);
     sim->run(100);
     std::printf("%-10s %12u %14u %16u\n",
                 std::string(rfh::policy_name(kind)).c_str(),

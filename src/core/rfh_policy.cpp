@@ -30,10 +30,10 @@ DecisionExplanation base_explanation(const PolicyContext& ctx, double q_bar,
 
 }  // namespace
 
-std::vector<RfhPolicy::HubCandidate> RfhPolicy::hub_candidates(
-    const PolicyContext& ctx, PartitionId p, double gamma_threshold,
-    bool require_gamma) const {
-  std::vector<HubCandidate> out;
+void RfhPolicy::hub_candidates(const PolicyContext& ctx, PartitionId p,
+                               double gamma_threshold, bool require_gamma,
+                               std::vector<HubCandidate>& out) const {
+  out.clear();
   // Only servers with tr > 0 can qualify, and those are exactly the
   // partition's nonzero tr_bar cells — walking them (ascending server id,
   // like the full-axis scan they replace) instead of all S servers makes
@@ -52,7 +52,6 @@ std::vector<RfhPolicy::HubCandidate> RfhPolicy::hub_candidates(
               if (a.traffic != b.traffic) return a.traffic > b.traffic;
               return a.server < b.server;
             });
-  return out;
 }
 
 ServerId RfhPolicy::select_in_dc(const PolicyContext& ctx, DatacenterId dc,
@@ -187,36 +186,38 @@ Actions RfhPolicy::decide(const PolicyContext& ctx) {
 
   const std::size_t n = ctx.config.partitions;
   const unsigned shards = shard_count_for(pool, n, /*min_grain=*/64);
-  std::vector<Actions> shard_actions(shards);
+  if (decide_shards_.size() < shards) decide_shards_.resize(shards);
   parallel_for_shards(
       pool, n, shards, [&](unsigned s, IndexRange range) {
-        Actions& out = shard_actions[s];
+        DecideShard& shard = decide_shards_[s];
         for (std::size_t pv = range.begin; pv < range.end; ++pv) {
           decide_partition(ctx, PartitionId{static_cast<std::uint32_t>(pv)},
-                           rmin, out);
+                           rmin, shard);
         }
       });
 
   // Shard ranges concatenate to the serial partition order, so appending
   // each shard's actions in shard-index order reproduces the serial
-  // action list exactly.
-  Actions actions = std::move(shard_actions.front());
-  for (std::size_t s = 1; s < shard_actions.size(); ++s) {
-    Actions& part = shard_actions[s];
-    actions.replications.insert(actions.replications.end(),
-                                part.replications.begin(),
-                                part.replications.end());
-    actions.migrations.insert(actions.migrations.end(),
-                              part.migrations.begin(), part.migrations.end());
-    actions.suicides.insert(actions.suicides.end(), part.suicides.begin(),
-                            part.suicides.end());
+  // action list exactly. The shards keep their capacity.
+  Actions actions;
+  const auto drain = [](auto& to, auto& from) {
+    to.insert(to.end(), from.begin(), from.end());
+    from.clear();
+  };
+  for (unsigned s = 0; s < shards; ++s) {
+    Actions& part = decide_shards_[s].actions;
+    drain(actions.replications, part.replications);
+    drain(actions.migrations, part.migrations);
+    drain(actions.suicides, part.suicides);
   }
   if (decide_calls_ != nullptr) count_actions(actions);
   return actions;
 }
 
 void RfhPolicy::decide_partition(const PolicyContext& ctx, PartitionId p,
-                                 std::uint32_t rmin, Actions& actions) {
+                                 std::uint32_t rmin, DecideShard& shard) {
+  Actions& actions = shard.actions;
+  std::vector<HubCandidate>& hubs = shard.hubs;
   const std::uint32_t pv = p.value();
   const ServerId primary = ctx.cluster.primary_of(p);
   if (!primary.valid()) return;
@@ -226,8 +227,8 @@ void RfhPolicy::decide_partition(const PolicyContext& ctx, PartitionId p,
 
   // --- 1. Availability floor (Eq. 14) --------------------------------
   if (r < rmin) {
-    auto hubs = hub_candidates(ctx, p, /*gamma_threshold=*/0.0,
-                               /*require_gamma=*/false);
+    hub_candidates(ctx, p, /*gamma_threshold=*/0.0, /*require_gamma=*/false,
+                   hubs);
     ServerId target = pick_target(ctx, p, hubs, options_.placement);
     if (!target.valid()) {
       // No traffic observed yet (cold partition, fresh cluster): fall
@@ -257,12 +258,12 @@ void RfhPolicy::decide_partition(const PolicyContext& ctx, PartitionId p,
   bool replicated_this_epoch = false;
 
   if (overloaded && r < ctx.config.max_replicas_per_partition) {
-    auto hubs = hub_candidates(ctx, p, ctx.config.gamma * q_bar,
-                               /*require_gamma=*/true);
+    hub_candidates(ctx, p, ctx.config.gamma * q_bar, /*require_gamma=*/true,
+                   hubs);
     bool forced = false;
     if (hubs.empty()) {
       // Forced relief: availability reached but still too much traffic.
-      hubs = hub_candidates(ctx, p, 0.0, /*require_gamma=*/false);
+      hub_candidates(ctx, p, 0.0, /*require_gamma=*/false, hubs);
       forced = true;
     }
     if (hubs.empty()) {

@@ -84,22 +84,28 @@ class RfhPolicy final : public ReplicationPolicy {
     double traffic = 0.0;
   };
 
-  /// Forwarding servers not hosting p, sorted by smoothed traffic
-  /// descending (id ascending on ties). When `require_gamma`, only servers
-  /// crossing the Eq. 13 threshold are returned. Scans the partition's
-  /// nonzero tr_bar cells, not the full server axis — only servers with
-  /// positive smoothed traffic can qualify.
-  [[nodiscard]] std::vector<HubCandidate> hub_candidates(
-      const PolicyContext& ctx, PartitionId p, double gamma_threshold,
-      bool require_gamma) const;
+  /// One decide shard's output and scratch, reused across epochs.
+  struct DecideShard {
+    Actions actions;
+    std::vector<HubCandidate> hubs;
+  };
+
+  /// Fill `out` with the forwarding servers not hosting p, by smoothed
+  /// traffic descending (id ascending on ties); with `require_gamma`, only
+  /// those crossing the Eq. 13 threshold. Scans the partition's nonzero
+  /// tr_bar cells, not the full server axis — only servers with positive
+  /// smoothed traffic can qualify.
+  void hub_candidates(const PolicyContext& ctx, PartitionId p,
+                      double gamma_threshold, bool require_gamma,
+                      std::vector<HubCandidate>& out) const;
 
   /// Run the Fig. 2 decision tree for one partition, appending into
-  /// `out`. Touches only [p]-indexed policy state (overload/cold
-  /// streaks), so the decide scan shards partitions across a pool with
-  /// each shard appending to its own Actions — concatenated in shard
-  /// order, the result is byte-identical to the serial scan.
+  /// `shard.actions`. Touches only [p]-indexed policy state (overload/cold
+  /// streaks) and the shard, so the decide scan shards partitions across
+  /// a pool — concatenated in shard order, the result is byte-identical
+  /// to the serial scan.
   void decide_partition(const PolicyContext& ctx, PartitionId p,
-                        std::uint32_t rmin, Actions& out);
+                        std::uint32_t rmin, DecideShard& shard);
 
   /// Pick the target server for a new copy of p according to
   /// `placement`; invalid if nothing is feasible.
@@ -128,6 +134,7 @@ class RfhPolicy final : public ReplicationPolicy {
     std::uint32_t epochs = 0;
   };
   std::vector<std::vector<ColdStreak>> cold_streak_;  // [p]
+  std::vector<DecideShard> decide_shards_;
 };
 
 }  // namespace rfh

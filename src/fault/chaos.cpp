@@ -173,9 +173,9 @@ ChaosController::Applied ChaosController::before_epoch(
         // A plan file can name a datacenter the world doesn't have; a
         // non-event beats an out-of-bounds abort mid-run.
         if (ev.dc.value() >= sim.topology().datacenter_count()) break;
-        // Enumerate the victims up front (the same liveness filter
-        // fail_datacenter applies) so FaultInjected can be emitted — with
-        // its final server count — before the kills it causes.
+        // Enumerate the victims (the datacenter's live servers) up front
+        // so FaultInjected can be emitted — with its final server count —
+        // before the kills it causes.
         std::vector<ServerId> victims;
         for (const ServerId s : sim.topology().servers_in(ev.dc)) {
           if (sim.cluster().alive(s)) victims.push_back(s);

@@ -2,8 +2,8 @@
 //
 // A ChaosController is invoked once per epoch, *before* the engine steps
 // that epoch, and translates the plan's due events into calls on the
-// existing failure-injection primitives (fail_servers, fail_datacenter,
-// fail_link / restore_link, recover_servers, set_traffic_multiplier).
+// existing failure-injection primitives (fail_servers, fail_link /
+// restore_link, recover_servers, set_traffic_multiplier).
 // Every injected fault is published as a FaultInjected obs event and
 // counted in rfh_faults_injected_total{kind=...} when a registry is
 // attached, so traces, telemetry and the controller's own tallies always

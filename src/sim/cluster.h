@@ -57,6 +57,14 @@ class ClusterState {
   /// in ascending server id (the deterministic absorption order).
   [[nodiscard]] std::vector<ServerId> hosts_in_dc(PartitionId p,
                                                   DatacenterId dc) const;
+  /// Moves whenever replicas_of(p) changes (PartitionTable::version).
+  [[nodiscard]] std::uint32_t placement_version(PartitionId p) const {
+    return partitions_.version(p);
+  }
+  /// Bounds every partition's copy count (PartitionTable::stride).
+  [[nodiscard]] std::uint32_t replica_stride() const noexcept {
+    return partitions_.stride();
+  }
   /// Copies of p hosted in `dc` (primary included), counted in place.
   [[nodiscard]] std::uint32_t copies_in_dc(PartitionId p,
                                            DatacenterId dc) const;

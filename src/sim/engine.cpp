@@ -93,41 +93,36 @@ void Simulation::PropagateShard::begin_epoch(std::size_t servers) {
   if (columns.size() != servers) columns.assign(servers, DenseCell{});
 }
 
-void Simulation::PropagateShard::begin_run(const ClusterState& cluster,
-                                           const Topology& topology,
-                                           PartitionId p) {
-  // Replica plan: hosts_in_dc order within each datacenter — non-primary
-  // copies by ascending id, then the primary — with the datacenters in
-  // ascending id.
-  plan.clear();
-  for (const Replica& r : cluster.replicas_of(p)) {
-    plan.push_back(PlanCopy{topology.server(r.server).datacenter.value(),
-                            r.primary, r.server});
+std::span<const Simulation::PlanCopy> Simulation::replica_plan(
+    PartitionId p) {
+  const std::span<const Replica> copies = cluster_.replicas_of(p);
+  const std::span<PlanCopy> plan(
+      plans_.data() + std::size_t{p.value()} * cluster_.replica_stride(),
+      copies.size());
+  const std::uint32_t version = cluster_.placement_version(p);
+  if (plan_versions_[p.value()] == version) return plan;
+  plan_versions_[p.value()] = version;
+  // hosts_in_dc order within each datacenter — non-primary copies by
+  // ascending id, then the primary — with the datacenters in ascending id.
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    const Replica& r = copies[i];
+    const DatacenterId dc = world_.topology.server(r.server).datacenter;
+    plan[i] = PlanCopy{2 * dc.value() + (r.primary ? 1u : 0u), r.server};
   }
-  std::sort(plan.begin(), plan.end(), [](const PlanCopy& a, const PlanCopy& b) {
-    if (a.dc != b.dc) return a.dc < b.dc;
-    if (a.primary != b.primary) return b.primary;
-    return a.server < b.server;
-  });
-  plan_dcs.clear();
-  for (std::uint32_t i = 0; i < plan.size(); ++i) {
-    if (i == 0 || plan[i].dc != plan[i - 1].dc) {
-      plan_dcs.push_back(PlanDc{plan[i].dc, i, i + 1});
-    } else {
-      plan_dcs.back().end = i + 1;
-    }
-  }
+  std::sort(plan.begin(), plan.end(),
+            [](const PlanCopy& a, const PlanCopy& b) {
+              return a.rank != b.rank ? a.rank < b.rank : a.server < b.server;
+            });
+  return plan;
 }
 
-std::span<const Simulation::PropagateShard::PlanCopy>
-Simulation::PropagateShard::hosts(DatacenterId dc) const {
-  for (const PlanDc& group : plan_dcs) {
-    if (group.dc == dc.value()) {
-      return std::span<const PlanCopy>(plan).subspan(group.begin,
-                                                     group.end - group.begin);
-    }
-  }
-  return {};
+std::span<const Simulation::PlanCopy> Simulation::PropagateShard::hosts(
+    DatacenterId dc) const {
+  std::size_t begin = 0;
+  while (begin < plan.size() && plan[begin].rank / 2 < dc.value()) ++begin;
+  std::size_t end = begin;
+  while (end < plan.size() && plan[end].rank / 2 == dc.value()) ++end;
+  return plan.subspan(begin, end - begin);
 }
 
 Simulation::PropagateShard::DenseCell& Simulation::PropagateShard::cell(
@@ -141,7 +136,6 @@ Simulation::PropagateShard::DenseCell& Simulation::PropagateShard::cell(
 }
 
 void Simulation::PropagateShard::end_run(EpochTraffic& traffic, PartitionId p) {
-  std::sort(touched.begin(), touched.end());
   std::vector<TrafficCell>& cells = traffic.cells_mut(p);
   cells.clear();
   for (const std::uint32_t s : touched) {
@@ -185,7 +179,7 @@ void Simulation::propagate_flow(
     // Local absorption: every copy hosted in this datacenter takes up
     // to its remaining per-replica capacity, non-primaries first, in
     // deterministic order (Eqs. 2-8's sequential capacity subtraction).
-    for (const PropagateShard::PlanCopy& copy : shard.hosts(stage.dc)) {
+    for (const PlanCopy& copy : shard.hosts(stage.dc)) {
       if (residual <= 0.0) break;
       const ServerId host = copy.server;
       const double cap =
@@ -234,6 +228,12 @@ void Simulation::propagate(QueryBatch batch) {
   const unsigned shards =
       shard_count_for(pool_.get(), runs_.size(), /*min_grain=*/1);
   if (shards_.size() < shards) shards_.resize(shards);
+  const std::size_t plan_slots =
+      std::size_t{config_.partitions} * cluster_.replica_stride();
+  if (plans_.size() != plan_slots) {
+    plans_.assign(plan_slots, PlanCopy{});
+    plan_versions_.assign(config_.partitions, kNoPlan);
+  }
   for (unsigned s = 0; s < shards; ++s) {
     shards_[s].begin_epoch(traffic_.servers());
   }
@@ -243,7 +243,7 @@ void Simulation::propagate(QueryBatch batch) {
         PropagateShard& shard = shards_[s];
         for (std::size_t ri = range.begin; ri < range.end; ++ri) {
           const PartitionId p = runs_[ri];
-          shard.begin_run(cluster_, world_.topology, p);
+          shard.plan = replica_plan(p);
           for (const QueryFlow& flow : traffic_.demand(p)) {
             propagate_flow(flow, live_by_dc, shard);
           }
@@ -711,15 +711,6 @@ void Simulation::fail_servers(std::span<const ServerId> servers) {
       if (id != 0) partition_cause_[p.value()] = id;
     }
   }
-}
-
-std::vector<ServerId> Simulation::fail_datacenter(DatacenterId dc) {
-  std::vector<ServerId> victims;
-  for (const ServerId s : world_.topology.servers_in(dc)) {
-    if (cluster_.alive(s)) victims.push_back(s);
-  }
-  fail_servers(victims);
-  return victims;
 }
 
 void Simulation::set_stats_frozen(ServerId s, bool frozen) {

@@ -12,11 +12,12 @@
 //      replication/migration bandwidth constraints, accounting each
 //      transfer's cost per Eq. 1:  c = d * f * s / b.
 //
-// Failure injection (fail_servers / fail_datacenter / recover_servers)
-// may be called between steps; lost primaries are promoted from surviving
-// copies (highest smoothed traffic first), or re-seeded at the ring
-// successor when no copy survives (counted as a data loss). The engine
-// draws no victims: the ChaosController (fault/chaos.h) picks them.
+// Failure injection (fail_servers / recover_servers) may be called
+// between steps; lost primaries are promoted from surviving copies
+// (highest smoothed traffic first), or re-seeded at the ring successor
+// when no copy survives (counted as a data loss). The engine draws no
+// victims: the ChaosController (fault/chaos.h) picks them, a random
+// crash wave and a whole-datacenter outage alike.
 #pragma once
 
 #include <array>
@@ -103,12 +104,6 @@ class Simulation {
 
   // --- failure injection -------------------------------------------------
   void fail_servers(std::span<const ServerId> servers);
-  /// Kill every live server in a datacenter at once (the paper's
-  /// "natural disasters, such as earthquake or tornado, which may destroy
-  /// a whole datacenter"). Returns the victims. Partitions whose copies
-  /// all lived there (availability level < 5) lose data; geographically
-  /// diverse placements survive via promotion.
-  std::vector<ServerId> fail_datacenter(DatacenterId dc);
   void recover_servers(std::span<const ServerId> servers);
 
   /// A primary handover performed by the most recent fail_servers call.
@@ -268,6 +263,13 @@ class Simulation {
     std::uint32_t server = 0;
     double amount = 0.0;
   };
+  /// A replica plan entry; `rank` is 2·datacenter, plus 1 for the
+  /// primary, so sorting by (rank, server) groups the copies by datacenter
+  /// in hosts_in_dc order.
+  struct PlanCopy {
+    std::uint32_t rank = 0;
+    ServerId server;
+  };
   /// Per-shard propagate scratch; persists across epochs so steady-state
   /// epochs reuse its capacity.
   struct PropagateShard {
@@ -277,24 +279,11 @@ class Simulation {
     std::vector<FlowSegment> slices;
     std::vector<WorkDelta> work;
     Router::RouteCtx route_ctx;
-    /// The run's replica plan: the partition's copies sorted by datacenter
-    /// and, within one, in hosts_in_dc order; plan_dcs holds each
-    /// datacenter's [begin, end) slice. Placement is frozen during
-    /// propagate, so the plan read on entering a run stays exact.
-    struct PlanCopy {
-      std::uint32_t dc = 0;
-      bool primary = false;
-      ServerId server;
-    };
-    struct PlanDc {
-      std::uint32_t dc = 0;
-      std::uint32_t begin = 0;
-      std::uint32_t end = 0;
-    };
-    std::vector<PlanCopy> plan;
-    std::vector<PlanDc> plan_dcs;
+    /// The run's replica_plan; placement is frozen during propagate.
+    std::span<const PlanCopy> plan;
     /// Dense traffic columns of the run's partition, indexed by server id
-    /// and all-zero between runs; `touched` lists the servers written.
+    /// and all-zero between runs; `touched` lists the servers written, in
+    /// first-touch order.
     struct DenseCell {
       double node = 0.0;
       double served = 0.0;
@@ -305,15 +294,12 @@ class Simulation {
 
     /// Clear the epoch's deferred writes; size the columns to `servers`.
     void begin_epoch(std::size_t servers);
-    /// Build p's replica plan.
-    void begin_run(const ClusterState& cluster, const Topology& topology,
-                   PartitionId p);
     /// The plan's copies in `dc` (hosts_in_dc(p, dc) order); empty if none.
     [[nodiscard]] std::span<const PlanCopy> hosts(DatacenterId dc) const;
     /// s's column slot, listed as touched on first use.
     DenseCell& cell(ServerId s);
-    /// Write the touched slots back as p's cells, sorted by server id, and
-    /// zero them.
+    /// Write the touched slots back as p's cells in first-touch order —
+    /// the same order for every jobs value — and zero them.
     void end_run(EpochTraffic& traffic, PartitionId p);
   };
 
@@ -326,6 +312,10 @@ class Simulation {
   /// Hand `batch` to EpochTraffic::set_demand, then route and absorb
   /// its canonical flows, one partition run per shard task.
   void propagate(QueryBatch batch);
+  /// p's replica plan, kept in p's row of plans_ and rebuilt only when
+  /// p's placement version has moved since the row was built. Only the
+  /// shard that owns p's run calls it, so the row is that shard's alone.
+  [[nodiscard]] std::span<const PlanCopy> replica_plan(PartitionId p);
   /// Route and absorb one flow of the shard's current run. Node and
   /// served traffic go to the shard's columns; every absorption decision
   /// becomes one slice and every server-work add one WorkDelta, both
@@ -420,6 +410,12 @@ class Simulation {
   /// by exactly one shard. Rebuilt by every propagate; clear keeps the
   /// capacity, so steady-state epochs allocate nothing.
   std::vector<PartitionId> runs_;
+  /// Replica plans, one row of replica_stride() slots per partition (all
+  /// stale again when the stride grows), and the placement version each
+  /// row was built from.
+  static constexpr std::uint32_t kNoPlan = ~std::uint32_t{0};
+  std::vector<PlanCopy> plans_;
+  std::vector<std::uint32_t> plan_versions_;
 };
 
 }  // namespace rfh

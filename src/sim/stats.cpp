@@ -38,56 +38,71 @@ void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
     return (flags_[server] & kFrozen) != 0 ? prev : a * prev + b * obs;
   };
 
-  // Partition axis: every write below lands in a [p]-indexed slot, so
-  // shards owning disjoint partition ranges share nothing, and each
-  // output is a pure function of its own partition's inputs — identical
-  // for every shard count.
+  // Partition axis: every write below lands in a [p]-indexed slot (or
+  // the shard's own scratch), so shards owning disjoint partition ranges
+  // share nothing, and each output is a pure function of its own
+  // partition's inputs — identical for every shard count.
+  const unsigned shards = shard_count_for(pool, partitions_, /*min_grain=*/64);
+  if (scratch_.size() < shards) scratch_.resize(shards);
   parallel_for_shards(
-      pool, partitions_,
-      shard_count_for(pool, partitions_, /*min_grain=*/64),
-      [&](unsigned /*shard*/, IndexRange range) {
+      pool, partitions_, shards, [&](unsigned shard, IndexRange range) {
+        std::vector<std::uint32_t>& slot = scratch_[shard].slot;
+        std::vector<StatCell>& added = scratch_[shard].added;
+        if (slot.size() != servers_) slot.assign(servers_, 0);
         for (std::size_t p = range.begin; p < range.end; ++p) {
           const PartitionId pid{static_cast<std::uint32_t>(p)};
           const double q_avg = traffic.partition_queries(pid) /
                                static_cast<double>(datacenters_);
           avg_query_[p] = a * avg_query_[p] + b * q_avg;
 
-          // Fold the resident cells in place (obs = 0.0 if untouched),
-          // compacting out exact zeros, and count the new servers.
+          // The fresh cells come in any order: each one's server slot
+          // names it (1-based) for the length of this partition's fold.
           std::vector<StatCell>& cells = node_cells_[p];
           const std::span<const TrafficCell> fresh = traffic.cells(pid);
+          for (std::size_t j = 0; j < fresh.size(); ++j) {
+            slot[fresh[j].server] = static_cast<std::uint32_t>(j + 1);
+          }
+          // Fold the resident cells in place (obs = 0.0 if untouched),
+          // compacting out exact zeros and spending their slots.
           std::size_t kept = 0;
-          std::size_t inserts = 0;
-          std::size_t j = 0;
-          const auto count_new = [&](std::uint32_t below) {
-            for (; j < fresh.size() && fresh[j].server < below; ++j) {
-              if (fold(fresh[j].server, 0.0, fresh[j].node) != 0.0) ++inserts;
-            }
-          };
+          std::size_t spent = 0;
           for (std::size_t i = 0; i < cells.size(); ++i) {
             const std::uint32_t s = cells[i].server;
-            count_new(s);
-            const bool touched = j < fresh.size() && fresh[j].server == s;
+            double obs = 0.0;
+            if (slot[s] != 0) {
+              obs = fresh[slot[s] - 1].node;
+              slot[s] = 0;
+              ++spent;
+            }
             const double prev =
                 (flags_[s] & kCleared) != 0 ? 0.0 : cells[i].ewma;
-            const double v = fold(s, prev, touched ? fresh[j++].node : 0.0);
+            const double v = fold(s, prev, obs);
             if (v != 0.0) cells[kept++] = StatCell{s, v};
           }
-          count_new(static_cast<std::uint32_t>(servers_));
-          // Merge the new servers in from the back, without scratch. (A
-          // server whose resident cell was pruned folds to 0.0 here too.)
-          cells.resize(kept + inserts);
-          std::size_t w = kept + inserts;
-          for (std::size_t i = kept; inserts > 0;) {
-            const TrafficCell& cell = fresh[--j];
-            while (i > 0 && cells[i - 1].server > cell.server) {
-              cells[--w] = cells[--i];
+          cells.resize(kept);
+          if (spent < fresh.size()) {
+            // The servers still holding a slot are new to the partition:
+            // sort the nonzero ones and merge them in from the back.
+            added.clear();
+            for (const TrafficCell& cell : fresh) {
+              if (slot[cell.server] == 0) continue;
+              slot[cell.server] = 0;
+              const double v = fold(cell.server, 0.0, cell.node);
+              if (v != 0.0) added.push_back(StatCell{cell.server, v});
             }
-            if (i > 0 && cells[i - 1].server == cell.server) continue;
-            const double v = fold(cell.server, 0.0, cell.node);
-            if (v == 0.0) continue;
-            cells[--w] = StatCell{cell.server, v};
-            --inserts;
+            std::sort(added.begin(), added.end(),
+                      [](const StatCell& x, const StatCell& y) {
+                        return x.server < y.server;
+                      });
+            cells.resize(kept + added.size());
+            std::size_t w = cells.size();
+            for (std::size_t i = kept, k = added.size(); k > 0;) {
+              const StatCell& cell = added[--k];
+              while (i > 0 && cells[i - 1].server > cell.server) {
+                cells[--w] = cells[--i];
+              }
+              cells[--w] = cell;
+            }
           }
           if (requester_queries_.empty()) continue;
           // Merge the partition's demand (ascending requester) into its

@@ -10,13 +10,16 @@
 //
 // The tr_bar plane is sparse: each partition holds cells (sorted by
 // server id) only for servers whose EWMA is nonzero. update() folds the
-// epoch's traffic cells into them in place — a*prev + b*obs, with obs =
-// 0.0 for an untouched cell and prev = 0.0 for a new one — and prunes
-// exact zeros. Servers on neither side would stay +0.0, so this is
-// bit-identical to the dense scan the seed performed (the differential
-// oracle checks it), and so is Eq. 17's numerator, summed on read in
-// ascending server order. clear_servers() only marks its victims: readers
-// skip them, and the next fold reads their cells as absent and drops them.
+// epoch's traffic cells (in any order: a per-shard slot table indexed by
+// server hands each resident cell its observation, and only the servers
+// new to the partition are sorted) into them in place — a*prev + b*obs,
+// with obs = 0.0 for an untouched cell and prev = 0.0 for a new one —
+// and prunes exact zeros. Servers on neither side would stay +0.0, so
+// this is bit-identical to the dense scan the seed performed (the
+// differential oracle checks it), and so is Eq. 17's numerator, summed
+// on read in ascending server order. clear_servers() only marks its
+// victims: readers skip them, and the next fold reads their cells as
+// absent and drops them.
 //
 // The requester rows are dense [p][dc]: update() merges each with
 // EpochTraffic::demand(p); a DC with no flow takes a*v + b*0.0.
@@ -117,6 +120,12 @@ class TrafficStats {
   std::vector<double> requester_queries_;  // [p][dc], empty without rows
   std::vector<double> server_arrival_;     // [s]
   std::vector<std::uint8_t> flags_;        // [s] kFrozen | kCleared
+  /// Per fold shard: `slot` ([s]) and the cells new to the partition.
+  struct FoldScratch {
+    std::vector<std::uint32_t> slot;
+    std::vector<StatCell> added;
+  };
+  std::vector<FoldScratch> scratch_;
 };
 
 }  // namespace rfh

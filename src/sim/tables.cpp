@@ -11,6 +11,7 @@ PartitionTable::PartitionTable(std::uint32_t partitions,
     : partitions_(partitions), stride_(std::max(1u, initial_stride)) {
   slots_.resize(std::size_t{partitions_} * stride_);
   count_.assign(partitions_, 0);
+  version_.assign(partitions_, 0);
 }
 
 void PartitionTable::grow_stride() {
@@ -31,6 +32,7 @@ void PartitionTable::add(PartitionId p, ServerId s, bool primary) {
   slots_[std::size_t{p.value()} * stride_ + count_[p.value()]] =
       Replica{s, primary};
   count_[p.value()] += 1;
+  version_[p.value()] += 1;
   total_ += 1;
 }
 
@@ -48,6 +50,7 @@ void PartitionTable::remove(PartitionId p, ServerId s) {
   RFH_ASSERT_MSG(at < n, "no such replica");
   for (std::uint32_t i = at + 1; i < n; ++i) base[i - 1] = base[i];
   count_[p.value()] = n - 1;
+  version_[p.value()] += 1;
   RFH_ASSERT(total_ > 0);
   total_ -= 1;
 }
@@ -65,6 +68,7 @@ void PartitionTable::set_primary(PartitionId p, ServerId s) {
     }
   }
   RFH_ASSERT_MSG(found, "set_primary: server hosts no copy");
+  version_[p.value()] += 1;
 }
 
 ServerId PartitionTable::primary_of(PartitionId p) const {
@@ -94,6 +98,11 @@ bool PartitionTable::has(PartitionId p, ServerId s) const {
 std::uint32_t PartitionTable::count(PartitionId p) const {
   RFH_ASSERT(p.value() < partitions_);
   return count_[p.value()];
+}
+
+std::uint32_t PartitionTable::version(PartitionId p) const {
+  RFH_ASSERT(p.value() < partitions_);
+  return version_[p.value()];
 }
 
 ServerTable::ServerTable(std::uint32_t servers)

@@ -7,11 +7,12 @@
 // state as parallel arrays:
 //
 //  * PartitionTable — one strided slab of Replica slots (partition p's
-//    copies live at [p*stride, p*stride+count[p])), plus a per-partition
-//    count column. Insertion order and shift-on-remove semantics are
-//    defined to match the nested-vector seed exactly, so every consumer
-//    that iterates replicas_of() sees the same sequence; the property
-//    test pins this against a std::map reference under randomized churn.
+//    copies live at [p*stride, p*stride+count[p])), plus per-partition
+//    count and placement-version columns. Insertion order and
+//    shift-on-remove semantics are defined to match the nested-vector
+//    seed exactly, so every consumer that iterates replicas_of() sees the
+//    same sequence; the property test pins this against a std::map
+//    reference under randomized churn.
 //  * ServerTable — per-server liveness, copy-count and storage columns
 //    with the live-server aggregate maintained incrementally.
 //
@@ -51,6 +52,10 @@ class PartitionTable {
   /// Make the copy on `s` the sole primary of `p` (asserts it exists).
   void set_primary(PartitionId p, ServerId s);
 
+  /// Moves on every add, remove and set_primary of `p`, and on a remove_if
+  /// that removes a copy of it, so equal versions mean equal replicas(p).
+  [[nodiscard]] std::uint32_t version(PartitionId p) const;
+
   [[nodiscard]] ServerId primary_of(PartitionId p) const;
   [[nodiscard]] std::span<const Replica> replicas(PartitionId p) const;
   [[nodiscard]] bool has(PartitionId p, ServerId s) const;
@@ -69,6 +74,7 @@ class PartitionTable {
 
   std::vector<Replica> slots_;  // partitions_ * stride_
   std::vector<std::uint32_t> count_;
+  std::vector<std::uint32_t> version_;
   std::uint32_t partitions_;
   std::uint32_t stride_;
   std::uint32_t total_ = 0;
@@ -82,7 +88,9 @@ void PartitionTable::remove_if(PartitionId p, Pred&& doomed) {
   for (std::uint32_t i = 0; i < n; ++i) {
     if (!doomed(static_cast<const Replica&>(base[i]))) base[kept++] = base[i];
   }
+  if (kept == n) return;
   count_[p.value()] = kept;
+  version_[p.value()] += 1;
   total_ -= n - kept;
 }
 

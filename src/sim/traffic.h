@@ -6,16 +6,18 @@
 // datacenters.
 //
 // The [partition x server] planes (node_traffic, served) are *sparse*:
-// each partition keeps a short vector of cells sorted by server id, one
-// per server that actually saw traffic for it this epoch — a handful of
-// replicas and relay hops, never the full server axis. At the Table I
-// scale the difference is noise; at 100k servers the dense planes would
-// be gigabytes memset every epoch. The sharded propagate pass (DESIGN.md
+// each partition keeps a short vector of cells, one per server that
+// actually saw traffic for it this epoch — a handful of replicas and
+// relay hops, never the full server axis. At the Table I scale the
+// difference is noise; at 100k servers the dense planes would be
+// gigabytes memset every epoch. The sharded propagate pass (DESIGN.md
 // §15) wants exactly this layout: each shard owns a contiguous partition
 // range, absorbs one partition at a time into its own dense per-server
 // columns, and at the end of the partition's run writes the touched
-// servers back through cells_mut, sorted — no shared state, and no
-// sorted insert per write.
+// servers back through cells_mut, unsorted (PropagateShard::end_run).
+// Readers assume no order: a partition holds a few cells (about 6 per
+// run in the paper world, 22 at 10k servers), a lookup scans them, and
+// the stats fold and the invariant checker treat each cell on its own.
 //
 // Unserved, the path-length samples and the latency histogram are
 // tallied from propagate's slice log (sim/flow_log.h): one FlowSegment
@@ -28,8 +30,8 @@
 // did, so the sparse layout is bit-identical to the seed — the
 // differential oracle enforces this.
 //
-// The *_mut accessors insert-or-find a cell and hand back a reference;
-// a later insert into the same partition invalidates it (callers do
+// The *_mut accessors find-or-append a cell and hand back a reference;
+// a later append to the same partition invalidates it (callers do
 // single assignments or immediate +=, never hold references across
 // writes). They serve tests and hand-built traffic; the engine writes
 // whole cell vectors through cells_mut.
@@ -51,8 +53,8 @@
 
 namespace rfh {
 
-/// One (partition, server) traffic observation; cells are kept sorted by
-/// server id within each partition.
+/// One (partition, server) traffic observation; a partition holds at most
+/// one cell per server, in no particular order.
 struct TrafficCell {
   std::uint32_t server = 0;
   double node = 0.0;    ///< tr_ikt: residual traffic seen at the node
@@ -104,15 +106,16 @@ class EpochTraffic {
     return cell_mut(p, s).served;
   }
 
-  /// The partition's touched cells, sorted by server id. Iterating these
-  /// and treating every other server as 0.0 is exactly the dense scan.
+  /// The partition's touched cells, in the order they were written (see
+  /// above). Iterating these and treating every other server as 0.0 is
+  /// exactly the dense scan, up to order.
   [[nodiscard]] std::span<const TrafficCell> cells(PartitionId p) const {
     RFH_ASSERT(p.value() < partitions_);
     return cells_[p.value()];
   }
   /// Writable cell vector for shard-owned partitions. Propagate replaces
   /// it at the end of each partition run with the run's touched column
-  /// slots; the vector must stay sorted by server id.
+  /// slots; any order, but at most one cell per server.
   [[nodiscard]] std::vector<TrafficCell>& cells_mut(PartitionId p) {
     RFH_ASSERT(p.value() < partitions_);
     return cells_[p.value()];
@@ -212,28 +215,25 @@ class EpochTraffic {
  private:
   [[nodiscard]] const TrafficCell* find(PartitionId p, ServerId s) const {
     RFH_ASSERT(p.value() < partitions_ && s.value() < servers_);
-    const std::vector<TrafficCell>& cells = cells_[p.value()];
-    const auto it = std::lower_bound(
-        cells.begin(), cells.end(), s.value(),
-        [](const TrafficCell& c, std::uint32_t v) { return c.server < v; });
-    if (it == cells.end() || it->server != s.value()) return nullptr;
-    return &*it;
+    for (const TrafficCell& cell : cells_[p.value()]) {
+      if (cell.server == s.value()) return &cell;
+    }
+    return nullptr;
   }
 
   [[nodiscard]] TrafficCell& cell_mut(PartitionId p, ServerId s) {
     RFH_ASSERT(p.value() < partitions_ && s.value() < servers_);
     std::vector<TrafficCell>& cells = cells_[p.value()];
-    const auto it = std::lower_bound(
-        cells.begin(), cells.end(), s.value(),
-        [](const TrafficCell& c, std::uint32_t v) { return c.server < v; });
-    if (it != cells.end() && it->server == s.value()) return *it;
-    return *cells.insert(it, TrafficCell{s.value(), 0.0, 0.0});
+    for (TrafficCell& cell : cells) {
+      if (cell.server == s.value()) return cell;
+    }
+    return cells.emplace_back(TrafficCell{s.value(), 0.0, 0.0});
   }
 
   std::size_t partitions_;
   std::size_t servers_;
   std::size_t datacenters_;
-  std::vector<std::vector<TrafficCell>> cells_;  // sorted by server, per p
+  std::vector<std::vector<TrafficCell>> cells_;  // per p, any order
   QueryBatch demand_;                     // canonical, partition-major
   std::vector<std::size_t> demand_begin_;  // [p]: p's first flow; [P]: end
   std::vector<double> partition_queries_;

@@ -58,21 +58,23 @@ void ArrivalGenerator::timestamps_into(Epoch epoch, DatacenterId dc,
                 .fork(kStreamStreamTag)
                 .fork(static_cast<std::uint64_t>(epoch))
                 .fork(static_cast<std::uint64_t>(dc.value()));
+  // Draw every target, sort them, and map them through the inverse CDF
+  // with a bin index that only moves forward. The map is monotone in the
+  // target, so this is the sorted vector of the mapped draws, bit for bit.
   out.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const double target = rng.uniform_real() * total;
-    // Inverse CDF: find the bin containing `target`, interpolate inside.
-    const auto it = std::upper_bound(cdf.begin() + 1, cdf.end(), target);
-    const std::size_t bin =
-        std::min(static_cast<std::size_t>(it - cdf.begin()) - 1,
-                 kIntensityBins - 1);
+    out.push_back(rng.uniform_real() * total);
+  }
+  std::sort(out.begin(), out.end());
+  std::size_t bin = 0;  // the last bin whose lower edge is <= the target
+  for (double& target : out) {
+    while (bin + 1 < kIntensityBins && cdf[bin + 1] <= target) ++bin;
     const double within = (target - cdf[bin]) / (cdf[bin + 1] - cdf[bin]);
     const double frac =
         (static_cast<double>(bin) + within) /
         static_cast<double>(kIntensityBins);
-    out.push_back(frac * StreamConfig::kEpochMs);
+    target = frac * StreamConfig::kEpochMs;
   }
-  std::sort(out.begin(), out.end());
 }
 
 }  // namespace rfh

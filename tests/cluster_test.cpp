@@ -179,6 +179,39 @@ TEST_F(ClusterTest, HostsInDcOrdersPrimaryLast) {
   EXPECT_EQ(hosts[2], servers[3]);  // primary last
 }
 
+TEST(PartitionTable, VersionMovesOnEveryPlacementChange) {
+  PartitionTable table(/*partitions=*/2, /*initial_stride=*/2);
+  const PartitionId p{0};
+  const PartitionId other{1};
+  std::uint32_t version = table.version(p);
+  const auto moved = [&] {
+    const bool changed = table.version(p) != version;
+    version = table.version(p);
+    return changed;
+  };
+  table.add(p, ServerId{3}, /*primary=*/true);
+  EXPECT_TRUE(moved());
+  table.add(p, ServerId{5}, /*primary=*/false);
+  EXPECT_TRUE(moved());
+  table.add(p, ServerId{7}, /*primary=*/false);  // grows the stride
+  EXPECT_TRUE(moved());
+  table.set_primary(p, ServerId{5});
+  EXPECT_TRUE(moved());
+  table.remove(p, ServerId{7});
+  EXPECT_TRUE(moved());
+  table.remove_if(p, [](const Replica&) { return false; });
+  EXPECT_FALSE(moved());
+  table.remove_if(p, [](const Replica& r) { return r.server == ServerId{3}; });
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(table.count(p), 1u);
+
+  // Another partition's changes leave p's version alone.
+  const std::uint32_t before = table.version(other);
+  table.add(other, ServerId{9}, /*primary=*/true);
+  EXPECT_FALSE(moved());
+  EXPECT_NE(table.version(other), before);
+}
+
 TEST_F(ClusterTest, KillServerDropsCopiesAndReportsThem) {
   const PartitionId p0{0};
   const PartitionId p1{1};

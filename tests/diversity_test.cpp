@@ -110,7 +110,7 @@ TEST(DatacenterFailure, DiversePlacementSurvivesAWholeDatacenterLoss) {
   const EpochMetrics warm = MetricsCollector().collect(*sim, sim->step());
   ASSERT_GT(warm.dc_survivable_fraction, 0.99);
 
-  const auto victims = sim->fail_datacenter(sim->world().by_letter('A'));
+  const auto victims = test::outage_now(*sim, sim->world().by_letter('A'));
   EXPECT_EQ(victims.size(), 10u);
   EXPECT_EQ(sim->data_losses(), 0u);
   sim->cluster().check_invariants();
@@ -153,7 +153,7 @@ TEST(DatacenterFailure, ClusteredPlacementLosesData) {
 
   // Find a datacenter that holds a primary and destroy it.
   const ServerId some_primary = sim->cluster().primary_of(PartitionId{0});
-  sim->fail_datacenter(sim->topology().server(some_primary).datacenter);
+  test::outage_now(*sim, sim->topology().server(some_primary).datacenter);
   EXPECT_GT(sim->data_losses(), 0u);
 }
 

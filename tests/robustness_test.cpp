@@ -35,7 +35,7 @@ TEST(Robustness, CombinedServerLinkAndDatacenterFailures) {
   // deaths, interleaved with stepping.
   sim->fail_link(sim->world().by_letter('I'), sim->world().by_letter('D'));
   sim->run(10);
-  sim->fail_datacenter(sim->world().by_letter('C'));
+  test::outage_now(*sim, sim->world().by_letter('C'));
   sim->run(10);
   test::crash_now(*sim, 10);
   sim->run(40);
@@ -192,7 +192,7 @@ TEST(Robustness, ErasureInvariantsHoldUnderCombinedFailures) {
   step_checked(30);
   test::crash_now(*sim, 10);
   step_checked(10);
-  sim->fail_datacenter(sim->world().by_letter('C'));
+  test::outage_now(*sim, sim->world().by_letter('C'));
   step_checked(20);
   for (const auto& v : checker.violations()) {
     ADD_FAILURE() << "epoch " << v.epoch << " " << invariant_name(v.id)

@@ -281,6 +281,7 @@ TEST(TrafficStats, ClearedServerCellsReadAbsentUntilTheNextFold) {
 }
 
 // The tr_bar fold as it was before the in-place rewrite: a sorted merge
+// (of a sorted copy of the epoch's cells, which come in any order)
 // into a fresh cell list that re-sums Eq. 17's numerator every fold, and
 // a clear_servers that erases the victims' cells at once and re-sums the
 // partitions it touched. Kept here as the oracle for the in-place fold,
@@ -309,7 +310,14 @@ class MergeFoldStats {
                       b * (traffic.partition_queries(pid) /
                            static_cast<double>(datacenters_));
       const std::vector<StatCell>& old_cells = cells_[p];
-      const std::span<const TrafficCell> fresh = traffic.cells(pid);
+      // EpochTraffic's cells come in any order; the merge wants them
+      // sorted by server.
+      std::vector<TrafficCell> fresh(traffic.cells(pid).begin(),
+                                     traffic.cells(pid).end());
+      std::sort(fresh.begin(), fresh.end(),
+                [](const TrafficCell& x, const TrafficCell& y) {
+                  return x.server < y.server;
+                });
       std::vector<StatCell> merged;
       double sum = 0.0;
       std::size_t i = 0;
@@ -440,7 +448,8 @@ TEST(TrafficStats, InPlaceFoldEqualsTheMergeFoldBitForBit) {
   // exactly 0.0 and are pruned. Frozen windows, clears of frozen servers,
   // victims that do and do not get traffic in the next fold, a clear
   // before the first fold (a = 0), both alpha orientations and stats
-  // with and without requester rows are all exercised.
+  // with and without requester rows are all exercised. The cells are
+  // written in draw order, so the fold also sees them unordered.
   constexpr std::size_t kP = 160;  // enough for two 64-partition shards
   constexpr std::size_t kS = 24;
   constexpr std::size_t kDc = 4;

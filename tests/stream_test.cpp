@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numbers>
 #include <vector>
 
 #include "common/erlang.h"
 #include "common/rng.h"
 #include "fault/invariants.h"
 #include "harness/runner.h"
+#include "sim/engine.h"
 #include "stream/arrival.h"
 #include "stream/queue_model.h"
 #include "stream/stream_sim.h"
@@ -62,6 +65,57 @@ TEST(ArrivalGeneratorTest, DistinctStreamsPerEpochDcAndSeed) {
   EXPECT_NE(base, timestamps(gen, Epoch{4}, DatacenterId{2}, 64));
   EXPECT_NE(base, timestamps(gen, Epoch{3}, DatacenterId{3}, 64));
   EXPECT_NE(base, timestamps(other, Epoch{3}, DatacenterId{2}, 64));
+}
+
+/// The generator as it was before its forward-only bin walk: an
+/// upper_bound over the inverse CDF per draw, then a sort of the mapped
+/// timestamps.
+std::vector<double> per_draw_search_timestamps(std::uint64_t seed,
+                                               Epoch epoch, DatacenterId dc,
+                                               std::size_t n) {
+  constexpr std::size_t kBins = ArrivalGenerator::kIntensityBins;
+  std::array<double, kBins + 1> cdf{};
+  for (std::size_t i = 0; i < kBins; ++i) {
+    const double mid =
+        (static_cast<double>(i) + 0.5) / static_cast<double>(kBins);
+    const double phase =
+        (static_cast<double>(epoch % StreamConfig::kDiurnalPeriod) + mid) /
+        static_cast<double>(StreamConfig::kDiurnalPeriod);
+    cdf[i + 1] = cdf[i] + (1.0 + StreamConfig::kDiurnalAmplitude *
+                                     std::sin(2.0 * std::numbers::pi * phase));
+  }
+  const double total = cdf[kBins];
+  Rng rng = Rng(seed)
+                .fork(kStreamStreamTag)
+                .fork(static_cast<std::uint64_t>(epoch))
+                .fork(static_cast<std::uint64_t>(dc.value()));
+  std::vector<double> out;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double target = rng.uniform_real() * total;
+    const auto it = std::upper_bound(cdf.begin() + 1, cdf.end(), target);
+    const std::size_t bin =
+        std::min(static_cast<std::size_t>(it - cdf.begin()) - 1, kBins - 1);
+    const double within = (target - cdf[bin]) / (cdf[bin + 1] - cdf[bin]);
+    out.push_back((static_cast<double>(bin) + within) /
+                  static_cast<double>(kBins) * StreamConfig::kEpochMs);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ArrivalGeneratorTest, ForwardBinWalkEqualsThePerDrawSearch) {
+  // Every diurnal phase, every count from 1 to 200: the same sorted
+  // vector, bit for bit.
+  const ArrivalGenerator gen(42);
+  std::vector<double> got;
+  for (Epoch epoch = 0; epoch < StreamConfig::kDiurnalPeriod; ++epoch) {
+    const DatacenterId dc{static_cast<std::uint32_t>(epoch % 7)};
+    for (std::size_t n = 1; n <= 200; ++n) {
+      gen.timestamps_into(epoch, dc, n, got);
+      ASSERT_EQ(got, per_draw_search_timestamps(42, epoch, dc, n))
+          << "epoch " << epoch << " n " << n;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

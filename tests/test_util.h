@@ -2,8 +2,8 @@
 // controlled worlds (degenerate capacity ranges so every server is
 // identical), scripted workloads and policies, small scenario builders,
 // event counts over a captured trace, one-server kills through the
-// batch membership path, and random kills through a one-line `crash`
-// fault plan.
+// batch membership path, and random kills and datacenter outages through
+// one-line `crash` and `outage` fault plans.
 #pragma once
 
 #include <algorithm>
@@ -55,6 +55,21 @@ inline FaultPlan crash_plan(Epoch at, std::uint32_t count) {
 /// Returns the victims.
 inline std::vector<ServerId> crash_now(Simulation& sim, std::uint32_t count) {
   ChaosController chaos(crash_plan(sim.epoch(), count), sim.epoch());
+  return chaos.before_epoch(sim, sim.epoch()).killed;
+}
+
+/// Take datacenter `dc` down now, between steps: the one-line plan
+/// `outage at=E dc=D` at the simulation's current epoch, applied by a
+/// ChaosController. Returns the victims, the datacenter's live servers
+/// (none if it is the last datacenter standing).
+inline std::vector<ServerId> outage_now(Simulation& sim, DatacenterId dc) {
+  FaultEvent outage;
+  outage.kind = FaultKind::kDatacenterOutage;
+  outage.at = sim.epoch();
+  outage.dc = dc;
+  FaultPlan plan;
+  plan.add(outage);
+  ChaosController chaos(plan, sim.epoch());
   return chaos.before_epoch(sim, sim.epoch()).killed;
 }
 

@@ -204,6 +204,58 @@ TEST(TrafficPropagation, NonPrimariesAbsorbBeforeThePrimary) {
   EXPECT_DOUBLE_EQ(sim->traffic().served(p, holder), 1.0);
 }
 
+TEST(TrafficPropagation, PrimaryHandoverReordersTheNextAbsorption) {
+  // Two copies in the holder's datacenter; the non-primary absorbs
+  // first. Handing the primary over keeps the copy set and count, yet
+  // reverses that order, so the next step must rebuild the partition's
+  // replica plan from set_primary's placement-version move alone. No
+  // engine path hands a primary over on its own (a promotion follows
+  // the removal of the lost copy, which moves the version itself), so
+  // the policy does it from inside decide, between two propagates.
+  const PartitionId p{0};
+  SimConfig config = one_partition_config();
+  auto probe = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>(),
+                                    config, test::uniform_world_options(kCap));
+  const ServerId holder = probe->cluster().primary_of(p);
+  const DatacenterId holder_dc = probe->topology().server(holder).datacenter;
+  ServerId sibling;
+  for (const ServerId s : probe->topology().servers_in(holder_dc)) {
+    if (s != holder) {
+      sibling = s;
+      break;
+    }
+  }
+  ASSERT_TRUE(sibling.valid());
+
+  auto policy = test::make_lambda_policy([&](const PolicyContext& ctx) {
+    Actions actions;
+    if (ctx.epoch == 0) {
+      actions.replications.push_back(ReplicateAction{p, sibling, {}});
+    } else if (ctx.epoch == 1) {
+      // The simulation owns a mutable ClusterState; the context only
+      // hands policies a const view of it.
+      const_cast<ClusterState&>(ctx.cluster).set_primary(p, sibling);
+    }
+    return actions;
+  });
+  auto sim = test::make_fixed_sim({QueryFlow{p, holder_dc, 1.0}},
+                                  std::move(policy), config,
+                                  test::uniform_world_options(kCap));
+  sim->step();
+  sim->step();
+  EXPECT_DOUBLE_EQ(sim->traffic().served(p, sibling), 1.0);
+  EXPECT_DOUBLE_EQ(sim->traffic().served(p, holder), 0.0);
+  ASSERT_EQ(sim->cluster().primary_of(p), sibling);
+  ASSERT_EQ(sim->cluster().replica_count(p), 2u);
+  ASSERT_EQ(sim->cluster().hosts_in_dc(p, holder_dc),
+            (std::vector<ServerId>{holder, sibling}));
+
+  sim->step();
+  // The old primary is now the non-primary, and absorbs first.
+  EXPECT_DOUBLE_EQ(sim->traffic().served(p, holder), 1.0);
+  EXPECT_DOUBLE_EQ(sim->traffic().served(p, sibling), 0.0);
+}
+
 TEST(TrafficPropagation, RequesterQueriesAreRecordedPerFlow) {
   const PartitionId p{0};
   auto sim = test::make_fixed_sim(
