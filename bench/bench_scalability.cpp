@@ -11,9 +11,11 @@
 // Usage:
 //   bench_scalability [--smoke] [--jobs=N] [--profile]
 //
-// --smoke shrinks the sweep to 200/500-server worlds for CI, where
-// scripts/bench_diff.py gates the n*_epoch_ms metrics against the
-// committed bench/results/BENCH_scalability.json baseline.
+// --smoke shrinks the sweep to 500/1000-server worlds for CI, where
+// scripts/bench_diff.py gates the report against the committed
+// bench/results/BENCH_scalability.json baseline: the serial_n*/jobs_n*
+// stages carry the timings, and the summary metrics hold only simulated
+// outputs, so any metric drift is a behaviour change.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -165,7 +167,6 @@ int main(int argc, char** argv) {
 
     const RunResult serial = run_once(size, 1, report, "serial_" + n,
                                       profile);
-    report.add_metric(n + "_epoch_ms", serial.epoch_ms);
     report.add_metric("utilization_" + n, serial.utilization_tail);
     report.add_metric("unserved_" + n, serial.unserved_tail);
 
@@ -174,7 +175,6 @@ int main(int argc, char** argv) {
     if (jobs > 1) {
       const RunResult threaded = run_once(size, jobs, report, "jobs_" + n,
                                           profile);
-      report.add_metric(n + "_jobs_epoch_ms", threaded.epoch_ms);
       jobs_eps = 1000.0 / threaded.epoch_ms;
       speedup = serial.epoch_ms / threaded.epoch_ms;
       if (threaded.digests != serial.digests) {

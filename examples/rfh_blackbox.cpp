@@ -65,8 +65,8 @@ int usage(const char* error) {
 
 void print_chain(const rfh::TimelineQuery& query,
                  std::span<const rfh::TimelineRecord> chain) {
-  const bool truncated = !chain.empty() && chain.front().parent != 0 &&
-                         query.find(chain.front().parent) == nullptr;
+  const bool truncated =
+      !chain.empty() && query.chain_truncated(chain.back().id);
   std::fputs(rfh::render_chain(chain, truncated).c_str(), stdout);
 }
 

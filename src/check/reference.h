@@ -30,7 +30,6 @@
 // must match bit-for-bit.
 #pragma once
 
-#include <array>
 #include <map>
 #include <memory>
 #include <span>
@@ -67,21 +66,10 @@ struct RefAppliedAction {
                          const RefAppliedAction&) = default;
 };
 
-/// The reference engine's per-epoch observables, mirroring EpochReport
+/// The reference engine's per-epoch observables: the engine's report
 /// plus the applied-action record the harness diffs against trace events.
-struct RefEpochReport {
-  Epoch epoch = 0;
-  double total_queries = 0.0;
-  double unserved_queries = 0.0;
-  double mean_path_length = 0.0;
-  std::uint32_t replications = 0;
-  std::uint32_t migrations = 0;
-  std::uint32_t suicides = 0;
-  std::uint32_t dropped_actions = 0;
-  std::array<std::uint32_t, kDropReasonCount> dropped_by_reason{};
-  double replication_cost = 0.0;
-  double migration_cost = 0.0;
-  std::uint32_t total_replicas = 0;
+/// The reference does not tally repairs_starved; it stays 0.
+struct RefEpochReport : EpochReport {
   std::vector<RefAppliedAction> applied;
 };
 

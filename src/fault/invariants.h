@@ -12,8 +12,9 @@
 //                     valid, listed live in its datacenter, and the
 //                     shortest path from DC 0 ends in that datacenter
 //   storage           every live server respects the Eq. 19 occupancy
-//                     limit phi, its vnode cap, and exact used-bytes
-//                     accounting (copies * partition size)
+//                     limit phi and its vnode cap, and its copy count
+//                     (which its used bytes derive from) matches the
+//                     copies the placement puts on it
 //   accounting        the EpochReport's replica census matches the
 //                     cluster's, which matches the per-partition sum
 //   traffic           per-partition query/unserved tallies sum to the
@@ -147,6 +148,10 @@ class InvariantChecker {
   // traffic: per-server per_replica_capacity, read once on the first
   // check (a server's spec never changes).
   std::vector<double> capacity_;
+
+  // storage: copies per server recounted from the placement in the
+  // partition pass; check_storage compares and zeroes them.
+  std::vector<std::uint32_t> placed_;
 
   // fragment_census bootstrap state: 1 once the partition has ever held
   // >= k live fragments (EC mode only).

@@ -59,9 +59,6 @@ const char* action_kind_name(ActionKind kind) noexcept {
 namespace {
 
 struct NameVisitor {
-  const char* operator()(const QueryRoutedSummary&) const {
-    return "QueryRoutedSummary";
-  }
   const char* operator()(const ReplicaAdded&) const { return "ReplicaAdded"; }
   const char* operator()(const MigrationExecuted&) const {
     return "MigrationExecuted";

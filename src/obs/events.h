@@ -11,6 +11,7 @@
 // depends on obs, never the reverse.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <variant>
 
@@ -108,15 +109,6 @@ enum class ActionKind : std::uint8_t { kReplicate = 0, kMigrate, kSuicide };
 // ---------------------------------------------------------------------------
 // Events
 // ---------------------------------------------------------------------------
-
-/// Per-epoch routing summary (one per step, after traffic propagation):
-/// the endpoint numbers of Eqs. 2-8 without the per-flow firehose.
-struct QueryRoutedSummary {
-  Epoch epoch = 0;
-  double total_queries = 0.0;
-  double unserved_queries = 0.0;
-  double mean_path_length = 0.0;
-};
 
 /// A copy was created (replication applied and accounted per Eq. 1).
 struct ReplicaAdded {
@@ -217,19 +209,28 @@ struct FaultInjected {
   double magnitude = 0.0;
 };
 
-/// End-of-step summary mirroring EpochReport.
+/// Everything observable about one epoch: Simulation::step returns it
+/// and emits it as the step's last event.
 struct EpochCompleted {
   Epoch epoch = 0;
   double total_queries = 0.0;
   double unserved_queries = 0.0;
+  double mean_path_length = 0.0;
   std::uint32_t replications = 0;
   std::uint32_t migrations = 0;
   std::uint32_t suicides = 0;
   std::uint32_t dropped_actions = 0;
-  std::uint32_t total_replicas = 0;
+  /// dropped_actions broken down by DropReason (indexed by its value).
+  std::array<std::uint32_t, kDropReasonCount> dropped_by_reason{};
+  /// Availability-floor repairs dropped on a node cap this epoch: each
+  /// one is a partition below its target copy count whose repair the
+  /// capacity layer refused (see kStarvedRepairWarnThreshold).
+  std::uint32_t repairs_starved = 0;
   double replication_cost = 0.0;
   double migration_cost = 0.0;
+  std::uint32_t total_replicas = 0;  // copies across partitions, primaries included
 };
+using EpochReport = EpochCompleted;
 
 /// Profiler span (telemetry/profiler.h): wall-clock cost of one engine
 /// phase within one epoch. `phase` is a static-duration string
@@ -246,20 +247,33 @@ struct PhaseSpan {
   double wall_ms = 0.0;
 };
 
-/// Per-epoch streaming-load summary (src/stream/): the queueing layer's
-/// counterpart to EpochCompleted. Arrival accounting satisfies
-/// arrivals == served + blocked + dropped (the kStreamAccounting
-/// invariant); mean_wait_ms is the weighted mean queueing delay of
-/// accepted queries after the M/G/c variance correction.
+/// One epoch of stream-layer accounting (src/stream/): the queueing
+/// counterpart of EpochCompleted. Query counts are weighted doubles like
+/// everywhere else, and arrivals == served + blocked + dropped (the
+/// kStreamAccounting invariant).
 struct StreamEpochSummary {
   Epoch epoch = 0;
+  /// Total arrivals this epoch == the batch's total queries.
   double arrivals = 0.0;
+  /// Accepted and served through a queue (latency sampled).
   double served = 0.0;
+  /// Blocked by the batch engine (capacity/lost-primary) before reaching
+  /// any queue.
   double blocked = 0.0;
+  /// Dropped by queue backpressure (--queue-cap).
   double dropped = 0.0;
+  /// Largest waiting-room occupancy across all servers (<= --queue-cap).
   std::uint32_t max_queue_depth = 0;
+  /// Weighted mean queueing wait of served queries, ms (after the
+  /// (1 + cv^2) M/G/c correction).
   double mean_wait_ms = 0.0;
+  /// End-to-end latency percentiles (routing + queueing + blocking
+  /// penalty) over this epoch's sampled queries.
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  double p999_ms = 0.0;
 };
+using StreamEpochStats = StreamEpochSummary;
 
 /// A server's waiting room hit its --queue-cap and shed load this epoch
 /// (one event per saturated server per epoch, emitted at epoch end).
@@ -344,12 +358,12 @@ struct StripeReconstructed {
 };
 
 using Event =
-    std::variant<QueryRoutedSummary, ReplicaAdded, MigrationExecuted, Suicide,
-                 ActionDropped, ServerFailed, ServerRecovered, PrimaryPromoted,
-                 Reseeded, LinkFailed, LinkRestored, FaultInjected,
-                 EpochCompleted, PhaseSpan, StreamEpochSummary,
-                 QueueSaturated, TrafficShift, RuleFired, SloBreach,
-                 StatsFrozen, StripeLost, StripeReconstructed>;
+    std::variant<ReplicaAdded, MigrationExecuted, Suicide, ActionDropped,
+                 ServerFailed, ServerRecovered, PrimaryPromoted, Reseeded,
+                 LinkFailed, LinkRestored, FaultInjected, EpochCompleted,
+                 PhaseSpan, StreamEpochSummary, QueueSaturated, TrafficShift,
+                 RuleFired, SloBreach, StatsFrozen, StripeLost,
+                 StripeReconstructed>;
 
 /// Stable PascalCase type name ("ReplicaAdded", ...), used by sinks and
 /// the CLI's --trace-filter grammar.

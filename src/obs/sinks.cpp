@@ -78,11 +78,6 @@ void append_explanation(JsonWriter& w, const DecisionExplanation& why) {
   e.close();
 }
 
-void append_fields(JsonWriter& w, const QueryRoutedSummary& e) {
-  w.num("total_queries", e.total_queries);
-  w.num("unserved_queries", e.unserved_queries);
-  w.num("mean_path_length", e.mean_path_length);
-}
 void append_fields(JsonWriter& w, const ReplicaAdded& e) {
   w.id("partition", e.partition);
   w.id("source", e.source);
@@ -154,6 +149,14 @@ void append_fields(JsonWriter& w, const EpochCompleted& e) {
   w.num("total_replicas", std::uint64_t{e.total_replicas});
   w.num("replication_cost", e.replication_cost);
   w.num("migration_cost", e.migration_cost);
+  w.num("mean_path_length", e.mean_path_length);
+  JsonWriter by_reason = w.nested("dropped_by_reason");
+  for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+    by_reason.num(drop_reason_name(static_cast<DropReason>(r)),
+                  std::uint64_t{e.dropped_by_reason[r]});
+  }
+  by_reason.close();
+  w.num("repairs_starved", std::uint64_t{e.repairs_starved});
 }
 void append_fields(JsonWriter& w, const StreamEpochSummary& e) {
   w.num("arrivals", e.arrivals);
@@ -162,6 +165,9 @@ void append_fields(JsonWriter& w, const StreamEpochSummary& e) {
   w.num("dropped", e.dropped);
   w.num("max_queue_depth", std::uint64_t{e.max_queue_depth});
   w.num("mean_wait_ms", e.mean_wait_ms);
+  w.num("p50_ms", e.p50_ms);
+  w.num("p99_ms", e.p99_ms);
+  w.num("p999_ms", e.p999_ms);
 }
 void append_fields(JsonWriter& w, const QueueSaturated& e) {
   w.id("server", e.server);
@@ -241,7 +247,6 @@ namespace {
 std::uint32_t chrome_tid(const Event& event) {
   struct Visitor {
     std::uint32_t operator()(const EpochCompleted&) const { return 1; }
-    std::uint32_t operator()(const QueryRoutedSummary&) const { return 1; }
     std::uint32_t operator()(const ReplicaAdded&) const { return 2; }
     std::uint32_t operator()(const MigrationExecuted&) const { return 2; }
     std::uint32_t operator()(const Suicide&) const { return 2; }

@@ -35,7 +35,6 @@ struct CondenseVisitor {
   TimelineRecord& rec;
 
   // Per-epoch summaries are never recorded (see TimelineStore).
-  void operator()(const QueryRoutedSummary&) const {}
   void operator()(const EpochCompleted&) const {}
   void operator()(const PhaseSpan&) const {}
   void operator()(const ReplicaAdded& e) const {
@@ -178,8 +177,7 @@ TimelineStore::TimelineStore(std::uint32_t partitions,
 
 void TimelineStore::on_event(const Event& event, const TraceMeta& meta) {
   const std::size_t type = event.index();
-  if (type == event_type_index<QueryRoutedSummary>() ||
-      type == event_type_index<EpochCompleted>() ||
+  if (type == event_type_index<EpochCompleted>() ||
       type == event_type_index<PhaseSpan>()) {
     return;
   }

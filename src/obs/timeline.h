@@ -70,9 +70,9 @@ struct TimelineRecord {
 [[nodiscard]] TimelineRecord make_timeline_record(const Event& event,
                                                   const TraceMeta& meta);
 
-/// Per-epoch summary events (QueryRoutedSummary, EpochCompleted,
-/// PhaseSpan) are never recorded: they are observational snapshots with
-/// no causal value, and at one per epoch they would crowd the rings.
+/// Per-epoch summary events (EpochCompleted, PhaseSpan) are never
+/// recorded: they are observational snapshots with no causal value, and
+/// at one per epoch they would crowd the rings.
 class TimelineStore final : public EventSink {
  public:
   /// The default budget is deliberately cache-friendly: the recorder

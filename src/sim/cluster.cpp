@@ -29,13 +29,11 @@ void ClusterState::add_replica(PartitionId p, ServerId s, bool primary) {
     RFH_ASSERT_MSG(!primary_of(p).valid(), "partition already has a primary");
   }
   partitions_.add(p, s, primary);
-  servers_.add_storage(s, config_->unit_size());
   servers_.inc_copies(s);
 }
 
 void ClusterState::remove_replica(PartitionId p, ServerId s) {
   partitions_.remove(p, s);
-  servers_.sub_storage(s, config_->unit_size());
   servers_.dec_copies(s);
 }
 
@@ -87,7 +85,7 @@ std::uint32_t ClusterState::copies_in_dc(PartitionId p,
 }
 
 Bytes ClusterState::storage_used(ServerId s) const {
-  return servers_.storage_used(s);
+  return Bytes{copies_on(s)} * config_->unit_size();
 }
 
 double ClusterState::storage_fraction(ServerId s) const {
@@ -182,7 +180,6 @@ void ClusterState::kill_servers(
       const auto it = std::lower_bound(
           rank.begin(), rank.end(), std::pair{r.server, std::uint32_t{0}});
       losses.push_back(Loss{it->second, LostCopy{pid, r.primary}});
-      servers_.sub_storage(r.server, config_->unit_size());
       servers_.dec_copies(r.server);
       return true;
     });
@@ -232,14 +229,12 @@ void ClusterState::live_list_erase(ServerId s) {
 }
 
 void ClusterState::check_invariants() const {
-  std::vector<Bytes> used(topology_->server_count(), 0);
   std::vector<std::uint32_t> copies(topology_->server_count(), 0);
   std::uint32_t total = 0;
   for (std::uint32_t p = 0; p < partitions_.partitions(); ++p) {
     std::uint32_t primaries = 0;
     for (const Replica& r : partitions_.replicas(PartitionId{p})) {
       RFH_ASSERT_MSG(alive(r.server), "copy on dead server");
-      used[r.server.value()] += config_->unit_size();
       copies[r.server.value()] += 1;
       total += 1;
       if (r.primary) ++primaries;
@@ -252,7 +247,6 @@ void ClusterState::check_invariants() const {
   RFH_ASSERT(total == partitions_.total());
   for (std::uint32_t s = 0; s < topology_->server_count(); ++s) {
     const ServerId sid{s};
-    RFH_ASSERT(used[s] == servers_.storage_used(sid));
     RFH_ASSERT(copies[s] == servers_.copies(sid));
     if (!alive(sid)) {
       RFH_ASSERT_MSG(copies[s] == 0, "dead server hosts copies");

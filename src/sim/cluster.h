@@ -6,8 +6,8 @@
 // ring and keeps the cross-cutting invariants:
 //  * at most one copy of a partition per server;
 //  * every live partition has exactly one primary copy;
-//  * storage accounting balances: used[s] == copies_on(s) * unit_size()
-//    (a full replica, or one EC fragment of partition_size / k);
+//  * a server's storage is copies_on(s) * unit_size() (a full replica,
+//    or one EC fragment of partition_size / k), derived, never stored;
 //  * dead servers host nothing and are masked out of the ring.
 //
 // Construction is bulk: liveness, the per-DC live lists and the ring are

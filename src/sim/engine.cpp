@@ -478,10 +478,6 @@ EpochReport Simulation::step() {
     }
     report.unserved_queries = unserved;
     report.mean_path_length = traffic_.mean_path_length();
-
-    events_.emit(QueryRoutedSummary{epoch_, report.total_queries,
-                                    report.unserved_queries,
-                                    report.mean_path_length});
   }
 
   Actions actions;
@@ -502,11 +498,7 @@ EpochReport Simulation::step() {
     cum_migrations_ += report.migrations;
     cum_replications_ += report.replications;
 
-    events_.emit(EpochCompleted{
-        epoch_, report.total_queries, report.unserved_queries,
-        report.replications, report.migrations, report.suicides,
-        report.dropped_actions, report.total_replicas,
-        report.replication_cost, report.migration_cost});
+    events_.emit(report);
 
     if (telemetry_ != nullptr) update_telemetry(report);
   }

@@ -69,34 +69,14 @@ inline constexpr double kTrafficShiftThreshold = 0.25;
 /// of a Simulation also logs one warning.
 inline constexpr std::uint32_t kStarvedRepairWarnThreshold = 0;
 
-/// Everything observable about one epoch, for metrics collection.
-struct EpochReport {
-  Epoch epoch = 0;
-  double total_queries = 0.0;
-  double unserved_queries = 0.0;
-  double mean_path_length = 0.0;
-  std::uint32_t replications = 0;
-  std::uint32_t migrations = 0;
-  std::uint32_t suicides = 0;
-  std::uint32_t dropped_actions = 0;
-  /// dropped_actions broken down by DropReason (indexed by its value).
-  std::array<std::uint32_t, kDropReasonCount> dropped_by_reason{};
-  /// Availability-floor repairs dropped on a node cap this epoch — each
-  /// one is a partition below its target copy count whose repair the
-  /// capacity layer refused (see kStarvedRepairWarnThreshold).
-  std::uint32_t repairs_starved = 0;
-  double replication_cost = 0.0;
-  double migration_cost = 0.0;
-  std::uint32_t total_replicas = 0;  // copies across partitions, primaries included
-};
-
 class Simulation {
  public:
   Simulation(World world, const SimConfig& config,
              std::unique_ptr<WorkloadGenerator> workload,
              std::unique_ptr<ReplicationPolicy> policy);
 
-  /// Run one epoch; returns its report.
+  /// Run one epoch; returns its report, which is also the epoch's last
+  /// event (EpochCompleted).
   EpochReport step();
 
   /// Run `epochs` steps, discarding intermediate reports.

@@ -106,7 +106,7 @@ std::uint32_t PartitionTable::version(PartitionId p) const {
 }
 
 ServerTable::ServerTable(std::uint32_t servers)
-    : alive_(servers, 0), storage_used_(servers, 0), copies_on_(servers, 0) {}
+    : alive_(servers, 0), copies_on_(servers, 0) {}
 
 void ServerTable::bring_all_up() {
   std::fill(alive_.begin(), alive_.end(), std::uint8_t{1});
@@ -128,22 +128,6 @@ void ServerTable::set_alive(ServerId s, bool up) {
     RFH_ASSERT(live_count_ > 0);
     live_count_ -= 1;
   }
-}
-
-Bytes ServerTable::storage_used(ServerId s) const {
-  RFH_ASSERT(s.value() < storage_used_.size());
-  return storage_used_[s.value()];
-}
-
-void ServerTable::add_storage(ServerId s, Bytes bytes) {
-  RFH_ASSERT(s.value() < storage_used_.size());
-  storage_used_[s.value()] += bytes;
-}
-
-void ServerTable::sub_storage(ServerId s, Bytes bytes) {
-  RFH_ASSERT(s.value() < storage_used_.size());
-  RFH_ASSERT(storage_used_[s.value()] >= bytes);
-  storage_used_[s.value()] -= bytes;
 }
 
 std::uint32_t ServerTable::copies(ServerId s) const {

@@ -13,8 +13,9 @@
 //    seed exactly, so every consumer that iterates replicas_of() sees the
 //    same sequence; the property test pins this against a std::map
 //    reference under randomized churn.
-//  * ServerTable — per-server liveness, copy-count and storage columns
-//    with the live-server aggregate maintained incrementally.
+//  * ServerTable — per-server liveness and copy-count columns with the
+//    live-server aggregate maintained incrementally (a server's storage
+//    is its copy count times the unit size, so it has no column).
 //
 // Neither table knows about the ring, the topology or Eq. 19 — ClusterState
 // composes them and keeps the cross-cutting invariants.
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/units.h"
 
 namespace rfh {
 
@@ -110,10 +110,6 @@ class ServerTable {
     return live_count_;
   }
 
-  [[nodiscard]] Bytes storage_used(ServerId s) const;
-  void add_storage(ServerId s, Bytes bytes);
-  void sub_storage(ServerId s, Bytes bytes);
-
   [[nodiscard]] std::uint32_t copies(ServerId s) const;
   void inc_copies(ServerId s);
   void dec_copies(ServerId s);
@@ -124,7 +120,6 @@ class ServerTable {
 
  private:
   std::vector<std::uint8_t> alive_;
-  std::vector<Bytes> storage_used_;
   std::vector<std::uint32_t> copies_on_;
   std::uint32_t live_count_ = 0;
 };

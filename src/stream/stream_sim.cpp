@@ -201,10 +201,7 @@ StreamEpochStats StreamSimulator::process_epoch(Simulation& sim,
     }
   }
 
-  sim.events().emit(StreamEpochSummary{epoch, stats.arrivals, stats.served,
-                                       stats.blocked, stats.dropped,
-                                       stats.max_queue_depth,
-                                       stats.mean_wait_ms});
+  sim.events().emit(stats);
   return stats;
 }
 

@@ -41,31 +41,6 @@
 
 namespace rfh {
 
-/// One epoch of stream-layer accounting (the queueing counterpart of
-/// EpochReport). Query counts are weighted doubles like everywhere else.
-struct StreamEpochStats {
-  Epoch epoch = 0;
-  /// Total arrivals this epoch == the batch's total queries.
-  double arrivals = 0.0;
-  /// Accepted and served through a queue (latency sampled).
-  double served = 0.0;
-  /// Blocked by the batch engine (capacity/lost-primary) before reaching
-  /// any queue.
-  double blocked = 0.0;
-  /// Dropped by queue backpressure (--queue-cap).
-  double dropped = 0.0;
-  /// Largest waiting-room occupancy across all servers (<= --queue-cap).
-  std::uint32_t max_queue_depth = 0;
-  /// Weighted mean queueing wait of served queries, ms (after the
-  /// (1 + cv^2) M/G/c correction).
-  double mean_wait_ms = 0.0;
-  /// End-to-end latency percentiles (routing + queueing + blocking
-  /// penalty) over this epoch's sampled queries.
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
-};
-
 class StreamSimulator {
  public:
   /// `registry` may be null (no metric export). `seed` must be the
@@ -79,7 +54,7 @@ class StreamSimulator {
 
   /// Consume the flow segments of the epoch `sim` just stepped (pass the
   /// step's EpochReport), queue every arrival, update histograms/metrics
-  /// and emit stream events on sim's bus.
+  /// and emit stream events on sim's bus, the returned summary last.
   /// The cumulative per-requester-DC latency distributions live in the
   /// registry's rfh_stream_latency_ms{dc=...} histograms.
   StreamEpochStats process_epoch(Simulation& sim, const EpochReport& report);

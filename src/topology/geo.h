@@ -20,7 +20,7 @@ enum class Continent {
   kOceania,
 };
 
-/// Two-letter code used in node labels ("NA", "EU", "AS", ...).
+/// Two-letter continent code ("NA", "EU", "AS", ...).
 std::string_view continent_code(Continent c) noexcept;
 
 /// Parse a two-letter continent code; aborts on unknown input.

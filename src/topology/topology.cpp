@@ -4,17 +4,6 @@
 
 namespace rfh {
 
-namespace {
-
-std::string indexed(const char prefix, std::size_t index) {
-  std::string out(1, prefix);
-  if (index + 1 < 10) out += '0';
-  out += std::to_string(index + 1);
-  return out;
-}
-
-}  // namespace
-
 DatacenterId Topology::add_datacenter(std::string name,
                                       std::string country_code,
                                       Continent continent, GeoPoint location) {
@@ -44,36 +33,10 @@ RackId Topology::add_rack(RoomId room) {
 ServerId Topology::add_server(RackId rack, const ServerSpec& spec) {
   RFH_ASSERT(rack.value() < racks_.size());
   Rack& r = racks_[rack.value()];
-  const Room& rm = rooms_[r.room.value()];
   Datacenter& dc = datacenters_[r.datacenter.value()];
 
   const ServerId id{static_cast<std::uint32_t>(servers_.size())};
-
-  // Label components reflect position within the hierarchy: room index
-  // within the datacenter, rack index within the room, server index within
-  // the rack.
-  std::size_t room_index = 0;
-  for (std::size_t i = 0; i < dc.rooms.size(); ++i) {
-    if (dc.rooms[i] == rm.id) room_index = i;
-  }
-  std::size_t rack_index = 0;
-  for (std::size_t i = 0; i < rm.racks.size(); ++i) {
-    if (rm.racks[i] == r.id) rack_index = i;
-  }
-  // Built with += rather than operator+ on two temporaries: GCC 12's -O3
-  // inliner flags the latter with a spurious -Wrestrict (PR105651).
-  std::string server_label("S");
-  server_label += std::to_string(r.servers.size() + 1);
-  NodeLabel label{
-      std::string(continent_code(dc.continent)),
-      dc.country_code,
-      dc.name,
-      indexed('C', room_index),
-      indexed('R', rack_index),
-      std::move(server_label),
-  };
-
-  servers_.push_back(Server{id, r.id, rm.id, dc.id, std::move(label), spec});
+  servers_.push_back(Server{id, r.id, r.room, r.datacenter, spec});
   r.servers.push_back(id);
   dc.servers.push_back(id);
   return id;
@@ -108,7 +71,13 @@ double Topology::distance_km(DatacenterId a, DatacenterId b) const {
 }
 
 std::uint32_t Topology::availability_level(ServerId a, ServerId b) const {
-  return rfh::availability_level(server(a).label, server(b).label);
+  const Server& x = server(a);
+  const Server& y = server(b);
+  if (x.datacenter != y.datacenter) return 5;
+  if (x.room != y.room) return 4;
+  if (x.rack != y.rack) return 3;
+  if (a != b) return 2;
+  return 1;
 }
 
 }  // namespace rfh

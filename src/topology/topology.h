@@ -14,7 +14,6 @@
 #include "common/ids.h"
 #include "common/units.h"
 #include "topology/geo.h"
-#include "topology/label.h"
 
 namespace rfh {
 
@@ -43,7 +42,6 @@ struct Server {
   RackId rack;
   RoomId room;
   DatacenterId datacenter;
-  NodeLabel label;
   ServerSpec spec;
 };
 
@@ -62,7 +60,7 @@ struct Room {
 
 struct Datacenter {
   DatacenterId id;
-  std::string name;          // short name used in labels, e.g. "GA1"
+  std::string name;          // short name, e.g. "GA1"
   std::string country_code;  // "USA"
   Continent continent = Continent::kNorthAmerica;
   GeoPoint location;
@@ -104,7 +102,13 @@ class Topology {
   /// Great-circle distance between two datacenters in kilometres.
   [[nodiscard]] double distance_km(DatacenterId a, DatacenterId b) const;
 
-  /// Availability level (1..5) between two servers (see label.h).
+  /// Availability level (paper Section II-A) between two servers, read
+  /// from the hierarchy ids of the most specific domain they share:
+  ///   5  different datacenters           (highest diversity)
+  ///   4  same datacenter, different rooms
+  ///   3  same room, different racks
+  ///   2  same rack, different servers
+  ///   1  same server                     (no diversity)
   [[nodiscard]] std::uint32_t availability_level(ServerId a, ServerId b) const;
 
  private:

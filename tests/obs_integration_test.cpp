@@ -63,10 +63,16 @@ TEST(ObsIntegration, EpochStreamIsCompleteAndOrdered) {
   auto sim = make_simulation(scenario, PolicyKind::kRfh);
   CaptureSink capture;
   sim->events().add_sink(&capture);
-  for (Epoch e = 0; e < scenario.epochs; ++e) sim->step();
+  for (Epoch e = 0; e < scenario.epochs; ++e) {
+    const EpochReport report = sim->step();
+    // The report a step returns is its last event, field for field.
+    ASSERT_FALSE(capture.events.empty());
+    ASSERT_TRUE(std::holds_alternative<EpochCompleted>(capture.events.back()));
+    EXPECT_EQ(event_to_json(capture.events.back()),
+              event_to_json(Event(report)));
+  }
 
   EXPECT_EQ(test::count_events<EpochCompleted>(capture), scenario.epochs);
-  EXPECT_EQ(test::count_events<QueryRoutedSummary>(capture), scenario.epochs);
   Epoch last = 0;
   for (const Event& event : capture.events) {
     EXPECT_GE(event_epoch(event), last);

@@ -63,7 +63,6 @@ TEST(EventBus, OwnedSinksAreFlushedOnClose) {
 }
 
 TEST(EventName, CoversEveryAlternative) {
-  EXPECT_STREQ(event_name(Event(QueryRoutedSummary{})), "QueryRoutedSummary");
   EXPECT_STREQ(event_name(Event(ReplicaAdded{})), "ReplicaAdded");
   EXPECT_STREQ(event_name(Event(MigrationExecuted{})), "MigrationExecuted");
   EXPECT_STREQ(event_name(Event(Suicide{})), "Suicide");
@@ -75,6 +74,38 @@ TEST(EventName, CoversEveryAlternative) {
   EXPECT_STREQ(event_name(Event(LinkFailed{})), "LinkFailed");
   EXPECT_STREQ(event_name(Event(LinkRestored{})), "LinkRestored");
   EXPECT_STREQ(event_name(Event(EpochCompleted{})), "EpochCompleted");
+  EXPECT_STREQ(event_name(Event(StreamEpochSummary{})), "StreamEpochSummary");
+}
+
+TEST(EventToJson, EpochCompletedCarriesTheWholeReport) {
+  EpochCompleted done;
+  done.epoch = 4;
+  done.mean_path_length = 2.5;
+  done.repairs_starved = 3;
+  for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+    done.dropped_by_reason[r] = static_cast<std::uint32_t>(10 + r);
+  }
+  const std::string json = event_to_json(Event(done));
+  EXPECT_NE(json.find("\"mean_path_length\":2.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"repairs_starved\":3"), std::string::npos) << json;
+  for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+    const std::string field =
+        std::string("\"") + drop_reason_name(static_cast<DropReason>(r)) +
+        "\":" + std::to_string(10 + r);
+    EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
+  }
+}
+
+TEST(EventToJson, StreamEpochSummaryCarriesThePercentiles) {
+  StreamEpochSummary summary;
+  summary.epoch = 2;
+  summary.p50_ms = 12.5;
+  summary.p99_ms = 80.25;
+  summary.p999_ms = 301.5;
+  const std::string json = event_to_json(Event(summary));
+  EXPECT_NE(json.find("\"p50_ms\":12.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"p99_ms\":80.25"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"p999_ms\":301.5"), std::string::npos) << json;
 }
 
 TEST(EventEpoch, ReadsTheStampedEpoch) {

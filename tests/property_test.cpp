@@ -665,7 +665,6 @@ TEST_P(TableReferenceTest, ServerColumnsMatchPlainMapsUnderChurn) {
   table.bring_all_up();
   struct RefServer {
     bool alive = true;
-    Bytes storage = 0;
     std::uint32_t copies = 0;
   };
   std::vector<RefServer> reference(kServers);
@@ -682,21 +681,13 @@ TEST_P(TableReferenceTest, ServerColumnsMatchPlainMapsUnderChurn) {
         ref.alive = !ref.alive;
         live += ref.alive ? 1u : -1u;
         break;
-      case 1: {
-        const Bytes bytes = kib(1 + rng() % 512);
-        table.add_storage(s, bytes);
+      case 1:
         table.inc_copies(s);
-        ref.storage += bytes;
         ++ref.copies;
         break;
-      }
       default:
         if (ref.copies > 0) {
-          // Mirror remove_replica: storage and copy count drop together.
-          const Bytes bytes = ref.storage / ref.copies;
-          table.sub_storage(s, bytes);
           table.dec_copies(s);
-          ref.storage -= bytes;
           --ref.copies;
         }
         break;
@@ -704,7 +695,6 @@ TEST_P(TableReferenceTest, ServerColumnsMatchPlainMapsUnderChurn) {
     ASSERT_EQ(table.live_count(), live);
     for (std::uint32_t v = 0; v < kServers; ++v) {
       ASSERT_EQ(table.alive(ServerId{v}), reference[v].alive);
-      ASSERT_EQ(table.storage_used(ServerId{v}), reference[v].storage);
       ASSERT_EQ(table.copies(ServerId{v}), reference[v].copies);
     }
   }

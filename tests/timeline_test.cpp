@@ -99,15 +99,16 @@ TEST(TimelineStoreTest, RingEvictsOldestFirstAndKeepsNewestInOrder) {
 
 TEST(TimelineStoreTest, SummaryEventsAreNeverRecorded) {
   TimelineStore store(1);
-  store.on_event(
-      Event{EpochCompleted{3, 100.0, 0.0, 1, 0, 0, 0, 12, 0.0, 0.0}},
-      TraceMeta{1, 0});
-  store.on_event(Event{QueryRoutedSummary{3, 100.0, 0.0, 2.0}},
-                 TraceMeta{2, 0});
+  EpochCompleted done;
+  done.epoch = 3;
+  done.total_queries = 100.0;
+  done.replications = 1;
+  done.total_replicas = 12;
+  store.on_event(Event{done}, TraceMeta{1, 0});
   store.on_event(Event{PhaseSpan{3, "routing", 0.0, 0.5, 1.0}},
-                 TraceMeta{3, 0});
+                 TraceMeta{2, 0});
   EXPECT_EQ(store.total_recorded(), 0u);
-  store.on_event(Event{failed(3, 1)}, TraceMeta{4, 0});
+  store.on_event(Event{failed(3, 1)}, TraceMeta{3, 0});
   EXPECT_EQ(store.total_recorded(), 1u);
 }
 

@@ -53,16 +53,27 @@ TEST(Topology, ServerBackPointersConsistent) {
 }
 
 TEST(Topology, LabelsEncodePosition) {
+  // The paper's label NA-USA-GA1-C01-R02-S1 spells a server's path through
+  // the hierarchy; the server's ids carry the same path.
   const Topology topo = two_dc_topology();
+  const Datacenter& ga1 = topo.datacenter(DatacenterId{0});
+  const Room& room = topo.room(ga1.rooms[0]);
   // First server of DC 0: room 1, rack 1, server 1.
-  EXPECT_EQ(topo.server(ServerId{0}).label.to_string(),
-            "NA-USA-GA1-C01-R01-S1");
+  EXPECT_EQ(topo.server(ServerId{0}).room, ga1.rooms[0]);
+  EXPECT_EQ(topo.server(ServerId{0}).rack, room.racks[0]);
+  EXPECT_EQ(topo.rack(room.racks[0]).servers[0], ServerId{0});
   // Fourth server of DC 0 is the first in rack 2.
-  EXPECT_EQ(topo.server(ServerId{3}).label.to_string(),
-            "NA-USA-GA1-C01-R02-S1");
+  EXPECT_EQ(topo.server(ServerId{3}).rack, room.racks[1]);
+  EXPECT_EQ(topo.rack(room.racks[1]).servers[0], ServerId{3});
   // First server of DC 1 (Tokyo).
-  EXPECT_EQ(topo.server(ServerId{6}).label.to_string(),
-            "AS-JPN-TY1-C01-R01-S1");
+  const Server& tokyo = topo.server(ServerId{6});
+  EXPECT_EQ(topo.datacenter(tokyo.datacenter).name, "TY1");
+  EXPECT_EQ(topo.datacenter(tokyo.datacenter).country_code, "JPN");
+  EXPECT_EQ(tokyo.room, topo.datacenter(tokyo.datacenter).rooms[0]);
+}
+
+TEST(Topology, ServerRecordFitsOneCacheLine) {
+  EXPECT_LE(sizeof(Server), 64u);
 }
 
 TEST(Topology, AvailabilityLevelsAcrossHierarchy) {
@@ -110,6 +121,115 @@ TEST(Topology, SpecIsStoredPerServer) {
   const ServerId s = topo.add_server(rack, spec);
   EXPECT_DOUBLE_EQ(topo.server(s).spec.per_replica_capacity, 7.5);
   EXPECT_EQ(topo.server(s).spec.max_vnodes, 3u);
+}
+
+
+// --- availability levels (paper Section II-A) -----------------------------
+
+/// Servers of a hand-built world, named by their position.
+struct LevelWorld {
+  Topology topo;
+  ServerId s1;        // GA1, room 1, rack 1
+  ServerId s2;        // GA1, room 1, rack 1
+  ServerId rack2;     // GA1, room 1, rack 2
+  ServerId room2;     // GA1, room 2, rack 1
+  ServerId ny1;       // NY1 (USA): another datacenter
+  ServerId ty1;       // TY1 (JPN): another continent and country
+  ServerId dc1_usa;   // "DC1" in the USA
+  ServerId dc1_can;   // "DC1" in Canada
+  ServerId twin_a;    // "GA1" again: same continent, country and name
+};
+
+LevelWorld level_world() {
+  LevelWorld w;
+  Topology& t = w.topo;
+  const auto first_rack = [&t](DatacenterId dc) {
+    return t.add_rack(t.add_room(dc));
+  };
+  const DatacenterId ga1 =
+      t.add_datacenter("GA1", "USA", Continent::kNorthAmerica, GeoPoint{});
+  const RoomId room1 = t.add_room(ga1);
+  const RackId rack1 = t.add_rack(room1);
+  w.s1 = t.add_server(rack1, ServerSpec{});
+  w.s2 = t.add_server(rack1, ServerSpec{});
+  w.rack2 = t.add_server(t.add_rack(room1), ServerSpec{});
+  w.room2 = t.add_server(t.add_rack(t.add_room(ga1)), ServerSpec{});
+  w.ny1 = t.add_server(
+      first_rack(t.add_datacenter("NY1", "USA", Continent::kNorthAmerica,
+                                  GeoPoint{})),
+      ServerSpec{});
+  w.ty1 = t.add_server(
+      first_rack(t.add_datacenter("TY1", "JPN", Continent::kAsia, GeoPoint{})),
+      ServerSpec{});
+  w.dc1_usa = t.add_server(
+      first_rack(t.add_datacenter("DC1", "USA", Continent::kNorthAmerica,
+                                  GeoPoint{})),
+      ServerSpec{});
+  w.dc1_can = t.add_server(
+      first_rack(t.add_datacenter("DC1", "CAN", Continent::kNorthAmerica,
+                                  GeoPoint{})),
+      ServerSpec{});
+  w.twin_a = t.add_server(
+      first_rack(t.add_datacenter("GA1", "USA", Continent::kNorthAmerica,
+                                  GeoPoint{})),
+      ServerSpec{});
+  return w;
+}
+
+TEST(AvailabilityLevel, SameServerIsLevelOne) {
+  const LevelWorld w = level_world();
+  EXPECT_EQ(w.topo.availability_level(w.s1, w.s1), 1u);
+}
+
+TEST(AvailabilityLevel, SameRackDifferentServer) {
+  const LevelWorld w = level_world();
+  EXPECT_EQ(w.topo.availability_level(w.s1, w.s2), 2u);
+}
+
+TEST(AvailabilityLevel, SameRoomDifferentRack) {
+  const LevelWorld w = level_world();
+  EXPECT_EQ(w.topo.availability_level(w.s1, w.rack2), 3u);
+}
+
+TEST(AvailabilityLevel, SameDatacenterDifferentRoom) {
+  const LevelWorld w = level_world();
+  EXPECT_EQ(w.topo.availability_level(w.s1, w.room2), 4u);
+}
+
+TEST(AvailabilityLevel, DifferentDatacenter) {
+  const LevelWorld w = level_world();
+  EXPECT_EQ(w.topo.availability_level(w.s1, w.ny1), 5u);
+}
+
+TEST(AvailabilityLevel, DifferentCountryOrContinentIsStillLevelFive) {
+  const LevelWorld w = level_world();
+  EXPECT_EQ(w.topo.availability_level(w.s1, w.ty1), 5u);
+}
+
+TEST(AvailabilityLevel, IsSymmetric) {
+  const LevelWorld w = level_world();
+  const ServerId all[] = {w.s1,  w.s2,      w.rack2,   w.room2, w.ny1,
+                          w.ty1, w.dc1_usa, w.dc1_can, w.twin_a};
+  for (const ServerId a : all) {
+    for (const ServerId b : all) {
+      EXPECT_EQ(w.topo.availability_level(a, b),
+                w.topo.availability_level(b, a));
+    }
+  }
+}
+
+TEST(AvailabilityLevel, SameDatacenterNameDifferentCountryIsLevelFive) {
+  // Two datacenters that happen to share a short name in different
+  // countries are distinct failure domains.
+  const LevelWorld w = level_world();
+  EXPECT_EQ(w.topo.availability_level(w.dc1_usa, w.dc1_can), 5u);
+}
+
+TEST(AvailabilityLevel, IdenticallyNamedDatacentersAreLevelFive) {
+  // The level reads the datacenter id, not its name: two datacenters with
+  // the same continent, country and name are still two failure domains.
+  const LevelWorld w = level_world();
+  EXPECT_EQ(w.topo.availability_level(w.s1, w.twin_a), 5u);
 }
 
 }  // namespace

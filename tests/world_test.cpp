@@ -101,10 +101,15 @@ TEST(PaperWorld, DifferentSeedsChangeCapacities) {
 }
 
 TEST(PaperWorld, LabelsFollowPaperScheme) {
+  // Datacenter A's first server sits at NA-USA-GA1-C01-R01-S1.
   const World world = build_paper_world();
-  const ServerId first = world.topology.servers_in(world.by_letter('A'))[0];
-  EXPECT_EQ(world.topology.server(first).label.to_string(),
-            "NA-USA-GA1-C01-R01-S1");
+  const Datacenter& dc = world.topology.datacenter(world.by_letter('A'));
+  EXPECT_EQ(continent_code(dc.continent), "NA");
+  EXPECT_EQ(dc.country_code, "USA");
+  EXPECT_EQ(dc.name, "GA1");
+  const Server& first = world.topology.server(dc.servers[0]);
+  EXPECT_EQ(first.room, dc.rooms[0]);
+  EXPECT_EQ(first.rack, world.topology.room(dc.rooms[0]).racks[0]);
 }
 
 class SyntheticWorldTest : public ::testing::TestWithParam<std::uint32_t> {};
