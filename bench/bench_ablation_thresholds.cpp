@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     params.zipf_exponent = base.zipf_exponent;
     rfh::RfhPolicy::Options options;
     options.overload_streak_epochs = streak;
-    rfh::Simulation sim(rfh::build_paper_world(base.world), base.sim,
+    rfh::Simulation sim(rfh::make_world(base), base.sim,
                         std::make_unique<rfh::SpikeWorkload>(params, 40),
                         std::make_unique<rfh::RfhPolicy>(options));
     sim.run(40);  // settle

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       rfh::PolicyKind::kRequest, rfh::PolicyKind::kOwner,
       rfh::PolicyKind::kRandom, rfh::PolicyKind::kRfh};
   auto run_kind = [&](rfh::PolicyKind kind) {
-    rfh::World world = rfh::build_paper_world(scenario.world);
+    rfh::World world = rfh::make_world(scenario);
     auto workload =
         std::make_unique<rfh::DiurnalWorkload>(params, period, amplitude);
     rfh::Simulation sim(std::move(world), scenario.sim, std::move(workload),

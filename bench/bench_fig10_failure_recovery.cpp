@@ -6,18 +6,11 @@
 // use. Paper shape:
 // the copy count grows, plateaus, drops sharply at the failure, then
 // recovers to the initial plateau as RFH re-replicates on the survivors.
-//
-// The bench also runs the same scenario once more with the causal flight
-// recorder attached and reports recorder_overhead_fraction — the
-// acceptance gate for "recorder-on costs <= 5% wall" lives here, next to
-// the workload it is claimed for.
-#include <chrono>
 #include <iostream>
 
 #include "bench_args.h"
 #include "bench_report.h"
 #include "harness/report.h"
-#include "obs/timeline.h"
 
 int main(int argc, char** argv) {
   // Single-cell bench: --jobs is accepted for the uniform bench
@@ -25,25 +18,10 @@ int main(int argc, char** argv) {
   (void)rfh::bench_jobs(argc, argv);
   rfh::BenchReport report("fig10_failure_recovery");
   const rfh::Scenario s = rfh::Scenario::paper_failure_recovery();
-  using Clock = std::chrono::steady_clock;
   rfh::PolicyRun run;
-  Clock::duration base_wall{};
   {
     const auto stage = report.stage("run_rfh");
-    const auto t0 = Clock::now();
     run = rfh::run_policy(s, rfh::PolicyKind::kRfh);
-    base_wall = Clock::now() - t0;
-  }
-  // Same scenario with the flight recorder attached: the wall-clock
-  // delta between the two stages is the recorder's overhead.
-  Clock::duration recorder_wall{};
-  {
-    const auto stage = report.stage("run_rfh_recorder");
-    rfh::TimelineStore recorder(s.sim.partitions);
-    const auto t0 = Clock::now();
-    (void)rfh::run_policy(s, rfh::PolicyKind::kRfh, {}, {}, nullptr, nullptr,
-                          nullptr, nullptr, &recorder);
-    recorder_wall = Clock::now() - t0;
   }
 
   std::cout << "# Fig 10: node failure and recovery (RFH), 30 servers "
@@ -75,14 +53,6 @@ int main(int argc, char** argv) {
   report.add_metric("faults_injected",
                     static_cast<double>(run.faults_injected));
   report.add_metric("servers_killed", static_cast<double>(run.killed.size()));
-  const double base_ms =
-      std::chrono::duration<double, std::milli>(base_wall).count();
-  const double rec_ms =
-      std::chrono::duration<double, std::milli>(recorder_wall).count();
-  const double overhead = base_ms > 0.0 ? (rec_ms - base_ms) / base_ms : 0.0;
-  std::cout << "# recorder overhead: " << rec_ms << " vs " << base_ms
-            << " ms (" << overhead * 100.0 << "%)\n";
-  report.add_metric("recorder_overhead_fraction", overhead);
   report.write_file();
   return 0;
 }

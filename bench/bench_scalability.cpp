@@ -26,13 +26,10 @@
 
 #include "bench_args.h"
 #include "bench_report.h"
-#include "core/rfh_policy.h"
 #include "exec/thread_pool.h"
+#include "harness/scenario.h"
 #include "metrics/collector.h"
-#include "sim/engine.h"
 #include "telemetry/profiler.h"
-#include "topology/world.h"
-#include "workload/generator.h"
 
 namespace {
 
@@ -67,31 +64,18 @@ struct RunResult {
 RunResult run_once(const SizePoint& size, unsigned jobs,
                    rfh::BenchReport& report, const std::string& stage_name,
                    bool profile) {
-  rfh::WorldOptions world_options;
-  world_options.rooms_per_datacenter = 2;
-  world_options.racks_per_room = 5;
-  world_options.servers_per_rack = 10;  // 100 servers per datacenter
-
-  rfh::SimConfig config;
-  config.partitions = 8 * size.n_dcs;
-  rfh::WorkloadParams params;
-  params.partitions = config.partitions;
-  params.datacenters = size.n_dcs;
-  params.mean_queries_per_epoch = 30.0 * size.n_dcs;
-
-  // Log-spaced chords keep the inter-DC diameter O(log n) — a thin ring
-  // at 1000 DCs would mean >100-hop query paths, which no real backbone
-  // has, and which would swamp the bench with path-walk cost.
-  std::vector<std::uint32_t> strides;
-  for (std::uint32_t s = 8; s < size.n_dcs; s *= 8) strides.push_back(s);
-  rfh::Simulation sim(
-      rfh::build_synthetic_world(size.n_dcs, world_options, strides), config,
-      std::make_unique<rfh::UniformWorkload>(params),
-      std::make_unique<rfh::RfhPolicy>());
-  sim.set_jobs(jobs);
+  rfh::Scenario scenario;
+  scenario.datacenters = size.n_dcs;
+  scenario.world.rooms_per_datacenter = 2;
+  scenario.world.racks_per_room = 5;
+  scenario.world.servers_per_rack = 10;  // 100 servers per datacenter
+  scenario.sim.partitions = 8 * size.n_dcs;
+  scenario.engine_jobs = jobs;
+  const std::unique_ptr<rfh::Simulation> sim =
+      rfh::make_simulation(scenario, rfh::PolicyKind::kRfh);
   rfh::PhaseProfiler profiler;
-  if (profile) sim.set_profiler(&profiler);
-  sim.run(size.warmup);
+  if (profile) sim->set_profiler(&profiler);
+  sim->run(size.warmup);
 
   RunResult result;
   rfh::MetricsCollector collector;
@@ -100,7 +84,7 @@ RunResult run_once(const SizePoint& size, unsigned jobs,
   {
     const auto stage = report.stage(stage_name);
     for (rfh::Epoch e = 0; e < size.measured; ++e) {
-      const rfh::EpochMetrics m = collector.collect(sim, sim.step());
+      const rfh::EpochMetrics m = collector.collect(*sim, sim->step());
       result.digests.push_back(EpochDigest{
           m.utilization, m.unserved_fraction, m.path_length,
           m.latency_mean_ms, static_cast<double>(m.total_replicas)});

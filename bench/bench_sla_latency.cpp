@@ -22,7 +22,6 @@
 #include "bench_report.h"
 #include "common/histogram.h"
 #include "harness/runner.h"
-#include "stream/stream_sim.h"
 #include "telemetry/registry.h"
 
 namespace {
@@ -54,34 +53,31 @@ struct PolicyTails {
 };
 
 /// Drive one policy through the stream scenario and keep the cumulative
-/// latency histograms (run_policy hides the StreamSimulator, and the
-/// curves here need the per-DC distributions it records in the registry's
-/// rfh_stream_latency_ms{dc=...} histograms).
+/// latency histograms: the curves here need the per-DC distributions the
+/// stream layer records in the registry's rfh_stream_latency_ms{dc=...}
+/// histograms, and the nine stream fields come from the run's series.
 PolicyTails run_stream(const rfh::Scenario& scenario, rfh::PolicyKind kind,
                        const std::vector<std::string>& dc_names) {
   PolicyTails out;
   out.policy = kind;
-  auto sim = rfh::make_simulation(scenario, kind, rfh::RfhPolicy::Options{});
   rfh::MetricRegistry registry;
-  rfh::StreamSimulator stream(sim->world(), &registry, scenario.stream,
-                              scenario.sim.seed);
-  sim->set_flow_log(&stream.flow_log());
+  const rfh::PolicyRun run =
+      rfh::run_policy(scenario, kind, {}, {}, nullptr, &registry);
   double wait_weight = 0.0;
   double tail_weight = 0.0;
-  for (rfh::Epoch e = 0; e < scenario.epochs; ++e) {
-    const rfh::EpochReport report = sim->step();
-    const rfh::StreamEpochStats stats = stream.process_epoch(*sim, report);
-    out.arrivals += stats.arrivals;
-    out.served += stats.served;
-    out.blocked += stats.blocked;
-    out.dropped += stats.dropped;
-    out.max_queue_depth = std::max(out.max_queue_depth, stats.max_queue_depth);
-    out.wait_mean_ms += stats.mean_wait_ms * stats.served;
-    wait_weight += stats.served;
-    out.epoch_p50_ms += stats.p50_ms * stats.arrivals;
-    out.epoch_p99_ms += stats.p99_ms * stats.arrivals;
-    out.epoch_p999_ms += stats.p999_ms * stats.arrivals;
-    tail_weight += stats.arrivals;
+  for (const rfh::EpochMetrics& m : run.series) {
+    out.arrivals += m.stream_arrivals;
+    out.served += m.stream_served;
+    out.blocked += m.stream_blocked;
+    out.dropped += m.stream_dropped;
+    out.max_queue_depth = std::max(out.max_queue_depth,
+                                   m.stream_max_queue_depth);
+    out.wait_mean_ms += m.stream_wait_mean_ms * m.stream_served;
+    wait_weight += m.stream_served;
+    out.epoch_p50_ms += m.stream_p50_ms * m.stream_arrivals;
+    out.epoch_p99_ms += m.stream_p99_ms * m.stream_arrivals;
+    out.epoch_p999_ms += m.stream_p999_ms * m.stream_arrivals;
+    tail_weight += m.stream_arrivals;
   }
   if (wait_weight > 0.0) out.wait_mean_ms /= wait_weight;
   if (tail_weight > 0.0) {
@@ -134,17 +130,10 @@ int main(int argc, char** argv) {
   base.epochs = kEpochs;
 
   // Requester-DC names straight from the world the runs will build.
+  const rfh::World world = rfh::make_world(base);
   std::vector<std::string> dc_names;
-  {
-    const auto sim =
-        rfh::make_simulation(base, rfh::PolicyKind::kRfh,
-                             rfh::RfhPolicy::Options{});
-    for (std::size_t d = 0; d < sim->topology().datacenter_count(); ++d) {
-      dc_names.push_back(
-          sim->topology()
-              .datacenter(rfh::DatacenterId{static_cast<std::uint32_t>(d)})
-              .name);
-    }
+  for (const rfh::Datacenter& dc : world.topology.datacenters()) {
+    dc_names.push_back(dc.name);
   }
 
   for (const double load : kLoadFactors) {

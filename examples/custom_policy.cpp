@@ -47,7 +47,7 @@ class PinnedPolicy final : public rfh::ReplicationPolicy {
 
 int main() {
   const rfh::Scenario scenario = rfh::Scenario::paper_random_query();
-  rfh::World world = rfh::build_paper_world(scenario.world);
+  rfh::World world = rfh::make_world(scenario);
 
   // Pin one copy to the USA (A), Switzerland (F) and Japan (I).
   std::vector<rfh::DatacenterId> pinned{

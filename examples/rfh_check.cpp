@@ -56,8 +56,6 @@
 #include "harness/cli.h"
 #include "harness/scenario.h"
 #include "sim/engine.h"
-#include "topology/world.h"
-#include "workload/generator.h"
 
 namespace {
 
@@ -270,6 +268,7 @@ int fuzz(const Options& opt) {
 ///    probability is exactly kill / n — the model's death_prob.
 rfh::Scenario meanfield_scenario(std::uint32_t n_dcs, rfh::Epoch horizon) {
   rfh::Scenario scenario;
+  scenario.datacenters = n_dcs;
   scenario.world.rooms_per_datacenter = 2;
   scenario.world.racks_per_room = 5;
   scenario.world.servers_per_rack = 10;  // 100 servers per datacenter
@@ -331,6 +330,10 @@ int run_meanfield(const Options& opt) {
   std::printf("%8s %10s %10s %10s %12s %12s %12s\n", "servers",
               "tv", "tv_se", "maxbin", "sim E[r]", "pred E[r]", "pred avail");
 
+  rfh::RfhPolicy::Options policy_options;
+  policy_options.enable_migration = false;
+  policy_options.enable_suicide = false;
+
   bool ok = true;
   double prev_tv = 2.0;  // TV is bounded by 1
   for (const std::uint32_t n_dcs : sizes) {
@@ -338,8 +341,7 @@ int run_meanfield(const Options& opt) {
     const rfh::Epoch horizon = kWarmup + kMeasured;
     const rfh::Scenario scenario = meanfield_scenario(n_dcs, horizon);
 
-    const rfh::MeanFieldPrediction prediction =
-        rfh::predict_census(scenario, n_servers);
+    const rfh::MeanFieldPrediction prediction = rfh::predict_census(scenario);
     if (!prediction.converged) {
       std::fprintf(stderr,
                    "FAIL: n%u: fixed point did not converge in %u "
@@ -360,22 +362,9 @@ int run_meanfield(const Options& opt) {
       for (std::uint32_t rep = 0; rep < kReplicates; ++rep) {
         rfh::Scenario seeded = scenario;
         seeded.sim.seed += rep;  // independent workload + chaos streams
-
-        rfh::WorkloadParams params;
-        params.partitions = seeded.sim.partitions;
-        params.datacenters = n_dcs;
-        params.mean_queries_per_epoch = 30.0 * n_dcs;
-        std::vector<std::uint32_t> strides;
-        for (std::uint32_t s = 8; s < n_dcs; s *= 8) strides.push_back(s);
-
-        rfh::RfhPolicy::Options policy_options;
-        policy_options.enable_migration = false;
-        policy_options.enable_suicide = false;
-        rfh::Simulation sim(
-            rfh::build_synthetic_world(n_dcs, seeded.world, strides),
-            seeded.sim, std::make_unique<rfh::UniformWorkload>(params),
-            std::make_unique<rfh::RfhPolicy>(policy_options));
-        sim.set_jobs(jobs);
+        seeded.engine_jobs = jobs;
+        const std::unique_ptr<rfh::Simulation> sim = rfh::make_simulation(
+            seeded, rfh::PolicyKind::kRfh, policy_options);
         rfh::ChaosController chaos(seeded.fault_plan, seeded.sim.seed);
 
         // Time-averaged post-step census over the measured window.
@@ -384,13 +373,13 @@ int run_meanfield(const Options& opt) {
         std::vector<double> census(
             seeded.sim.max_replicas_per_partition + 1, 0.0);
         for (rfh::Epoch e = 0; e < horizon; ++e) {
-          chaos.before_epoch(sim, e);
-          const rfh::EpochReport er = sim.step();
+          chaos.before_epoch(*sim, e);
+          const rfh::EpochReport er = sim->step();
           if (e < kWarmup) continue;
           dropped += er.dropped_actions;
           for (std::uint32_t pv = 0; pv < seeded.sim.partitions; ++pv) {
             const std::size_t k =
-                sim.cluster().replicas_of(rfh::PartitionId{pv}).size();
+                sim->cluster().replicas_of(rfh::PartitionId{pv}).size();
             census[std::min(k, census.size() - 1)] += 1.0;
           }
         }
@@ -434,12 +423,10 @@ int run_meanfield(const Options& opt) {
   }
   // The prediction is size-independent (kill/n = 2% at every point), so
   // record it once.
-  report.add_metric("predicted_replicas",
-                    rfh::predict_census(meanfield_scenario(10, 1), 1000)
-                        .expected_replicas);
-  report.add_metric("predicted_availability",
-                    rfh::predict_census(meanfield_scenario(10, 1), 1000)
-                        .expected_availability);
+  const rfh::MeanFieldPrediction predicted =
+      rfh::predict_census(meanfield_scenario(10, 1));
+  report.add_metric("predicted_replicas", predicted.expected_replicas);
+  report.add_metric("predicted_availability", predicted.expected_availability);
 
   report.write_file();
   if (ok) std::printf("rfh_check: mean-field error monotone in N\n");

@@ -16,7 +16,7 @@ int main() {
   const rfh::Epoch epochs = 60;
 
   // Run 1: stochastic workload, recorded.
-  rfh::World world1 = rfh::build_paper_world(scenario.world);
+  rfh::World world1 = rfh::make_world(scenario);
   auto recording = std::make_unique<rfh::RecordingWorkload>(
       rfh::make_workload(scenario, world1));
   auto* recorder = recording.get();
@@ -33,7 +33,7 @@ int main() {
 
   // Run 2: replay the CSV through a fresh simulation.
   std::stringstream csv_in(text);
-  rfh::World world2 = rfh::build_paper_world(scenario.world);
+  rfh::World world2 = rfh::make_world(scenario);
   rfh::Simulation sim2(
       std::move(world2), scenario.sim,
       std::make_unique<rfh::TraceWorkload>(rfh::TraceWorkload::from_csv(csv_in)),

@@ -166,6 +166,7 @@ Scenario CheckCase::to_scenario() const {
   s.epochs = epochs;
   s.zipf_exponent = zipf;
   s.fault_plan = fault_plan;
+  s.datacenters = datacenters;
   s.world = WorldOptions{};
   s.world.rooms_per_datacenter = rooms_per_datacenter;
   s.world.racks_per_room = racks_per_room;
@@ -206,6 +207,11 @@ std::string CheckCase::to_json() const {
   };
   field("schema", std::string(kSchema), true);
   field("seed", std::to_string(seed), false);
+  // Emitted only for a synthetic world, so every paper-world case stays
+  // a byte-identical round-trip.
+  if (datacenters != 0) {
+    field("datacenters", std::to_string(datacenters), false);
+  }
   field("rooms_per_datacenter", std::to_string(rooms_per_datacenter), false);
   field("racks_per_room", std::to_string(racks_per_room), false);
   field("servers_per_rack", std::to_string(servers_per_rack), false);
@@ -268,15 +274,17 @@ CheckCase::ParseResult CheckCase::from_json(std::string_view text) {
     std::string err;
     if (key == "schema") {
       continue;
-    } else if (key == "seed" || key == "rooms_per_datacenter" ||
-               key == "racks_per_room" || key == "servers_per_rack" ||
-               key == "partitions" || key == "epochs") {
+    } else if (key == "seed" || key == "datacenters" ||
+               key == "rooms_per_datacenter" || key == "racks_per_room" ||
+               key == "servers_per_rack" || key == "partitions" ||
+               key == "epochs") {
       err = want_plain("non-negative integer");
       // Each value parses straight into its field's width, so a value
       // past the field's maximum is malformed rather than wrapped.
       const auto into = [&](auto& field) { return parse_uint(raw, field); };
       if (err.empty() &&
           !(key == "seed"                   ? into(c.seed)
+            : key == "datacenters"          ? into(c.datacenters)
             : key == "rooms_per_datacenter" ? into(c.rooms_per_datacenter)
             : key == "racks_per_room"       ? into(c.racks_per_room)
             : key == "servers_per_rack"     ? into(c.servers_per_rack)
@@ -362,6 +370,10 @@ CheckCase::ParseResult CheckCase::from_json(std::string_view text) {
   if (c.rooms_per_datacenter == 0 || c.racks_per_room == 0 ||
       c.servers_per_rack == 0) {
     return fail("world shape fields must be positive");
+  }
+  // The flash crowd's stages name the paper's datacenter letters.
+  if (c.workload == WorkloadKind::kFlashCrowd && c.datacenters != 0) {
+    return fail("workload 'flash' needs the paper world (datacenters 0)");
   }
   // The Table I ranges: the same rules the CLI applies to its flags.
   if (std::string error = validate(c.to_scenario().sim); !error.empty()) {

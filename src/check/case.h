@@ -25,6 +25,8 @@ struct CheckCase {
   std::uint64_t seed = 42;
 
   // --- world shape -------------------------------------------------------
+  /// Scenario::datacenters: 0 is the paper world, N a synthetic ring.
+  std::uint32_t datacenters = 0;
   std::uint32_t rooms_per_datacenter = 1;
   std::uint32_t racks_per_room = 2;
   std::uint32_t servers_per_rack = 5;

@@ -165,6 +165,8 @@ void compare_epoch(const Simulation& sim, const EpochReport& er,
                       drop_reason_name(static_cast<DropReason>(i)) + " ",
                   er.dropped_by_reason[i], rr.dropped_by_reason[i]);
   }
+  cmp.check_u32("repairs_starved", "", er.repairs_starved,
+                rr.repairs_starved);
   cmp.check_double("unserved_queries", "", er.unserved_queries,
                    rr.unserved_queries);
   cmp.check_double("mean_path_length", "", er.mean_path_length,

@@ -1,8 +1,8 @@
 // The differential harness: runs the optimized engine and the naive
 // ReferenceEngine in lock-step over one CheckCase and cross-checks them
 // after every epoch — placements, applied decisions (with their
-// DecisionRule), traffic totals, smoothed statistics, drop tallies and
-// replica counts must match exactly (doubles compared bit-for-bit: both
+// DecisionRule), traffic totals, smoothed statistics, drop tallies,
+// starved repairs and replica counts must match exactly (doubles compared bit-for-bit: both
 // sides perform the same FP operations in the same order, so any
 // difference is a real behavioural divergence, not rounding).
 //

@@ -4,12 +4,14 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "topology/world.h"
 
 namespace rfh {
 
 namespace {
 
-constexpr std::uint32_t kDatacenters = 10;  // build_paper_world is fixed
+// Cases run on the paper world (CheckCase::datacenters stays 0).
+constexpr std::uint32_t kDatacenters = kPaperDatacenters;
 
 std::uint32_t u32_in(Rng& rng, std::uint32_t lo, std::uint32_t hi) {
   return lo + static_cast<std::uint32_t>(rng.uniform(hi - lo + 1));

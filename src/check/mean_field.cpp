@@ -43,8 +43,14 @@ double total_variation(std::span<const double> x, std::span<const double> y) {
 
 }  // namespace
 
-MeanFieldParams MeanFieldParams::from_scenario(const Scenario& scenario,
-                                               std::size_t n_servers) {
+MeanFieldParams MeanFieldParams::from_scenario(const Scenario& scenario) {
+  // Every datacenter of either world carries the same rooms x racks x
+  // servers (topology/world.h).
+  const WorldOptions& w = scenario.world;
+  const std::size_t n_servers =
+      std::size_t{scenario.datacenters != 0 ? scenario.datacenters
+                                            : kPaperDatacenters} *
+      w.rooms_per_datacenter * w.racks_per_room * w.servers_per_rack;
   RFH_ASSERT(n_servers > 0);
   MeanFieldParams params;
   params.failure_rate = scenario.sim.failure_rate;
@@ -147,9 +153,8 @@ MeanFieldPrediction predict_census(const MeanFieldParams& params) {
   return prediction;
 }
 
-MeanFieldPrediction predict_census(const Scenario& scenario,
-                                   std::size_t n_servers) {
-  return predict_census(MeanFieldParams::from_scenario(scenario, n_servers));
+MeanFieldPrediction predict_census(const Scenario& scenario) {
+  return predict_census(MeanFieldParams::from_scenario(scenario));
 }
 
 CensusComparison compare(std::span<const double> sim_census,

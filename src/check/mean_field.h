@@ -70,12 +70,11 @@ struct MeanFieldParams {
   /// Derive the chain from a scenario: r_target via Eq. 14 from the
   /// scenario's min_availability/failure_rate, death_prob as the fault
   /// plan's expected kills per epoch (crash + churn events, averaged
-  /// over [0, scenario.epochs)) divided by `n_servers`. Zone/DC outages
-  /// are deliberately ignored — they violate the uniform-kill assumption
-  /// (see header comment), so scenarios carrying them are not valid
-  /// mean-field subjects.
-  static MeanFieldParams from_scenario(const Scenario& scenario,
-                                       std::size_t n_servers);
+  /// over [0, scenario.epochs)) divided by the scenario world's server
+  /// count. Zone/DC outages are deliberately ignored — they violate the
+  /// uniform-kill assumption (see header comment), so scenarios carrying
+  /// them are not valid mean-field subjects.
+  static MeanFieldParams from_scenario(const Scenario& scenario);
 };
 
 /// The solved fixed point.
@@ -97,8 +96,7 @@ struct MeanFieldPrediction {
 [[nodiscard]] MeanFieldPrediction predict_census(const MeanFieldParams& params);
 
 /// Convenience: from_scenario + predict_census.
-[[nodiscard]] MeanFieldPrediction predict_census(const Scenario& scenario,
-                                                 std::size_t n_servers);
+[[nodiscard]] MeanFieldPrediction predict_census(const Scenario& scenario);
 
 /// One step of the chain: census' = census * T. Exposed for tests (a
 /// stationary distribution must be a fixed point of this map).

@@ -30,7 +30,7 @@ std::pair<std::uint32_t, std::uint32_t> link_key(DatacenterId a,
 }  // namespace
 
 ReferenceEngine::ReferenceEngine(const Scenario& scenario)
-    : world_(build_paper_world(scenario.world)),
+    : world_(make_world(scenario)),
       config_(scenario.sim),
       workload_(make_workload(scenario, world_)),
       rng_workload_(Rng(config_.seed).fork(kWorkloadStreamTag)),
@@ -769,12 +769,17 @@ void ReferenceEngine::apply(
       drop(!a.target.valid() ? DropReason::kDeadTarget : DropReason::kInvalid);
       continue;
     }
+    // A floor repair refused at the node cap or the copy cap starves.
+    const bool repair = a.rule == DecisionRule::kAvailabilityFloor;
     if (!can_accept(a.target, a.partition)) {
-      drop(classify(a.target, a.partition));
+      const DropReason reason = classify(a.target, a.partition);
+      if (repair && reason == DropReason::kNodeCap) ++report.repairs_starved;
+      drop(reason);
       continue;
     }
     if (static_cast<std::uint32_t>(replicas_[a.partition.value()].size()) >=
         config_.max_replicas_per_partition) {
+      if (repair) ++report.repairs_starved;
       drop(DropReason::kNodeCap);
       continue;
     }

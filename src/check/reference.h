@@ -68,17 +68,17 @@ struct RefAppliedAction {
 
 /// The reference engine's per-epoch observables: the engine's report
 /// plus the applied-action record the harness diffs against trace events.
-/// The reference does not tally repairs_starved; it stays 0.
 struct RefEpochReport : EpochReport {
   std::vector<RefAppliedAction> applied;
 };
 
 class ReferenceEngine {
  public:
-  /// Builds its own World copy from the scenario (same seed, so the
-  /// heterogeneous capacities are identical) and forks the same RNG
-  /// stream tags as the engine. Always evaluates the default-option RFH
-  /// policy — the harness runs the engine with PolicyKind::kRfh defaults.
+  /// Builds its own World copy from the scenario through make_world (same
+  /// shape and seed, so the heterogeneous capacities are identical) and
+  /// forks the same RNG stream tags as the engine. Always evaluates the
+  /// default-option RFH policy — the harness runs the engine with
+  /// PolicyKind::kRfh defaults.
   explicit ReferenceEngine(const Scenario& scenario);
 
   RefEpochReport step();

@@ -1,11 +1,20 @@
 #include "harness/scenario.h"
 
+#include <vector>
+
 #include "baselines/owner_policy.h"
 #include "baselines/random_policy.h"
 #include "baselines/request_policy.h"
 #include "common/assert.h"
 
 namespace rfh {
+
+namespace {
+
+/// Table I's lambda per datacenter: 300 queries per epoch over 10 DCs.
+constexpr double kQueriesPerDatacenter = 30.0;
+
+}  // namespace
 
 std::string_view policy_name(PolicyKind kind) noexcept {
   switch (kind) {
@@ -54,17 +63,30 @@ std::unique_ptr<ReplicationPolicy> make_policy(PolicyKind kind,
   RFH_UNREACHABLE("unknown policy kind");
 }
 
+World make_world(const Scenario& scenario) {
+  if (scenario.datacenters == 0) return build_paper_world(scenario.world);
+  std::vector<std::uint32_t> strides;
+  for (std::uint32_t s = 8; s < scenario.datacenters; s *= 8) {
+    strides.push_back(s);
+  }
+  return build_synthetic_world(scenario.datacenters, scenario.world, strides);
+}
+
 std::unique_ptr<WorkloadGenerator> make_workload(const Scenario& scenario,
                                                  const World& world) {
   WorkloadParams params;
   params.partitions = scenario.sim.partitions;
   params.datacenters =
       static_cast<std::uint32_t>(world.topology.datacenter_count());
+  params.mean_queries_per_epoch =
+      kQueriesPerDatacenter * static_cast<double>(params.datacenters);
   params.zipf_exponent = scenario.zipf_exponent;
   switch (scenario.workload) {
     case WorkloadKind::kUniform:
       return std::make_unique<UniformWorkload>(params);
     case WorkloadKind::kFlashCrowd:
+      RFH_ASSERT_MSG(scenario.datacenters == 0,
+                     "the flash crowd needs the paper world");
       return std::make_unique<FlashCrowdWorkload>(
           params, FlashCrowdWorkload::paper_stages(world.dc),
           scenario.epochs);
@@ -86,7 +108,7 @@ std::unique_ptr<WorkloadGenerator> make_workload(const Scenario& scenario,
 std::unique_ptr<Simulation> make_simulation(const Scenario& scenario,
                                             PolicyKind kind,
                                             const RfhPolicy::Options& rfh) {
-  World world = build_paper_world(scenario.world);
+  World world = make_world(scenario);
   auto workload = make_workload(scenario, world);
   auto policy = make_policy(kind, rfh);
   auto sim = std::make_unique<Simulation>(std::move(world), scenario.sim,

@@ -1,5 +1,9 @@
-// Scenario construction: Table I defaults bundled with a workload setting
-// and a policy choice, producing ready-to-run Simulations.
+// Scenario construction: Table I defaults bundled with a world shape, a
+// workload setting and a policy choice, producing ready-to-run
+// Simulations. The scenario is the one description of a run: its
+// `datacenters` count picks the paper's Fig. 1 world or a synthetic ring,
+// and make_world / make_workload / make_policy build every part from it,
+// for the engine and the differential oracle alike.
 #pragma once
 
 #include <memory>
@@ -24,6 +28,10 @@ enum class WorkloadKind { kUniform, kFlashCrowd, kHotspotShift, kStream };
 std::string_view policy_name(PolicyKind kind) noexcept;
 
 struct Scenario {
+  /// World shape: 0 is the paper's Fig. 1 world (ten named datacenters);
+  /// N > 0 is a synthetic ring of N datacenters with log-spaced chords
+  /// (make_world). Either way `world` sets the servers per datacenter.
+  std::uint32_t datacenters = 0;
   WorldOptions world;
   SimConfig sim;
   WorkloadKind workload = WorkloadKind::kUniform;
@@ -67,6 +75,17 @@ std::unique_ptr<ReplicationPolicy> make_policy(PolicyKind kind,
                                                const RfhPolicy::Options& rfh =
                                                    {});
 
+/// The scenario's world: build_paper_world when `datacenters` is 0,
+/// otherwise build_synthetic_world over log-spaced chord strides
+/// {8, 64, 512, ...}, which keep the inter-DC diameter O(log n). Up to 8
+/// datacenters the stride list is empty, so the builder's stride-3 rule
+/// applies.
+World make_world(const Scenario& scenario);
+
+/// The scenario's demand over `world`: a Poisson mean of 30 queries per
+/// epoch per datacenter (Table I's lambda = 300 on the ten-DC paper
+/// world). The flash crowd names the paper's datacenter letters, so it
+/// needs the paper world.
 std::unique_ptr<WorkloadGenerator> make_workload(const Scenario& scenario,
                                                  const World& world);
 

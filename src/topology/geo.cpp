@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/assert.h"
-
 namespace rfh {
 
 namespace {
@@ -12,28 +10,6 @@ constexpr double kEarthRadiusKm = 6371.0;
 
 double deg_to_rad(double deg) noexcept { return deg * kPi / 180.0; }
 }  // namespace
-
-std::string_view continent_code(Continent c) noexcept {
-  switch (c) {
-    case Continent::kNorthAmerica: return "NA";
-    case Continent::kSouthAmerica: return "SA";
-    case Continent::kEurope: return "EU";
-    case Continent::kAsia: return "AS";
-    case Continent::kAfrica: return "AF";
-    case Continent::kOceania: return "OC";
-  }
-  return "??";
-}
-
-Continent parse_continent(std::string_view code) {
-  if (code == "NA") return Continent::kNorthAmerica;
-  if (code == "SA") return Continent::kSouthAmerica;
-  if (code == "EU") return Continent::kEurope;
-  if (code == "AS") return Continent::kAsia;
-  if (code == "AF") return Continent::kAfrica;
-  if (code == "OC") return Continent::kOceania;
-  RFH_UNREACHABLE("unknown continent code");
-}
 
 double great_circle_km(const GeoPoint& a, const GeoPoint& b) noexcept {
   const double lat1 = deg_to_rad(a.latitude_deg);

@@ -6,9 +6,6 @@
 // arbitrary constant.
 #pragma once
 
-#include <string>
-#include <string_view>
-
 namespace rfh {
 
 enum class Continent {
@@ -19,12 +16,6 @@ enum class Continent {
   kAfrica,
   kOceania,
 };
-
-/// Two-letter continent code ("NA", "EU", "AS", ...).
-std::string_view continent_code(Continent c) noexcept;
-
-/// Parse a two-letter continent code; aborts on unknown input.
-Continent parse_continent(std::string_view code);
 
 struct GeoPoint {
   double latitude_deg = 0.0;

@@ -18,7 +18,7 @@ struct DcSpec {
 
 // Paper Section III-A: 3 USA, 2 Canada, 2 Switzerland, 1 China, 2 Japan.
 // Letters follow Fig. 1 (A holds the running example's hot partition).
-constexpr std::array<DcSpec, 10> kPaperDcs = {{
+constexpr std::array<DcSpec, kPaperDatacenters> kPaperDcs = {{
     {"GA1", "USA", Continent::kNorthAmerica, {33.7, -84.4}},    // A Atlanta
     {"CA1", "USA", Continent::kNorthAmerica, {37.8, -122.4}},   // B San Francisco
     {"NY1", "USA", Continent::kNorthAmerica, {40.7, -74.0}},    // C New York

@@ -69,6 +69,9 @@ struct World {
   [[nodiscard]] DatacenterId by_letter(char letter) const;
 };
 
+/// Datacenters in the paper's Fig. 1 world.
+inline constexpr std::uint32_t kPaperDatacenters = 10;
+
 /// Build the default 10-datacenter, 100-server world.
 World build_paper_world(const WorldOptions& options = {});
 

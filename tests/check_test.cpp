@@ -77,6 +77,19 @@ TEST(CheckCaseJson, RejectsWrongSchemaAndUnknownFields) {
   EXPECT_NE(unknown.error.find("not_a_field"), std::string::npos);
 }
 
+TEST(CheckCaseJson, DatacentersAppearOnlyForSyntheticWorlds) {
+  CheckCase c = sample_case();
+  EXPECT_EQ(c.to_json().find("datacenters\""), std::string::npos);
+  c.datacenters = 100;
+  const CheckCase::ParseResult parsed = CheckCase::from_json(c.to_json());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.value, c);
+  EXPECT_EQ(parsed.value.to_scenario().datacenters, 100u);
+  // The flash crowd's stages name paper datacenters.
+  c.workload = WorkloadKind::kFlashCrowd;
+  EXPECT_FALSE(CheckCase::from_json(c.to_json()).ok);
+}
+
 TEST(CheckCaseJson, RoundTripsErasureRedundancy) {
   CheckCase c = sample_case();
   c.redundancy = RedundancyMode::kErasure;
@@ -136,8 +149,9 @@ TEST(CheckCaseJson, RejectsOutOfRangeValues) {
       CheckCase::from_json(with("fault_plan", "\"crash at=0\"")).ok);
   // A 32-bit field one past its maximum, or wrapping to a legal value
   // (2^32 + 64 would read as 64), is malformed, and the error names it.
-  for (const char* key : {"partitions", "epochs", "rooms_per_datacenter",
-                          "racks_per_room", "servers_per_rack"}) {
+  for (const char* key : {"partitions", "epochs", "datacenters",
+                          "rooms_per_datacenter", "racks_per_room",
+                          "servers_per_rack"}) {
     for (const char* value : {"4294967296", "4294967360"}) {
       const auto result = CheckCase::from_json(with(key, value));
       EXPECT_FALSE(result.ok) << key << "=" << value;

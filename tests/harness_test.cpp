@@ -54,6 +54,25 @@ TEST(Scenario, MakeSimulationIsReadyToStep) {
   EXPECT_EQ(sim->policy_name(), "RFH");
 }
 
+TEST(Scenario, MakeWorldBuildsTheShapeTheScenarioNames) {
+  Scenario scenario;
+  EXPECT_EQ(make_world(scenario).topology.datacenter_count(),
+            kPaperDatacenters);
+  scenario.datacenters = 100;
+  const World world = make_world(scenario);
+  EXPECT_EQ(world.topology.datacenter_count(), 100u);
+  // The ring plus log-spaced chords: 13 of stride 8 and 2 of stride 64.
+  EXPECT_EQ(world.links.size(), 100u + 13u + 2u);
+  // Demand scales with the world: 30 queries per epoch per datacenter.
+  const auto workload = make_workload(scenario, world);
+  Rng rng(1);
+  double total = 0.0;
+  for (Epoch e = 0; e < 20; ++e) {
+    for (const QueryFlow& f : workload->generate(e, rng)) total += f.queries;
+  }
+  EXPECT_NEAR(total / 20.0, 3000.0, 60.0);
+}
+
 TEST(Runner, SeriesHasOneEntryPerEpoch) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 20;

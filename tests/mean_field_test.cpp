@@ -16,8 +16,6 @@
 #include "fault/plan.h"
 #include "harness/scenario.h"
 #include "sim/engine.h"
-#include "topology/world.h"
-#include "workload/generator.h"
 
 namespace rfh {
 namespace {
@@ -140,11 +138,15 @@ TEST(MeanField, FromScenarioDerivesTheChainFromPlanAndConfig) {
   scenario.fault_plan.add(zone);
 
   const MeanFieldParams params =
-      MeanFieldParams::from_scenario(scenario, /*n_servers=*/100);
+      MeanFieldParams::from_scenario(scenario);  // the 100-server paper world
   EXPECT_EQ(params.r_target, 4u);
   EXPECT_DOUBLE_EQ(params.failure_rate, 0.1);
   // (2 kills/epoch * 100 epochs + 50 one-shot) / 100 epochs / 100 servers.
   EXPECT_NEAR(params.death_prob, 0.025, 1e-12);
+  // The same plan over a 200-server synthetic world kills half as often.
+  scenario.datacenters = 20;
+  EXPECT_NEAR(MeanFieldParams::from_scenario(scenario).death_prob, 0.0125,
+              1e-12);
 }
 
 TEST(MeanFieldCompare, PerfectAgreementIsZeroError) {
@@ -185,12 +187,11 @@ TEST(MeanFieldCompare, ShorterHistogramIsZeroExtended) {
 // the measured census must land near pi (generous bound: at N=40 the
 // finite-size error is the largest the oracle ever tolerates).
 TEST(MeanFieldSim, SmallWorldCensusApproachesTheFixedPoint) {
-  constexpr std::uint32_t kDcs = 4;
-  constexpr std::uint32_t kServers = 40;  // 4 DCs x 10 servers
   constexpr Epoch kWarmup = 30;
   constexpr Epoch kMeasured = 300;
 
   Scenario scenario;
+  scenario.datacenters = 4;  // 4 DCs x 10 servers
   scenario.world.rooms_per_datacenter = 1;
   scenario.world.racks_per_room = 2;
   scenario.world.servers_per_rack = 5;
@@ -212,31 +213,26 @@ TEST(MeanFieldSim, SmallWorldCensusApproachesTheFixedPoint) {
   churn.recover = 1;
   scenario.fault_plan.add(churn);
 
-  WorkloadParams params;
-  params.partitions = scenario.sim.partitions;
-  params.datacenters = kDcs;
-  params.mean_queries_per_epoch = 30.0 * kDcs;
   RfhPolicy::Options policy_options;
   policy_options.enable_migration = false;
   policy_options.enable_suicide = false;
-  Simulation sim(build_synthetic_world(kDcs, scenario.world, {}),
-                 scenario.sim, std::make_unique<UniformWorkload>(params),
-                 std::make_unique<RfhPolicy>(policy_options));
+  const std::unique_ptr<Simulation> sim =
+      make_simulation(scenario, PolicyKind::kRfh, policy_options);
   ChaosController chaos(scenario.fault_plan, scenario.sim.seed);
 
   std::vector<double> census(scenario.sim.max_replicas_per_partition + 1,
                              0.0);
   for (Epoch e = 0; e < scenario.epochs; ++e) {
-    chaos.before_epoch(sim, e);
-    sim.step();
+    chaos.before_epoch(*sim, e);
+    sim->step();
     if (e < kWarmup) continue;
     for (std::uint32_t pv = 0; pv < scenario.sim.partitions; ++pv) {
-      const std::size_t k = sim.cluster().replicas_of(PartitionId{pv}).size();
+      const std::size_t k = sim->cluster().replicas_of(PartitionId{pv}).size();
       census[std::min(k, census.size() - 1)] += 1.0;
     }
   }
 
-  const MeanFieldPrediction prediction = predict_census(scenario, kServers);
+  const MeanFieldPrediction prediction = predict_census(scenario);
   ASSERT_TRUE(prediction.converged);
   const CensusComparison cmp =
       compare(census, prediction, scenario.sim.failure_rate);

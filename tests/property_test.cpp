@@ -206,17 +206,10 @@ INSTANTIATE_TEST_SUITE_P(
 class WorldScaleTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(WorldScaleTest, BiggerWorldsRunCleanly) {
-  const std::uint32_t n_dcs = GetParam();
-  World world = build_synthetic_world(n_dcs);
-  SimConfig config;
-  config.partitions = 16;
-  WorkloadParams params;
-  params.partitions = 16;
-  params.datacenters = n_dcs;
-  params.mean_queries_per_epoch = 30.0 * n_dcs;
-  auto sim = std::make_unique<Simulation>(
-      std::move(world), config, std::make_unique<UniformWorkload>(params),
-      std::make_unique<RfhPolicy>());
+  Scenario scenario;
+  scenario.datacenters = GetParam();
+  scenario.sim.partitions = 16;
+  const auto sim = make_simulation(scenario, PolicyKind::kRfh);
   for (int e = 0; e < 25; ++e) sim->step();
   sim->cluster().check_invariants();
   EXPECT_GT(sim->cluster().total_replicas(), 16u);

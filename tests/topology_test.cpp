@@ -101,15 +101,6 @@ TEST(Geo, GreatCircleKnownDistances) {
   EXPECT_DOUBLE_EQ(great_circle_km(nyc, nyc), 0.0);
 }
 
-TEST(Geo, ContinentCodesRoundTrip) {
-  for (const Continent c :
-       {Continent::kNorthAmerica, Continent::kSouthAmerica, Continent::kEurope,
-        Continent::kAsia, Continent::kAfrica, Continent::kOceania}) {
-    EXPECT_EQ(parse_continent(continent_code(c)), c);
-  }
-  EXPECT_DEATH(parse_continent("XX"), "");
-}
-
 TEST(Topology, SpecIsStoredPerServer) {
   Topology topo;
   const DatacenterId dc = topo.add_datacenter(

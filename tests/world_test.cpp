@@ -104,7 +104,7 @@ TEST(PaperWorld, LabelsFollowPaperScheme) {
   // Datacenter A's first server sits at NA-USA-GA1-C01-R01-S1.
   const World world = build_paper_world();
   const Datacenter& dc = world.topology.datacenter(world.by_letter('A'));
-  EXPECT_EQ(continent_code(dc.continent), "NA");
+  EXPECT_EQ(dc.continent, Continent::kNorthAmerica);
   EXPECT_EQ(dc.country_code, "USA");
   EXPECT_EQ(dc.name, "GA1");
   const Server& first = world.topology.server(dc.servers[0]);
